@@ -93,6 +93,7 @@ class AuditConfig:
             (self.min_judgments >= 1, "min_judgments >= 1"),
             (self.closure_depth >= 0, "closure_depth >= 0"),
             (self.mc_iterations >= 1, "mc_iterations >= 1"),
+            (0 <= self.seed < 2**64, "seed in [0, 2**64)"),
         ]
         for ok, rule in checks:
             if not ok:

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import json
 import logging
-import unicodedata
 from collections import deque
 from dataclasses import dataclass, field
+
+from .text import nfc
 
 log = logging.getLogger(__name__)
 
@@ -35,10 +36,6 @@ class SnapshotError(ValueError):
 
 class RedirectCycleError(ValueError):
     pass
-
-
-def _nfc(s: str) -> str:
-    return unicodedata.normalize("NFC", s)
 
 
 @dataclass
@@ -97,7 +94,7 @@ class CorpusSnapshot:
     snapshot_date: str = ""
 
     def get(self, title: str) -> ArticleRecord | None:
-        return self.records.get(_nfc(title))
+        return self.records.get(nfc(title))
 
 
 def _validate_record(rec: ArticleRecord, where: str) -> None:
@@ -119,17 +116,17 @@ def _validate_record(rec: ArticleRecord, where: str) -> None:
 
 def record_from_dict(data: dict, where: str = "record") -> ArticleRecord:
     try:
-        images = [ImageRef(filename=_nfc(i["filename"]),
+        images = [ImageRef(filename=nfc(i["filename"]),
                            width=int(i["width"]),
                            media_format=str(i["media_format"]).lower())
                   for i in data.get("images") or []]
         rec = ArticleRecord(
-            title=_nfc(data["title"]),
+            title=nfc(data["title"]),
             exists=bool(data.get("exists", True)),
-            redirect_target=(_nfc(data["redirect_target"])
+            redirect_target=(nfc(data["redirect_target"])
                              if data.get("redirect_target") else None),
-            categories={_nfc(c) for c in data.get("categories") or []},
-            outlinks=[_nfc(o) for o in data.get("outlinks") or []],
+            categories={nfc(c) for c in data.get("categories") or []},
+            outlinks=[nfc(o) for o in data.get("outlinks") or []],
             images=images,
             plain_text=data.get("plain_text") or "",
             page_id=data.get("page_id"),
@@ -196,7 +193,7 @@ def resolve(title: str, snapshot: CorpusSnapshot) -> ResolvedPage:
     hops = 0 for direct articles and missing pages; a cycle raises
     RedirectCycleError listing the chain.
     """
-    current = _nfc(title)
+    current = nfc(title)
     chain = [current]
     seen = {current}
     hops = 0
@@ -230,7 +227,7 @@ def category_closure(roots, depth: int, snapshot: CorpusSnapshot) -> set[str]:
     closure: set[str] = set()
     queue: deque[tuple[str, int]] = deque()
     for root in roots:
-        root = _nfc(root)
+        root = nfc(root)
         if root not in known:
             log.warning("unknown root category %r treated as empty", root)
             continue

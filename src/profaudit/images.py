@@ -24,7 +24,6 @@ from .corpus import ImageRef
 
 log = logging.getLogger(__name__)
 
-MIN_WIDTH = 100  # keep images strictly wider than this
 EXCLUDED_FORMATS = frozenset({"svg", "ogg", "ogv"})
 
 WORKER_ACCURACY_THRESHOLD = 0.7
@@ -108,10 +107,11 @@ class WorkerRecord:
     active: bool
 
 
-def filter_images(refs: list[ImageRef]) -> list[ImageRef]:
-    """Images wide enough to judge and in a depictable format."""
+def filter_images(refs: list[ImageRef], min_width: int) -> list[ImageRef]:
+    """Images strictly wider than ``min_width`` pixels and in a depictable
+    format."""
     return [r for r in refs
-            if r.width > MIN_WIDTH and r.media_format not in EXCLUDED_FORMATS]
+            if r.width > min_width and r.media_format not in EXCLUDED_FORMATS]
 
 
 def map_response(response: AnnotationResponse) -> ImageCategory | None:

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import csv
 import json
-import unicodedata
 from dataclasses import dataclass
 from enum import Enum
+
+from .text import nfc
 
 # substrings marking field/study names rather than professions
 EXCLUSION_MARKERS = ("(weiterf", "(grundst", "(Tätigkeitsfeld)", "(Staatse")
@@ -118,10 +119,6 @@ class ProfessionEntry:
         }
 
 
-def _nfc(s: str) -> str:
-    return unicodedata.normalize("NFC", s)
-
-
 def load_abbreviations(path=None) -> dict[str, str]:
     """Abbreviation table, default plus optional CSV (short, expansion)."""
     table = dict(DEFAULT_ABBREVIATIONS)
@@ -132,7 +129,7 @@ def load_abbreviations(path=None) -> dict[str, str]:
                     continue
                 if len(row) < 2:
                     raise ValueError(f"abbreviations row {row_no}: expected 2 columns")
-                table[_nfc(row[0].strip())] = _nfc(row[1].strip())
+                table[nfc(row[0].strip())] = nfc(row[1].strip())
     return table
 
 
@@ -144,7 +141,7 @@ def preprocess(line: RawLine, abbreviations: dict[str, str] | None = None):
     fixes cover whitespace normalization (NBSP, runs of blanks, blanks
     hugging a slash); the abbreviation table is applied afterwards.
     """
-    text = _nfc(line.text).strip()
+    text = nfc(line.text).strip()
     if not text:
         return None
     for marker in EXCLUSION_MARKERS:
@@ -252,9 +249,9 @@ def load_manual_assignments(path, entries: list[ProfessionEntry]) -> list[Profes
                 raise ValueError(
                     f"manual assignments row {row_no}: unknown line_no {line_no}")
             group = row[1].strip()
-            male = _nfc(row[2].strip()) or None
-            female = _nfc(row[3].strip()) or None
-            neutral = _nfc(row[4].strip()) or None
+            male = nfc(row[2].strip()) or None
+            female = nfc(row[3].strip()) or None
+            neutral = nfc(row[4].strip()) or None
             entry = by_line[line_no]
             if group == "pair":
                 if not (male or female):

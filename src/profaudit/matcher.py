@@ -5,14 +5,37 @@ points and the derived ratio 1 - distance / max(len). A pair is emitted
 when the distance is at most ``d_max`` or the ratio is at least ``r_min``;
 exact matches are auto-confirmed, everything else waits for a reviewer
 decision ingested from a CSV file.
+
+:func:`match` never computes a distance it does not need:
+
+- **Cutoff per length.** With ``L = max(len(p), len(a))`` the predicate
+  ``d <= d_max or 1 - d/L >= r_min`` holds exactly for ``d = 0..k(L)``.
+  ``k(L)`` is found by evaluating that float expression itself for each
+  ``d``, once per ``L``, so rounding decides as it would per pair; a closed
+  form such as ``floor(L * (1 - r_min))`` gives 2 at ``L = 15`` and the
+  default ``r_min = 0.8``, where the predicate accepts 3.
+- **Length buckets.** Article titles are normalised once and grouped by
+  length. A whole bucket is skipped when the length gap, a lower bound on
+  the distance, exceeds ``k(L)``.
+- **Bit-parallel kernel.** The distance is Myers' bit-vector algorithm
+  (JACM 46(3), 1999) in Hyyrö's form for Levenshtein distance: one column
+  of the DP matrix is a pair of Python ints, so titles of any length fit,
+  and the profession title's match masks are built once for all article
+  titles. The column loop stops once the score minus the columns still to
+  read exceeds ``k(L)`` (the band argument of Ukkonen, 1985), since each
+  column lowers the final score by at most one.
+
+:func:`lev_distance` is the plain DP, kept as the reference the kernel is
+tested against.
 """
 
 from __future__ import annotations
 
 import csv
-import unicodedata
 from dataclasses import dataclass
 from enum import Enum
+
+from .text import nfc
 
 
 class MatchStatus(str, Enum):
@@ -66,8 +89,69 @@ def lev_ratio(a: str, b: str) -> float:
     return 1.0 - lev_distance(a, b) / longest
 
 
-def _nfc(s: str) -> str:
-    return unicodedata.normalize("NFC", s)
+def _cutoff(longest: int, d_max: int, r_min: float) -> int:
+    """Largest distance in 0..longest that the emission predicate accepts.
+
+    The predicate is evaluated as written for each distance in turn. It
+    is monotone in ``d`` (a correctly rounded ``d / longest`` never falls
+    as ``d`` grows), so the accepted distances are exactly ``0..k``.
+    Returns -1 when not even distance 0 is accepted.
+    """
+    k = -1
+    for d in range(longest + 1):
+        if not (d <= d_max or 1.0 - d / longest >= r_min):
+            break
+        k = d
+    return k
+
+
+def _match_masks(pattern: str) -> dict[str, int]:
+    """Bit i of ``masks[c]`` is set where ``pattern[i] == c``."""
+    masks: dict[str, int] = {}
+    for i, c in enumerate(pattern):
+        masks[c] = masks.get(c, 0) | (1 << i)
+    return masks
+
+
+def _bounded_distance(masks: dict[str, int], m: int, text: str,
+                      k: int) -> int:
+    """Levenshtein distance between ``text`` and the length-``m`` pattern
+    behind ``masks`` when it is at most ``k``, otherwise -1.
+
+    ``pv``/``mv`` hold the +1/-1 vertical deltas of the current DP column.
+    ``slack`` is the column's last cell minus the columns still to read: a
+    lower bound on the final distance, and equal to it after the last
+    column.
+    """
+    n = len(text)
+    if m == 0:
+        return n if n <= k else -1
+    slack = m - n
+    if slack > k:
+        return -1
+    full = (1 << m) - 1
+    top = 1 << (m - 1)
+    pv, mv = full, 0
+    get = masks.get
+    for c in text:
+        eq = get(c, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & top:
+            slack += 2
+            if slack > k:
+                return -1
+        elif not mh & top:
+            slack += 1
+            if slack > k:
+                return -1
+        ph = (ph << 1) | 1
+        mh <<= 1
+        pv = (mh | ~(xv | ph)) & full
+        mv = ph & xv
+    return slack
 
 
 def match(professions, titles, d_max: int = 2, r_min: float = 0.8,
@@ -81,32 +165,39 @@ def match(professions, titles, d_max: int = 2, r_min: float = 0.8,
     Comparison is case-sensitive by default (German nouns are capitalized);
     ``case_fold`` folds both sides first.
     """
-    title_list = sorted({_nfc(t) for t in titles})
+    buckets: dict[int, list[tuple[str, str]]] = {}
+    for atitle in sorted({nfc(t) for t in titles}):
+        acmp = atitle.casefold() if case_fold else atitle
+        buckets.setdefault(len(acmp), []).append((atitle, acmp))
+    cutoffs: dict[int, int] = {}
     out: list[MatchCandidate] = []
     for prof_id, role, raw in professions:
-        ptitle = _nfc(raw)
+        ptitle = nfc(raw)
         pcmp = ptitle.casefold() if case_fold else ptitle
         plen = len(pcmp)
-        for atitle in title_list:
-            acmp = atitle.casefold() if case_fold else atitle
-            # length bound: distance >= |len difference|, so a pair whose
-            # length gap already fails both thresholds cannot match
-            gap = abs(plen - len(acmp))
-            longest = max(plen, len(acmp))
+        masks = _match_masks(pcmp)
+        for alen, bucket in buckets.items():
+            longest = max(plen, alen)
             if longest == 0:
                 continue
-            if gap > d_max and (1.0 - gap / longest) < r_min:
+            k = cutoffs.get(longest)
+            if k is None:
+                k = cutoffs[longest] = _cutoff(longest, d_max, r_min)
+            # the length gap is a lower bound on the distance
+            if abs(plen - alen) > k:
                 continue
-            d = lev_distance(pcmp, acmp)
-            if d == 0:
-                out.append(MatchCandidate(prof_id, ptitle, atitle, 0, 1.0,
-                                          MatchStatus.EXACT, role,
-                                          gender_group=role))
-                continue
-            ratio = 1.0 - d / longest
-            if d <= d_max or ratio >= r_min:
-                out.append(MatchCandidate(prof_id, ptitle, atitle, d, ratio,
-                                          MatchStatus.FUZZY, role))
+            for atitle, acmp in bucket:
+                d = _bounded_distance(masks, plen, acmp, k)
+                if d < 0:
+                    continue
+                if d == 0:
+                    out.append(MatchCandidate(prof_id, ptitle, atitle, 0, 1.0,
+                                              MatchStatus.EXACT, role,
+                                              gender_group=role))
+                else:
+                    out.append(MatchCandidate(prof_id, ptitle, atitle, d,
+                                              1.0 - d / longest,
+                                              MatchStatus.FUZZY, role))
     out.sort(key=lambda c: (c.profession_id, -c.ratio, c.article_title,
                             c.profession_title))
     return out
@@ -136,7 +227,7 @@ def apply_decisions(candidates: list[MatchCandidate], path) -> list[MatchCandida
             if len(row) < 4:
                 raise ValueError(f"decisions row {row_no}: expected 4 columns")
             prof_id, atitle, verdict, group = (c.strip() for c in row[:4])
-            key = (prof_id, _nfc(atitle))
+            key = (prof_id, nfc(atitle))
             if key not in index:
                 raise ValueError(
                     f"decisions row {row_no}: no candidate for "

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import csv
 import re
-import unicodedata
 from dataclasses import dataclass
 from enum import Enum
 
 from .corpus import ArticleRecord, CorpusSnapshot
+from .text import nfc
 
 FEMALE_CATEGORY = "Frau"
 MALE_CATEGORY = "Mann"
@@ -96,10 +96,6 @@ class OverlapReport:
         return self.gender_disagreements / self.gender_comparisons
 
 
-def _nfc(s: str) -> str:
-    return unicodedata.normalize("NFC", s)
-
-
 def load_gender_lexicon(path) -> dict[str, Gender]:
     """First-name lexicon CSV: name, gender (m/f/ambiguous), optional weight.
 
@@ -113,7 +109,7 @@ def load_gender_lexicon(path) -> dict[str, Gender]:
             if len(row) < 2:
                 raise ValueError(f"gender lexicon row {row_no}: expected "
                                  "at least 2 columns")
-            name = _nfc(row[0].strip())
+            name = nfc(row[0].strip())
             tag = row[1].strip().lower()
             if tag in ("m", "male"):
                 gender = Gender.M
@@ -139,7 +135,7 @@ def extract_link_mentions(record: ArticleRecord, snapshot: CorpusSnapshot
     skipped = 0
     seen: set[str] = set()
     for outlink in record.outlinks:
-        title = _nfc(outlink)
+        title = nfc(outlink)
         if title in seen:
             continue
         seen.add(title)
@@ -206,7 +202,7 @@ def extract_text_mentions(article_title: str, plain_text: str,
     """
     mentions: list[PersonMention] = []
     seen: set[str] = set()
-    for run in _capitalized_runs(_nfc(plain_text)):
+    for run in _capitalized_runs(nfc(plain_text)):
         tokens = run.split()
         for i in range(len(tokens) - 1):
             first_name = None
@@ -242,13 +238,13 @@ def merge(link_mentions: list[PersonMention],
     """
     merged: dict[tuple[str, str], PersonMention] = {}
     for m in link_mentions:
-        merged[(m.article_title, _nfc(m.surface_name))] = m
+        merged[(m.article_title, nfc(m.surface_name))] = m
 
     comparisons = 0
     disagreements = 0
     overlap = 0
     for m in text_mentions:
-        key = (m.article_title, _nfc(m.surface_name))
+        key = (m.article_title, nfc(m.surface_name))
         if key in merged:
             base = merged[key]
             if base.source is Source.LINK:
@@ -329,7 +325,7 @@ def load_birth_years(path) -> dict[str, int]:
             except ValueError as exc:
                 raise ValueError(f"birth years row {row_no}: bad year "
                                  f"{row[1]!r}") from exc
-            table[_nfc(row[0].strip())] = year
+            table[nfc(row[0].strip())] = year
     return table
 
 

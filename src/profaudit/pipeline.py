@@ -430,12 +430,17 @@ def stage_images(cfg: AuditConfig) -> list[Path]:
     (annotations_path, gold_path) = cfg.require("annotations", "gold_labels")
 
     eligible: dict[str, list[str]] = defaultdict(list)  # image -> articles
+    shown: set[str] = set()  # every image on a mapped article
     for title in sorted(article_map):
         record = snapshot.records[title]
-        for ref in images.filter_images(record.images):
+        shown.update(ref.filename for ref in record.images)
+        for ref in images.filter_images(record.images, cfg.min_image_width):
             eligible[ref.filename].append(title)
 
-    responses = images.load_responses(annotations_path)
+    # responses to images the width/format filter excluded leave the
+    # analysis; responses to images on no mapped article stay an error
+    responses = [r for r in images.load_responses(annotations_path)
+                 if r.image_id in eligible or r.image_id not in shown]
     gold = images.load_gold_labels(gold_path)
     workers, retained = images.score_workers(
         responses, gold, set(eligible), threshold=cfg.worker_accuracy)

@@ -23,13 +23,13 @@ still show up in the tally as "other pages".
 
 from __future__ import annotations
 
-import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 
 from .corpus import (CorpusSnapshot, RedirectCycleError, is_profession_article,
                      resolve)
+from .text import nfc
 
 
 class PageKind(str, Enum):
@@ -124,10 +124,6 @@ def classify(presence: ProfessionPresence) -> BiasGroup:
     return BiasGroup.NO_EVIDENCE
 
 
-def _nfc(s: str) -> str:
-    return unicodedata.normalize("NFC", s)
-
-
 def build_presence(profession_id: str, titles_by_role: dict[str, list[str]],
                    snapshot: CorpusSnapshot, closure: set[str]) -> ProfessionPresence:
     """Resolve every confirmed title of a profession against the snapshot.
@@ -138,11 +134,11 @@ def build_presence(profession_id: str, titles_by_role: dict[str, list[str]],
     validated article > redirect to opposite title > redirect elsewhere >
     non-profession article > missing.
     """
-    male_titles = {_nfc(t) for t in titles_by_role.get("male", [])}
-    female_titles = {_nfc(t) for t in titles_by_role.get("female", [])}
+    male_titles = {nfc(t) for t in titles_by_role.get("male", [])}
+    female_titles = {nfc(t) for t in titles_by_role.get("female", [])}
 
     def state_for(title: str) -> PageState:
-        title = _nfc(title)
+        title = nfc(title)
         rec = snapshot.records.get(title)
         if rec is None or not rec.exists:
             return PageState(PageKind.MISSING, title=title)

@@ -17,7 +17,7 @@ def resp(worker, image, ts, count, gender):
 class TestFilterImages:
     def test_width_boundary_strict(self):
         refs = [ImageRef("a.jpg", 100, "jpg"), ImageRef("b.jpg", 101, "jpg")]
-        kept = filter_images(refs)
+        kept = filter_images(refs, 100)
         assert [r.filename for r in kept] == ["b.jpg"]
 
     def test_vector_and_media_formats_excluded(self):
@@ -25,7 +25,7 @@ class TestFilterImages:
                 ImageRef("ton.ogg", 500, "ogg"),
                 ImageRef("film.ogv", 500, "ogv"),
                 ImageRef("foto.jpg", 500, "jpg")]
-        kept = filter_images(refs)
+        kept = filter_images(refs, 100)
         assert [r.filename for r in kept] == ["foto.jpg"]
 
 

@@ -1,4 +1,5 @@
 import random
+import unicodedata
 
 import pytest
 
@@ -23,6 +24,64 @@ def naive_lev(a, b):
 
 
 ALPHABET = "abcdefäöüß"
+
+
+def brute_match(professions, titles, d_max, r_min, case_fold):
+    """Every pair through the full DP and the literal emission predicate,
+    as (profession_id, role, profession title, article title, distance,
+    ratio, status, gender group) rows in the order match() returns."""
+    nfc = lambda s: unicodedata.normalize("NFC", s)  # noqa: E731
+    fold = (lambda s: s.casefold()) if case_fold else (lambda s: s)
+    rows = []
+    for prof_id, role, raw in professions:
+        ptitle = nfc(raw)
+        for atitle in sorted({nfc(t) for t in titles}):
+            p, a = fold(ptitle), fold(atitle)
+            longest = max(len(p), len(a))
+            if longest == 0:
+                continue
+            d = naive_lev(p, a)
+            if not (d <= d_max or 1.0 - d / longest >= r_min):
+                continue
+            if d == 0:
+                rows.append((prof_id, role, ptitle, atitle, 0, 1.0,
+                             MatchStatus.EXACT, role))
+            else:
+                rows.append((prof_id, role, ptitle, atitle, d,
+                             1.0 - d / longest, MatchStatus.FUZZY, None))
+    rows.sort(key=lambda r: (r[0], -r[5], r[3], r[2]))
+    return rows
+
+
+def as_rows(candidates):
+    return [(c.profession_id, c.title_role, c.profession_title,
+             c.article_title, c.distance, c.ratio, c.status, c.gender_group)
+            for c in candidates]
+
+
+# umlauts, sharp s and its capital (which casefold to two letters), case
+# pairs, a combining diaeresis (NFC composes it) and one non-BMP code point
+MATCH_ALPHABET = "aAbeEäÄöüßẞ\u0308\U0001D504"
+
+
+def random_title(rng, longest=12):
+    return "".join(rng.choice(MATCH_ALPHABET)
+                   for _ in range(rng.randint(0, longest)))
+
+
+def near_variant(rng, title):
+    chars = list(title)
+    for _ in range(rng.randint(0, 4)):
+        op = rng.randrange(3)
+        pos = rng.randint(0, len(chars))
+        if op == 0:
+            chars.insert(pos, rng.choice(MATCH_ALPHABET))
+        elif chars and pos < len(chars):
+            if op == 1:
+                del chars[pos]
+            else:
+                chars[pos] = rng.choice(MATCH_ALPHABET)
+    return "".join(chars)
 
 
 class TestLevDistance:
@@ -134,6 +193,77 @@ class TestMatch:
         folded = matcher.match([("p1", "male", "koch")], ["KOCH"],
                                case_fold=True)
         assert folded[0].distance == 0
+
+
+class TestBoundedDistance:
+    def test_matches_naive_dp_within_cutoff(self):
+        rng = random.Random(77)
+        for _ in range(2000):
+            a = random_title(rng, 20)
+            b = (near_variant(rng, a) if rng.random() < 0.5
+                 else random_title(rng, 20))
+            k = rng.randint(0, 8)
+            d = naive_lev(a, b)
+            got = matcher._bounded_distance(matcher._match_masks(a), len(a),
+                                            b, k)
+            assert got == (d if d <= k else -1), (a, b, k)
+
+    def test_pattern_longer_than_a_machine_word(self):
+        a = "Kraftfahrzeugmechatroniker" * 4
+        b = a[:50] + "x" + a[51:] + "in"
+        assert len(a) > 64
+        got = matcher._bounded_distance(matcher._match_masks(a), len(a),
+                                        b, 3)
+        assert got == naive_lev(a, b) == 3
+
+
+class TestCutoff:
+    def test_float_boundary_at_length_15_is_kept(self):
+        # 1 - 3/15 == 0.8 in float, while floor(15 * (1 - 0.8)) == 2
+        assert 1.0 - 3 / 15 >= 0.8
+        assert matcher._cutoff(15, 2, 0.8) == 3
+
+    def test_float_boundary_below_r_min_is_dropped(self):
+        # 1 - 9/10 is just below 0.1 in float
+        assert 1.0 - 9 / 10 < 0.1
+        assert matcher._cutoff(10, 2, 0.1) == 8
+
+    def test_nothing_accepted(self):
+        assert matcher._cutoff(5, -1, 1.5) == -1
+
+
+class TestMatchAgainstBruteForce:
+    @pytest.mark.parametrize("case_fold", [False, True])
+    @pytest.mark.parametrize("d_max", [0, 1, 2, 3, 4])
+    def test_random_inputs(self, d_max, case_fold):
+        rng = random.Random(1000 * d_max + case_fold)
+        for r_min in (0, 0.1, 2 / 3, 0.7, 0.75, 0.8, 0.9, 1):
+            bases = [random_title(rng) for _ in range(6)] + [""]
+            professions = [(f"p{i % 4}", rng.choice(["male", "female",
+                                                     "neutral"]), t)
+                           for i, t in enumerate(bases)]
+            titles = ([near_variant(rng, t) for t in bases for _ in range(3)]
+                      + [random_title(rng) for _ in range(10)]
+                      + [unicodedata.normalize("NFD", bases[0]), ""])
+            got = as_rows(matcher.match(professions, titles, d_max=d_max,
+                                        r_min=r_min, case_fold=case_fold))
+            assert got == brute_match(professions, titles, d_max, r_min,
+                                      case_fold), r_min
+
+    def test_length_15_at_distance_3_emitted_by_default(self):
+        p, a = "Zahntechnikerin", "Zahntechnikxyzn"
+        assert len(p) == len(a) == 15 and naive_lev(p, a) == 3
+        cands = matcher.match([("p1", "female", p)], [a])
+        assert [(c.article_title, c.distance) for c in cands] == [(a, 3)]
+        assert cands[0].ratio == 1.0 - 3 / 15
+
+    def test_ratio_just_below_r_min_not_emitted(self):
+        p, a = "abcdefghij", "aklmnopqrs"
+        assert naive_lev(p, a) == 9
+        assert matcher.match([("p1", "male", p)], [a], r_min=0.1) == []
+        # one edit fewer clears the threshold
+        cands = matcher.match([("p1", "male", p)], ["abklmnopqr"], r_min=0.1)
+        assert [c.distance for c in cands] == [8]
 
 
 class TestDecisions:

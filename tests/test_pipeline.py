@@ -46,6 +46,31 @@ class TestConfig:
         with pytest.raises(ValueError, match="r_min"):
             cfg.validate_thresholds()
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_out_of_range_rejected(self, data_dir, seed):
+        cfg = AuditConfig.from_file(data_dir / "config.json")
+        cfg.seed = seed
+        with pytest.raises(ValueError, match="seed"):
+            cfg.validate_thresholds()
+
+    def test_negative_seed_fails_before_any_stage(self, data_dir, tmp_path,
+                                                  capsys):
+        out_dir = tmp_path / "out"
+        rc = run_cli("report", "--all", "--config", data_dir / "config.json",
+                     "--out-dir", out_dir, "--seed", -1)
+        assert rc == 1
+        assert "seed" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_min_image_width_takes_effect(self, fixture_config):
+        fixture_config.min_image_width = 10**9
+        pipeline.run_all(fixture_config)
+        categories = (Path(fixture_config.out_dir) / "images" /
+                      "categories.csv").read_text(encoding="utf-8")
+        assert categories.splitlines() == [
+            "image_id,article_title,profession_id,title_role,bias_group,"
+            "category"]
+
 
 class TestStageOrdering:
     def test_missing_upstream_names_stage(self, fixture_config):
