@@ -56,6 +56,24 @@ def write_csv(path, header, rows) -> None:
             writer.writerow([fmt(v) for v in row])
 
 
+def read_rows(path, what: str, header: str | None, ncols: int):
+    """Data rows of an input CSV file as ``(row_no, row)``, numbered from 1
+    over every CSV row.
+
+    Blank rows, rows whose first cell starts with ``#`` and header rows
+    (first cell equal to ``header``) are skipped. A row with fewer than
+    ``ncols`` cells raises ``ValueError`` naming ``what`` and the row.
+    """
+    with open(path, encoding="utf-8", newline="") as fh:
+        for row_no, row in enumerate(csv.reader(fh), start=1):
+            if not row or row[0].startswith("#") or row[0] == header:
+                continue
+            if len(row) < ncols:
+                raise ValueError(f"{what} row {row_no}: expected {ncols} "
+                                 "columns")
+            yield row_no, row
+
+
 def sha256_file(path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:

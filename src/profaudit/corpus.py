@@ -22,9 +22,8 @@ log = logging.getLogger(__name__)
 CATEGORY_PREFIX = "Kategorie:"
 
 # category roots whose depth-limited closure defines "article about a
-# profession", plus the depth limit used for validation
+# profession"
 PROFESSION_ROOTS = ("Beruf", "Amt", "Person nach Tätigkeit")
-CLOSURE_DEPTH = 5
 
 _RECORD_FIELDS = ("title", "exists", "redirect_target", "categories",
                   "outlinks", "images", "plain_text", "page_id")
@@ -247,7 +246,3 @@ def category_closure(roots, depth: int, snapshot: CorpusSnapshot) -> set[str]:
 
 def is_profession_article(record: ArticleRecord, closure: set[str]) -> bool:
     return bool(record.categories & closure)
-
-
-def profession_closure(snapshot: CorpusSnapshot, depth: int = CLOSURE_DEPTH) -> set[str]:
-    return category_closure(PROFESSION_ROOTS, depth, snapshot)

@@ -13,13 +13,13 @@ threshold is removed with all responses discarded.
 
 from __future__ import annotations
 
-import csv
 import logging
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from enum import Enum
 
 from . import stats
+from .artifacts import read_rows
 from .corpus import ImageRef
 
 log = logging.getLogger(__name__)
@@ -140,38 +140,28 @@ def map_response(response: AnnotationResponse) -> ImageCategory | None:
 def load_responses(path) -> list[AnnotationResponse]:
     """CSV: worker_id, image_id, timestamp, count_answer, gender_answer."""
     out = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        for row_no, row in enumerate(csv.reader(fh), start=1):
-            if not row or row[0].startswith("#") or row[0] == "worker_id":
-                continue
-            if len(row) < 5:
-                raise ValueError(f"responses row {row_no}: expected 5 columns")
-            try:
-                out.append(AnnotationResponse(
-                    worker_id=row[0].strip(),
-                    image_id=row[1].strip(),
-                    timestamp=int(row[2]),
-                    count_answer=CountAnswer(row[3].strip()),
-                    gender_answer=GenderAnswer(row[4].strip()),
-                ))
-            except ValueError as exc:
-                raise ValueError(f"responses row {row_no}: {exc}") from exc
+    for row_no, row in read_rows(path, "responses", "worker_id", 5):
+        try:
+            out.append(AnnotationResponse(
+                worker_id=row[0].strip(),
+                image_id=row[1].strip(),
+                timestamp=int(row[2]),
+                count_answer=CountAnswer(row[3].strip()),
+                gender_answer=GenderAnswer(row[4].strip()),
+            ))
+        except ValueError as exc:
+            raise ValueError(f"responses row {row_no}: {exc}") from exc
     return out
 
 
 def load_gold_labels(path) -> dict[str, ImageCategory]:
     """CSV: image_id, category."""
     out: dict[str, ImageCategory] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        for row_no, row in enumerate(csv.reader(fh), start=1):
-            if not row or row[0].startswith("#") or row[0] == "image_id":
-                continue
-            if len(row) < 2:
-                raise ValueError(f"gold labels row {row_no}: expected 2 columns")
-            try:
-                out[row[0].strip()] = ImageCategory(row[1].strip())
-            except ValueError as exc:
-                raise ValueError(f"gold labels row {row_no}: {exc}") from exc
+    for row_no, row in read_rows(path, "gold labels", "image_id", 2):
+        try:
+            out[row[0].strip()] = ImageCategory(row[1].strip())
+        except ValueError as exc:
+            raise ValueError(f"gold labels row {row_no}: {exc}") from exc
     return out
 
 

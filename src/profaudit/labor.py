@@ -10,9 +10,10 @@ exactly or by prefix against the statistics table.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from enum import Enum
+
+from .artifacts import read_rows, write_csv
 
 
 class MatchKind(str, Enum):
@@ -57,45 +58,35 @@ def load_stats(path) -> list[LaborStat]:
     non-numeric counts are errors naming the row."""
     out: list[LaborStat] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8", newline="") as fh:
-        for row_no, row in enumerate(csv.reader(fh), start=1):
-            if not row or row[0].startswith("#") or row[0] == "code":
-                continue
-            if len(row) < 4:
-                raise ValueError(f"labor stats row {row_no}: expected 4 columns")
-            code = row[0].strip()
-            if code in seen:
-                raise ValueError(f"labor stats row {row_no}: duplicate code "
-                                 f"{code!r}")
-            seen.add(code)
-            try:
-                men = int(row[2])
-                women = int(row[3])
-            except ValueError as exc:
-                raise ValueError(f"labor stats row {row_no}: non-numeric "
-                                 "count") from exc
-            if men < 0 or women < 0 or men + women == 0:
-                raise ValueError(f"labor stats row {row_no}: counts must be "
-                                 "nonnegative with a positive total")
-            out.append(LaborStat(code, row[1].strip(), men, women))
+    for row_no, row in read_rows(path, "labor stats", "code", 4):
+        code = row[0].strip()
+        if code in seen:
+            raise ValueError(f"labor stats row {row_no}: duplicate code "
+                             f"{code!r}")
+        seen.add(code)
+        try:
+            men = int(row[2])
+            women = int(row[3])
+        except ValueError as exc:
+            raise ValueError(f"labor stats row {row_no}: non-numeric "
+                             "count") from exc
+        if men < 0 or women < 0 or men + women == 0:
+            raise ValueError(f"labor stats row {row_no}: counts must be "
+                             "nonnegative with a positive total")
+        out.append(LaborStat(code, row[1].strip(), men, women))
     return out
 
 
 def load_classifier(path) -> dict[str, str]:
     """Profession-name to code index, CSV columns (name, code)."""
     index: dict[str, str] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        for row_no, row in enumerate(csv.reader(fh), start=1):
-            if not row or row[0].startswith("#") or row[0] == "name":
-                continue
-            if len(row) < 2:
-                raise ValueError(f"classifier row {row_no}: expected 2 columns")
-            name = row[0].strip()
-            code = row[1].strip()
-            if name in index and index[name] != code:
-                raise ValueError(f"classifier row {row_no}: conflicting code "
-                                 f"for {name!r}")
-            index[name] = code
+    for row_no, row in read_rows(path, "classifier", "name", 2):
+        name = row[0].strip()
+        code = row[1].strip()
+        if name in index and index[name] != code:
+            raise ValueError(f"classifier row {row_no}: conflicting code "
+                             f"for {name!r}")
+        index[name] = code
     return index
 
 
@@ -194,12 +185,12 @@ def join(assignments: list[CodeAssignment], stats: list[LaborStat],
     return out
 
 
+JOINED_HEADER = ("profession_id", "kldb_code", "match_kind", "n_men",
+                 "n_women", "pct_women", "majority", "dominated")
+
+
 def write_joined(rows: list[JoinedLabor], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["profession_id", "kldb_code", "match_kind", "n_men",
-                         "n_women", "pct_women", "majority", "dominated"])
-        for r in sorted(rows, key=lambda r: r.profession_id):
-            writer.writerow([r.profession_id, r.kldb_code, r.match_kind.value,
-                             r.n_men, r.n_women, f"{r.pct_women:.6f}",
-                             r.majority.value, r.dominated.value])
+    write_csv(path, JOINED_HEADER,
+              [[r.profession_id, r.kldb_code, r.match_kind.value, r.n_men,
+                r.n_women, r.pct_women, r.majority.value, r.dominated.value]
+               for r in sorted(rows, key=lambda r: r.profession_id)])

@@ -11,11 +11,11 @@ and ß are never folded.
 
 from __future__ import annotations
 
-import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
+from .artifacts import read_rows, write_csv
 from .text import nfc
 
 # substrings marking field/study names rather than professions
@@ -108,28 +108,21 @@ class ProfessionEntry:
         return out
 
     def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "line_no": self.line_no,
-            "text": self.text,
-            "male_title": self.male_title,
-            "female_title": self.female_title,
-            "neutral_title": self.neutral_title,
-            "resolution": self.resolution.value,
-        }
+        """One entries.jsonl record, keyed by ``ENTRY_FIELDS``."""
+        out = {name: getattr(self, name) for name in ENTRY_FIELDS}
+        out["resolution"] = self.resolution.value
+        return out
+
+
+ENTRY_FIELDS = tuple(f.name for f in fields(ProfessionEntry))
 
 
 def load_abbreviations(path=None) -> dict[str, str]:
     """Abbreviation table, default plus optional CSV (short, expansion)."""
     table = dict(DEFAULT_ABBREVIATIONS)
     if path is not None:
-        with open(path, encoding="utf-8", newline="") as fh:
-            for row_no, row in enumerate(csv.reader(fh), start=1):
-                if not row or row[0].startswith("#"):
-                    continue
-                if len(row) < 2:
-                    raise ValueError(f"abbreviations row {row_no}: expected 2 columns")
-                table[nfc(row[0].strip())] = nfc(row[1].strip())
+        for _, row in read_rows(path, "abbreviations", None, 2):
+            table[nfc(row[0].strip())] = nfc(row[1].strip())
     return table
 
 
@@ -234,46 +227,41 @@ def load_manual_assignments(path, entries: list[ProfessionEntry]) -> list[Profes
     {pair, neutral}. Unknown line numbers are an error naming the row.
     """
     by_line = {e.line_no: e for e in entries}
-    with open(path, encoding="utf-8", newline="") as fh:
-        for row_no, row in enumerate(csv.reader(fh), start=1):
-            if not row or row[0].startswith("#") or row[0] == "line_no":
-                continue
-            if len(row) < 5:
-                raise ValueError(f"manual assignments row {row_no}: expected 5 columns")
-            try:
-                line_no = int(row[0])
-            except ValueError as exc:
+    for row_no, row in read_rows(path, "manual assignments", "line_no", 5):
+        try:
+            line_no = int(row[0])
+        except ValueError as exc:
+            raise ValueError(
+                f"manual assignments row {row_no}: bad line_no {row[0]!r}") from exc
+        if line_no not in by_line:
+            raise ValueError(
+                f"manual assignments row {row_no}: unknown line_no {line_no}")
+        group = row[1].strip()
+        male = nfc(row[2].strip()) or None
+        female = nfc(row[3].strip()) or None
+        neutral = nfc(row[4].strip()) or None
+        entry = by_line[line_no]
+        if group == "pair":
+            if not (male or female):
                 raise ValueError(
-                    f"manual assignments row {row_no}: bad line_no {row[0]!r}") from exc
-            if line_no not in by_line:
+                    f"manual assignments row {row_no}: pair without titles")
+            if male and female and male == female:
                 raise ValueError(
-                    f"manual assignments row {row_no}: unknown line_no {line_no}")
-            group = row[1].strip()
-            male = nfc(row[2].strip()) or None
-            female = nfc(row[3].strip()) or None
-            neutral = nfc(row[4].strip()) or None
-            entry = by_line[line_no]
-            if group == "pair":
-                if not (male or female):
-                    raise ValueError(
-                        f"manual assignments row {row_no}: pair without titles")
-                if male and female and male == female:
-                    raise ValueError(
-                        f"manual assignments row {row_no}: male and female titles equal")
-                entry.male_title = male
-                entry.female_title = female
-                entry.neutral_title = None
-            elif group == "neutral":
-                if not neutral:
-                    raise ValueError(
-                        f"manual assignments row {row_no}: neutral without title")
-                entry.male_title = None
-                entry.female_title = None
-                entry.neutral_title = neutral
-            else:
+                    f"manual assignments row {row_no}: male and female titles equal")
+            entry.male_title = male
+            entry.female_title = female
+            entry.neutral_title = None
+        elif group == "neutral":
+            if not neutral:
                 raise ValueError(
-                    f"manual assignments row {row_no}: unknown group {group!r}")
-            entry.resolution = Resolution.MANUAL
+                    f"manual assignments row {row_no}: neutral without title")
+            entry.male_title = None
+            entry.female_title = None
+            entry.neutral_title = neutral
+        else:
+            raise ValueError(
+                f"manual assignments row {row_no}: unknown group {group!r}")
+        entry.resolution = Resolution.MANUAL
     return entries
 
 
@@ -286,12 +274,9 @@ def write_entries(entries: list[ProfessionEntry], path) -> None:
 
 def write_review_file(entries: list[ProfessionEntry], path) -> None:
     """Unresolved lines, emitted for the manual assignment round-trip."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["line_no", "text"])
-        for e in entries:
-            if e.resolution is Resolution.UNRESOLVED:
-                writer.writerow([e.line_no, e.text])
+    write_csv(path, ["line_no", "text"],
+              [[e.line_no, e.text] for e in entries
+               if e.resolution is Resolution.UNRESOLVED])
 
 
 def summarize(entries: list[ProfessionEntry]) -> dict:

@@ -31,10 +31,10 @@ tested against.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from enum import Enum
 
+from .artifacts import read_rows, write_csv
 from .text import nfc
 
 
@@ -217,31 +217,23 @@ def apply_decisions(candidates: list[MatchCandidate], path) -> list[MatchCandida
         if cand.status is MatchStatus.EXACT:
             continue
         index.setdefault((cand.profession_id, cand.article_title), []).append(cand)
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        for row_no, row in enumerate(reader, start=1):
-            if not row or row[0].startswith("#"):
-                continue
-            if row[0] == "profession_id":
-                continue
-            if len(row) < 4:
-                raise ValueError(f"decisions row {row_no}: expected 4 columns")
-            prof_id, atitle, verdict, group = (c.strip() for c in row[:4])
-            key = (prof_id, nfc(atitle))
-            if key not in index:
+    for row_no, row in read_rows(path, "decisions", "profession_id", 4):
+        prof_id, atitle, verdict, group = (c.strip() for c in row[:4])
+        key = (prof_id, nfc(atitle))
+        if key not in index:
+            raise ValueError(
+                f"decisions row {row_no}: no candidate for "
+                f"({prof_id}, {atitle})")
+        for cand in index[key]:
+            if verdict == "confirm":
+                cand.status = MatchStatus.CONFIRMED
+                cand.gender_group = group or cand.title_role
+            elif verdict == "reject":
+                cand.status = MatchStatus.REJECTED
+                cand.gender_group = None
+            else:
                 raise ValueError(
-                    f"decisions row {row_no}: no candidate for "
-                    f"({prof_id}, {atitle})")
-            for cand in index[key]:
-                if verdict == "confirm":
-                    cand.status = MatchStatus.CONFIRMED
-                    cand.gender_group = group or cand.title_role
-                elif verdict == "reject":
-                    cand.status = MatchStatus.REJECTED
-                    cand.gender_group = None
-                else:
-                    raise ValueError(
-                        f"decisions row {row_no}: unknown verdict {verdict!r}")
+                    f"decisions row {row_no}: unknown verdict {verdict!r}")
     return candidates
 
 
@@ -252,12 +244,9 @@ def accepted(candidates: list[MatchCandidate]) -> list[MatchCandidate]:
 
 
 def write_candidates(candidates: list[MatchCandidate], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["profession_id", "title_role", "profession_title",
-                         "article_title", "distance", "ratio", "status",
-                         "gender_group"])
-        for c in candidates:
-            writer.writerow([c.profession_id, c.title_role, c.profession_title,
-                             c.article_title, c.distance, f"{c.ratio:.6f}",
-                             c.status.value, c.gender_group or ""])
+    write_csv(path, ["profession_id", "title_role", "profession_title",
+                     "article_title", "distance", "ratio", "status",
+                     "gender_group"],
+              [[c.profession_id, c.title_role, c.profession_title,
+                c.article_title, c.distance, c.ratio, c.status.value,
+                c.gender_group] for c in candidates])

@@ -13,11 +13,11 @@ PersonMention shape.
 
 from __future__ import annotations
 
-import csv
 import re
 from dataclasses import dataclass
 from enum import Enum
 
+from .artifacts import read_rows
 from .corpus import ArticleRecord, CorpusSnapshot
 from .text import nfc
 
@@ -102,25 +102,19 @@ def load_gender_lexicon(path) -> dict[str, Gender]:
     Lookup is case-exact on the capitalized NFC form.
     """
     table: dict[str, Gender] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        for row_no, row in enumerate(csv.reader(fh), start=1):
-            if not row or row[0].startswith("#") or row[0] == "name":
-                continue
-            if len(row) < 2:
-                raise ValueError(f"gender lexicon row {row_no}: expected "
-                                 "at least 2 columns")
-            name = nfc(row[0].strip())
-            tag = row[1].strip().lower()
-            if tag in ("m", "male"):
-                gender = Gender.M
-            elif tag in ("f", "female"):
-                gender = Gender.F
-            elif tag in ("a", "ambiguous", "unknown"):
-                gender = Gender.UNKNOWN
-            else:
-                raise ValueError(f"gender lexicon row {row_no}: bad gender "
-                                 f"{row[1]!r}")
-            table[name] = gender
+    for row_no, row in read_rows(path, "gender lexicon", "name", 2):
+        name = nfc(row[0].strip())
+        tag = row[1].strip().lower()
+        if tag in ("m", "male"):
+            gender = Gender.M
+        elif tag in ("f", "female"):
+            gender = Gender.F
+        elif tag in ("a", "ambiguous", "unknown"):
+            gender = Gender.UNKNOWN
+        else:
+            raise ValueError(f"gender lexicon row {row_no}: bad gender "
+                             f"{row[1]!r}")
+        table[name] = gender
     return table
 
 
@@ -314,18 +308,13 @@ def parse_birth_year(plain_text: str) -> int | None:
 def load_birth_years(path) -> dict[str, int]:
     """CSV: page_title, year."""
     table: dict[str, int] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        for row_no, row in enumerate(csv.reader(fh), start=1):
-            if not row or row[0].startswith("#") or row[0] == "page_title":
-                continue
-            if len(row) < 2:
-                raise ValueError(f"birth years row {row_no}: expected 2 columns")
-            try:
-                year = int(row[1])
-            except ValueError as exc:
-                raise ValueError(f"birth years row {row_no}: bad year "
-                                 f"{row[1]!r}") from exc
-            table[nfc(row[0].strip())] = year
+    for row_no, row in read_rows(path, "birth years", "page_title", 2):
+        try:
+            year = int(row[1])
+        except ValueError as exc:
+            raise ValueError(f"birth years row {row_no}: bad year "
+                             f"{row[1]!r}") from exc
+        table[nfc(row[0].strip())] = year
     return table
 
 

@@ -1,11 +1,26 @@
 """Stage orchestration: run the audit end-to-end on snapshot data and
 leave a deterministic, manifest-covered artifact tree behind.
 
-Stages run in a fixed order, each writing its outputs plus a manifest of
-input and output content hashes under ``<out_dir>/<stage>/``. Reruns with
-identical inputs, configuration, and seed are byte-identical. Monte Carlo
-seeds derive from the run seed and a stable label per test, so adding a
-test never disturbs another test's p-value.
+Each stage is declared once, in ``DECLARATIONS``: the config file keys it
+requires, the ones it reads only when they are set, the upstream artifacts
+it reads (label -> ``stage/file``) and the config constants its outputs
+depend on. From that declaration the runner checks that every upstream
+artifact exists (naming the stage to run first), calls ``cfg.require()``
+for the file keys, and, once the stage function returns, writes
+``<out_dir>/<stage>/manifest.json`` with the seed, the constants and the
+content hashes of every input and output.
+
+A stage function takes one argument, the ``Run``. It holds the config and
+the current stage's inputs by label; ``Run.rows`` reads a declared
+upstream artifact after checking its header against ``HEADERS``, which
+the artifact's writer uses too, and ``Run.out`` names an output. The
+snapshot and its profession category closure are parsed lazily, at most
+once per ``run_all`` or ``run_stage``.
+
+Stages run in a fixed order. Reruns with identical inputs, configuration,
+and seed are byte-identical. Monte Carlo seeds derive from the run seed and
+a stable label per test, so adding a test never disturbs another test's
+p-value.
 """
 
 from __future__ import annotations
@@ -15,6 +30,7 @@ import json
 import logging
 import zlib
 from collections import defaultdict
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -30,12 +46,72 @@ from .redirect_bias import BiasGroup
 
 log = logging.getLogger(__name__)
 
-STAGES = ("lexicon", "match", "classify", "webhits", "mentions", "images",
-          "labor", "report")
-
 
 class PipelineError(RuntimeError):
     pass
+
+
+@dataclass(frozen=True)
+class Stage:
+    """What one stage reads. The runner checks, hashes and records it."""
+
+    files: tuple[str, ...] = ()  # config file keys the stage requires
+    optional: tuple[str, ...] = ()  # config file keys read only when set
+    reads: dict[str, str] = field(default_factory=dict)  # label -> artifact
+    constants: tuple[str, ...] = ()  # config values the outputs depend on
+
+
+_ENTRIES = "lexicon/entries.jsonl"
+_CLASSIFICATIONS = "classify/classifications.csv"
+_ARTICLE_MAP = "classify/article_map.csv"
+
+DECLARATIONS = {
+    "lexicon": Stage(files=("professions",),
+                     optional=("abbreviations", "manual_assignments")),
+    "match": Stage(files=("snapshot",), optional=("match_decisions",),
+                   reads={"entries": _ENTRIES},
+                   constants=("closure_depth", "d_max", "r_min")),
+    "classify": Stage(files=("snapshot",),
+                      reads={"entries": _ENTRIES,
+                             "accepted": "match/accepted.csv"},
+                      constants=("closure_depth",)),
+    "webhits": Stage(files=("hits",),
+                     reads={"classifications": _CLASSIFICATIONS}),
+    "mentions": Stage(files=("snapshot", "gender_lexicon"),
+                      optional=("birth_years",),
+                      reads={"article_map": _ARTICLE_MAP},
+                      constants=("birth_cutoff", "equality_band")),
+    "images": Stage(files=("snapshot", "annotations", "gold_labels"),
+                    reads={"article_map": _ARTICLE_MAP,
+                           "classifications": _CLASSIFICATIONS},
+                    constants=("min_image_width", "worker_accuracy",
+                               "min_judgments", "mc_iterations")),
+    "labor": Stage(files=("labor_stats", "labor_classifier"),
+                   reads={"entries": _ENTRIES},
+                   constants=("majority_threshold", "dominated_threshold")),
+    "report": Stage(reads={"classifications": _CLASSIFICATIONS,
+                           "article_map": _ARTICLE_MAP,
+                           "joined_labor": "labor/joined.csv",
+                           "ratios": "mentions/ratios.csv",
+                           "image_categories": "images/categories.csv"},
+                    constants=("mc_iterations",)),
+}
+
+STAGES = tuple(DECLARATIONS)
+
+# header of every artifact a later stage reads, shared by its writer and
+# by Run.rows; for JSON lines, the keys of each record
+HEADERS = {
+    _ENTRIES: lexicon.ENTRY_FIELDS,
+    "match/accepted.csv": ("profession_id", "role", "article_title"),
+    _CLASSIFICATIONS: ("profession_id", "source_text", "bias_group"),
+    _ARTICLE_MAP: ("article_title", "profession_id", "title_role"),
+    "mentions/ratios.csv": ("variant", "article_title", "n_men", "n_women",
+                            "male_ratio", "bias_class"),
+    "images/categories.csv": ("image_id", "article_title", "profession_id",
+                              "title_role", "bias_group", "category"),
+    "labor/joined.csv": labor.JOINED_HEADER,
+}
 
 
 def seed_for(cfg: AuditConfig, label: str) -> int:
@@ -43,113 +119,160 @@ def seed_for(cfg: AuditConfig, label: str) -> int:
     return cfg.seed ^ zlib.crc32(label.encode("utf-8"))
 
 
-def _stage_dir(cfg: AuditConfig, stage: str) -> Path:
-    d = cfg.path("out_dir") / stage
-    d.mkdir(parents=True, exist_ok=True)
-    return d
+class Run:
+    """One ``run_all`` or ``run_stage`` call, passed to every stage
+    function: the config, the running stage's declared inputs (label ->
+    path) and outputs, and the snapshot and category closure, each parsed
+    at most once."""
+
+    def __init__(self, cfg: AuditConfig):
+        self.cfg = cfg
+        self.stage = ""
+        self.inputs: dict[str, Path] = {}
+        self.outputs: list[Path] = []
+        self._snapshot: corpus.CorpusSnapshot | None = None
+        self._closure: set[str] | None = None
+
+    @property
+    def snapshot(self) -> corpus.CorpusSnapshot:
+        if self._snapshot is None:
+            self._snapshot = corpus.load_snapshot(self.inputs["snapshot"])
+        return self._snapshot
+
+    @property
+    def closure(self) -> set[str]:
+        """Categories under the profession roots, to ``closure_depth``."""
+        if self._closure is None:
+            self._closure = corpus.category_closure(
+                corpus.PROFESSION_ROOTS, self.cfg.closure_depth, self.snapshot)
+        return self._closure
+
+    def drop_snapshot(self) -> None:
+        """Free the snapshot and the closure; a later reader parses again."""
+        self._snapshot = self._closure = None
+
+    def out(self, name: str) -> Path:
+        """Path of an output of the running stage, recorded for its
+        manifest."""
+        path = self.cfg.path("out_dir") / self.stage / name
+        self.outputs.append(path)
+        return path
+
+    def rows(self, label: str) -> list[list]:
+        """Rows of the upstream artifact the running stage declares under
+        ``label``, as strings in ``HEADERS`` order (JSON values for JSON
+        lines). A header that differs from the writer's fails naming the
+        file and the stage to rerun."""
+        artifact = DECLARATIONS[self.stage].reads[label]
+        header = list(HEADERS[artifact])
+        with open(self.inputs[label], encoding="utf-8", newline="") as fh:
+            if artifact.endswith(".jsonl"):
+                records = [json.loads(line) for line in fh]
+                ok = all(sorted(r) == sorted(header) for r in records)
+                rows = [[r.get(k) for k in header] for r in records]
+            else:
+                reader = csv.reader(fh)
+                ok = next(reader, None) == header
+                rows = list(reader)
+        if not ok:
+            raise PipelineError(
+                f"{artifact} does not have the columns {','.join(header)}; "
+                f"rerun stage {artifact.split('/')[0]!r}")
+        return rows
+
+    def execute(self, stage: str) -> list[Path]:
+        """Check the stage's declared inputs, run it and write its
+        manifest; returns its outputs."""
+        log.info("running stage %s", stage)
+        decl = DECLARATIONS[stage]
+        out_dir = self.cfg.path("out_dir")
+        inputs = {}
+        for label, artifact in decl.reads.items():
+            if not (out_dir / artifact).exists():
+                raise PipelineError(
+                    f"missing artifact {artifact}; run stage "
+                    f"{artifact.split('/')[0]!r} first")
+            inputs[label] = out_dir / artifact
+        keys = decl.files + tuple(k for k in decl.optional
+                                  if self.cfg.path(k))
+        inputs.update(zip(keys, self.cfg.require(*keys)))
+        self.stage, self.inputs, self.outputs = stage, inputs, []
+        (out_dir / stage).mkdir(parents=True, exist_ok=True)
+        # looked up per call, so a wrapper installed after import runs
+        _STAGE_FUNCS[stage](self)
+        dump_json({
+            "stage": stage,
+            "tool_version": __version__,
+            "seed": self.cfg.seed,
+            "constants": {k: getattr(self.cfg, k) for k in decl.constants},
+            "inputs": {label: sha256_file(p)
+                       for label, p in sorted(inputs.items())},
+            "outputs": {p.name: sha256_file(p) for p in self.outputs},
+        }, out_dir / stage / "manifest.json")
+        return self.outputs
 
 
-def _artifact(cfg: AuditConfig, stage: str, name: str) -> Path:
-    path = cfg.path("out_dir") / stage / name
-    if not path.exists():
-        raise PipelineError(
-            f"missing artifact {stage}/{name}; run stage {stage!r} first")
-    return path
+def _entries(run: Run) -> list[ProfessionEntry]:
+    return [ProfessionEntry(*row[:-1], resolution=Resolution(row[-1]))
+            for row in run.rows("entries")]
 
 
-def _write_manifest(cfg: AuditConfig, stage: str, inputs: dict[str, Path],
-                    outputs: list[Path]) -> Path:
-    manifest = {
-        "stage": stage,
-        "tool_version": __version__,
-        "seed": cfg.seed,
-        "inputs": {label: sha256_file(p) for label, p in sorted(inputs.items())},
-        "outputs": {p.name: sha256_file(p) for p in outputs},
-    }
-    path = _stage_dir(cfg, stage) / "manifest.json"
-    dump_json(manifest, path)
-    return path
+def _mapped_records(run: Run, titles) -> list[tuple[str, corpus.ArticleRecord]]:
+    """Sorted (title, snapshot record) pairs of mapped articles."""
+    records = run.snapshot.records
+    out = []
+    for title in sorted(titles):
+        if title not in records:
+            raise PipelineError(
+                f"article {title!r} of {_ARTICLE_MAP} is not in the "
+                "snapshot; stage 'classify' is stale, rerun it")
+        out.append((title, records[title]))
+    return out
+
+
+def _write_dist(run: Run, dist: images.GroupedDistribution) -> None:
+    write_csv(run.out(f"dist_{dist.grouping}.csv"),
+              ["group", "n", "unresolved"] +
+              [c.value for c in images.DISTRIBUTION_CATEGORIES],
+              [[g.group, g.n, g.unresolved] +
+               [g.proportions[c.value]
+                for c in images.DISTRIBUTION_CATEGORIES]
+               for g in dist.groups])
 
 
 # ---------------------------------------------------------------- lexicon
 
-def stage_lexicon(cfg: AuditConfig) -> list[Path]:
-    (professions_path,) = cfg.require("professions")
-    inputs = {"professions": professions_path}
-    abbrev = None
-    if cfg.path("abbreviations"):
-        (abbrev_path,) = cfg.require("abbreviations")
-        abbrev = lexicon.load_abbreviations(abbrev_path)
-        inputs["abbreviations"] = abbrev_path
-    entries = lexicon.parse_file(professions_path, abbrev)
-    if cfg.path("manual_assignments"):
-        (manual_path,) = cfg.require("manual_assignments")
-        lexicon.load_manual_assignments(manual_path, entries)
-        inputs["manual_assignments"] = manual_path
-
-    out = _stage_dir(cfg, "lexicon")
-    lexicon.write_entries(entries, out / "entries.jsonl")
-    lexicon.write_review_file(entries, out / "review.csv")
-    dump_json(lexicon.summarize(entries), out / "summary.json")
-    outputs = [out / "entries.jsonl", out / "review.csv", out / "summary.json"]
-    _write_manifest(cfg, "lexicon", inputs, outputs)
-    return outputs
-
-
-def _load_entries(cfg: AuditConfig) -> list[ProfessionEntry]:
-    path = _artifact(cfg, "lexicon", "entries.jsonl")
-    entries = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            data = json.loads(line)
-            entries.append(ProfessionEntry(
-                id=data["id"], line_no=data["line_no"], text=data["text"],
-                male_title=data["male_title"], female_title=data["female_title"],
-                neutral_title=data["neutral_title"],
-                resolution=Resolution(data["resolution"])))
-    return entries
+def stage_lexicon(run: Run) -> None:
+    abbrev = lexicon.load_abbreviations(run.inputs.get("abbreviations"))
+    entries = lexicon.parse_file(run.inputs["professions"], abbrev)
+    if "manual_assignments" in run.inputs:
+        lexicon.load_manual_assignments(run.inputs["manual_assignments"],
+                                        entries)
+    lexicon.write_entries(entries, run.out("entries.jsonl"))
+    lexicon.write_review_file(entries, run.out("review.csv"))
+    dump_json(lexicon.summarize(entries), run.out("summary.json"))
 
 
 # ------------------------------------------------------------------ match
 
-def _load_snapshot(cfg: AuditConfig) -> corpus.CorpusSnapshot:
-    (snapshot_path,) = cfg.require("snapshot")
-    return corpus.load_snapshot(snapshot_path)
-
-
-def _closure_titles(snapshot: corpus.CorpusSnapshot, closure: set[str]) -> list[str]:
-    """Titles of validated profession articles (non-redirect pages inside
-    the closure)."""
-    return sorted(
-        rec.title for rec in snapshot.records.values()
+def stage_match(run: Run) -> None:
+    professions = [(e.id, role, title) for e in _entries(run)
+                   for role, title in e.titles()]
+    # validated profession articles: non-redirect pages inside the closure
+    closure = run.closure
+    titles = sorted(
+        rec.title for rec in run.snapshot.records.values()
         if rec.exists and not rec.is_redirect
         and corpus.is_profession_article(rec, closure))
+    candidates = matcher.match(professions, titles, d_max=run.cfg.d_max,
+                               r_min=run.cfg.r_min)
+    if "match_decisions" in run.inputs:
+        matcher.apply_decisions(candidates, run.inputs["match_decisions"])
 
-
-def stage_match(cfg: AuditConfig) -> list[Path]:
-    entries = _load_entries(cfg)
-    snapshot = _load_snapshot(cfg)
-    closure = corpus.category_closure(corpus.PROFESSION_ROOTS,
-                                      cfg.closure_depth, snapshot)
-    titles = _closure_titles(snapshot, closure)
-    professions = [(e.id, role, title) for e in entries
-                   for role, title in e.titles()]
-    candidates = matcher.match(professions, titles, d_max=cfg.d_max,
-                               r_min=cfg.r_min)
-    inputs = {"entries": _artifact(cfg, "lexicon", "entries.jsonl"),
-              "snapshot": cfg.path("snapshot")}
-    if cfg.path("match_decisions"):
-        (decisions_path,) = cfg.require("match_decisions")
-        matcher.apply_decisions(candidates, decisions_path)
-        inputs["match_decisions"] = decisions_path
-
-    out = _stage_dir(cfg, "match")
-    matcher.write_candidates(candidates, out / "candidates.csv")
-    accepted = matcher.accepted(candidates)
-    write_csv(out / "accepted.csv",
-              ["profession_id", "role", "article_title"],
+    matcher.write_candidates(candidates, run.out("candidates.csv"))
+    write_csv(run.out("accepted.csv"), HEADERS["match/accepted.csv"],
               [[c.profession_id, c.gender_group or c.title_role,
-                c.article_title] for c in accepted])
+                c.article_title] for c in matcher.accepted(candidates)])
     dump_json({
         "candidates": len(candidates),
         "exact": sum(1 for c in candidates
@@ -161,43 +284,27 @@ def stage_match(cfg: AuditConfig) -> list[Path]:
         "pending_fuzzy": sum(1 for c in candidates
                              if c.status is matcher.MatchStatus.FUZZY),
         "closure_titles": len(titles),
-    }, out / "summary.json")
-    outputs = [out / "candidates.csv", out / "accepted.csv",
-               out / "summary.json"]
-    _write_manifest(cfg, "match", inputs, outputs)
-    return outputs
+    }, run.out("summary.json"))
 
 
 # --------------------------------------------------------------- classify
 
-def _titles_by_role(cfg: AuditConfig) -> dict[str, dict[str, list[str]]]:
-    """Per profession: original entry titles plus confirmed alternates."""
-    entries = _load_entries(cfg)
+def stage_classify(run: Run) -> None:
+    entries = {e.id: e for e in _entries(run)}
+    # per profession: original entry titles plus confirmed alternates
     roles: dict[str, dict[str, list[str]]] = {}
-    for e in entries:
+    for e in entries.values():
         roles[e.id] = defaultdict(list)
         for role, title in e.titles():
             roles[e.id][role].append(title)
-    accepted_path = _artifact(cfg, "match", "accepted.csv")
-    with open(accepted_path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader, None)
-        for prof_id, role, article_title in reader:
-            if prof_id not in roles:
-                raise PipelineError(f"accepted.csv references unknown "
-                                    f"profession {prof_id!r}")
-            if article_title not in roles[prof_id][role]:
-                roles[prof_id][role].append(article_title)
-    return roles
+    for prof_id, role, article_title in run.rows("accepted"):
+        if prof_id not in roles:
+            raise PipelineError(f"accepted.csv references unknown "
+                                f"profession {prof_id!r}")
+        if article_title not in roles[prof_id][role]:
+            roles[prof_id][role].append(article_title)
 
-
-def stage_classify(cfg: AuditConfig) -> list[Path]:
-    snapshot = _load_snapshot(cfg)
-    closure = corpus.category_closure(corpus.PROFESSION_ROOTS,
-                                      cfg.closure_depth, snapshot)
-    roles = _titles_by_role(cfg)
-    entries = {e.id: e for e in _load_entries(cfg)}
-
+    snapshot, closure = run.snapshot, run.closure
     presences = []
     classifications: dict[str, BiasGroup] = {}
     article_map: dict[str, tuple[str, str]] = {}
@@ -219,15 +326,13 @@ def stage_classify(cfg: AuditConfig) -> list[Path]:
 
     report = redirect_bias.tally(presences, classifications)
 
-    out = _stage_dir(cfg, "classify")
-    write_csv(out / "classifications.csv",
-              ["profession_id", "source_text", "bias_group"],
+    write_csv(run.out("classifications.csv"), HEADERS[_CLASSIFICATIONS],
               [[pid, entries[pid].text, classifications[pid].value]
                for pid in sorted(classifications)])
-    write_csv(out / "article_map.csv",
-              ["article_title", "profession_id", "title_role"],
+    write_csv(run.out("article_map.csv"), HEADERS[_ARTICLE_MAP],
               [[title, pid, role]
                for title, (pid, role) in sorted(article_map.items())])
+
     presence_rows = []
     for presence in presences:
         for role in redirect_bias.ROLES:
@@ -240,7 +345,7 @@ def stage_classify(cfg: AuditConfig) -> list[Path]:
                 state.target_kind.value if state.target_kind else "",
                 state.about_profession,
             ])
-    write_csv(out / "presence.csv",
+    write_csv(run.out("presence.csv"),
               ["profession_id", "title_role", "title", "kind", "target",
                "target_kind", "about_profession"], presence_rows)
 
@@ -249,65 +354,32 @@ def stage_classify(cfg: AuditConfig) -> list[Path]:
         rows = [[role] + list(cols.values())
                 for role, cols in table[name].items()]
         header = ["title_gender"] + list(next(iter(table[name].values())))
-        write_csv(out / f"{name}.csv", header, rows)
-    write_csv(out / "figure4.csv",
+        write_csv(run.out(f"{name}.csv"), header, rows)
+    write_csv(run.out("figure4.csv"),
               ["title_gender", "n", "page_share", "redirect_share",
                "no_page_share"],
               [[r["title_gender"], r["n"], r["page_share"],
                 r["redirect_share"], r["no_page_share"]]
                for r in redirect_bias.figure4_rows(report)])
-    write_csv(out / "figure5.csv",
+    write_csv(run.out("figure5.csv"),
               ["title_gender", "n_redirects", "to_opposite_share",
                "other_share"],
               [[r["title_gender"], r["n_redirects"], r["to_opposite_share"],
                 r["other_share"]]
                for r in redirect_bias.figure5_rows(report)])
-    dump_json(table, out / "summary.json")
-
-    outputs = [out / name for name in (
-        "classifications.csv", "article_map.csv", "presence.csv",
-        "table_1a.csv", "table_1b.csv", "table_1c.csv", "figure4.csv",
-        "figure5.csv", "summary.json")]
-    _write_manifest(cfg, "classify", {
-        "entries": _artifact(cfg, "lexicon", "entries.jsonl"),
-        "accepted": _artifact(cfg, "match", "accepted.csv"),
-        "snapshot": cfg.path("snapshot"),
-    }, outputs)
-    return outputs
-
-
-def _load_classifications(cfg: AuditConfig) -> dict[str, BiasGroup]:
-    path = _artifact(cfg, "classify", "classifications.csv")
-    out: dict[str, BiasGroup] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader, None)
-        for prof_id, _text, group in reader:
-            out[prof_id] = BiasGroup(group)
-    return out
-
-
-def _load_article_map(cfg: AuditConfig) -> dict[str, tuple[str, str]]:
-    path = _artifact(cfg, "classify", "article_map.csv")
-    out: dict[str, tuple[str, str]] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader, None)
-        for title, prof_id, role in reader:
-            out[title] = (prof_id, role)
-    return out
+    dump_json(table, run.out("summary.json"))
 
 
 # ---------------------------------------------------------------- webhits
 
-def stage_webhits(cfg: AuditConfig) -> list[Path]:
-    (hits_path,) = cfg.require("hits")
-    records = webhits.load_hits(hits_path)
-    groups = _load_classifications(cfg)
+def stage_webhits(run: Run) -> None:
+    records = webhits.load_hits(run.inputs["hits"])
+    groups = {pid: BiasGroup(group)
+              for pid, _text, group in run.rows("classifications")}
     diffs, excluded = webhits.compute_differences(records)
 
-    out = _stage_dir(cfg, "webhits")
-    webhits.write_differences(diffs, groups, out / "normalized_differences.csv")
+    webhits.write_differences(diffs, groups,
+                              run.out("normalized_differences.csv"))
     evidence = [r for r in records
                 if groups.get(r.profession_id) not in (None, BiasGroup.NO_EVIDENCE)
                 and r.hits_male + r.hits_female > 0]
@@ -317,39 +389,25 @@ def stage_webhits(cfg: AuditConfig) -> list[Path]:
         report.update(webhits.fit_bias_models(evidence, groups))
     else:
         report["skipped"] = "no profession with both hits and bias evidence"
-    dump_json(report, out / "models.json")
-
-    outputs = [out / "normalized_differences.csv", out / "models.json"]
-    _write_manifest(cfg, "webhits", {
-        "hits": hits_path,
-        "classifications": _artifact(cfg, "classify", "classifications.csv"),
-    }, outputs)
-    return outputs
+    dump_json(report, run.out("models.json"))
 
 
 # --------------------------------------------------------------- mentions
 
-def stage_mentions(cfg: AuditConfig) -> list[Path]:
-    snapshot = _load_snapshot(cfg)
-    article_map = _load_article_map(cfg)
-    (lexicon_path,) = cfg.require("gender_lexicon")
-    gender_lexicon = mentions.load_gender_lexicon(lexicon_path)
-    inputs = {"snapshot": cfg.path("snapshot"),
-              "article_map": _artifact(cfg, "classify", "article_map.csv"),
-              "gender_lexicon": lexicon_path}
-
+def stage_mentions(run: Run) -> None:
+    cfg = run.cfg
+    titles = [title for title, _pid, _role in run.rows("article_map")]
+    gender_lexicon = mentions.load_gender_lexicon(run.inputs["gender_lexicon"])
     birth_index: dict[str, int] = {}
-    if cfg.path("birth_years"):
-        (birth_path,) = cfg.require("birth_years")
-        birth_index = mentions.load_birth_years(birth_path)
-        inputs["birth_years"] = birth_path
+    if "birth_years" in run.inputs:
+        birth_index = mentions.load_birth_years(run.inputs["birth_years"])
 
+    snapshot = run.snapshot
     all_mentions: list[mentions.PersonMention] = []
     overlap_totals = {"n_link": 0, "n_text": 0, "n_overlap": 0,
                       "gender_comparisons": 0, "gender_disagreements": 0,
                       "skipped_outlinks": 0}
-    for title in sorted(article_map):
-        record = snapshot.records[title]
+    for title, record in _mapped_records(run, titles):
         link_ms, skipped = mentions.extract_link_mentions(record, snapshot)
         text_ms = mentions.extract_text_mentions(title, record.plain_text,
                                                  gender_lexicon)
@@ -366,8 +424,7 @@ def stage_mentions(cfg: AuditConfig) -> list[Path]:
     filtered, unknown, too_old = mentions.filter_by_birth(
         all_mentions, cfg.birth_cutoff)
 
-    out = _stage_dir(cfg, "mentions")
-    with open(out / "mentions.jsonl", "w", encoding="utf-8") as fh:
+    with open(run.out("mentions.jsonl"), "w", encoding="utf-8") as fh:
         for m in all_mentions:
             fh.write(json.dumps(m.to_dict(), ensure_ascii=False,
                                 sort_keys=True) + "\n")
@@ -379,9 +436,8 @@ def stage_mentions(cfg: AuditConfig) -> list[Path]:
             ratio_rows.append([variant, stat.article_title, stat.n_men,
                                stat.n_women, stat.male_ratio,
                                stat.bias_class.value])
-    write_csv(out / "ratios.csv",
-              ["variant", "article_title", "n_men", "n_women", "male_ratio",
-               "bias_class"], ratio_rows)
+    write_csv(run.out("ratios.csv"), HEADERS["mentions/ratios.csv"],
+              ratio_rows)
 
     comparisons = overlap_totals["gender_comparisons"]
     overlap_totals["disagreement_rate"] = (
@@ -396,52 +452,33 @@ def stage_mentions(cfg: AuditConfig) -> list[Path]:
         "cutoff": cfg.birth_cutoff, "kept": len(filtered),
         "dropped_unknown_year": unknown, "dropped_at_or_before_cutoff": too_old,
     }
-    dump_json(overlap_totals, out / "merge_report.json")
-
-    outputs = [out / "mentions.jsonl", out / "ratios.csv",
-               out / "merge_report.json"]
-    _write_manifest(cfg, "mentions", inputs, outputs)
-    return outputs
-
-
-def _load_ratios(cfg: AuditConfig) -> list[dict]:
-    path = _artifact(cfg, "mentions", "ratios.csv")
-    rows = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            rows.append({
-                "variant": row["variant"],
-                "article_title": row["article_title"],
-                "n_men": int(row["n_men"]),
-                "n_women": int(row["n_women"]),
-                "male_ratio": float(row["male_ratio"]),
-                "bias_class": BiasClass(row["bias_class"]),
-            })
-    return rows
+    dump_json(overlap_totals, run.out("merge_report.json"))
 
 
 # ----------------------------------------------------------------- images
 
-def stage_images(cfg: AuditConfig) -> list[Path]:
-    snapshot = _load_snapshot(cfg)
-    article_map = _load_article_map(cfg)
-    groups = _load_classifications(cfg)
-    (annotations_path, gold_path) = cfg.require("annotations", "gold_labels")
+def stage_images(run: Run) -> None:
+    cfg = run.cfg
+    article_map = {title: (pid, role)
+                   for title, pid, role in run.rows("article_map")}
+    groups = {pid: BiasGroup(group)
+              for pid, _text, group in run.rows("classifications")}
 
     eligible: dict[str, list[str]] = defaultdict(list)  # image -> articles
     shown: set[str] = set()  # every image on a mapped article
-    for title in sorted(article_map):
-        record = snapshot.records[title]
+    for title, record in _mapped_records(run, article_map):
         shown.update(ref.filename for ref in record.images)
         for ref in images.filter_images(record.images, cfg.min_image_width):
             eligible[ref.filename].append(title)
+    # the last stage that reads the snapshot; free it before the Monte
+    # Carlo tests, which set the run's peak memory
+    run.drop_snapshot()
 
     # responses to images the width/format filter excluded leave the
     # analysis; responses to images on no mapped article stay an error
-    responses = [r for r in images.load_responses(annotations_path)
+    responses = [r for r in images.load_responses(run.inputs["annotations"])
                  if r.image_id in eligible or r.image_id not in shown]
-    gold = images.load_gold_labels(gold_path)
+    gold = images.load_gold_labels(run.inputs["gold_labels"])
     workers, retained = images.score_workers(
         responses, gold, set(eligible), threshold=cfg.worker_accuracy)
     categories = images.aggregate_all(retained, cfg.min_judgments)
@@ -454,8 +491,7 @@ def stage_images(cfg: AuditConfig) -> list[Path]:
     except ValueError as exc:
         kappa_out = {"error": str(exc)}
 
-    out = _stage_dir(cfg, "images")
-    write_csv(out / "workers.csv",
+    write_csv(run.out("workers.csv"),
               ["worker_id", "gold_answered", "gold_correct", "accuracy",
                "active"],
               [[w.worker_id, w.gold_answered, w.gold_correct, w.accuracy,
@@ -468,99 +504,39 @@ def stage_images(cfg: AuditConfig) -> list[Path]:
             prof_id, role = article_map[article]
             category_rows.append([image, article, prof_id, role,
                                   groups[prof_id].value, category.value])
-    write_csv(out / "categories.csv",
-              ["image_id", "article_title", "profession_id", "title_role",
-               "bias_group", "category"], category_rows)
-    dump_json(kappa_out, out / "kappa.json")
-
-    def occurrence_items(key_index: int) -> list[tuple[str, ImageCategory]]:
-        return [(row[key_index], ImageCategory(row[5]))
-                for row in category_rows]
+    write_csv(run.out("categories.csv"), HEADERS["images/categories.csv"],
+              category_rows)
+    dump_json(kappa_out, run.out("kappa.json"))
 
     dist_report = {}
     for grouping, key_index in (("overall", None), ("title_gender", 3),
                                 ("redirect_bias", 4)):
-        if key_index is None:
-            items = [("all", ImageCategory(row[5])) for row in category_rows]
-        else:
-            items = occurrence_items(key_index)
+        items = [("all" if key_index is None else row[key_index],
+                  ImageCategory(row[5])) for row in category_rows]
         dist = images.distributions(items, grouping, b=cfg.mc_iterations,
                                     seed=seed_for(cfg, f"images:{grouping}"))
         dist_report[grouping] = dist.to_dict()
-        write_csv(out / f"dist_{grouping}.csv",
-                  ["group", "n", "unresolved"] +
-                  [c.value for c in images.DISTRIBUTION_CATEGORIES],
-                  [[g.group, g.n, g.unresolved] +
-                   [g.proportions[c.value]
-                    for c in images.DISTRIBUTION_CATEGORIES]
-                   for g in dist.groups])
-    dump_json(dist_report, out / "distributions.json")
-
-    outputs = [out / "workers.csv", out / "categories.csv", out / "kappa.json",
-               out / "dist_overall.csv", out / "dist_title_gender.csv",
-               out / "dist_redirect_bias.csv", out / "distributions.json"]
-    _write_manifest(cfg, "images", {
-        "snapshot": cfg.path("snapshot"),
-        "article_map": _artifact(cfg, "classify", "article_map.csv"),
-        "annotations": annotations_path,
-        "gold_labels": gold_path,
-    }, outputs)
-    return outputs
-
-
-def _load_image_rows(cfg: AuditConfig) -> list[dict]:
-    path = _artifact(cfg, "images", "categories.csv")
-    rows = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            rows.append(row)
-    return rows
+        _write_dist(run, dist)
+    dump_json(dist_report, run.out("distributions.json"))
 
 
 # ------------------------------------------------------------------ labor
 
-def stage_labor(cfg: AuditConfig) -> list[Path]:
-    entries = _load_entries(cfg)
-    (stats_path, classifier_path) = cfg.require("labor_stats",
-                                                "labor_classifier")
-    labor_stats = labor.load_stats(stats_path)
-    classifier = labor.load_classifier(classifier_path)
-    professions = [(e.id, [t for _, t in e.titles()]) for e in entries
+def stage_labor(run: Run) -> None:
+    labor_stats = labor.load_stats(run.inputs["labor_stats"])
+    classifier = labor.load_classifier(run.inputs["labor_classifier"])
+    professions = [(e.id, [t for _, t in e.titles()]) for e in _entries(run)
                    if e.titles()]
     assignments, unmatched = labor.assign(professions, classifier, labor_stats)
     joined = labor.join(assignments, labor_stats,
-                        majority_threshold=cfg.majority_threshold,
-                        dominated_threshold=cfg.dominated_threshold)
+                        majority_threshold=run.cfg.majority_threshold,
+                        dominated_threshold=run.cfg.dominated_threshold)
 
-    out = _stage_dir(cfg, "labor")
-    labor.write_joined(joined, out / "joined.csv")
-    write_csv(out / "unmatched.csv", ["profession_id"],
+    labor.write_joined(joined, run.out("joined.csv"))
+    write_csv(run.out("unmatched.csv"), ["profession_id"],
               [[pid] for pid in sorted(unmatched)])
     dump_json({"matched": len(joined), "unmatched": len(unmatched)},
-              out / "summary.json")
-    outputs = [out / "joined.csv", out / "unmatched.csv", out / "summary.json"]
-    _write_manifest(cfg, "labor", {
-        "entries": _artifact(cfg, "lexicon", "entries.jsonl"),
-        "labor_stats": stats_path,
-        "labor_classifier": classifier_path,
-    }, outputs)
-    return outputs
-
-
-def _load_joined_labor(cfg: AuditConfig) -> dict[str, dict]:
-    path = _artifact(cfg, "labor", "joined.csv")
-    out: dict[str, dict] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            out[row["profession_id"]] = {
-                "kldb_code": row["kldb_code"],
-                "n_men": int(row["n_men"]),
-                "n_women": int(row["n_women"]),
-                "pct_women": float(row["pct_women"]),
-                "majority": row["majority"],
-                "dominated": row["dominated"],
-            }
-    return out
+              run.out("summary.json"))
 
 
 # ----------------------------------------------------------------- report
@@ -655,14 +631,24 @@ MENTION_CORRELATION_PAIRS = [
 MENTION_FILTER_CORRELATION_PAIRS = MENTION_CORRELATION_PAIRS[:5]
 
 
-def stage_report(cfg: AuditConfig) -> list[Path]:
-    groups = _load_classifications(cfg)
-    article_map = _load_article_map(cfg)
-    joined = _load_joined_labor(cfg)
-    ratios = _load_ratios(cfg)
-    image_rows = _load_image_rows(cfg)
-    out = _stage_dir(cfg, "report")
-    outputs: list[Path] = []
+def stage_report(run: Run) -> None:
+    cfg = run.cfg
+    groups = {pid: BiasGroup(group)
+              for pid, _text, group in run.rows("classifications")}
+    article_map = {title: (pid, role)
+                   for title, pid, role in run.rows("article_map")}
+    joined = {pid: {"n_men": int(men), "n_women": int(women),
+                    "pct_women": float(pct), "majority": majority,
+                    "dominated": dominated}
+              for pid, _code, _kind, men, women, pct, majority, dominated
+              in run.rows("joined_labor")}
+    ratios = [{"variant": variant, "article_title": title,
+               "n_men": int(men), "n_women": int(women),
+               "male_ratio": float(ratio), "bias_class": BiasClass(cls)}
+              for variant, title, men, women, ratio, cls
+              in run.rows("ratios")]
+    image_rows = [(title, pid, category) for _image, title, pid, _role,
+                  _group, category in run.rows("image_categories")]
 
     # labor percentage by bias group (figure 8 data) and the rank-sum /
     # regression suite over it
@@ -674,9 +660,8 @@ def stage_report(cfg: AuditConfig) -> list[Path]:
         fig8_rows.append([prof_id, group.value, pct])
         if group in _EVIDENCE_GROUPS:
             labor_by_group[group.value].append(pct)
-    write_csv(out / "figure8_labor_by_bias.csv",
+    write_csv(run.out("figure8_labor_by_bias.csv"),
               ["profession_id", "bias_group", "pct_women"], fig8_rows)
-    outputs.append(out / "figure8_labor_by_bias.csv")
 
     labor_tests = _ranksum_pairs(
         labor_by_group,
@@ -712,8 +697,7 @@ def stage_report(cfg: AuditConfig) -> list[Path]:
     else:
         model_out["skipped"] = "needs both classes and at least 3 professions"
     dump_json({"rank_sum": labor_tests, "regression": model_out},
-              out / "labor_tests.json")
-    outputs.append(out / "labor_tests.json")
+              run.out("labor_tests.json"))
 
     # image distributions grouped by labor market composition
     labor_groupings = {"labor_majority": "majority",
@@ -721,30 +705,22 @@ def stage_report(cfg: AuditConfig) -> list[Path]:
     image_labor_report = {}
     for grouping, key in labor_groupings.items():
         items = []
-        for row in image_rows:
-            info = joined.get(row["profession_id"])
+        for _title, prof_id, category in image_rows:
+            info = joined.get(prof_id)
             if info is None:
                 continue
             label = info[key]
             if label in ("unassigned", "not_dominated"):
                 continue
-            items.append((label, ImageCategory(row["category"])))
+            items.append((label, ImageCategory(category)))
         if not items:
             image_labor_report[grouping] = {"skipped": "no joined images"}
             continue
         dist = images.distributions(items, grouping, b=cfg.mc_iterations,
                                     seed=seed_for(cfg, f"images:{grouping}"))
         image_labor_report[grouping] = dist.to_dict()
-        write_csv(out / f"dist_{grouping}.csv",
-                  ["group", "n", "unresolved"] +
-                  [c.value for c in images.DISTRIBUTION_CATEGORIES],
-                  [[g.group, g.n, g.unresolved] +
-                   [g.proportions[c.value]
-                    for c in images.DISTRIBUTION_CATEGORIES]
-                   for g in dist.groups])
-        outputs.append(out / f"dist_{grouping}.csv")
-    dump_json(image_labor_report, out / "image_labor_distributions.json")
-    outputs.append(out / "image_labor_distributions.json")
+        _write_dist(run, dist)
+    dump_json(image_labor_report, run.out("image_labor_distributions.json"))
 
     # mention ratios with every grouping attached (figures 14-17 data)
     ratio_rows = []
@@ -759,11 +735,10 @@ def stage_report(cfg: AuditConfig) -> list[Path]:
             row["n_men"], row["n_women"], row["male_ratio"],
             row["bias_class"].value,
         ])
-    write_csv(out / "mention_ratios_grouped.csv",
+    write_csv(run.out("mention_ratios_grouped.csv"),
               ["variant", "article_title", "profession_id", "title_role",
                "bias_group", "labor_majority", "n_men", "n_women",
                "male_ratio", "bias_class"], ratio_rows)
-    outputs.append(out / "mention_ratios_grouped.csv")
 
     # share of article bias classes, overall and birth-filtered
     class_shares = {}
@@ -825,8 +800,7 @@ def stage_report(cfg: AuditConfig) -> list[Path]:
             q_or_alpha=0.05),
         "class_shares": class_shares,
     }
-    dump_json(mention_tests, out / "mention_tests.json")
-    outputs.append(out / "mention_tests.json")
+    dump_json(mention_tests, run.out("mention_tests.json"))
 
     # correlation tables against the labor market
     def labor_features(prof_id: str) -> dict | None:
@@ -841,8 +815,8 @@ def stage_report(cfg: AuditConfig) -> list[Path]:
 
     image_points = []
     per_article_images: dict[str, list[str]] = defaultdict(list)
-    for row in image_rows:
-        per_article_images[row["article_title"]].append(row["category"])
+    for title, _prof_id, category in image_rows:
+        per_article_images[title].append(category)
     for title in sorted(per_article_images):
         prof_id = article_map.get(title, ("", ""))[0]
         feats = labor_features(prof_id)
@@ -857,10 +831,9 @@ def stage_report(cfg: AuditConfig) -> list[Path]:
             point["pct_images_men"] = n_men / len(cats)
             point["pct_images_women"] = n_women / len(cats)
         image_points.append(point)
-    write_csv(out / "correlations_images.csv",
+    write_csv(run.out("correlations_images.csv"),
               ["feature_1", "feature_2", "n", "spearman", "note"],
               _correlation_rows(image_points, IMAGE_CORRELATION_PAIRS))
-    outputs.append(out / "correlations_images.csv")
 
     def mention_points(variant: str) -> list[dict]:
         points = []
@@ -881,16 +854,14 @@ def stage_report(cfg: AuditConfig) -> list[Path]:
                 pct_mentioned_women=row["n_women"] / total))
         return points
 
-    write_csv(out / "correlations_mentions.csv",
+    write_csv(run.out("correlations_mentions.csv"),
               ["feature_1", "feature_2", "n", "spearman", "note"],
               _correlation_rows(mention_points("all"),
                                 MENTION_CORRELATION_PAIRS))
-    outputs.append(out / "correlations_mentions.csv")
-    write_csv(out / "correlations_mentions_born_after_cutoff.csv",
+    write_csv(run.out("correlations_mentions_born_after_cutoff.csv"),
               ["feature_1", "feature_2", "n", "spearman", "note"],
               _correlation_rows(mention_points("born_after_cutoff"),
                                 MENTION_FILTER_CORRELATION_PAIRS))
-    outputs.append(out / "correlations_mentions_born_after_cutoff.csv")
 
     # bundle manifest over every artifact of the run; the report stage's
     # own manifests stay out so reruns into the same directory are
@@ -910,16 +881,7 @@ def stage_report(cfg: AuditConfig) -> list[Path]:
     dump_json({"tool_version": __version__, "seed": cfg.seed,
                "config": {k: v for k, v in cfg.to_dict().items()
                           if k not in AuditConfig._PATH_KEYS},
-               "outputs": bundle}, out / "bundle_manifest.json")
-    outputs.append(out / "bundle_manifest.json")
-
-    _write_manifest(cfg, "report", {
-        "classifications": _artifact(cfg, "classify", "classifications.csv"),
-        "joined_labor": _artifact(cfg, "labor", "joined.csv"),
-        "ratios": _artifact(cfg, "mentions", "ratios.csv"),
-        "image_categories": _artifact(cfg, "images", "categories.csv"),
-    }, outputs)
-    return outputs
+               "outputs": bundle}, run.out("bundle_manifest.json"))
 
 
 _STAGE_FUNCS = {
@@ -939,12 +901,10 @@ def run_stage(stage: str, cfg: AuditConfig) -> list[Path]:
         raise PipelineError(f"unknown stage {stage!r}; expected one of "
                             f"{', '.join(STAGES)}")
     cfg.validate_thresholds()
-    log.info("running stage %s", stage)
-    return _STAGE_FUNCS[stage](cfg)
+    return Run(cfg).execute(stage)
 
 
 def run_all(cfg: AuditConfig) -> list[Path]:
-    outputs = []
-    for stage in STAGES:
-        outputs.extend(run_stage(stage, cfg))
-    return outputs
+    cfg.validate_thresholds()
+    run = Run(cfg)
+    return [path for stage in STAGES for path in run.execute(stage)]

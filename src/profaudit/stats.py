@@ -11,7 +11,7 @@ formula substitution, simulate-then-fit) in the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,7 +85,6 @@ class BhResult:
     m0_estimate: int
     q: float
     stage2_level: float | None
-    single_stage_reject: list[bool] = field(default_factory=list)
 
 
 def midranks(values) -> list[float]:
@@ -426,10 +425,9 @@ def bh_two_stage(pvals, q: float = 0.05) -> BhResult:
     m = len(p)
     if m == 0:
         return BhResult(reject=[], adjusted_p=[], m0_estimate=0, q=q,
-                        stage2_level=None, single_stage_reject=[])
+                        stage2_level=None)
     if ((p < 0) | (p > 1)).any():
         raise ValueError("bh_two_stage: p-values must lie in [0, 1]")
-    single = _bh_reject(p, q)
     stage1 = _bh_reject(p, q / (1.0 + q))
     r1 = int(stage1.sum())
     if r1 == 0:
@@ -450,5 +448,4 @@ def bh_two_stage(pvals, q: float = 0.05) -> BhResult:
         m0_estimate=m0,
         q=q,
         stage2_level=level2,
-        single_stage_reject=[bool(v) for v in single],
     )

@@ -10,7 +10,6 @@ normalized difference, the raw male-title hit count, and an intercept.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from dataclasses import dataclass
@@ -18,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import stats
+from .artifacts import read_rows, write_csv
 from .redirect_bias import BiasGroup
 
 log = logging.getLogger(__name__)
@@ -39,20 +39,15 @@ class NormalizedDifference:
 def load_hits(path) -> list[HitRecord]:
     """CSV columns: profession_id, hits_male, hits_female."""
     out = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        for row_no, row in enumerate(csv.reader(fh), start=1):
-            if not row or row[0].startswith("#") or row[0] == "profession_id":
-                continue
-            if len(row) < 3:
-                raise ValueError(f"hits row {row_no}: expected 3 columns")
-            try:
-                male = int(row[1])
-                female = int(row[2])
-            except ValueError as exc:
-                raise ValueError(f"hits row {row_no}: non-numeric count") from exc
-            if male < 0 or female < 0:
-                raise ValueError(f"hits row {row_no}: negative count")
-            out.append(HitRecord(row[0].strip(), male, female))
+    for row_no, row in read_rows(path, "hits", "profession_id", 3):
+        try:
+            male = int(row[1])
+            female = int(row[2])
+        except ValueError as exc:
+            raise ValueError(f"hits row {row_no}: non-numeric count") from exc
+        if male < 0 or female < 0:
+            raise ValueError(f"hits row {row_no}: negative count")
+        out.append(HitRecord(row[0].strip(), male, female))
     return out
 
 
@@ -84,14 +79,12 @@ PREDICTOR_NAMES = ("intercept", "normalized_difference", "hits_male")
 
 
 def fit_bias_models(records: list[HitRecord],
-                    groups: dict[str, BiasGroup],
-                    standardize: bool = False) -> dict:
+                    groups: dict[str, BiasGroup]) -> dict:
     """Fit the female-bias and male-bias logistic models.
 
     Every profession must appear in ``groups`` with one of the three
     evidence-bearing bias groups; no-evidence professions must be filtered
-    out by the caller. ``standardize`` rescales the predictors for
-    diagnostics only; reported models keep raw units.
+    out by the caller. Predictors keep raw units.
     """
     usable = []
     for rec in records:
@@ -110,12 +103,9 @@ def fit_bias_models(records: list[HitRecord],
 
     diff = np.array([normalized_difference(r).value for r, _ in usable])
     male_hits = np.array([float(r.hits_male) for r, _ in usable])
-    if standardize:
-        diff = (diff - diff.mean()) / (diff.std() or 1.0)
-        male_hits = (male_hits - male_hits.mean()) / (male_hits.std() or 1.0)
     X = np.column_stack([np.ones(len(usable)), diff, male_hits])
 
-    report: dict = {"n": len(usable), "standardized": standardize}
+    report: dict = {"n": len(usable), "standardized": False}
     for name, positive in (("model_female_bias", BiasGroup.FEMALE_BIAS),
                            ("model_male_bias", BiasGroup.MALE_BIAS)):
         y = np.array([1.0 if g is positive else 0.0 for _, g in usable])
@@ -161,10 +151,9 @@ def odds_ratio(coef: float) -> float:
 def write_differences(diffs: list[NormalizedDifference],
                       groups: dict[str, BiasGroup], path) -> None:
     """Figure data: per-profession normalized difference with bias group."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["profession_id", "normalized_difference", "bias_group"])
-        for d in sorted(diffs, key=lambda d: d.profession_id):
-            group = groups.get(d.profession_id)
-            writer.writerow([d.profession_id, f"{d.value:.6f}",
-                             group.value if group else ""])
+    rows = []
+    for d in sorted(diffs, key=lambda d: d.profession_id):
+        group = groups.get(d.profession_id)
+        rows.append([d.profession_id, d.value, group.value if group else ""])
+    write_csv(path, ["profession_id", "normalized_difference", "bias_group"],
+              rows)

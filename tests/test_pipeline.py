@@ -1,4 +1,5 @@
 import json
+import logging
 import shutil
 from pathlib import Path
 
@@ -182,3 +183,118 @@ class TestCliErrors:
                      "--out-dir", tmp_path / "out")
         assert rc == 1
         assert "lexicon" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stage", ["mentions", "images"])
+    def test_stale_snapshot_names_classify(self, data_dir, tmp_path, capsys,
+                                           stage):
+        out_dir = tmp_path / "out"
+        run_cli("report", "--all", "--config", data_dir / "config.json",
+                "--out-dir", out_dir)
+        other = tmp_path / "other.jsonl"
+        other.write_text("".join(
+            line for line in (data_dir / "snapshot.jsonl")
+            .read_text(encoding="utf-8").splitlines(keepends=True)
+            if '"title": "Biologin"' not in line), encoding="utf-8")
+        capsys.readouterr()
+        rc = run_cli(stage, "--config", data_dir / "config.json",
+                     "--out-dir", out_dir, "--snapshot", other)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "Biologin" in err and "classify" in err
+
+
+def _manifest(cfg: AuditConfig, stage: str) -> dict:
+    return json.loads((Path(cfg.out_dir) / stage / "manifest.json")
+                      .read_text(encoding="utf-8"))
+
+
+class TestRun:
+    def test_snapshot_and_closure_computed_once(self, fixture_config,
+                                                monkeypatch):
+        calls = {"load_snapshot": 0, "category_closure": 0}
+        for name in calls:
+            original = getattr(pipeline.corpus, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(pipeline.corpus, name, counted)
+        pipeline.run_all(fixture_config)
+        assert calls == {"load_snapshot": 1, "category_closure": 1}
+
+    def test_unknown_root_warned_once(self, fixture_config, caplog):
+        with caplog.at_level(logging.WARNING, logger="profaudit.corpus"):
+            pipeline.run_all(fixture_config)
+        assert sum("unknown root category" in r.getMessage()
+                   for r in caplog.records) == 1
+
+    def test_manifests_list_every_read_artifact(self, fixture_config):
+        pipeline.run_all(fixture_config)
+        assert "classifications" in _manifest(fixture_config,
+                                              "images")["inputs"]
+        assert "article_map" in _manifest(fixture_config, "report")["inputs"]
+
+    def test_constants_recorded_per_stage(self, fixture_config):
+        pipeline.run_stage("lexicon", fixture_config)
+        pipeline.run_stage("match", fixture_config)
+        lexicon_before = _manifest(fixture_config, "lexicon")
+        match_before = _manifest(fixture_config, "match")
+        assert match_before["constants"] == {
+            "closure_depth": 5, "d_max": 2, "r_min": 0.8}
+
+        fixture_config.d_max = 3
+        pipeline.run_stage("lexicon", fixture_config)
+        pipeline.run_stage("match", fixture_config)
+        assert _manifest(fixture_config, "lexicon") == lexicon_before
+        assert _manifest(fixture_config, "match")["constants"]["d_max"] == 3
+
+    def test_upstream_header_mismatch_names_file(self, fixture_config):
+        pipeline.run_stage("lexicon", fixture_config)
+        pipeline.run_stage("match", fixture_config)
+        accepted = Path(fixture_config.out_dir) / "match" / "accepted.csv"
+        accepted.write_text("profession_id,title\nL0001,Lehrer\n",
+                            encoding="utf-8")
+        with pytest.raises(PipelineError,
+                           match=r"match/accepted\.csv.*rerun stage 'match'"):
+            pipeline.run_stage("classify", fixture_config)
+
+    def test_entries_with_foreign_keys_rejected(self, fixture_config):
+        pipeline.run_stage("lexicon", fixture_config)
+        entries = Path(fixture_config.out_dir) / "lexicon" / "entries.jsonl"
+        entries.write_text('{"id": "L0001", "title": "Lehrer"}\n',
+                           encoding="utf-8")
+        with pytest.raises(PipelineError, match=r"lexicon/entries\.jsonl"):
+            pipeline.run_stage("labor", fixture_config)
+
+
+class TestBenchmarkHooks:
+    """perfbench/child.py and perfbench/tracer.py patch these names."""
+
+    def test_stage_functions_looked_up_at_call_time(self, fixture_config,
+                                                    monkeypatch):
+        original = pipeline._STAGE_FUNCS["lexicon"]
+        seen = []
+
+        def wrapper(run):
+            seen.append(run)
+            return original(run)
+
+        monkeypatch.setitem(pipeline._STAGE_FUNCS, "lexicon", wrapper)
+        pipeline.run_all(fixture_config)
+        assert len(seen) == 1
+        assert set(pipeline._STAGE_FUNCS) == set(pipeline.STAGES)
+
+    def test_artifact_writers_called_through_pipeline(self, fixture_config,
+                                                      monkeypatch):
+        calls = dict.fromkeys(("write_csv", "dump_json", "sha256_file"), 0)
+        for name in calls:
+            original = getattr(pipeline, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(pipeline, name, counted)
+        pipeline.run_all(fixture_config)
+        assert all(calls.values()), calls
