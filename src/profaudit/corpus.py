@@ -25,10 +25,6 @@ CATEGORY_PREFIX = "Kategorie:"
 # profession"
 PROFESSION_ROOTS = ("Beruf", "Amt", "Person nach Tätigkeit")
 
-_RECORD_FIELDS = ("title", "exists", "redirect_target", "categories",
-                  "outlinks", "images", "plain_text", "page_id")
-
-
 class SnapshotError(ValueError):
     pass
 

@@ -13,6 +13,7 @@ threshold is removed with all responses discarded.
 
 from __future__ import annotations
 
+import hashlib
 import logging
 from collections import Counter, defaultdict
 from dataclasses import dataclass
@@ -326,6 +327,10 @@ def distributions(items: list[tuple[str, ImageCategory]], grouping: str,
     test runs on the group-by-category table, followed by pairwise group
     tests and per-category post-hoc 2x2 tests whose p-values get the
     two-stage step-up correction.
+
+    Each test has its own 64-bit seed, hashed from ``seed`` and the label
+    ``images:{grouping}:{test}`` (test ``overall``, ``A|B`` or
+    ``A|B:category``), so no two tests share a stream.
     """
     per_group: dict[str, Counter] = defaultdict(Counter)
     unresolved: Counter = Counter()
@@ -354,6 +359,11 @@ def distributions(items: list[tuple[str, ImageCategory]], grouping: str,
         return [[per_group[g].get(c, 0) for c in categories]
                 for g in selected]
 
+    def mc_test(table, test: str) -> stats.TestResult:
+        key = f"{seed}:images:{grouping}:{test}".encode("utf-8")
+        digest = hashlib.blake2b(key, digest_size=8).digest()
+        return stats.chi2_mc(table, b=b, seed=int.from_bytes(digest, "big"))
+
     overall = None
     pairwise: list[dict] = []
     posthoc: list[dict] = []
@@ -362,15 +372,15 @@ def distributions(items: list[tuple[str, ImageCategory]], grouping: str,
         used = [c for c in DISTRIBUTION_CATEGORIES
                 if any(per_group[g].get(c, 0) for g in groups)]
         if len(used) >= 2:
-            overall = stats.chi2_mc(table_for(groups, used), b=b, seed=seed)
+            overall = mc_test(table_for(groups, used), "overall")
         for i in range(len(groups)):
             for j in range(i + 1, len(groups)):
                 pair = [groups[i], groups[j]]
+                name = f"{groups[i]}|{groups[j]}"
                 pair_used = [c for c in DISTRIBUTION_CATEGORIES
                              if any(per_group[g].get(c, 0) for g in pair)]
                 if len(pair_used) >= 2:
-                    res = stats.chi2_mc(table_for(pair, pair_used),
-                                        b=b, seed=seed)
+                    res = mc_test(table_for(pair, pair_used), name)
                     pairwise.append({"groups": pair, "test": res.to_dict()})
                 for c in DISTRIBUTION_CATEGORIES:
                     t = []
@@ -382,7 +392,7 @@ def distributions(items: list[tuple[str, ImageCategory]], grouping: str,
                         continue
                     if sum(r[0] for r in t) == 0 or sum(r[1] for r in t) == 0:
                         continue
-                    res = stats.chi2_mc(t, b=b, seed=seed)
+                    res = mc_test(t, f"{name}:{c.value}")
                     posthoc.append({"groups": pair, "category": c.value,
                                     "test": res.to_dict()})
         if posthoc:

@@ -8,7 +8,8 @@ depend on. From that declaration the runner checks that every upstream
 artifact exists (naming the stage to run first), calls ``cfg.require()``
 for the file keys, and, once the stage function returns, writes
 ``<out_dir>/<stage>/manifest.json`` with the seed, the constants and the
-content hashes of every input and output.
+content hashes of every input and output; ``Run.digest`` hashes each file
+at most once per run, for every manifest and the report's bundle.
 
 A stage function takes one argument, the ``Run``. It holds the config and
 the current stage's inputs by label; ``Run.rows`` reads a declared
@@ -28,9 +29,8 @@ from __future__ import annotations
 import csv
 import json
 import logging
-import zlib
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -114,16 +114,11 @@ HEADERS = {
 }
 
 
-def seed_for(cfg: AuditConfig, label: str) -> int:
-    """Stable per-test seed derived from the run seed."""
-    return cfg.seed ^ zlib.crc32(label.encode("utf-8"))
-
-
 class Run:
     """One ``run_all`` or ``run_stage`` call, passed to every stage
     function: the config, the running stage's declared inputs (label ->
-    path) and outputs, and the snapshot and category closure, each parsed
-    at most once."""
+    path) and outputs, the snapshot and category closure, each parsed at
+    most once, and the digest of every file hashed so far."""
 
     def __init__(self, cfg: AuditConfig):
         self.cfg = cfg
@@ -132,6 +127,7 @@ class Run:
         self.outputs: list[Path] = []
         self._snapshot: corpus.CorpusSnapshot | None = None
         self._closure: set[str] | None = None
+        self._digests: dict[Path, str] = {}
 
     @property
     def snapshot(self) -> corpus.CorpusSnapshot:
@@ -157,6 +153,13 @@ class Run:
         path = self.cfg.path("out_dir") / self.stage / name
         self.outputs.append(path)
         return path
+
+    def digest(self, path: Path) -> str:
+        """SHA-256 of a file, hashed at most once per run; sound because a
+        stage writes only its own outputs, once, before they are hashed."""
+        if path not in self._digests:
+            self._digests[path] = sha256_file(path)
+        return self._digests[path]
 
     def rows(self, label: str) -> list[list]:
         """Rows of the upstream artifact the running stage declares under
@@ -205,9 +208,9 @@ class Run:
             "tool_version": __version__,
             "seed": self.cfg.seed,
             "constants": {k: getattr(self.cfg, k) for k in decl.constants},
-            "inputs": {label: sha256_file(p)
+            "inputs": {label: self.digest(p)
                        for label, p in sorted(inputs.items())},
-            "outputs": {p.name: sha256_file(p) for p in self.outputs},
+            "outputs": {p.name: self.digest(p) for p in self.outputs},
         }, out_dir / stage / "manifest.json")
         return self.outputs
 
@@ -483,11 +486,7 @@ def stage_images(run: Run) -> None:
         responses, gold, set(eligible), threshold=cfg.worker_accuracy)
     categories = images.aggregate_all(retained, cfg.min_judgments)
     try:
-        kappa = images.kappa_from_responses(retained)
-        kappa_out = {"kappa": kappa.kappa, "p_bar": kappa.p_bar,
-                     "p_bar_e": kappa.p_bar_e, "n_items": kappa.n_items,
-                     "n_raters": kappa.n_raters,
-                     "n_categories": kappa.n_categories}
+        kappa_out = asdict(images.kappa_from_responses(retained))
     except ValueError as exc:
         kappa_out = {"error": str(exc)}
 
@@ -514,7 +513,7 @@ def stage_images(run: Run) -> None:
         items = [("all" if key_index is None else row[key_index],
                   ImageCategory(row[5])) for row in category_rows]
         dist = images.distributions(items, grouping, b=cfg.mc_iterations,
-                                    seed=seed_for(cfg, f"images:{grouping}"))
+                                    seed=cfg.seed)
         dist_report[grouping] = dist.to_dict()
         _write_dist(run, dist)
     dump_json(dist_report, run.out("distributions.json"))
@@ -717,7 +716,7 @@ def stage_report(run: Run) -> None:
             image_labor_report[grouping] = {"skipped": "no joined images"}
             continue
         dist = images.distributions(items, grouping, b=cfg.mc_iterations,
-                                    seed=seed_for(cfg, f"images:{grouping}"))
+                                    seed=cfg.seed)
         image_labor_report[grouping] = dist.to_dict()
         _write_dist(run, dist)
     dump_json(image_labor_report, run.out("image_labor_distributions.json"))
@@ -877,7 +876,7 @@ def stage_report(run: Run) -> None:
                                                 "bundle_manifest.json"):
                 continue
             if p.is_file():
-                bundle[f"{stage}/{p.name}"] = sha256_file(p)
+                bundle[f"{stage}/{p.name}"] = run.digest(p)
     dump_json({"tool_version": __version__, "seed": cfg.seed,
                "config": {k: v for k, v in cfg.to_dict().items()
                           if k not in AuditConfig._PATH_KEYS},

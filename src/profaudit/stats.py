@@ -18,9 +18,9 @@ import numpy as np
 # z quantile for a two-sided 95% interval
 _Z95 = 1.959963984540054
 
-# Monte Carlo simulations are generated in fixed-size chunks; each chunk
-# seeds its own counter-based generator, so the result is independent of
-# how chunks are scheduled.
+# Monte Carlo tables are simulated this many at a time, so memory stays
+# bounded whatever the number of draws; the chunks take consecutive draws
+# from one generator.
 _MC_CHUNK = 8192
 
 
@@ -156,11 +156,12 @@ def _pearson_x2(table: np.ndarray, expected: np.ndarray) -> float:
 def chi2_mc(table, b: int = 10000, seed: int = 0) -> TestResult:
     """Pearson chi-square independence test with a Monte Carlo p-value.
 
-    Simulates ``b`` tables under independence with both margins fixed by
-    randomly permuting column labels against row labels, and reports
-    p = (1 + #{X2_sim >= X2_obs}) / (b + 1). Chunk ``i`` of the simulation
-    stream uses a Philox generator keyed with ``seed ^ i``, so the p-value
-    depends only on (table, b, seed).
+    Samples ``b`` tables with both margins fixed and reports
+    p = (1 + #{X2_sim >= X2_obs}) / (b + 1). Tables are drawn cell by cell
+    (Patefield 1981, AS 159, sequential form): given the cells placed so
+    far, a cell is hypergeometric in what is left of its row and column
+    totals; the last cell of each row and the last row follow from the
+    margins. One Philox generator keyed with ``seed`` draws every table.
     """
     tab = np.asarray(table, dtype=np.int64)
     if tab.ndim != 2:
@@ -172,41 +173,34 @@ def chi2_mc(table, b: int = 10000, seed: int = 0) -> TestResult:
     if (row_sums > 0).sum() < 2 or (col_sums > 0).sum() < 2:
         raise ValueError("chi2_mc: degenerate table (needs >=2 nonzero rows and columns)")
     total = int(tab.sum())
-    expected = np.outer(row_sums, col_sums) / total
     # drop empty margins so every expected cell is positive
-    keep_r = row_sums > 0
-    keep_c = col_sums > 0
-    tab = tab[keep_r][:, keep_c]
-    expected = expected[keep_r][:, keep_c]
-    row_sums = row_sums[keep_r]
-    col_sums = col_sums[keep_c]
+    tab = tab[row_sums > 0][:, col_sums > 0]
+    row_sums, col_sums = tab.sum(axis=1), tab.sum(axis=0)
+    expected = np.outer(row_sums, col_sums) / total
     r, c = tab.shape
     x2_obs = _pearson_x2(tab.astype(float), expected)
 
-    col_labels = np.repeat(np.arange(c), col_sums)
-    # row i occupies a contiguous slice of positions
-    row_slices = []
-    start = 0
-    for s in row_sums:
-        row_slices.append(slice(start, start + int(s)))
-        start += int(s)
-
+    rng = np.random.Generator(np.random.Philox(key=seed))
     ge = 0
     done = 0
-    chunk_index = 0
     while done < b:
         k = min(_MC_CHUNK, b - done)
-        rng = np.random.Generator(np.random.Philox(key=seed ^ chunk_index))
-        perm = rng.permuted(np.tile(col_labels, (k, 1)), axis=1)
+        left = np.tile(col_sums, (k, 1))  # column totals not yet placed
         x2_sim = np.zeros(k)
-        for i in range(r):
-            block = perm[:, row_slices[i]]
-            for j in range(c):
-                cnt = (block == j).sum(axis=1)
-                x2_sim += (cnt - expected[i, j]) ** 2 / expected[i, j]
+        for i in range(r - 1):
+            need = np.full(k, row_sums[i])  # row total not yet placed
+            rest = left.sum(axis=1)
+            for j in range(c - 1):
+                rest -= left[:, j]  # units left in the columns after j
+                cell = rng.hypergeometric(left[:, j], rest, need)
+                x2_sim += (cell - expected[i, j]) ** 2 / expected[i, j]
+                left[:, j] -= cell
+                need -= cell
+            x2_sim += (need - expected[i, -1]) ** 2 / expected[i, -1]
+            left[:, -1] -= need
+        x2_sim += ((left - expected[-1]) ** 2 / expected[-1]).sum(axis=1)
         ge += int((x2_sim >= x2_obs - 1e-9).sum())
         done += k
-        chunk_index += 1
 
     p = (1.0 + ge) / (b + 1.0)
     return TestResult(statistic=x2_obs, p=p, method="chi2_monte_carlo",

@@ -114,6 +114,49 @@ def exact_chi2_perm_p(table) -> float:
     return hits / count
 
 
+def _tables_with_margins(row_sums, col_sums):
+    """Every non-negative integer table with the given margins."""
+    if len(row_sums) == 1:
+        yield [list(col_sums)]
+        return
+    first = row_sums[0]
+    ranges = [range(min(first, c) + 1) for c in col_sums]
+    for row in itertools.product(*ranges):
+        if sum(row) != first:
+            continue
+        rest = [c - x for c, x in zip(col_sums, row)]
+        for tail in _tables_with_margins(row_sums[1:], rest):
+            yield [list(row)] + tail
+
+
+def exact_chi2_table_p(table) -> float:
+    """Exact fixed-margin p-value of the Pearson statistic for an r x c table.
+
+    Enumerates every table with the observed margins and weights it by its
+    multivariate-hypergeometric probability: the number of ways to deal
+    the column labels into the row blocks, prod_i R_i! / prod_ij x_ij!,
+    out of N! / prod_j C_j!. The weights are summed as integers and checked
+    to add up to that total.
+    """
+    rows = len(table)
+    cols = len(table[0])
+    row_sums = [sum(r) for r in table]
+    col_sums = [sum(table[i][j] for i in range(rows)) for j in range(cols)]
+    total = sum(row_sums)
+    x2_obs = pearson_x2(table)
+    row_ways = math.prod(math.factorial(r) for r in row_sums)
+    hits = weight_sum = 0
+    for t in _tables_with_margins(row_sums, col_sums):
+        ways = row_ways // math.prod(math.factorial(x) for r in t for x in r)
+        weight_sum += ways
+        if pearson_x2(t) >= x2_obs - 1e-9:
+            hits += ways
+    labelings = math.factorial(total) // math.prod(
+        math.factorial(c) for c in col_sums)
+    assert weight_sum == labelings, "tables do not cover every labeling"
+    return hits / labelings
+
+
 def bh_reject_direct(pvals, level) -> list:
     """Literal linear step-up scan at the given level."""
     m = len(pvals)

@@ -240,6 +240,20 @@ class TestDistributions:
         categories = {t["category"] for t in dist.posthoc_tests}
         assert "men" in categories and "women" in categories
 
+    def test_every_test_has_its_own_seed(self):
+        items = [("a", ImageCategory.MEN)] * 5 + \
+                [("a", ImageCategory.WOMEN)] * 3 + \
+                [("b", ImageCategory.WOMEN)] * 4 + \
+                [("b", ImageCategory.NO_PERSON)] * 2 + \
+                [("c", ImageCategory.MEN)] * 2 + \
+                [("c", ImageCategory.NO_PERSON)] * 4
+        dist = images.distributions(items, "t", b=200, seed=42)
+        seeds = [dist.overall_test.seed]
+        seeds += [t["test"]["seed"] for t in dist.pairwise_tests]
+        seeds += [t["test"]["seed"] for t in dist.posthoc_tests]
+        assert len(seeds) > 5
+        assert len(set(seeds)) == len(seeds)
+
     def test_deterministic_under_seed(self):
         items = [("a", ImageCategory.MEN)] * 6 + \
                 [("a", ImageCategory.WOMEN)] * 4 + \

@@ -285,6 +285,20 @@ class TestBenchmarkHooks:
         assert len(seen) == 1
         assert set(pipeline._STAGE_FUNCS) == set(pipeline.STAGES)
 
+    def test_each_file_hashed_once_per_run(self, fixture_config,
+                                           monkeypatch):
+        hashed = []
+        original = pipeline.sha256_file
+
+        def counted(path):
+            hashed.append(Path(path))
+            return original(path)
+
+        monkeypatch.setattr(pipeline, "sha256_file", counted)
+        pipeline.run_all(fixture_config)
+        assert hashed
+        assert len(hashed) == len(set(hashed))
+
     def test_artifact_writers_called_through_pipeline(self, fixture_config,
                                                       monkeypatch):
         calls = dict.fromkeys(("write_csv", "dump_json", "sha256_file"), 0)

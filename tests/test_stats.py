@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from profaudit import stats
 from oracles import (
     bh_two_stage_direct,
     exact_chi2_perm_p,
+    exact_chi2_table_p,
     exact_u_counts,
     exact_wilcoxon_p,
     exact_wilcoxon_p_bruteforce,
@@ -145,6 +147,34 @@ class TestChi2MC:
         err_large = abs(stats.chi2_mc(table, b=100000, seed=1).p - p_exact)
         assert err_large <= max(err_small, 0.01)
 
+    def test_empty_margins_dropped(self):
+        padded = stats.chi2_mc([[3, 0, 2], [0, 0, 0], [1, 0, 4]], b=3000,
+                               seed=8)
+        reduced = stats.chi2_mc([[3, 2], [1, 4]], b=3000, seed=8)
+        assert padded.p == reduced.p
+        assert padded.statistic == pytest.approx(reduced.statistic)
+
+    def test_seeds_do_not_alias(self):
+        # a per-chunk key seed ^ chunk made seeds 0 and 1 draw the same
+        # two chunks in swapped order, and so the same p
+        table = [[8, 5, 3], [4, 7, 6]]
+        p0 = stats.chi2_mc(table, b=2 * stats._MC_CHUNK, seed=0).p
+        p1 = stats.chi2_mc(table, b=2 * stats._MC_CHUNK, seed=1).p
+        assert p0 != p1
+
+    def test_memory_does_not_grow_with_n(self):
+        table = [[100, 120, 90, 110, 150],
+                 [80, 95, 130, 105, 140],
+                 [120, 110, 100, 130, 120]]
+        assert sum(map(sum, table)) == 1700
+        tracemalloc.start()
+        try:
+            stats.chi2_mc(table, b=10000, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
+
     def test_degenerate_table_rejected(self):
         with pytest.raises(ValueError):
             stats.chi2_mc([[5, 5]])
@@ -152,6 +182,30 @@ class TestChi2MC:
             stats.chi2_mc([[5], [5]])
         with pytest.raises(ValueError):
             stats.chi2_mc([[5, 5], [0, 0]])
+
+
+# small tables whose every fixed-margin table the exact oracle enumerates
+_CHI2_GRID = [
+    [[3, 1], [1, 3]], [[5, 2], [1, 4]], [[2, 6], [4, 1]],
+    [[3, 1, 2], [1, 4, 2]], [[4, 0, 3], [1, 5, 1]], [[2, 2, 2], [1, 3, 5]],
+    [[4, 1], [2, 3], [0, 5]], [[3, 2], [3, 2], [1, 6]],
+    [[4, 2, 1], [1, 3, 2], [2, 1, 4]], [[3, 0, 1], [1, 3, 0], [0, 1, 3]],
+    [[2, 2, 2], [2, 2, 2], [1, 1, 5]],
+]
+
+
+class TestChi2AgainstExact:
+    @pytest.mark.parametrize("table", [t for t in _CHI2_GRID if len(t) == 2])
+    def test_table_oracle_matches_permutation_oracle(self, table):
+        assert exact_chi2_table_p(table) == pytest.approx(
+            exact_chi2_perm_p(table), abs=1e-12)
+
+    @pytest.mark.parametrize("index", range(len(_CHI2_GRID)))
+    def test_mc_within_monte_carlo_error(self, index):
+        table, b = _CHI2_GRID[index], 20000
+        p = exact_chi2_table_p(table)
+        res = stats.chi2_mc(table, b=b, seed=1000 + index)
+        assert abs(res.p - p) <= 4 * math.sqrt(p * (1 - p) / b) + 1 / (b + 1)
 
 
 class TestCorrelations:
