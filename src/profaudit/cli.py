@@ -79,6 +79,10 @@ def _load_config(args) -> AuditConfig:
 
 
 def _cmd_fetch(args) -> int:
+    if args.concurrency < 1:
+        raise ValueError("--concurrency must be at least 1")
+    if args.rate <= 0:
+        raise ValueError("--rate must be positive")
     with open(args.titles_file, encoding="utf-8") as fh:
         titles = [line.strip() for line in fh if line.strip()]
     client = mediawiki.WikiClient(

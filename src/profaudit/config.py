@@ -8,6 +8,9 @@ import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
+# accepted JSON types of the analysis constants, by annotation
+_KINDS = {"int": ((int,), "an integer"), "float": ((int, float), "a number")}
+
 
 @dataclass
 class AuditConfig:
@@ -57,6 +60,15 @@ class AuditConfig:
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"config: unknown keys {sorted(unknown)}")
+        for f in fields(cls):
+            if f.name not in data:
+                continue
+            # a bool is not an int here, and an int is a valid float
+            types, kind = (((str, type(None)), "a string or null")
+                           if f.name in cls._PATH_KEYS else _KINDS[f.type])
+            if type(data[f.name]) not in types:
+                raise ValueError(f"config: {f.name!r} must be {kind}, "
+                                 f"got {data[f.name]!r}")
         cfg = cls(**data)
         cfg.base_dir = path.parent.resolve()
         return cfg

@@ -86,10 +86,6 @@ class CorpusSnapshot:
     records: dict[str, ArticleRecord]
     category_index: dict[str, set[str]]
     subcategories: dict[str, set[str]]
-    snapshot_date: str = ""
-
-    def get(self, title: str) -> ArticleRecord | None:
-        return self.records.get(nfc(title))
 
 
 def _validate_record(rec: ArticleRecord, where: str) -> None:
@@ -132,8 +128,7 @@ def record_from_dict(data: dict, where: str = "record") -> ArticleRecord:
     return rec
 
 
-def load_snapshot(path, snapshot_date: str = "",
-                  category_prefix: str = CATEGORY_PREFIX) -> CorpusSnapshot:
+def load_snapshot(path) -> CorpusSnapshot:
     """Parse a JSON-lines snapshot file, validating record invariants.
 
     Malformed lines fail with the line number; duplicate titles keep the
@@ -154,23 +149,21 @@ def load_snapshot(path, snapshot_date: str = "",
                 log.warning("snapshot line %d: duplicate title %r, last wins",
                             line_no, rec.title)
             records[rec.title] = rec
-    return build_snapshot(records, snapshot_date, category_prefix)
+    return build_snapshot(records)
 
 
-def build_snapshot(records: dict[str, ArticleRecord], snapshot_date: str = "",
-                   category_prefix: str = CATEGORY_PREFIX) -> CorpusSnapshot:
+def build_snapshot(records: dict[str, ArticleRecord]) -> CorpusSnapshot:
     category_index: dict[str, set[str]] = {}
     subcategories: dict[str, set[str]] = {}
     for rec in records.values():
         for cat in rec.categories:
             category_index.setdefault(cat, set()).add(rec.title)
-        if rec.title.startswith(category_prefix):
-            child = rec.title[len(category_prefix):]
+        if rec.title.startswith(CATEGORY_PREFIX):
+            child = rec.title[len(CATEGORY_PREFIX):]
             for parent in rec.categories:
                 subcategories.setdefault(parent, set()).add(child)
     return CorpusSnapshot(records=records, category_index=category_index,
-                          subcategories=subcategories,
-                          snapshot_date=snapshot_date)
+                          subcategories=subcategories)
 
 
 def save_snapshot(snapshot: CorpusSnapshot, path) -> None:

@@ -396,12 +396,7 @@ def distributions(items: list[tuple[str, ImageCategory]], grouping: str,
                     posthoc.append({"groups": pair, "category": c.value,
                                     "test": res.to_dict()})
         if posthoc:
-            correction = stats.bh_two_stage(
-                [t["test"]["p"] for t in posthoc], q=q)
-            for flag, adj, t in zip(correction.reject, correction.adjusted_p,
-                                    posthoc):
-                t["rejected_two_stage"] = flag
-                t["adjusted_p_single_stage"] = adj
+            correction = stats.mark_bh_two_stage(posthoc, q=q)
 
     return GroupedDistribution(grouping=grouping, groups=dists,
                                overall_test=overall, pairwise_tests=pairwise,

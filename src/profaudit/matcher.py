@@ -154,28 +154,25 @@ def _bounded_distance(masks: dict[str, int], m: int, text: str,
     return slack
 
 
-def match(professions, titles, d_max: int = 2, r_min: float = 0.8,
-          case_fold: bool = False) -> list[MatchCandidate]:
+def match(professions, titles, d_max: int = 2,
+          r_min: float = 0.8) -> list[MatchCandidate]:
     """All-pairs match of profession titles against article titles.
 
     ``professions`` yields (profession_id, role, title) triples where role
     is one of male/female/neutral. Each (profession title, article title)
     pair meeting distance <= d_max or ratio >= r_min appears exactly once.
     Candidates are sorted by (profession_id, ratio desc, article title).
-    Comparison is case-sensitive by default (German nouns are capitalized);
-    ``case_fold`` folds both sides first.
+    Comparison is case-sensitive (German nouns are capitalized).
     """
-    buckets: dict[int, list[tuple[str, str]]] = {}
+    buckets: dict[int, list[str]] = {}
     for atitle in sorted({nfc(t) for t in titles}):
-        acmp = atitle.casefold() if case_fold else atitle
-        buckets.setdefault(len(acmp), []).append((atitle, acmp))
+        buckets.setdefault(len(atitle), []).append(atitle)
     cutoffs: dict[int, int] = {}
     out: list[MatchCandidate] = []
     for prof_id, role, raw in professions:
         ptitle = nfc(raw)
-        pcmp = ptitle.casefold() if case_fold else ptitle
-        plen = len(pcmp)
-        masks = _match_masks(pcmp)
+        plen = len(ptitle)
+        masks = _match_masks(ptitle)
         for alen, bucket in buckets.items():
             longest = max(plen, alen)
             if longest == 0:
@@ -186,8 +183,8 @@ def match(professions, titles, d_max: int = 2, r_min: float = 0.8,
             # the length gap is a lower bound on the distance
             if abs(plen - alen) > k:
                 continue
-            for atitle, acmp in bucket:
-                d = _bounded_distance(masks, plen, acmp, k)
+            for atitle in bucket:
+                d = _bounded_distance(masks, plen, atitle, k)
                 if d < 0:
                     continue
                 if d == 0:

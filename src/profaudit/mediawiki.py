@@ -18,7 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import requests
 
-from .corpus import ArticleRecord, ImageRef
+from .corpus import CATEGORY_PREFIX, ArticleRecord, ImageRef
 
 log = logging.getLogger(__name__)
 
@@ -93,6 +93,13 @@ def strip_wikitext(text: str) -> str:
     return text.strip()
 
 
+def _strip_category(name: str) -> str:
+    for prefix in (CATEGORY_PREFIX, "Category:"):
+        if name.startswith(prefix):
+            return name[len(prefix):]
+    return name
+
+
 def _media_format(filename: str) -> str:
     _, _, ext = filename.rpartition(".")
     return ext.lower() if ext else "unknown"
@@ -105,9 +112,7 @@ class WikiClient:
                  user_agent: str = DEFAULT_USER_AGENT,
                  rate: RateLimiter | None = None,
                  max_retries: int = 3, backoff: float = 1.0,
-                 timeout: float = 30.0,
-                 category_prefix: str = "Kategorie:",
-                 include_hidden_categories: bool = True):
+                 timeout: float = 30.0):
         self.endpoint = endpoint or default_endpoint()
         self.session = session or requests.Session()
         self.user_agent = user_agent
@@ -115,8 +120,6 @@ class WikiClient:
         self.max_retries = max_retries
         self.backoff = backoff
         self.timeout = timeout
-        self.category_prefix = category_prefix
-        self.include_hidden_categories = include_hidden_categories
 
     def _get(self, params: dict, title: str) -> dict:
         params = dict(params, format="json", formatversion="2")
@@ -142,12 +145,6 @@ class WikiClient:
         raise FetchError(title, f"failed after {self.max_retries + 1} "
                                 f"attempts: {last_error}")
 
-    def _strip_category(self, name: str) -> str:
-        for prefix in (self.category_prefix, "Category:"):
-            if name.startswith(prefix):
-                return name[len(prefix):]
-        return name
-
     def fetch_article(self, title: str) -> ArticleRecord:
         """Fetch existence, redirect target, categories, outlinks, images
         (with widths) and plain text for one title."""
@@ -161,8 +158,6 @@ class WikiClient:
             "rvprop": "content",
             "rvslots": "main",
         }
-        if not self.include_hidden_categories:
-            params["clshow"] = "!hidden"
         data = self._get(params, title)
         pages = data.get("query", {}).get("pages", [])
         if not pages:
@@ -179,7 +174,7 @@ class WikiClient:
         redirect_match = _REDIRECT_RE.match(content.strip()) if content else None
         redirect_target = redirect_match.group(1).strip() if redirect_match else None
 
-        categories = {self._strip_category(c["title"])
+        categories = {_strip_category(c["title"])
                       for c in page.get("categories") or []}
         outlinks = [l["title"] for l in page.get("links") or []]
         image_titles = [i["title"] for i in page.get("images") or []]
@@ -221,13 +216,6 @@ class WikiClient:
     def fetch_many(self, titles, concurrency: int = 4) -> dict[str, ArticleRecord]:
         """Fetch several titles on a bounded pool; result keyed by title,
         so merging is order-independent."""
-        out: dict[str, ArticleRecord] = {}
-        if concurrency <= 1:
-            for t in titles:
-                out[t] = self.fetch_article(t)
-            return out
         with ThreadPoolExecutor(max_workers=concurrency) as pool:
             futures = {t: pool.submit(self.fetch_article, t) for t in titles}
-            for t, fut in futures.items():
-                out[t] = fut.result()
-        return out
+            return {t: fut.result() for t, fut in futures.items()}

@@ -80,14 +80,11 @@ class MentionStats:
 
 @dataclass
 class OverlapReport:
-    n_link: int
-    n_text: int
-    n_overlap: int
-    n_merged: int
-    overlap_of_link: float
-    overlap_of_text: float
-    gender_comparisons: int
-    gender_disagreements: int
+    n_link: int = 0
+    n_text: int = 0
+    n_overlap: int = 0
+    gender_comparisons: int = 0
+    gender_disagreements: int = 0
 
     @property
     def disagreement_rate(self) -> float:
@@ -227,7 +224,7 @@ def merge(link_mentions: list[PersonMention],
     """Union the two routes per (article, surface name).
 
     Pairs present in both become source=both with the link gender
-    authoritative; the report carries the overlap fractions and the rate
+    authoritative; the report carries the overlap count and the rate
     at which the lexicon gender disagreed with the link gender.
     """
     merged: dict[tuple[str, str], PersonMention] = {}
@@ -257,9 +254,6 @@ def merge(link_mentions: list[PersonMention],
         n_link=len(link_mentions),
         n_text=len(text_mentions),
         n_overlap=overlap,
-        n_merged=len(out),
-        overlap_of_link=overlap / len(link_mentions) if link_mentions else 0.0,
-        overlap_of_text=overlap / len(text_mentions) if text_mentions else 0.0,
         gender_comparisons=comparisons,
         gender_disagreements=disagreements,
     )

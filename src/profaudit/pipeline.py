@@ -407,21 +407,17 @@ def stage_mentions(run: Run) -> None:
 
     snapshot = run.snapshot
     all_mentions: list[mentions.PersonMention] = []
-    overlap_totals = {"n_link": 0, "n_text": 0, "n_overlap": 0,
-                      "gender_comparisons": 0, "gender_disagreements": 0,
-                      "skipped_outlinks": 0}
+    total = mentions.OverlapReport()
+    skipped_outlinks = 0
     for title, record in _mapped_records(run, titles):
         link_ms, skipped = mentions.extract_link_mentions(record, snapshot)
         text_ms = mentions.extract_text_mentions(title, record.plain_text,
                                                  gender_lexicon)
         merged, report = mentions.merge(link_ms, text_ms)
         all_mentions.extend(merged)
-        overlap_totals["n_link"] += report.n_link
-        overlap_totals["n_text"] += report.n_text
-        overlap_totals["n_overlap"] += report.n_overlap
-        overlap_totals["gender_comparisons"] += report.gender_comparisons
-        overlap_totals["gender_disagreements"] += report.gender_disagreements
-        overlap_totals["skipped_outlinks"] += skipped
+        for key, value in asdict(report).items():
+            setattr(total, key, getattr(total, key) + value)
+        skipped_outlinks += skipped
 
     mentions.annotate_birth_years(all_mentions, birth_index, snapshot)
     filtered, unknown, too_old = mentions.filter_by_birth(
@@ -442,20 +438,16 @@ def stage_mentions(run: Run) -> None:
     write_csv(run.out("ratios.csv"), HEADERS["mentions/ratios.csv"],
               ratio_rows)
 
-    comparisons = overlap_totals["gender_comparisons"]
-    overlap_totals["disagreement_rate"] = (
-        overlap_totals["gender_disagreements"] / comparisons
-        if comparisons else 0.0)
-    overlap_totals["n_merged"] = len(all_mentions)
-    overlap_totals["n_men"] = sum(1 for m in all_mentions
-                                  if m.gender is Gender.M)
-    overlap_totals["n_women"] = sum(1 for m in all_mentions
-                                    if m.gender is Gender.F)
-    overlap_totals["birth_filter"] = {
-        "cutoff": cfg.birth_cutoff, "kept": len(filtered),
-        "dropped_unknown_year": unknown, "dropped_at_or_before_cutoff": too_old,
-    }
-    dump_json(overlap_totals, run.out("merge_report.json"))
+    dump_json(dict(
+        asdict(total), disagreement_rate=total.disagreement_rate,
+        skipped_outlinks=skipped_outlinks, n_merged=len(all_mentions),
+        n_men=sum(1 for m in all_mentions if m.gender is Gender.M),
+        n_women=sum(1 for m in all_mentions if m.gender is Gender.F),
+        birth_filter={
+            "cutoff": cfg.birth_cutoff, "kept": len(filtered),
+            "dropped_unknown_year": unknown,
+            "dropped_at_or_before_cutoff": too_old,
+        }), run.out("merge_report.json"))
 
 
 # ----------------------------------------------------------------- images
@@ -540,12 +532,20 @@ def stage_labor(run: Run) -> None:
 
 # ----------------------------------------------------------------- report
 
-_EVIDENCE_GROUPS = (BiasGroup.MALE_BIAS, BiasGroup.FEMALE_BIAS,
-                    BiasGroup.NEUTRAL)
+# the evidence-bearing bias groups, pairwise, for the rank-sum suites over
+# labor percentages (figure 8) and mention ratios
+_BIAS_PAIRS = tuple((a.value, b.value) for a, b in (
+    (BiasGroup.MALE_BIAS, BiasGroup.FEMALE_BIAS),
+    (BiasGroup.MALE_BIAS, BiasGroup.NEUTRAL),
+    (BiasGroup.NEUTRAL, BiasGroup.FEMALE_BIAS)))
+_RANKSUM_ALPHA = 0.05  # Bonferroni alpha and two-stage BH q of every suite
+# the join of an article that classify/article_map.csv does not map
+_UNMAPPED = {"profession_id": "", "title_role": "", "bias_group": "",
+             "labor_majority": "", "labor": None}
 
 
 def _ranksum_pairs(samples: dict[str, list[float]], pairs,
-                   correction: str, q_or_alpha: float) -> dict:
+                   correction: str) -> dict:
     """Pairwise Wilcoxon tests with a family-wise correction summary."""
     tests = []
     for a, b in pairs:
@@ -559,22 +559,28 @@ def _ranksum_pairs(samples: dict[str, list[float]], pairs,
     performed = [t for t in tests if "test" in t]
     summary: dict = {"tests": tests, "correction": correction}
     if correction == "bonferroni" and performed:
-        alpha = stats.bonferroni(q_or_alpha, len(performed))
-        summary["alpha"] = q_or_alpha
+        alpha = stats.bonferroni(_RANKSUM_ALPHA, len(performed))
+        summary["alpha"] = _RANKSUM_ALPHA
         summary["adjusted_alpha"] = alpha
         for t in performed:
             t["significant"] = t["test"]["p"] < alpha
     elif correction == "bh_two_stage" and performed:
-        bh = stats.bh_two_stage([t["test"]["p"] for t in performed],
-                                q=q_or_alpha)
-        summary["q"] = q_or_alpha
-        for t, flag, adj in zip(performed, bh.reject, bh.adjusted_p):
-            t["rejected_two_stage"] = flag
-            t["adjusted_p_single_stage"] = adj
+        stats.mark_bh_two_stage(performed, q=_RANKSUM_ALPHA)
+        summary["q"] = _RANKSUM_ALPHA
     return summary
 
 
-def _correlation_rows(points: list[dict], pairs) -> list[list]:
+def _samples(rows: list[dict], key: str) -> dict[str, list[float]]:
+    """Male ratios of ``rows`` grouped by ``row[key]``."""
+    out: dict[str, list[float]] = defaultdict(list)
+    for row in rows:
+        out[row[key]].append(row["male_ratio"])
+    return out
+
+
+def _write_correlations(run: Run, name: str, points: list[dict],
+                        pairs) -> None:
+    """Spearman correlation of each feature pair over ``points``."""
     rows = []
     for feat_a, feat_b in pairs:
         xs, ys = [], []
@@ -588,7 +594,8 @@ def _correlation_rows(points: list[dict], pairs) -> list[list]:
             rows.append([feat_a, feat_b, len(xs), value, ""])
         except ValueError as exc:
             rows.append([feat_a, feat_b, len(xs), None, str(exc)])
-    return rows
+    write_csv(run.out(name), ["feature_1", "feature_2", "n", "spearman",
+                              "note"], rows)
 
 
 IMAGE_CORRELATION_PAIRS = [
@@ -634,84 +641,76 @@ def stage_report(run: Run) -> None:
     cfg = run.cfg
     groups = {pid: BiasGroup(group)
               for pid, _text, group in run.rows("classifications")}
-    article_map = {title: (pid, role)
-                   for title, pid, role in run.rows("article_map")}
-    joined = {pid: {"n_men": int(men), "n_women": int(women),
-                    "pct_women": float(pct), "majority": majority,
-                    "dominated": dominated}
-              for pid, _code, _kind, men, women, pct, majority, dominated
-              in run.rows("joined_labor")}
-    ratios = [{"variant": variant, "article_title": title,
-               "n_men": int(men), "n_women": int(women),
-               "male_ratio": float(ratio), "bias_class": BiasClass(cls)}
+    # labor-market row per profession, keyed by correlation feature name
+    labor_rows = {pid: {"n_men_labor": int(men), "n_women_labor": int(women),
+                        "n_people_labor": int(men) + int(women),
+                        "pct_women_labor": float(pct),
+                        "pct_men_labor": 1.0 - float(pct),
+                        "labor_majority": majority,
+                        "labor_dominated": dominated}
+                  for pid, _code, _kind, men, women, pct, majority, dominated
+                  in run.rows("joined_labor")}
+    # each mapped article joined once to its profession, title role, bias
+    # group and labor row
+    articles = {}
+    for title, pid, role in run.rows("article_map"):
+        labor_row = labor_rows.get(pid)
+        articles[title] = {
+            "profession_id": pid, "title_role": role,
+            "bias_group": groups.get(pid, BiasGroup.NO_EVIDENCE).value,
+            "labor_majority": labor_row["labor_majority"] if labor_row else "",
+            "labor": labor_row}
+    ratios = [dict(articles.get(title, _UNMAPPED), variant=variant,
+                   article_title=title, n_men=int(men), n_women=int(women),
+                   male_ratio=float(ratio), bias_class=BiasClass(cls).value)
               for variant, title, men, women, ratio, cls
               in run.rows("ratios")]
-    image_rows = [(title, pid, category) for _image, title, pid, _role,
-                  _group, category in run.rows("image_categories")]
+    by_variant = {variant: [r for r in ratios if r["variant"] == variant]
+                  for variant in ("all", "born_after_cutoff")}
+    images_of: dict[str, list[str]] = defaultdict(list)  # article -> categories
+    for _image, title, _pid, _role, _group, category in run.rows(
+            "image_categories"):
+        images_of[title].append(category)
+    # (labor row, image categories) per article with a labor row
+    labor_images = [(articles.get(title, _UNMAPPED)["labor"], images_of[title])
+                    for title in sorted(images_of)]
+    labor_images = [(row, cats) for row, cats in labor_images if row]
 
     # labor percentage by bias group (figure 8 data) and the rank-sum /
     # regression suite over it
-    fig8_rows = []
-    labor_by_group: dict[str, list[float]] = defaultdict(list)
-    for prof_id in sorted(joined):
-        group = groups.get(prof_id, BiasGroup.NO_EVIDENCE)
-        pct = joined[prof_id]["pct_women"]
-        fig8_rows.append([prof_id, group.value, pct])
-        if group in _EVIDENCE_GROUPS:
-            labor_by_group[group.value].append(pct)
+    fig8_rows = [[pid, groups.get(pid, BiasGroup.NO_EVIDENCE).value,
+                  labor_rows[pid]["pct_women_labor"]]
+                 for pid in sorted(labor_rows)]
     write_csv(run.out("figure8_labor_by_bias.csv"),
               ["profession_id", "bias_group", "pct_women"], fig8_rows)
-
-    labor_tests = _ranksum_pairs(
-        labor_by_group,
-        [(BiasGroup.MALE_BIAS.value, BiasGroup.FEMALE_BIAS.value),
-         (BiasGroup.MALE_BIAS.value, BiasGroup.NEUTRAL.value),
-         (BiasGroup.NEUTRAL.value, BiasGroup.FEMALE_BIAS.value)],
-        correction="bonferroni", q_or_alpha=0.05)
+    labor_by_group: dict[str, list[float]] = defaultdict(list)
+    for _pid, group, pct in fig8_rows:
+        labor_by_group[group].append(pct)
+    labor_tests = _ranksum_pairs(labor_by_group, _BIAS_PAIRS, "bonferroni")
 
     # logistic model: female bias from the percentage of employed women
-    rows = [(joined[pid]["pct_women"] * 100.0,
-             1.0 if groups.get(pid) is BiasGroup.FEMALE_BIAS else 0.0)
-            for pid in sorted(joined)
-            if groups.get(pid) in _EVIDENCE_GROUPS]
+    rows = [(pct * 100.0, float(group == BiasGroup.FEMALE_BIAS.value))
+            for _pid, group, pct in fig8_rows
+            if group != BiasGroup.NO_EVIDENCE.value]
     model_out: dict = {"n": len(rows)}
     if len(rows) >= 3 and 0 < sum(y for _, y in rows) < len(rows):
         X = np.column_stack([np.ones(len(rows)),
                              np.array([x for x, _ in rows])])
-        y = np.array([y for _, y in rows])
-        fit = stats.logistic_fit(X, y)
-        model_out.update({
-            "outcome": "female_bias",
-            "accuracy": fit.accuracy,
-            "pseudo_r2": fit.mcfadden_r2,
-            "converged": fit.converged,
-            "coefficients": [
-                {"predictor": name, "coef": fit.coefficients[i],
-                 "std_error": fit.std_errors[i], "p": fit.p_values[i],
-                 "ci95_low": fit.ci95[i][0], "ci95_high": fit.ci95[i][1],
-                 "odds_ratio": webhits.odds_ratio(fit.coefficients[i])
-                               if abs(fit.coefficients[i]) < 500 else None}
-                for i, name in enumerate(("intercept", "pct_women"))],
-        })
+        fit = stats.logistic_fit(X, np.array([y for _, y in rows]))
+        model_out.update(webhits.model_report(
+            fit, "female_bias", ("intercept", "pct_women")))
     else:
         model_out["skipped"] = "needs both classes and at least 3 professions"
     dump_json({"rank_sum": labor_tests, "regression": model_out},
               run.out("labor_tests.json"))
 
     # image distributions grouped by labor market composition
-    labor_groupings = {"labor_majority": "majority",
-                       "labor_dominated": "dominated"}
     image_labor_report = {}
-    for grouping, key in labor_groupings.items():
-        items = []
-        for _title, prof_id, category in image_rows:
-            info = joined.get(prof_id)
-            if info is None:
-                continue
-            label = info[key]
-            if label in ("unassigned", "not_dominated"):
-                continue
-            items.append((label, ImageCategory(category)))
+    for grouping in ("labor_majority", "labor_dominated"):
+        items = [(row[grouping], ImageCategory(c))
+                 for row, cats in labor_images
+                 if row[grouping] not in ("unassigned", "not_dominated")
+                 for c in cats]
         if not items:
             image_labor_report[grouping] = {"skipped": "no joined images"}
             continue
@@ -722,145 +721,67 @@ def stage_report(run: Run) -> None:
     dump_json(image_labor_report, run.out("image_labor_distributions.json"))
 
     # mention ratios with every grouping attached (figures 14-17 data)
-    ratio_rows = []
-    for row in ratios:
-        title = row["article_title"]
-        prof_id, role = article_map.get(title, ("", ""))
-        info = joined.get(prof_id)
-        ratio_rows.append([
-            row["variant"], title, prof_id, role,
-            groups.get(prof_id, BiasGroup.NO_EVIDENCE).value if prof_id else "",
-            info["majority"] if info else "",
-            row["n_men"], row["n_women"], row["male_ratio"],
-            row["bias_class"].value,
-        ])
-    write_csv(run.out("mention_ratios_grouped.csv"),
-              ["variant", "article_title", "profession_id", "title_role",
-               "bias_group", "labor_majority", "n_men", "n_women",
-               "male_ratio", "bias_class"], ratio_rows)
+    header = ["variant", "article_title", "profession_id", "title_role",
+              "bias_group", "labor_majority", "n_men", "n_women",
+              "male_ratio", "bias_class"]
+    write_csv(run.out("mention_ratios_grouped.csv"), header,
+              [[r[k] for k in header] for r in ratios])
 
-    # share of article bias classes, overall and birth-filtered
+    # share of article bias classes, overall and birth-filtered, and the
+    # rank-sum suites over mention ratios
     class_shares = {}
-    for variant in ("all", "born_after_cutoff"):
-        subset = [r for r in ratios if r["variant"] == variant]
+    for variant, subset in by_variant.items():
         n = len(subset)
-        share = {c.value: (sum(1 for r in subset if r["bias_class"] is c) / n
-                           if n else 0.0)
+        share = {c.value: (sum(1 for r in subset if r["bias_class"] == c.value)
+                           / n if n else 0.0)
                  for c in BiasClass}
         class_shares[variant] = {"n_articles": n, "shares": share}
-
-    # rank-sum suites over mention ratios
-    def ratio_samples(variant: str, labeler) -> dict[str, list[float]]:
-        samples: dict[str, list[float]] = defaultdict(list)
-        for row in ratios:
-            if row["variant"] != variant:
-                continue
-            label = labeler(row["article_title"])
-            if label:
-                samples[label].append(row["male_ratio"])
-        return samples
-
-    def by_role(title: str) -> str:
-        return article_map.get(title, ("", ""))[1]
-
-    def by_bias(title: str) -> str:
-        prof_id = article_map.get(title, ("", ""))[0]
-        group = groups.get(prof_id)
-        return group.value if group in _EVIDENCE_GROUPS else ""
-
-    def by_majority(title: str) -> str:
-        prof_id = article_map.get(title, ("", ""))[0]
-        info = joined.get(prof_id)
-        if not info or info["majority"] == "unassigned":
-            return ""
-        return info["majority"]
-
-    mention_tests = {
+    all_ratios = by_variant["all"]
+    dump_json({
         "title_gender": _ranksum_pairs(
-            ratio_samples("all", by_role),
+            _samples(all_ratios, "title_role"),
             [("male", "female"), ("male", "neutral"), ("neutral", "female")],
-            correction="bh_two_stage", q_or_alpha=0.05),
+            "bh_two_stage"),
         "redirect_bias": _ranksum_pairs(
-            ratio_samples("all", by_bias),
-            [(BiasGroup.MALE_BIAS.value, BiasGroup.FEMALE_BIAS.value),
-             (BiasGroup.MALE_BIAS.value, BiasGroup.NEUTRAL.value),
-             (BiasGroup.NEUTRAL.value, BiasGroup.FEMALE_BIAS.value)],
-            correction="bh_two_stage", q_or_alpha=0.05),
+            _samples(all_ratios, "bias_group"), _BIAS_PAIRS, "bh_two_stage"),
         "labor_majority": _ranksum_pairs(
-            ratio_samples("all", by_majority),
-            [("male_majority", "female_majority")],
-            correction="none", q_or_alpha=0.05),
+            _samples(all_ratios, "labor_majority"),
+            [("male_majority", "female_majority")], "none"),
         "all_vs_born_after_cutoff": _ranksum_pairs(
-            {"all": [r["male_ratio"] for r in ratios
-                     if r["variant"] == "all"],
-             "born_after_cutoff": [r["male_ratio"] for r in ratios
-                                   if r["variant"] == "born_after_cutoff"]},
-            [("all", "born_after_cutoff")], correction="none",
-            q_or_alpha=0.05),
+            _samples(ratios, "variant"), [("all", "born_after_cutoff")],
+            "none"),
         "class_shares": class_shares,
-    }
-    dump_json(mention_tests, run.out("mention_tests.json"))
+    }, run.out("mention_tests.json"))
 
     # correlation tables against the labor market
-    def labor_features(prof_id: str) -> dict | None:
-        info = joined.get(prof_id)
-        if info is None:
-            return None
-        total = info["n_men"] + info["n_women"]
-        return {"n_men_labor": info["n_men"], "n_women_labor": info["n_women"],
-                "n_people_labor": total,
-                "pct_women_labor": info["pct_women"],
-                "pct_men_labor": 1.0 - info["pct_women"]}
-
     image_points = []
-    per_article_images: dict[str, list[str]] = defaultdict(list)
-    for title, _prof_id, category in image_rows:
-        per_article_images[title].append(category)
-    for title in sorted(per_article_images):
-        prof_id = article_map.get(title, ("", ""))[0]
-        feats = labor_features(prof_id)
-        if feats is None:
-            continue
-        cats = [c for c in per_article_images[title]
-                if c != ImageCategory.UNRESOLVED.value]
+    for labor_row, cats in labor_images:
+        cats = [c for c in cats if c != ImageCategory.UNRESOLVED.value]
         n_men = cats.count(ImageCategory.MEN.value)
         n_women = cats.count(ImageCategory.WOMEN.value)
-        point = dict(feats, n_images_men=n_men, n_images_women=n_women)
+        point = dict(labor_row, n_images_men=n_men, n_images_women=n_women)
         if cats:
             point["pct_images_men"] = n_men / len(cats)
             point["pct_images_women"] = n_women / len(cats)
         image_points.append(point)
-    write_csv(run.out("correlations_images.csv"),
-              ["feature_1", "feature_2", "n", "spearman", "note"],
-              _correlation_rows(image_points, IMAGE_CORRELATION_PAIRS))
-
-    def mention_points(variant: str) -> list[dict]:
+    _write_correlations(run, "correlations_images.csv", image_points,
+                        IMAGE_CORRELATION_PAIRS)
+    for variant, name, pairs in (
+            ("all", "correlations_mentions.csv", MENTION_CORRELATION_PAIRS),
+            ("born_after_cutoff",
+             "correlations_mentions_born_after_cutoff.csv",
+             MENTION_FILTER_CORRELATION_PAIRS)):
         points = []
-        for row in ratios:
-            if row["variant"] != variant:
+        for r in by_variant[variant]:
+            if r["labor"] is None:
                 continue
-            prof_id = article_map.get(row["article_title"], ("", ""))[0]
-            feats = labor_features(prof_id)
-            if feats is None:
-                continue
-            total = row["n_men"] + row["n_women"]
+            total = r["n_men"] + r["n_women"]
             points.append(dict(
-                feats,
-                n_mentioned_men=row["n_men"],
-                n_mentioned_women=row["n_women"],
-                n_mentioned_persons=total,
-                pct_mentioned_men=row["n_men"] / total,
-                pct_mentioned_women=row["n_women"] / total))
-        return points
-
-    write_csv(run.out("correlations_mentions.csv"),
-              ["feature_1", "feature_2", "n", "spearman", "note"],
-              _correlation_rows(mention_points("all"),
-                                MENTION_CORRELATION_PAIRS))
-    write_csv(run.out("correlations_mentions_born_after_cutoff.csv"),
-              ["feature_1", "feature_2", "n", "spearman", "note"],
-              _correlation_rows(mention_points("born_after_cutoff"),
-                                MENTION_FILTER_CORRELATION_PAIRS))
+                r["labor"], n_mentioned_men=r["n_men"],
+                n_mentioned_women=r["n_women"], n_mentioned_persons=total,
+                pct_mentioned_men=r["n_men"] / total,
+                pct_mentioned_women=r["n_women"] / total))
+        _write_correlations(run, name, points, pairs)
 
     # bundle manifest over every artifact of the run; the report stage's
     # own manifests stay out so reruns into the same directory are

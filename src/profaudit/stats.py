@@ -443,3 +443,13 @@ def bh_two_stage(pvals, q: float = 0.05) -> BhResult:
         q=q,
         stage2_level=level2,
     )
+
+
+def mark_bh_two_stage(tests: list[dict], q: float) -> BhResult:
+    """Run ``bh_two_stage`` over the tests' ``test["p"]`` and mark each
+    test dict with ``rejected_two_stage`` and ``adjusted_p_single_stage``."""
+    bh = bh_two_stage([t["test"]["p"] for t in tests], q=q)
+    for t, flag, adj in zip(tests, bh.reject, bh.adjusted_p):
+        t["rejected_two_stage"] = flag
+        t["adjusted_p_single_stage"] = adj
+    return bh

@@ -114,14 +114,19 @@ def fit_bias_models(records: list[HitRecord],
                                        "single class"}
             continue
         fit = stats.logistic_fit(X, y)
-        report[name] = model_report(fit, outcome=positive.value)
+        report[name] = dict(model_report(fit, positive.value,
+                                         PREDICTOR_NAMES),
+                            iterations=fit.iterations)
     return report
 
 
-def model_report(fit: stats.LogisticFit, outcome: str) -> dict:
-    """Table layout: one row per coefficient with odds-ratio column."""
+def model_report(fit: stats.LogisticFit, outcome: str, predictors) -> dict:
+    """Table layout: one row per coefficient, named by ``predictors``,
+    with an odds-ratio column. A one-unit predictor increase multiplies
+    the odds by exp(coef); for |coef| >= 500 the odds ratio is written as
+    null."""
     rows = []
-    for i, name in enumerate(PREDICTOR_NAMES):
+    for i, name in enumerate(predictors):
         coef = fit.coefficients[i]
         rows.append({
             "predictor": name,
@@ -130,22 +135,15 @@ def model_report(fit: stats.LogisticFit, outcome: str) -> dict:
             "p": fit.p_values[i],
             "ci95_low": fit.ci95[i][0],
             "ci95_high": fit.ci95[i][1],
-            "odds_ratio": math.exp(coef) if abs(coef) < 500 else float("inf"),
+            "odds_ratio": math.exp(coef) if abs(coef) < 500 else None,
         })
     return {
         "outcome": outcome,
         "accuracy": fit.accuracy,
         "pseudo_r2": fit.mcfadden_r2,
         "converged": fit.converged,
-        "iterations": fit.iterations,
         "coefficients": rows,
     }
-
-
-def odds_ratio(coef: float) -> float:
-    """Reporting identity: a one-unit predictor increase multiplies the
-    odds by exp(coef)."""
-    return math.exp(coef)
 
 
 def write_differences(diffs: list[NormalizedDifference],

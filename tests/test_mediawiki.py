@@ -3,6 +3,7 @@ import json
 import pytest
 
 from profaudit import mediawiki
+from profaudit.cli import main
 from profaudit.mediawiki import FetchError, RateLimiter, WikiClient, strip_wikitext
 
 
@@ -122,6 +123,27 @@ class TestFetch:
         out = client.fetch_many(["Lehrer", "Nix"], concurrency=2)
         assert set(out) == {"Lehrer", "Nix"}
         assert out["Lehrer"].exists and not out["Nix"].exists
+
+
+class TestFetchCommand:
+    @pytest.mark.parametrize("flag, value", [("--concurrency", "0"),
+                                             ("--concurrency", "-2"),
+                                             ("--rate", "0"),
+                                             ("--rate", "-1")])
+    def test_bad_flag_rejected_before_any_request(self, tmp_path, capsys,
+                                                  monkeypatch, flag, value):
+        def no_client(*args, **kwargs):
+            raise AssertionError("a client was built")
+
+        monkeypatch.setattr(mediawiki, "WikiClient", no_client)
+        titles = tmp_path / "titles.txt"
+        titles.write_text("Lehrer\n", encoding="utf-8")
+        out = tmp_path / "snapshot.jsonl"
+        rc = main(["fetch", "--titles-file", str(titles), "--out", str(out),
+                   flag, value])
+        assert rc == 1
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestStripWikitext:

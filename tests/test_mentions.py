@@ -166,7 +166,6 @@ class TestMerge:
         got, report = merge(links, texts)
         assert len(got) == 10
         assert report.n_overlap == 10
-        assert report.overlap_of_link == 1.0
         assert report.gender_comparisons == 9
         assert report.gender_disagreements == 1
         assert report.disagreement_rate == pytest.approx(1 / 9)

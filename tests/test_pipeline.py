@@ -1,11 +1,12 @@
 import json
 import logging
+import math
 import shutil
 from pathlib import Path
 
 import pytest
 
-from profaudit import pipeline
+from profaudit import pipeline, stats
 from profaudit.cli import main
 from profaudit.config import AuditConfig
 from profaudit.pipeline import PipelineError
@@ -33,6 +34,30 @@ class TestConfig:
         p.write_text('{"no_such_key": 1}', encoding="utf-8")
         with pytest.raises(ValueError, match="no_such_key"):
             AuditConfig.from_file(p)
+
+    @pytest.mark.parametrize("key, value", [
+        ("mc_iterations", "100"), ("snapshot", 5), ("d_max", 2.5),
+        ("seed", True), ("r_min", "0.8"), ("r_min", False),
+        ("hits", ["hits.csv"]), ("closure_depth", None)])
+    def test_wrong_type_names_key(self, data_dir, tmp_path, capsys, key,
+                                  value):
+        config = json.loads((data_dir / "config.json").read_text(
+            encoding="utf-8"))
+        config[key] = value
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(config), encoding="utf-8")
+        out_dir = tmp_path / "out"
+        rc = run_cli("report", "--all", "--config", p, "--out-dir", out_dir)
+        assert rc == 1
+        assert repr(key) in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_int_for_float_and_null_path_accepted(self, tmp_path):
+        p = tmp_path / "cfg.json"
+        p.write_text('{"r_min": 1, "worker_accuracy": 0.75, "hits": null}',
+                     encoding="utf-8")
+        cfg = AuditConfig.from_file(p)
+        assert (cfg.r_min, cfg.worker_accuracy, cfg.hits) == (1, 0.75, None)
 
     def test_missing_file_reported(self, tmp_path):
         p = tmp_path / "cfg.json"
@@ -170,6 +195,33 @@ class TestGoldenRun:
         dist = json.loads((out_dir / "images" / "distributions.json")
                           .read_text(encoding="utf-8"))
         assert dist["overall"]["groups"] == []
+
+
+class TestModelTables:
+    @pytest.mark.parametrize("coef", [600.0, -600.0])
+    def test_huge_coefficient_written_as_null_odds_ratio(
+            self, fixture_config, monkeypatch, coef):
+        real_fit = stats.logistic_fit
+
+        def fit_with_huge_slope(X, y):
+            fit = real_fit(X, y)
+            fit.coefficients[1] = coef
+            return fit
+
+        monkeypatch.setattr(stats, "logistic_fit", fit_with_huge_slope)
+        pipeline.run_all(fixture_config)
+        out = Path(fixture_config.out_dir)
+        models = json.loads((out / "webhits" / "models.json").read_text(
+            encoding="utf-8"))
+        labor = json.loads((out / "report" / "labor_tests.json").read_text(
+            encoding="utf-8"))
+        tables = [models["model_female_bias"], models["model_male_bias"],
+                  labor["regression"]]
+        for table in tables:
+            intercept, slope = table["coefficients"][:2]
+            assert slope["coef"] == coef and slope["odds_ratio"] is None
+            assert intercept["odds_ratio"] == pytest.approx(
+                math.exp(intercept["coef"]), rel=1e-5, abs=1e-5)
 
 
 class TestCliErrors:

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from profaudit import webhits
+from profaudit import stats, webhits
 from profaudit.redirect_bias import BiasGroup
 from profaudit.webhits import HitRecord, normalized_difference
 
@@ -144,8 +144,28 @@ class TestBiasModels:
                                     {"a": BiasGroup.NO_EVIDENCE})
 
 
+def fit_with(coefficients):
+    k = len(coefficients)
+    return stats.LogisticFit(
+        coefficients=list(coefficients), std_errors=[1.0] * k,
+        p_values=[0.5] * k, ci95=[(c - 2.0, c + 2.0) for c in coefficients],
+        accuracy=1.0, mcfadden_r2=0.0, converged=True, iterations=1,
+        log_likelihood=0.0, null_log_likelihood=0.0)
+
+
 class TestReportIdentities:
     def test_paper_odds_ratios(self):
         # the two caption identities of the regression tables
-        assert abs(webhits.odds_ratio(2.44) - 11.48) < 0.01
-        assert abs(webhits.odds_ratio(0.364) - 1.44) < 0.005
+        table = webhits.model_report(fit_with([2.44, 0.364]), "female_bias",
+                                     ("a", "b"))
+        rows = table["coefficients"]
+        assert [r["predictor"] for r in rows] == ["a", "b"]
+        assert abs(rows[0]["odds_ratio"] - 11.48) < 0.01
+        assert abs(rows[1]["odds_ratio"] - 1.44) < 0.005
+
+    @pytest.mark.parametrize("coef", [500.0, -500.0, 1e4])
+    def test_odds_ratio_null_from_500(self, coef):
+        rows = webhits.model_report(fit_with([coef, 499.0]), "x",
+                                    ("a", "b"))["coefficients"]
+        assert rows[0]["odds_ratio"] is None
+        assert rows[1]["odds_ratio"] == math.exp(499.0)
