@@ -24,7 +24,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Audit gender representation in encyclopedia "
                     "profession articles.")
     parser.add_argument("--verbose", "-v", action="store_true",
-                        help="log progress to stderr")
+                        help="log progress to stderr, with why each stage "
+                             "ran or was skipped")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_stage_command(name, help_text):
@@ -47,7 +48,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_stage_command("labor", "join labor-market statistics")
     report = add_stage_command("report", "emit the cross-cutting report bundle")
     report.add_argument("--all", action="store_true",
-                        help="run every stage in order first")
+                        help="run every stage in order first, skipping a "
+                             "stage whose inputs, constants, seed, outputs "
+                             "and code are unchanged since it last ran "
+                             "(the first stage always runs)")
 
     fetch = sub.add_parser("fetch", help="populate a snapshot from a live "
                                          "MediaWiki API")

@@ -16,17 +16,37 @@ the current stage's inputs by label; ``Run.rows`` reads a declared
 upstream artifact after checking its header against ``HEADERS``, which
 the artifact's writer uses too, and ``Run.out`` names an output. The
 snapshot and its profession category closure are parsed lazily, at most
-once per ``run_all`` or ``run_stage``.
+once per ``run_all`` or ``run_stage``, and ``run_all`` frees them after
+the last stage that declares the snapshot file.
+
+``run_all`` skips a stage whose recorded run still holds (the "verifying
+traces" with early cutoff of *Build systems à la carte*, Mokhov, Mitchell
+and Peyton Jones, ICFP 2018): its manifest records the stage name, tool
+version, seed, constants and input digests this run would record, every
+output it lists exists with the recorded digest, and its code stamp, the
+SHA-256 of the package source and the manifest's bytes, matches. Inputs
+are hashed after the upstream stages ran or were skipped, so a stage
+reruns only when an upstream artifact's bytes changed. The stamps live in
+``<out_dir>.stamps.json``, beside the output directory rather than in it,
+so a code edit changes no artifact. The report declares every other
+stage's manifest as an input, since its bundle records every file of the
+tree. The first stage always runs: it takes milliseconds, and a tool that
+times a run marks its start by wrapping ``_STAGE_FUNCS[STAGES[0]]``.
+``run_stage`` always runs its stage; both record the new code stamp. A
+stage that runs first deletes the outputs its old manifest lists, so an
+output it no longer writes does not linger.
 
 Stages run in a fixed order. Reruns with identical inputs, configuration,
-and seed are byte-identical. Monte Carlo seeds derive from the run seed and
-a stable label per test, so adding a test never disturbs another test's
-p-value.
+and seed are byte-identical, and a run that skips stages leaves the same
+tree as a run into an empty directory. Monte Carlo seeds derive from the
+run seed and a stable label per test, so adding a test never disturbs
+another test's p-value.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import logging
 from collections import defaultdict
@@ -64,6 +84,7 @@ class Stage:
 _ENTRIES = "lexicon/entries.jsonl"
 _CLASSIFICATIONS = "classify/classifications.csv"
 _ARTICLE_MAP = "classify/article_map.csv"
+_IMAGE_REFS = "classify/image_refs.csv"
 
 DECLARATIONS = {
     "lexicon": Stage(files=("professions",),
@@ -81,23 +102,32 @@ DECLARATIONS = {
                       optional=("birth_years",),
                       reads={"article_map": _ARTICLE_MAP},
                       constants=("birth_cutoff", "equality_band")),
-    "images": Stage(files=("snapshot", "annotations", "gold_labels"),
+    "images": Stage(files=("annotations", "gold_labels"),
                     reads={"article_map": _ARTICLE_MAP,
-                           "classifications": _CLASSIFICATIONS},
+                           "classifications": _CLASSIFICATIONS,
+                           "image_refs": _IMAGE_REFS},
                     constants=("min_image_width", "worker_accuracy",
                                "min_judgments", "mc_iterations")),
     "labor": Stage(files=("labor_stats", "labor_classifier"),
                    reads={"entries": _ENTRIES},
                    constants=("majority_threshold", "dominated_threshold")),
-    "report": Stage(reads={"classifications": _CLASSIFICATIONS,
-                           "article_map": _ARTICLE_MAP,
-                           "joined_labor": "labor/joined.csv",
-                           "ratios": "mentions/ratios.csv",
-                           "image_categories": "images/categories.csv"},
-                    constants=("mc_iterations",)),
 }
+# the bundle records every file of every stage: each stage's manifest lists
+# its outputs, constants and seed, so the report reads every manifest
+DECLARATIONS["report"] = Stage(
+    reads={"classifications": _CLASSIFICATIONS,
+           "article_map": _ARTICLE_MAP,
+           "joined_labor": "labor/joined.csv",
+           "ratios": "mentions/ratios.csv",
+           "image_categories": "images/categories.csv",
+           **{f"{stage}_manifest": f"{stage}/manifest.json"
+              for stage in DECLARATIONS}},
+    constants=("mc_iterations",))
 
 STAGES = tuple(DECLARATIONS)
+# the snapshot is freed once this stage has run or been skipped
+_LAST_SNAPSHOT_READER = [stage for stage in STAGES
+                         if "snapshot" in DECLARATIONS[stage].files][-1]
 
 # header of every artifact a later stage reads, shared by its writer and
 # by Run.rows; for JSON lines, the keys of each record
@@ -106,6 +136,7 @@ HEADERS = {
     "match/accepted.csv": ("profession_id", "role", "article_title"),
     _CLASSIFICATIONS: ("profession_id", "source_text", "bias_group"),
     _ARTICLE_MAP: ("article_title", "profession_id", "title_role"),
+    _IMAGE_REFS: ("article_title", "filename", "width", "media_format"),
     "mentions/ratios.csv": ("variant", "article_title", "n_men", "n_women",
                             "male_ratio", "bias_class"),
     "images/categories.csv": ("image_id", "article_title", "profession_id",
@@ -114,14 +145,35 @@ HEADERS = {
 }
 
 
+def source_fingerprint() -> str:
+    """SHA-256 of the package source, file names included."""
+    digest = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
 class Run:
     """One ``run_all`` or ``run_stage`` call, passed to every stage
     function: the config, the running stage's declared inputs (label ->
     path) and outputs, the snapshot and category closure, each parsed at
-    most once, and the digest of every file hashed so far."""
+    most once, the digest of every file hashed so far and the code stamps
+    of the output directory."""
 
     def __init__(self, cfg: AuditConfig):
         self.cfg = cfg
+        self.out_dir = cfg.path("out_dir")
+        if self.out_dir is None:
+            raise ValueError("config: 'out_dir' is not set")
+        out = self.out_dir.resolve()
+        self.stamps_path = out.parent / f"{out.name}.stamps.json"
+        try:
+            stamps = json.loads(self.stamps_path.read_bytes())
+        except (OSError, ValueError):
+            stamps = None
+        # code stamps by stage; a missing or unreadable stamp file has none
+        self._stamps = stamps if isinstance(stamps, dict) else {}
+        self._fingerprint = source_fingerprint()
         self.stage = ""
         self.inputs: dict[str, Path] = {}
         self.outputs: list[Path] = []
@@ -150,13 +202,14 @@ class Run:
     def out(self, name: str) -> Path:
         """Path of an output of the running stage, recorded for its
         manifest."""
-        path = self.cfg.path("out_dir") / self.stage / name
+        path = self.out_dir / self.stage / name
         self.outputs.append(path)
         return path
 
     def digest(self, path: Path) -> str:
         """SHA-256 of a file, hashed at most once per run; sound because a
-        stage writes only its own outputs, once, before they are hashed."""
+        stage writes only its own outputs, and the digests cached for its
+        directory are dropped before it runs."""
         if path not in self._digests:
             self._digests[path] = sha256_file(path)
         return self._digests[path]
@@ -183,36 +236,110 @@ class Run:
                 f"rerun stage {artifact.split('/')[0]!r}")
         return rows
 
-    def execute(self, stage: str) -> list[Path]:
-        """Check the stage's declared inputs, run it and write its
-        manifest; returns its outputs."""
-        log.info("running stage %s", stage)
+    def execute(self, stage: str, force: str | None = None) -> list[Path]:
+        """Run the stage, write its manifest and record its code stamp;
+        returns its outputs, sorted. Unless ``force`` says why the stage
+        must run, a stage whose recorded run still holds is skipped and
+        its recorded outputs are returned."""
         decl = DECLARATIONS[stage]
-        out_dir = self.cfg.path("out_dir")
+        stage_dir = self.out_dir / stage
         inputs = {}
         for label, artifact in decl.reads.items():
-            if not (out_dir / artifact).exists():
+            if not (self.out_dir / artifact).exists():
                 raise PipelineError(
                     f"missing artifact {artifact}; run stage "
                     f"{artifact.split('/')[0]!r} first")
-            inputs[label] = out_dir / artifact
+            inputs[label] = self.out_dir / artifact
         keys = decl.files + tuple(k for k in decl.optional
                                   if self.cfg.path(k))
         inputs.update(zip(keys, self.cfg.require(*keys)))
-        self.stage, self.inputs, self.outputs = stage, inputs, []
-        (out_dir / stage).mkdir(parents=True, exist_ok=True)
-        # looked up per call, so a wrapper installed after import runs
-        _STAGE_FUNCS[stage](self)
-        dump_json({
+        head = {
             "stage": stage,
             "tool_version": __version__,
             "seed": self.cfg.seed,
             "constants": {k: getattr(self.cfg, k) for k in decl.constants},
             "inputs": {label: self.digest(p)
                        for label, p in sorted(inputs.items())},
-            "outputs": {p.name: self.digest(p) for p in self.outputs},
-        }, out_dir / stage / "manifest.json")
-        return self.outputs
+        }
+        recorded = _read_manifest(stage_dir / "manifest.json")
+        reason = force or self._stale(stage, head, recorded)
+        if reason is None:
+            log.info("skipped stage %s (unchanged)", stage)
+            return sorted(stage_dir / name for name in recorded[1]["outputs"])
+        log.info("running stage %s: %s", stage, reason)
+        # the recorded outputs go: a run into an empty directory has none
+        # that this run does not write
+        for name in recorded[1]["outputs"] if recorded else ():
+            if Path(name).name == name:
+                (stage_dir / name).unlink(missing_ok=True)
+        self._digests = {p: d for p, d in self._digests.items()
+                         if p.parent != stage_dir}
+        self.stage, self.inputs, self.outputs = stage, inputs, []
+        stage_dir.mkdir(parents=True, exist_ok=True)
+        # looked up per call, so a wrapper installed after import runs
+        _STAGE_FUNCS[stage](self)
+        dump_json(dict(head, outputs={p.name: self.digest(p)
+                                      for p in self.outputs}),
+                  stage_dir / "manifest.json")
+        self._stamps[stage] = self._stamp(
+            (stage_dir / "manifest.json").read_bytes())
+        self.stamps_path.write_text(json.dumps(self._stamps, indent=2,
+                                               sort_keys=True) + "\n",
+                                    encoding="utf-8")
+        return sorted(self.outputs)
+
+    def _stale(self, stage: str, head: dict,
+               recorded: tuple[bytes, dict] | None) -> str | None:
+        """Why the stage must run, naming the first thing that differs from
+        its recorded run, or None when that run still holds."""
+        if recorded is None:
+            return "manifest missing or unreadable"
+        raw, manifest = recorded
+        for key, value in head.items():
+            if _same(manifest.get(key), value):
+                continue
+            if isinstance(value, dict):
+                name = next(k for k in (*value, *manifest[key])
+                            if not _same(manifest[key].get(k), value.get(k)))
+                what = "constant" if key == "constants" else "input"
+                return f"{what} {name} changed"
+            return f"{key} changed"
+        if self._stamps.get(stage) != self._stamp(raw):
+            return "code stamp differs"
+        for name, digest in manifest["outputs"].items():
+            path = self.out_dir / stage / name
+            if not path.is_file():
+                return f"output {name} missing"
+            if self.digest(path) != digest:
+                return f"output {name} changed"
+        return None
+
+    def _stamp(self, manifest: bytes) -> str:
+        """Code stamp of a manifest's bytes."""
+        return hashlib.sha256(self._fingerprint.encode() + manifest).hexdigest()
+
+
+def _same(recorded, value) -> bool:
+    """Whether a manifest records ``value`` as this run would write it: a
+    constant of 1 and one of 1.0, or one with more than six decimals
+    (manifests round to six), differ."""
+    return json.dumps(recorded, sort_keys=True) == json.dumps(value,
+                                                              sort_keys=True)
+
+
+def _read_manifest(path: Path) -> tuple[bytes, dict] | None:
+    """Bytes and contents of a stage manifest; None when it is missing or
+    not a manifest."""
+    try:
+        raw = path.read_bytes()
+        manifest = json.loads(raw)
+    except (OSError, ValueError):
+        return None
+    if not (isinstance(manifest, dict)
+            and all(isinstance(manifest.get(k), dict)
+                    for k in ("constants", "inputs", "outputs"))):
+        return None
+    return raw, manifest
 
 
 def _entries(run: Run) -> list[ProfessionEntry]:
@@ -335,6 +462,12 @@ def stage_classify(run: Run) -> None:
     write_csv(run.out("article_map.csv"), HEADERS[_ARTICLE_MAP],
               [[title, pid, role]
                for title, (pid, role) in sorted(article_map.items())])
+    # every image of a mapped article, unfiltered: min_image_width is a
+    # constant of images
+    write_csv(run.out("image_refs.csv"), HEADERS[_IMAGE_REFS],
+              [[title, ref.filename, ref.width, ref.media_format]
+               for title in sorted(article_map)
+               for ref in snapshot.records[title].images])
 
     presence_rows = []
     for presence in presences:
@@ -459,15 +592,16 @@ def stage_images(run: Run) -> None:
     groups = {pid: BiasGroup(group)
               for pid, _text, group in run.rows("classifications")}
 
+    refs_of: dict[str, list[corpus.ImageRef]] = defaultdict(list)
+    for title, filename, width, media_format in run.rows("image_refs"):
+        refs_of[title].append(corpus.ImageRef(filename, int(width),
+                                              media_format))
     eligible: dict[str, list[str]] = defaultdict(list)  # image -> articles
     shown: set[str] = set()  # every image on a mapped article
-    for title, record in _mapped_records(run, article_map):
-        shown.update(ref.filename for ref in record.images)
-        for ref in images.filter_images(record.images, cfg.min_image_width):
+    for title, refs in refs_of.items():
+        shown.update(ref.filename for ref in refs)
+        for ref in images.filter_images(refs, cfg.min_image_width):
             eligible[ref.filename].append(title)
-    # the last stage that reads the snapshot; free it before the Monte
-    # Carlo tests, which set the run's peak memory
-    run.drop_snapshot()
 
     # responses to images the width/format filter excluded leave the
     # analysis; responses to images on no mapped article stay an error
@@ -787,9 +921,8 @@ def stage_report(run: Run) -> None:
     # own manifests stay out so reruns into the same directory are
     # byte-identical
     bundle: dict[str, str] = {}
-    out_dir = cfg.path("out_dir")
     for stage in STAGES:
-        stage_path = out_dir / stage
+        stage_path = run.out_dir / stage
         if not stage_path.is_dir():
             continue
         for p in sorted(stage_path.iterdir()):
@@ -821,10 +954,18 @@ def run_stage(stage: str, cfg: AuditConfig) -> list[Path]:
         raise PipelineError(f"unknown stage {stage!r}; expected one of "
                             f"{', '.join(STAGES)}")
     cfg.validate_thresholds()
-    return Run(cfg).execute(stage)
+    return Run(cfg).execute(stage, force="requested on its own")
 
 
 def run_all(cfg: AuditConfig) -> list[Path]:
+    """Run every stage in order, skipping those whose recorded run still
+    holds; returns every stage's outputs."""
     cfg.validate_thresholds()
     run = Run(cfg)
-    return [path for stage in STAGES for path in run.execute(stage)]
+    outputs = []
+    for stage in STAGES:
+        force = "the first stage always runs" if stage == STAGES[0] else None
+        outputs += run.execute(stage, force)
+        if stage == _LAST_SNAPSHOT_READER:
+            run.drop_snapshot()
+    return outputs

@@ -243,21 +243,6 @@ def _log_likelihood(X: np.ndarray, y: np.ndarray, beta: np.ndarray) -> float:
     return float(y @ eta - np.logaddexp(0.0, eta).sum())
 
 
-def logistic_score(X, y, beta) -> np.ndarray:
-    """Analytic gradient of the log-likelihood, X'(y - p)."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    eta = np.clip(X @ beta, -35.0, 35.0)
-    p = 1.0 / (1.0 + np.exp(-eta))
-    return X.T @ (y - p)
-
-
-def logistic_log_likelihood(X, y, beta) -> float:
-    return _log_likelihood(np.asarray(X, float), np.asarray(y, float),
-                           np.asarray(beta, float))
-
-
 def logistic_fit(X, y, max_iter: int = 100, tol: float = 1e-8,
                  separation_bound: float = 50.0) -> LogisticFit:
     """Maximum-likelihood logistic regression via IRLS.

@@ -9,6 +9,8 @@ import itertools
 import math
 from functools import lru_cache
 
+import numpy as np
+
 
 @lru_cache(maxsize=None)
 def exact_u_counts(n: int, m: int) -> tuple:
@@ -192,6 +194,24 @@ def fd_gradient(f, beta, h=1e-6) -> list:
         dn[i] -= h
         grad.append((f(up) - f(dn)) / (2.0 * h))
     return grad
+
+
+def _logistic_p(X, beta) -> np.ndarray:
+    eta = np.asarray(X, dtype=float) @ np.asarray(beta, dtype=float)
+    return 1.0 / (1.0 + np.exp(-eta))
+
+
+def logistic_log_likelihood(X, y, beta) -> float:
+    """Bernoulli log-likelihood, sum of y log p + (1 - y) log(1 - p)."""
+    p = _logistic_p(X, beta)
+    y = np.asarray(y, dtype=float)
+    return float(np.sum(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
+
+
+def logistic_score(X, y, beta) -> np.ndarray:
+    """Analytic gradient of the log-likelihood, X'(y - p)."""
+    return np.asarray(X, dtype=float).T @ (np.asarray(y, dtype=float)
+                                           - _logistic_p(X, beta))
 
 
 def pearson_direct(x, y) -> float:

@@ -1,12 +1,16 @@
 import json
 import logging
 import math
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from profaudit import pipeline, stats
+from profaudit.artifacts import sha256_file
 from profaudit.cli import main
 from profaudit.config import AuditConfig
 from profaudit.pipeline import PipelineError
@@ -51,6 +55,23 @@ class TestConfig:
         assert rc == 1
         assert repr(key) in capsys.readouterr().err
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("value", [None, ""])
+    def test_unset_out_dir_named_before_any_stage(self, data_dir, tmp_path,
+                                                  capsys, value):
+        work = tmp_path / "fixture"
+        shutil.copytree(data_dir, work, ignore=shutil.ignore_patterns(
+            "golden", "out"))
+        config = json.loads((work / "config.json").read_text(
+            encoding="utf-8"))
+        config["out_dir"] = value
+        (work / "config.json").write_text(json.dumps(config),
+                                          encoding="utf-8")
+        before = sorted(tmp_path.rglob("*"))
+        rc = run_cli("report", "--all", "--config", work / "config.json")
+        assert rc == 1
+        assert "'out_dir'" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_int_for_float_and_null_path_accepted(self, tmp_path):
         p = tmp_path / "cfg.json"
@@ -236,7 +257,7 @@ class TestCliErrors:
         assert rc == 1
         assert "lexicon" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("stage", ["mentions", "images"])
+    @pytest.mark.parametrize("stage", ["mentions"])
     def test_stale_snapshot_names_classify(self, data_dir, tmp_path, capsys,
                                            stage):
         out_dir = tmp_path / "out"
@@ -253,6 +274,27 @@ class TestCliErrors:
         assert rc == 1
         err = capsys.readouterr().err
         assert "Biologin" in err and "classify" in err
+
+    def test_images_reads_no_snapshot(self, data_dir, tmp_path, monkeypatch):
+        out_dir = tmp_path / "out"
+        run_cli("report", "--all", "--config", data_dir / "config.json",
+                "--out-dir", out_dir)
+        before = _tree(out_dir / "images")
+
+        def no_snapshot(*args, **kwargs):
+            raise AssertionError("stage images parsed the snapshot")
+
+        monkeypatch.setattr(pipeline.corpus, "load_snapshot", no_snapshot)
+        rc = run_cli("images", "--config", data_dir / "config.json",
+                     "--out-dir", out_dir, "--snapshot",
+                     tmp_path / "missing.jsonl")
+        assert rc == 0
+        assert _tree(out_dir / "images") == before
+
+
+def _tree(root: Path) -> dict:
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
 
 
 def _manifest(cfg: AuditConfig, stage: str) -> dict:
@@ -320,6 +362,275 @@ class TestRun:
             pipeline.run_stage("labor", fixture_config)
 
 
+# a value other than the fixture's for every declared constant; with
+# dominated_threshold 1.0 no profession is dominated, so the report writes
+# no dist_labor_dominated.csv
+_CHANGED_CONSTANTS = {
+    "closure_depth": 3, "d_max": 4, "r_min": 0.9, "birth_cutoff": 1900,
+    "equality_band": 0.2, "min_image_width": 300, "worker_accuracy": 0.9,
+    "min_judgments": 2, "mc_iterations": 2000, "majority_threshold": 0.6,
+    "dominated_threshold": 1.0,
+}
+_FIRST = "the first stage always runs"
+
+
+@pytest.fixture(scope="module")
+def complete_run(data_dir, tmp_path_factory):
+    """A copy of the fixture inputs (``fixture/``) and a complete run of
+    them (``out/``, with its stamp file beside it)."""
+    root = tmp_path_factory.mktemp("complete")
+    shutil.copytree(data_dir, root / "fixture",
+                    ignore=shutil.ignore_patterns("golden", "out"))
+    assert run_cli("report", "--all", "--config",
+                   root / "fixture" / "config.json", "--out-dir",
+                   root / "out") == 0
+    return root
+
+
+@pytest.fixture()
+def work(complete_run, tmp_path):
+    shutil.copytree(complete_run, tmp_path / "work")
+    return tmp_path / "work"
+
+
+@pytest.fixture()
+def stages_run(monkeypatch) -> list[str]:
+    """The stage functions called, in order."""
+    ran = []
+    for stage, fn in list(pipeline._STAGE_FUNCS.items()):
+        def wrapper(run, _stage=stage, _fn=fn):
+            ran.append(_stage)
+            return _fn(run)
+
+        monkeypatch.setitem(pipeline._STAGE_FUNCS, stage, wrapper)
+    return ran
+
+
+def _set_config(root: Path, **values) -> None:
+    path = root / "fixture" / "config.json"
+    config = json.loads(path.read_text(encoding="utf-8"))
+    config.update(values)
+    path.write_text(json.dumps(config), encoding="utf-8")
+
+
+def _edit_annotation(root: Path) -> None:
+    path = root / "fixture" / "annotations.csv"
+    row = "w1,Lehrer_Klasse.jpg,100,one_person,male\n"
+    text = path.read_text(encoding="utf-8")
+    assert row in text
+    path.write_text(text.replace(row, row.replace("male", "female")),
+                    encoding="utf-8")
+
+
+def _rerun(root: Path, capsys, caplog, stages_run, *args) -> dict:
+    """Reruns ``report --all`` into ``root/out``, then runs it into the
+    empty ``root/cold`` on the same inputs. Checks that both leave the same
+    tree and print the same paths; returns why each stage of the rerun ran,
+    as logged."""
+    config = root / "fixture" / "config.json"
+    capsys.readouterr()
+    del stages_run[:]
+    with caplog.at_level(logging.INFO, logger="profaudit.pipeline"):
+        caplog.clear()
+        assert run_cli("report", "--all", "--config", config, "--out-dir",
+                       root / "out", *args) == 0
+        messages = [r.getMessage() for r in caplog.records
+                    if r.name == "profaudit.pipeline"]
+    ran = list(stages_run)
+    printed = capsys.readouterr().out.replace(str(root / "out"), "<out>")
+    assert run_cli("report", "--all", "--config", config, "--out-dir",
+                   root / "cold", *args) == 0
+    assert capsys.readouterr().out.replace(str(root / "cold"),
+                                           "<out>") == printed
+    assert _tree(root / "out") == _tree(root / "cold")
+    reasons = dict(m.removeprefix("running stage ").split(": ", 1)
+                   for m in messages if m.startswith("running stage "))
+    skipped = [m.split()[2] for m in messages if m.startswith("skipped")]
+    assert messages == [f"running stage {s}: {reasons[s]}" if s in reasons
+                        else f"skipped stage {s} (unchanged)"
+                        for s in pipeline.STAGES]
+    assert list(reasons) == ran
+    assert sorted(ran + skipped) == sorted(pipeline.STAGES)
+    return reasons
+
+
+class TestIncremental:
+    """``report --all`` into the directory of a complete run reruns only
+    the stages an edit reaches, and leaves the tree a run into an empty
+    directory leaves."""
+
+    def test_unchanged_inputs_run_only_the_first_stage(
+            self, work, capsys, caplog, stages_run):
+        assert _rerun(work, capsys, caplog, stages_run) == {
+            "lexicon": _FIRST}
+
+    def test_annotation_edit_reruns_images_and_report(
+            self, work, capsys, caplog, stages_run):
+        _edit_annotation(work)
+        assert _rerun(work, capsys, caplog, stages_run) == {
+            "lexicon": _FIRST,
+            "images": "input annotations changed",
+            "report": "input image_categories changed"}
+
+    @pytest.mark.parametrize("key", sorted(_CHANGED_CONSTANTS))
+    def test_constant_edit_reruns_its_stages(self, work, capsys, caplog,
+                                             stages_run, key):
+        _set_config(work, **{key: _CHANGED_CONSTANTS[key]})
+        reasons = _rerun(work, capsys, caplog, stages_run)
+        declaring = [s for s in pipeline.STAGES
+                     if key in pipeline.DECLARATIONS[s].constants]
+        assert declaring
+        for stage in declaring:
+            assert reasons[stage] == f"constant {key} changed"
+        assert "report" in reasons
+
+    def test_every_config_value_reaches_the_report(self):
+        # the report's bundle records every config value that is not a
+        # path; it reruns when one changes only if some stage declares it
+        declared = {k for d in pipeline.DECLARATIONS.values()
+                    for k in d.constants}
+        values = set(AuditConfig().to_dict()) - set(AuditConfig._PATH_KEYS)
+        assert declared == values - {"seed"} == set(_CHANGED_CONSTANTS)
+
+    def test_seed_reruns_every_stage(self, work, capsys, caplog, stages_run):
+        reasons = _rerun(work, capsys, caplog, stages_run, "--seed", 99)
+        assert reasons == dict.fromkeys(pipeline.STAGES, "seed changed") | {
+            "lexicon": _FIRST}
+
+    def test_deleted_output_reruns_its_stage(self, work, capsys, caplog,
+                                             stages_run):
+        (work / "out" / "mentions" / "ratios.csv").unlink()
+        assert _rerun(work, capsys, caplog, stages_run) == {
+            "lexicon": _FIRST, "mentions": "output ratios.csv missing"}
+
+    def test_tampered_output_reruns_its_stage(self, work, capsys, caplog,
+                                              stages_run):
+        with open(work / "out" / "images" / "kappa.json", "a",
+                  encoding="utf-8") as fh:
+            fh.write(" ")
+        assert _rerun(work, capsys, caplog, stages_run) == {
+            "lexicon": _FIRST, "images": "output kappa.json changed"}
+
+    @pytest.mark.parametrize("old, new, reason", [
+        ("}\n", "}\n\n", "code stamp differs"),
+        ('"d_max": 2', '"d_max": 3', "constant d_max changed"),
+        ('"outputs": {', '"outputs": [', "manifest missing or unreadable"),
+    ], ids=["whitespace", "constant", "garbled"])
+    def test_tampered_manifest_reruns_its_stage(self, work, capsys, caplog,
+                                                stages_run, old, new, reason):
+        path = work / "out" / "match" / "manifest.json"
+        text = path.read_text(encoding="utf-8")
+        assert old in text
+        path.write_text(text.replace(old, new), encoding="utf-8")
+        assert _rerun(work, capsys, caplog, stages_run) == {
+            "lexicon": _FIRST, "match": reason}
+
+    def test_deleted_manifest_reruns_its_stage(self, work, capsys, caplog,
+                                               stages_run):
+        (work / "out" / "labor" / "manifest.json").unlink()
+        assert _rerun(work, capsys, caplog, stages_run) == {
+            "lexicon": _FIRST, "labor": "manifest missing or unreadable"}
+
+    @pytest.mark.parametrize("stamps", [None, "{not json", "[]", "{}"],
+                             ids=["missing", "garbled", "list", "empty"])
+    def test_missing_or_garbled_stamps_rerun_every_stage(
+            self, work, capsys, caplog, stages_run, stamps):
+        path = work / "out.stamps.json"
+        assert path.is_file()
+        if stamps is None:
+            path.unlink()
+        else:
+            path.write_text(stamps, encoding="utf-8")
+        reasons = _rerun(work, capsys, caplog, stages_run)
+        assert reasons == dict.fromkeys(pipeline.STAGES,
+                                        "code stamp differs") | {
+            "lexicon": _FIRST}
+
+    def test_changed_source_reruns_every_stage(self, work, capsys, caplog,
+                                               stages_run, monkeypatch):
+        monkeypatch.setattr(pipeline, "source_fingerprint", lambda: "0" * 64)
+        reasons = _rerun(work, capsys, caplog, stages_run)
+        assert reasons == dict.fromkeys(pipeline.STAGES,
+                                        "code stamp differs") | {
+            "lexicon": _FIRST}
+
+    def test_d_max_edit_refreshes_the_bundle(self, work, capsys, caplog,
+                                             stages_run):
+        classify_before = _tree(work / "out" / "classify")
+        _set_config(work, d_max=3)
+        assert _rerun(work, capsys, caplog, stages_run) == {
+            "lexicon": _FIRST, "match": "constant d_max changed",
+            "report": "input match_manifest changed"}
+        assert _tree(work / "out" / "classify") == classify_before
+        bundle = json.loads((work / "out" / "report" / "bundle_manifest.json")
+                            .read_text(encoding="utf-8"))
+        assert bundle["config"]["d_max"] == 3
+
+    def test_verbose_logs_one_line_per_stage(self, work):
+        env = dict(os.environ, PYTHONPATH=str(
+            Path(pipeline.__file__).resolve().parents[1]))
+        command = [sys.executable, "-m", "profaudit.cli", "report", "--all",
+                   "--config", str(work / "fixture" / "config.json"),
+                   "--out-dir", str(work / "out")]
+        quiet = subprocess.run(command, env=env, capture_output=True,
+                               text=True, check=True)
+        assert "profaudit.pipeline" not in quiet.stderr
+        _edit_annotation(work)
+        verbose = subprocess.run(command[:3] + ["--verbose"] + command[3:],
+                                 env=env, capture_output=True, text=True,
+                                 check=True)
+        lines = [line.removeprefix("INFO profaudit.pipeline: ")
+                 for line in verbose.stderr.splitlines()
+                 if line.startswith("INFO profaudit.pipeline: ")]
+        assert lines == [
+            "running stage lexicon: the first stage always runs",
+            "skipped stage match (unchanged)",
+            "skipped stage classify (unchanged)",
+            "skipped stage webhits (unchanged)",
+            "skipped stage mentions (unchanged)",
+            "running stage images: input annotations changed",
+            "skipped stage labor (unchanged)",
+            "running stage report: input image_categories changed"]
+
+    @pytest.mark.parametrize("recorded, value, same", [
+        (0.8, 0.8, True), (1, 1.0, False), (0.123457, 0.1234567, False),
+        ({"a": 1, "b": "x"}, {"b": "x", "a": 1}, True)])
+    def test_recorded_value_compared_as_written(self, recorded, value, same):
+        assert pipeline._same(recorded, value) is same
+
+    def test_run_stage_always_runs(self, work, stages_run):
+        cfg = AuditConfig.from_file(work / "fixture" / "config.json")
+        cfg.out_dir = str(work / "out")
+        before = _tree(work / "out")
+        pipeline.run_stage("images", cfg)
+        assert stages_run == ["images"]
+        assert _tree(work / "out") == before
+
+    def test_annotation_edit_parses_no_snapshot(self, work, monkeypatch):
+        def no_snapshot(*args, **kwargs):
+            raise AssertionError("the rerun parsed the snapshot")
+
+        monkeypatch.setattr(pipeline.corpus, "load_snapshot", no_snapshot)
+        _edit_annotation(work)
+        cfg = AuditConfig.from_file(work / "fixture" / "config.json")
+        cfg.out_dir = str(work / "out")
+        pipeline.run_all(cfg)
+
+    def test_snapshot_freed_after_its_last_reader(self, fixture_config,
+                                                  monkeypatch):
+        original = pipeline._STAGE_FUNCS["images"]
+        held = []
+
+        def images(run):
+            held.append((run._snapshot, run._closure))
+            return original(run)
+
+        monkeypatch.setitem(pipeline._STAGE_FUNCS, "images", images)
+        pipeline.run_all(fixture_config)
+        assert pipeline._LAST_SNAPSHOT_READER == "mentions"
+        assert held == [(None, None)]
+
+
 class TestBenchmarkHooks:
     """perfbench/child.py and perfbench/tracer.py patch these names."""
 
@@ -333,8 +644,10 @@ class TestBenchmarkHooks:
             return original(run)
 
         monkeypatch.setitem(pipeline._STAGE_FUNCS, "lexicon", wrapper)
+        # the first stage runs on every run, even when nothing changed
         pipeline.run_all(fixture_config)
-        assert len(seen) == 1
+        pipeline.run_all(fixture_config)
+        assert len(seen) == 2
         assert set(pipeline._STAGE_FUNCS) == set(pipeline.STAGES)
 
     def test_each_file_hashed_once_per_run(self, fixture_config,
@@ -350,6 +663,63 @@ class TestBenchmarkHooks:
         pipeline.run_all(fixture_config)
         assert hashed
         assert len(hashed) == len(set(hashed))
+
+    @staticmethod
+    def _events(monkeypatch) -> list[tuple[str, str]]:
+        """("hash", path) per sha256_file call through pipeline and
+        ("run", stage) per stage function call, in order."""
+        events = []
+        original = pipeline.sha256_file
+
+        def counted(path):
+            events.append(("hash", str(path)))
+            return original(path)
+
+        monkeypatch.setattr(pipeline, "sha256_file", counted)
+        for stage, fn in list(pipeline._STAGE_FUNCS.items()):
+            def wrapper(run, _stage=stage, _fn=fn):
+                events.append(("run", _stage))
+                return _fn(run)
+
+            monkeypatch.setitem(pipeline._STAGE_FUNCS, stage, wrapper)
+        return events
+
+    def test_skip_check_hashes_through_pipeline(self, fixture_config,
+                                                monkeypatch):
+        pipeline.run_all(fixture_config)
+        events = self._events(monkeypatch)
+        pipeline.run_all(fixture_config)
+        out = Path(fixture_config.out_dir)
+        assert ("run", "mentions") not in events
+        assert ("hash", str(out / "mentions" / "mentions.jsonl")) in events
+
+    @pytest.mark.parametrize("edit", ["none", "annotation", "output"])
+    def test_no_file_hashed_twice_unless_rewritten(self, work, monkeypatch,
+                                                   edit):
+        cfg = AuditConfig.from_file(work / "fixture" / "config.json")
+        cfg.out_dir = str(work / "out")
+        kappa = work / "out" / "images" / "kappa.json"
+        if edit == "annotation":
+            _edit_annotation(work)
+        elif edit == "output":
+            kappa.write_text("{}\n", encoding="utf-8")
+        events = self._events(monkeypatch)
+        pipeline.run_all(cfg)
+        hashed: dict[str, int] = {}  # path -> index of its last hash
+        for i, (kind, what) in enumerate(events):
+            if kind == "hash":
+                stage = Path(what).parent.name
+                # a second hash needs a run of the file's stage in between
+                assert what not in hashed or ("run", stage) in events[
+                    hashed[what]:i], what
+                hashed[what] = i
+        # every manifest records the digests of the files now on disk
+        for stage in pipeline.STAGES:
+            manifest = json.loads((work / "out" / stage / "manifest.json")
+                                  .read_text(encoding="utf-8"))
+            for name, digest in manifest["outputs"].items():
+                assert sha256_file(work / "out" / stage / name) == digest
+        assert kappa.read_text(encoding="utf-8") != "{}\n"
 
     def test_artifact_writers_called_through_pipeline(self, fixture_config,
                                                       monkeypatch):
