@@ -56,6 +56,9 @@ class AuditConfig:
         path = Path(path)
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError(f"config: {path} must hold a JSON object, "
+                             f"got {type(data).__name__}")
         known = {f.name for f in fields(cls)} - {"base_dir"}
         unknown = set(data) - known
         if unknown:

@@ -323,14 +323,17 @@ def distributions(items: list[tuple[str, ImageCategory]], grouping: str,
 
     ``items`` pairs a group label with an aggregated image category.
     Unresolved images are excluded from proportions but reported per
-    group. With at least two groups, an overall chi-square Monte Carlo
-    test runs on the group-by-category table, followed by pairwise group
-    tests and per-category post-hoc 2x2 tests whose p-values get the
-    two-stage step-up correction.
+    group. With at least two groups, an overall chi-square test runs on
+    the group-by-category table, followed by pairwise group tests and
+    per-category post-hoc 2x2 tests whose p-values get the two-stage
+    step-up correction. ``stats.chi2_mc`` gives every table that reduces
+    to 2x2, each post-hoc table among them, an exact p-value, and samples
+    ``b`` tables for larger ones.
 
     Each test has its own 64-bit seed, hashed from ``seed`` and the label
     ``images:{grouping}:{test}`` (test ``overall``, ``A|B`` or
-    ``A|B:category``), so no two tests share a stream.
+    ``A|B:category``), so no two sampled tests share a stream; exact
+    tests record no seed.
     """
     per_group: dict[str, Counter] = defaultdict(Counter)
     unresolved: Counter = Counter()

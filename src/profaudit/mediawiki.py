@@ -4,19 +4,20 @@
 Analysis never talks to the network; this client only exists to build a
 snapshot file. Requests are rate-limited, retried with exponential
 backoff, and can run on a small thread pool with deterministic merging
-by title.
+by title. The default transport is ``urllib.request`` from the standard
+library, imported on the first request, so importing this module (as the
+command line does for every subcommand) loads no HTTP code.
 """
 
 from __future__ import annotations
 
+import json
 import logging
 import os
 import re
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-
-import requests
 
 from .corpus import CATEGORY_PREFIX, ArticleRecord, ImageRef
 
@@ -105,6 +106,37 @@ def _media_format(filename: str) -> str:
     return ext.lower() if ext else "unknown"
 
 
+class _Response:
+    def __init__(self, status_code: int, body: bytes = b""):
+        self.status_code = status_code
+        self._body = body
+
+    def json(self):
+        return json.loads(self._body)
+
+
+class _UrllibSession:
+    """Default transport: the one ``get`` call WikiClient makes, over
+    ``urllib.request``. An HTTP error status comes back as a response with
+    that status, so the client's retry policy sees it; connection errors
+    and timeouts raise. Each request opens its own connection."""
+
+    def get(self, url, params=None, headers=None, timeout=None) -> _Response:
+        import urllib.error
+        import urllib.parse
+        import urllib.request
+
+        if params:
+            url = f"{url}?{urllib.parse.urlencode(params)}"
+        req = urllib.request.Request(url, headers=headers or {})
+        try:
+            with urllib.request.urlopen(req, timeout=timeout) as resp:
+                return _Response(resp.status, resp.read())
+        except urllib.error.HTTPError as exc:
+            exc.close()
+            return _Response(exc.code)
+
+
 class WikiClient:
     """Thin ``action=query`` client producing ArticleRecords."""
 
@@ -114,7 +146,7 @@ class WikiClient:
                  max_retries: int = 3, backoff: float = 1.0,
                  timeout: float = 30.0):
         self.endpoint = endpoint or default_endpoint()
-        self.session = session or requests.Session()
+        self.session = session or _UrllibSession()
         self.user_agent = user_agent
         self.rate = rate or RateLimiter()
         self.max_retries = max_retries

@@ -1,4 +1,5 @@
-"""Deterministic statistics engine: rank tests, Monte Carlo chi-square,
+"""Deterministic statistics engine: rank tests, chi-square tests with
+fixed-margin p-values (exact for 2x2 tables, Monte Carlo for larger ones),
 correlations, logistic regression, multi-rater agreement, and
 multiple-comparison corrections.
 
@@ -153,15 +154,43 @@ def _pearson_x2(table: np.ndarray, expected: np.ndarray) -> float:
     return float(((table - expected) ** 2 / expected).sum())
 
 
-def chi2_mc(table, b: int = 10000, seed: int = 0) -> TestResult:
-    """Pearson chi-square independence test with a Monte Carlo p-value.
+def _exact_2x2_p(tab: np.ndarray, expected: np.ndarray,
+                 x2_obs: float) -> float:
+    """Exact fixed-margin p-value of a 2x2 table with positive margins.
 
-    Samples ``b`` tables with both margins fixed and reports
-    p = (1 + #{X2_sim >= X2_obs}) / (b + 1). Tables are drawn cell by cell
-    (Patefield 1981, AS 159, sequential form): given the cells placed so
-    far, a cell is hypergeometric in what is left of its row and column
-    totals; the last cell of each row and the last row follow from the
-    margins. One Philox generator keyed with ``seed`` draws every table.
+    With both margins fixed the table is its top-left cell ``a``, which is
+    hypergeometric on [lo, hi], and X2(a) = (a - E11)^2 * sum(1 / E). The
+    p-value is the mass of every ``a`` with X2(a) >= X2_obs - 1e-9, the
+    sampler's tie tolerance. Log weights come from the pmf ratio
+    P(a+1) / P(a) = (R1 - a)(C1 - a) / ((a + 1)(R2 - C1 + a + 1)) and are
+    shifted to a maximum of 0, so no weight that matters underflows.
+    """
+    r1, r2 = (int(v) for v in tab.sum(axis=1))
+    c1 = int(tab[:, 0].sum())
+    a = np.arange(max(0, c1 - r2), min(r1, c1) + 1, dtype=float)
+    step = a[:-1]
+    log_w = np.concatenate(([0.0], np.cumsum(
+        np.log((r1 - step) * (c1 - step))
+        - np.log((step + 1) * (r2 - c1 + step + 1)))))
+    w = np.exp(log_w - log_w.max())
+    x2 = (a - expected[0, 0]) ** 2 * (1.0 / expected).sum()
+    return float(w[x2 >= x2_obs - 1e-9].sum() / w.sum())
+
+
+def chi2_mc(table, b: int = 10000, seed: int = 0) -> TestResult:
+    """Pearson chi-square independence test with a fixed-margin p-value.
+
+    Empty rows and columns are dropped first. A table that is then 2x2
+    gets the exact conditional p-value (see ``_exact_2x2_p``), recorded
+    as method ``chi2_exact`` with ``b`` and ``seed`` unused (None).
+
+    Any larger table samples ``b`` tables with both margins fixed and
+    reports p = (1 + #{X2_sim >= X2_obs}) / (b + 1). Tables are drawn cell
+    by cell (Patefield 1981, AS 159, sequential form): given the cells
+    placed so far, a cell is hypergeometric in what is left of its row and
+    column totals; the last cell of each row and the last row follow from
+    the margins. One Philox generator keyed with ``seed`` draws every
+    table.
     """
     tab = np.asarray(table, dtype=np.int64)
     if tab.ndim != 2:
@@ -179,6 +208,10 @@ def chi2_mc(table, b: int = 10000, seed: int = 0) -> TestResult:
     expected = np.outer(row_sums, col_sums) / total
     r, c = tab.shape
     x2_obs = _pearson_x2(tab.astype(float), expected)
+    if (r, c) == (2, 2):
+        return TestResult(statistic=x2_obs,
+                          p=_exact_2x2_p(tab, expected, x2_obs),
+                          method="chi2_exact", n=(total,))
 
     rng = np.random.Generator(np.random.Philox(key=seed))
     ge = 0

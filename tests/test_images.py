@@ -248,11 +248,16 @@ class TestDistributions:
                 [("c", ImageCategory.MEN)] * 2 + \
                 [("c", ImageCategory.NO_PERSON)] * 4
         dist = images.distributions(items, "t", b=200, seed=42)
-        seeds = [dist.overall_test.seed]
-        seeds += [t["test"]["seed"] for t in dist.pairwise_tests]
-        seeds += [t["test"]["seed"] for t in dist.posthoc_tests]
-        assert len(seeds) > 5
+        tests = [dist.overall_test.to_dict()]
+        tests += [t["test"] for t in dist.pairwise_tests + dist.posthoc_tests]
+        # the overall 3x3 and three pairwise 2x3 tables are sampled; the
+        # post-hoc 2x2 tables are exact and draw no stream
+        seeds = [t["seed"] for t in tests if t["method"] == "chi2_monte_carlo"]
+        assert len(seeds) == 4
         assert len(set(seeds)) == len(seeds)
+        exact = [t for t in tests if t["method"] == "chi2_exact"]
+        assert len(exact) == len(dist.posthoc_tests) > 5
+        assert all(t["seed"] is None and t["B"] is None for t in exact)
 
     def test_deterministic_under_seed(self):
         items = [("a", ImageCategory.MEN)] * 6 + \

@@ -1,4 +1,11 @@
+import http.server
 import json
+import os
+import subprocess
+import sys
+import threading
+import urllib.parse
+from pathlib import Path
 
 import pytest
 
@@ -123,6 +130,90 @@ class TestFetch:
         out = client.fetch_many(["Lehrer", "Nix"], concurrency=2)
         assert set(out) == {"Lehrer", "Nix"}
         assert out["Lehrer"].exists and not out["Nix"].exists
+
+
+class _ScriptedHandler(http.server.BaseHTTPRequestHandler):
+    """Answers each GET with the server's next scripted status (then 200)
+    and records the request's query and headers."""
+
+    def do_GET(self):
+        server = self.server
+        url = urllib.parse.urlsplit(self.path)
+        server.seen.append((dict(urllib.parse.parse_qsl(url.query)),
+                            dict(self.headers)))
+        status = server.statuses.pop(0) if server.statuses else 200
+        body = json.dumps(server.payload if status == 200 else {}).encode()
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture()
+def local_api(monkeypatch):
+    """An api.php stand-in on 127.0.0.1; no request leaves the host."""
+    for var in ("http_proxy", "HTTP_PROXY", "all_proxy", "ALL_PROXY"):
+        monkeypatch.delenv(var, raising=False)
+    server = http.server.HTTPServer(("127.0.0.1", 0), _ScriptedHandler)
+    server.seen, server.statuses = [], []
+    server.payload = page_payload({"title": "Nix", "missing": True})
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+def local_client(server):
+    return WikiClient(
+        endpoint=f"http://127.0.0.1:{server.server_port}/w/api.php",
+        user_agent="profaudit-test/1", rate=RateLimiter(0), backoff=0.0,
+        max_retries=2, timeout=5.0)
+
+
+class TestStdlibTransport:
+    def test_ok_response_returns_json_body(self, local_api):
+        rec = local_client(local_api).fetch_article("Nix")
+        assert rec.title == "Nix" and not rec.exists
+        assert len(local_api.seen) == 1
+
+    def test_params_and_user_agent_arrive_as_sent(self, local_api):
+        local_client(local_api).fetch_article("Nix")
+        query, headers = local_api.seen[0]
+        assert query["titles"] == "Nix"
+        assert query["prop"] == ARTICLE_PROPS
+        assert (query["format"], query["formatversion"]) == ("json", "2")
+        assert headers["User-Agent"] == "profaudit-test/1"
+
+    def test_client_error_raises_after_one_request(self, local_api):
+        local_api.statuses = [404]
+        with pytest.raises(FetchError, match="HTTP 404"):
+            local_client(local_api).fetch_article("Nix")
+        assert len(local_api.seen) == 1
+
+    def test_server_error_retried(self, local_api):
+        local_api.statuses = [503]
+        rec = local_client(local_api).fetch_article("Nix")
+        assert not rec.exists
+        assert len(local_api.seen) == 2
+
+
+def test_cli_import_loads_no_http_library():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import profaudit.cli, sys; print(sorted({'requests', "
+            "'urllib.request', 'http.client'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True, timeout=60,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "[]"
 
 
 class TestFetchCommand:

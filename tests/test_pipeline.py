@@ -39,6 +39,17 @@ class TestConfig:
         with pytest.raises(ValueError, match="no_such_key"):
             AuditConfig.from_file(p)
 
+    @pytest.mark.parametrize("text", ["[]", "5"])
+    def test_non_object_config_names_file(self, tmp_path, capsys, text):
+        p = tmp_path / "cfg.json"
+        p.write_text(text, encoding="utf-8")
+        rc = run_cli("report", "--all", "--config", p, "--out-dir",
+                     tmp_path / "out")
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert str(p) in err[0] and "JSON object" in err[0]
+
     @pytest.mark.parametrize("key, value", [
         ("mc_iterations", "100"), ("snapshot", 5), ("d_max", 2.5),
         ("seed", True), ("r_min", "0.8"), ("r_min", False),

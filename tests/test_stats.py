@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -124,10 +125,10 @@ class TestWilcoxon:
 
 
 class TestChi2MC:
-    def test_diagonal_2x2_vs_exhaustive(self):
-        table = [[5, 0], [0, 5]]
+    def test_diagonal_2x3_vs_exhaustive(self):
+        table = [[4, 0, 0], [0, 3, 3]]
         p_exact = exact_chi2_perm_p(table)
-        assert p_exact == pytest.approx(2 / 252)
+        assert p_exact == pytest.approx(1 / 210)
         res = stats.chi2_mc(table, b=20000, seed=99)
         assert abs(res.p - p_exact) <= 0.01
 
@@ -136,25 +137,32 @@ class TestChi2MC:
         assert res.p > 0.9
 
     def test_determinism(self):
-        a = stats.chi2_mc([[8, 2], [3, 7]], b=5000, seed=123)
-        b = stats.chi2_mc([[8, 2], [3, 7]], b=5000, seed=123)
+        table = [[8, 2, 4], [3, 7, 5]]
+        a = stats.chi2_mc(table, b=5000, seed=123)
+        b = stats.chi2_mc(table, b=5000, seed=123)
         assert a.p == b.p
-        c = stats.chi2_mc([[8, 2], [3, 7]], b=5000, seed=124)
+        c = stats.chi2_mc(table, b=5000, seed=124)
         assert c.p != a.p or c.seed != a.seed
 
     def test_consistency_with_growing_b(self):
-        table = [[6, 1], [2, 5]]
+        table = [[6, 1, 2], [2, 5, 1]]
         p_exact = exact_chi2_perm_p(table)
         err_small = abs(stats.chi2_mc(table, b=1000, seed=1).p - p_exact)
         err_large = abs(stats.chi2_mc(table, b=100000, seed=1).p - p_exact)
         assert err_large <= max(err_small, 0.01)
 
     def test_empty_margins_dropped(self):
-        padded = stats.chi2_mc([[3, 0, 2], [0, 0, 0], [1, 0, 4]], b=3000,
-                               seed=8)
-        reduced = stats.chi2_mc([[3, 2], [1, 4]], b=3000, seed=8)
-        assert padded.p == reduced.p
-        assert padded.statistic == pytest.approx(reduced.statistic)
+        # one padded table that reduces to 2x2 (exact), one to 2x3 (sampled)
+        for padded, reduced, method in [
+                ([[3, 0, 2], [0, 0, 0], [1, 0, 4]], [[3, 2], [1, 4]],
+                 "chi2_exact"),
+                ([[3, 0, 2, 1], [0, 0, 0, 0], [1, 0, 4, 2]],
+                 [[3, 2, 1], [1, 4, 2]], "chi2_monte_carlo")]:
+            padded = stats.chi2_mc(padded, b=3000, seed=8)
+            reduced = stats.chi2_mc(reduced, b=3000, seed=8)
+            assert padded.method == reduced.method == method
+            assert padded.p == reduced.p
+            assert padded.statistic == pytest.approx(reduced.statistic)
 
     def test_seeds_do_not_alias(self):
         # a per-chunk key seed ^ chunk made seeds 0 and 1 draw the same
@@ -202,12 +210,66 @@ class TestChi2AgainstExact:
         assert exact_chi2_table_p(table) == pytest.approx(
             exact_chi2_perm_p(table), abs=1e-12)
 
+    @pytest.mark.parametrize("table", [t for t in _CHI2_GRID
+                                       if len(t) == len(t[0]) == 2])
+    def test_2x2_is_exact(self, table):
+        res = stats.chi2_mc(table, b=20000, seed=1)
+        assert res.method == "chi2_exact"
+        assert abs(res.p - exact_chi2_table_p(table)) <= 1e-12
+
     @pytest.mark.parametrize("index", range(len(_CHI2_GRID)))
     def test_mc_within_monte_carlo_error(self, index):
         table, b = _CHI2_GRID[index], 20000
         p = exact_chi2_table_p(table)
         res = stats.chi2_mc(table, b=b, seed=1000 + index)
         assert abs(res.p - p) <= 4 * math.sqrt(p * (1 - p) / b) + 1 / (b + 1)
+
+
+def _exact_2x2_p_fraction(table) -> Fraction:
+    """Exact 2x2 p-value in integers: hypergeometric weights from math.comb
+    and X2 = N (ad - bc)^2 / (R1 R2 C1 C2) as a Fraction, so no tie needs a
+    tolerance."""
+    (a0, b0), (c0, d0) = table
+    r1, r2, c1 = a0 + b0, c0 + d0, a0 + c0
+    n = r1 + r2
+
+    def x2(a):
+        det = a * (r2 - c1 + a) - (r1 - a) * (c1 - a)
+        return Fraction(n * det * det, r1 * r2 * c1 * (n - c1))
+
+    hits = sum(math.comb(c1, a) * math.comb(n - c1, r1 - a)
+               for a in range(max(0, c1 - r2), min(r1, c1) + 1)
+               if x2(a) >= x2(a0))
+    return Fraction(hits, math.comb(n, r1))
+
+
+class TestChi2Exact:
+    @pytest.mark.parametrize("table", [[[3, 1], [1, 3]], [[2, 1], [1, 2]],
+                                       [[6, 1], [1, 6]], [[5, 5], [5, 5]],
+                                       [[4, 3], [3, 4]]])
+    def test_symmetric_margins_tie_mirrored_cells(self, table):
+        # equal row totals and equal column totals: a table and its
+        # column-swapped mirror tie on X2
+        mirrored = [row[::-1] for row in table]
+        res = stats.chi2_mc(table)
+        assert res.p == stats.chi2_mc(mirrored).p
+        assert res.p == pytest.approx(float(_exact_2x2_p_fraction(table)),
+                                      abs=1e-12)
+        assert res.p == pytest.approx(exact_chi2_table_p(table), abs=1e-12)
+
+    def test_large_n_does_not_underflow(self):
+        table = [[2000, 1500], [1400, 2100]]
+        # the naive first weight P(a = 0) is far below the smallest double
+        lo_weight = Fraction(math.comb(3600, 3500), math.comb(7000, 3500))
+        assert float(lo_weight) == 0.0
+        want = _exact_2x2_p_fraction(table)
+        res = stats.chi2_mc(table)
+        assert 0.0 < res.p
+        assert res.p == pytest.approx(float(want), rel=1e-9)
+
+    def test_metadata_records_no_budget(self):
+        d = stats.chi2_mc([[8, 2], [3, 7]], b=5000, seed=123).to_dict()
+        assert (d["method"], d["B"], d["seed"]) == ("chi2_exact", None, None)
 
 
 class TestCorrelations:
