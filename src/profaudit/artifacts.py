@@ -56,6 +56,14 @@ def write_csv(path, header, rows) -> None:
             writer.writerow([fmt(v) for v in row])
 
 
+def write_jsonl(path, records) -> None:
+    """One JSON object per line, keys sorted, non-ASCII text kept as is."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for record in records:
+            fh.write(json.dumps(record, ensure_ascii=False, sort_keys=True))
+            fh.write("\n")
+
+
 def read_rows(path, what: str, header: str | None, ncols: int):
     """Data rows of an input CSV file as ``(row_no, row)``, numbered from 1
     over every CSV row.

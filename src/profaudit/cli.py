@@ -17,6 +17,13 @@ from . import corpus, mediawiki, pipeline
 from .config import AuditConfig
 from .pipeline import STAGES, PipelineError
 
+_STAGE_EPILOG = (
+    "The stage always runs, but first checks every stage it reads from, "
+    "directly or through another stage. If one of them is stale (its "
+    "inputs, constants, seed, outputs or code changed since it last ran), "
+    "nothing is written and the error names the first such stage and why; "
+    "run that stage first, or use 'report --all'.")
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -29,7 +36,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_stage_command(name, help_text):
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, epilog=_STAGE_EPILOG)
         p.add_argument("--config", required=True,
                        help="JSON config file; relative paths resolve "
                             "against its directory")
@@ -58,10 +65,9 @@ def build_parser() -> argparse.ArgumentParser:
     fetch.add_argument("--titles-file", required=True,
                        help="text file with one page title per line")
     fetch.add_argument("--out", required=True, help="snapshot JSONL to write")
-    fetch.add_argument("--endpoint",
-                       help="MediaWiki api.php URL (default from "
-                            f"${mediawiki.ENDPOINT_ENV_VAR} or the German "
-                            "Wikipedia)")
+    fetch.add_argument("--endpoint", default=mediawiki.DEFAULT_ENDPOINT,
+                       help="MediaWiki api.php URL (default: the German "
+                            "Wikipedia's)")
     fetch.add_argument("--rate", type=float, default=2.0,
                        help="max requests per second (default 2)")
     fetch.add_argument("--concurrency", type=int, default=4,
@@ -90,7 +96,7 @@ def _cmd_fetch(args) -> int:
     with open(args.titles_file, encoding="utf-8") as fh:
         titles = [line.strip() for line in fh if line.strip()]
     client = mediawiki.WikiClient(
-        endpoint=args.endpoint or mediawiki.default_endpoint(),
+        endpoint=args.endpoint,
         user_agent=args.user_agent,
         rate=mediawiki.RateLimiter(args.rate))
     records = client.fetch_many(titles, concurrency=args.concurrency)

@@ -15,6 +15,7 @@ import logging
 from collections import deque
 from dataclasses import dataclass, field
 
+from .artifacts import write_jsonl
 from .text import nfc
 
 log = logging.getLogger(__name__)
@@ -84,7 +85,6 @@ class ResolvedPage:
 @dataclass
 class CorpusSnapshot:
     records: dict[str, ArticleRecord]
-    category_index: dict[str, set[str]]
     subcategories: dict[str, set[str]]
 
 
@@ -153,26 +153,19 @@ def load_snapshot(path) -> CorpusSnapshot:
 
 
 def build_snapshot(records: dict[str, ArticleRecord]) -> CorpusSnapshot:
-    category_index: dict[str, set[str]] = {}
     subcategories: dict[str, set[str]] = {}
     for rec in records.values():
-        for cat in rec.categories:
-            category_index.setdefault(cat, set()).add(rec.title)
         if rec.title.startswith(CATEGORY_PREFIX):
             child = rec.title[len(CATEGORY_PREFIX):]
             for parent in rec.categories:
                 subcategories.setdefault(parent, set()).add(child)
-    return CorpusSnapshot(records=records, category_index=category_index,
-                          subcategories=subcategories)
+    return CorpusSnapshot(records=records, subcategories=subcategories)
 
 
 def save_snapshot(snapshot: CorpusSnapshot, path) -> None:
     """Canonical JSON-lines form: sorted titles, sorted keys, NFC text."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for title in sorted(snapshot.records):
-            fh.write(json.dumps(snapshot.records[title].to_dict(),
-                                ensure_ascii=False, sort_keys=True))
-            fh.write("\n")
+    write_jsonl(path, (snapshot.records[title].to_dict()
+                       for title in sorted(snapshot.records)))
 
 
 def resolve(title: str, snapshot: CorpusSnapshot) -> ResolvedPage:
@@ -209,9 +202,10 @@ def category_closure(roots, depth: int, snapshot: CorpusSnapshot) -> set[str]:
     contribute nothing."""
     if depth < 0:
         raise ValueError("category_closure: depth must be >= 0")
-    known = set(snapshot.category_index) | set(snapshot.subcategories)
-    for kids in snapshot.subcategories.values():
-        known |= kids
+    # every category some page is in, and every category page with a parent
+    known = set().union(*(rec.categories
+                          for rec in snapshot.records.values()),
+                        *snapshot.subcategories.values())
     closure: set[str] = set()
     queue: deque[tuple[str, int]] = deque()
     for root in roots:

@@ -169,13 +169,12 @@ def load_gold_labels(path) -> dict[str, ImageCategory]:
 def score_workers(responses: list[AnnotationResponse],
                   gold_labels: dict[str, ImageCategory],
                   known_images: set[str],
-                  threshold: float = WORKER_ACCURACY_THRESHOLD,
-                  batch: int = ACCURACY_BATCH
+                  threshold: float = WORKER_ACCURACY_THRESHOLD
                   ) -> tuple[list[WorkerRecord], list[AnnotationResponse]]:
     """Gold-question quality control.
 
     Responses are replayed per worker in (timestamp, image) order;
-    accuracy over gold items is recomputed after every ``batch``
+    accuracy over gold items is recomputed after every ``ACCURACY_BATCH``
     responses, starting from 100% before any gold item was seen. Once a
     worker's accuracy drops below the threshold, all of that worker's
     responses are discarded.
@@ -195,8 +194,8 @@ def score_workers(responses: list[AnnotationResponse],
         answered = correct = 0
         accuracy = 1.0
         active = True
-        for start in range(0, len(ordered), batch):
-            for resp in ordered[start:start + batch]:
+        for start in range(0, len(ordered), ACCURACY_BATCH):
+            for resp in ordered[start:start + ACCURACY_BATCH]:
                 gold = gold_labels.get(resp.image_id)
                 if gold is None:
                     continue
@@ -317,8 +316,7 @@ class GroupedDistribution:
 
 
 def distributions(items: list[tuple[str, ImageCategory]], grouping: str,
-                  b: int = 10000, seed: int = 0, q: float = 0.05
-                  ) -> GroupedDistribution:
+                  b: int = 10000, seed: int = 0) -> GroupedDistribution:
     """Per-group category proportions plus independence tests.
 
     ``items`` pairs a group label with an aggregated image category.
@@ -399,7 +397,7 @@ def distributions(items: list[tuple[str, ImageCategory]], grouping: str,
                     posthoc.append({"groups": pair, "category": c.value,
                                     "test": res.to_dict()})
         if posthoc:
-            correction = stats.mark_bh_two_stage(posthoc, q=q)
+            correction = stats.mark_bh_two_stage(posthoc, q=stats.ALPHA)
 
     return GroupedDistribution(grouping=grouping, groups=dists,
                                overall_test=overall, pairwise_tests=pairwise,

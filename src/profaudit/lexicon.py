@@ -11,11 +11,10 @@ and ß are never folded.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, fields
 from enum import Enum
 
-from .artifacts import read_rows, write_csv
+from .artifacts import read_rows, write_csv, write_jsonl
 from .text import nfc
 
 # substrings marking field/study names rather than professions
@@ -266,10 +265,7 @@ def load_manual_assignments(path, entries: list[ProfessionEntry]) -> list[Profes
 
 
 def write_entries(entries: list[ProfessionEntry], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for e in entries:
-            fh.write(json.dumps(e.to_dict(), ensure_ascii=False, sort_keys=True))
-            fh.write("\n")
+    write_jsonl(path, (e.to_dict() for e in entries))
 
 
 def write_review_file(entries: list[ProfessionEntry], path) -> None:

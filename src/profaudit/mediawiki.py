@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import logging
-import os
 import re
 import threading
 import time
@@ -24,7 +23,6 @@ from .corpus import CATEGORY_PREFIX, ArticleRecord, ImageRef
 log = logging.getLogger(__name__)
 
 DEFAULT_ENDPOINT = "https://de.wikipedia.org/w/api.php"
-ENDPOINT_ENV_VAR = "AUDIT_MEDIAWIKI_ENDPOINT"
 DEFAULT_USER_AGENT = "profaudit/0.1 (profession corpus snapshot builder)"
 
 _REDIRECT_RE = re.compile(
@@ -35,10 +33,6 @@ class FetchError(RuntimeError):
     def __init__(self, title: str, message: str):
         super().__init__(f"{title}: {message}")
         self.title = title
-
-
-def default_endpoint() -> str:
-    return os.environ.get(ENDPOINT_ENV_VAR, DEFAULT_ENDPOINT)
 
 
 class RateLimiter:
@@ -140,12 +134,12 @@ class _UrllibSession:
 class WikiClient:
     """Thin ``action=query`` client producing ArticleRecords."""
 
-    def __init__(self, endpoint: str | None = None, session=None,
+    def __init__(self, endpoint: str = DEFAULT_ENDPOINT, session=None,
                  user_agent: str = DEFAULT_USER_AGENT,
                  rate: RateLimiter | None = None,
                  max_retries: int = 3, backoff: float = 1.0,
                  timeout: float = 30.0):
-        self.endpoint = endpoint or default_endpoint()
+        self.endpoint = endpoint
         self.session = session or _UrllibSession()
         self.user_agent = user_agent
         self.rate = rate or RateLimiter()

@@ -261,9 +261,9 @@ def merge(link_mentions: list[PersonMention],
 
 
 def male_ratio_and_class(article_title: str, n_men: int, n_women: int,
-                         band: float = EQUALITY_BAND,
-                         small_n: int = SMALL_SAMPLE_LIMIT) -> MentionStats:
-    """Equality band 0.5 +/- band for n >= small_n, strict equality below.
+                         band: float = EQUALITY_BAND) -> MentionStats:
+    """Equality band 0.5 +/- band for n >= SMALL_SAMPLE_LIMIT, strict
+    equality below.
 
     Above the band is male-biased, below is female-biased; articles
     without any mentioned person are the caller's job to exclude.
@@ -272,7 +272,7 @@ def male_ratio_and_class(article_title: str, n_men: int, n_women: int,
     if total <= 0:
         raise ValueError(f"{article_title}: no mentioned persons")
     ratio = n_men / total
-    if total >= small_n:
+    if total >= SMALL_SAMPLE_LIMIT:
         equal = (0.5 - band) <= ratio <= (0.5 + band)
     else:
         equal = n_men == n_women
@@ -347,8 +347,8 @@ def filter_by_birth(mentions: list[PersonMention], cutoff: int = BIRTH_CUTOFF
     return kept, unknown, too_old
 
 
-def article_stats(mentions: list[PersonMention], band: float = EQUALITY_BAND,
-                  small_n: int = SMALL_SAMPLE_LIMIT) -> list[MentionStats]:
+def article_stats(mentions: list[PersonMention],
+                  band: float = EQUALITY_BAND) -> list[MentionStats]:
     """Per-article counts and bias class over gendered mentions.
 
     Unknown-gender mentions do not enter the counts; articles left with
@@ -366,5 +366,5 @@ def article_stats(mentions: list[PersonMention], band: float = EQUALITY_BAND,
         men, women = counts[title]
         if men + women == 0:
             continue
-        out.append(male_ratio_and_class(title, men, women, band, small_n))
+        out.append(male_ratio_and_class(title, men, women, band))
     return out

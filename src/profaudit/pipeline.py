@@ -4,37 +4,41 @@ leave a deterministic, manifest-covered artifact tree behind.
 Each stage is declared once, in ``DECLARATIONS``: the config file keys it
 requires, the ones it reads only when they are set, the upstream artifacts
 it reads (label -> ``stage/file``) and the config constants its outputs
-depend on. From that declaration the runner checks that every upstream
-artifact exists (naming the stage to run first), calls ``cfg.require()``
-for the file keys, and, once the stage function returns, writes
+depend on. From that declaration the runner calls ``cfg.require()`` for
+the file keys and, once the stage function returns, writes
 ``<out_dir>/<stage>/manifest.json`` with the seed, the constants and the
 content hashes of every input and output; ``Run.digest`` hashes each file
 at most once per run, for every manifest and the report's bundle.
 
 A stage function takes one argument, the ``Run``. It holds the config and
 the current stage's inputs by label; ``Run.rows`` reads a declared
-upstream artifact after checking its header against ``HEADERS``, which
-the artifact's writer uses too, and ``Run.out`` names an output. The
-snapshot and its profession category closure are parsed lazily, at most
-once per ``run_all`` or ``run_stage``, and ``run_all`` frees them after
-the last stage that declares the snapshot file.
+upstream artifact in the column order of ``HEADERS``, which the artifact's
+writer uses too, and ``Run.out`` names an output. The snapshot and its
+profession category closure are parsed lazily, at most once per
+``run_all`` or ``run_stage``, and ``run_all`` frees them after the last
+stage that declares the snapshot file.
 
-``run_all`` skips a stage whose recorded run still holds (the "verifying
-traces" with early cutoff of *Build systems à la carte*, Mokhov, Mitchell
-and Peyton Jones, ICFP 2018): its manifest records the stage name, tool
-version, seed, constants and input digests this run would record, every
-output it lists exists with the recorded digest, and its code stamp, the
-SHA-256 of the package source and the manifest's bytes, matches. Inputs
-are hashed after the upstream stages ran or were skipped, so a stage
-reruns only when an upstream artifact's bytes changed. The stamps live in
-``<out_dir>.stamps.json``, beside the output directory rather than in it,
-so a code edit changes no artifact. The report declares every other
-stage's manifest as an input, since its bundle records every file of the
-tree. The first stage always runs: it takes milliseconds, and a tool that
-times a run marks its start by wrapping ``_STAGE_FUNCS[STAGES[0]]``.
-``run_stage`` always runs its stage; both record the new code stamp. A
-stage that runs first deletes the outputs its old manifest lists, so an
-output it no longer writes does not linger.
+A stage's recorded run holds when its manifest records the stage name,
+tool version, seed, constants and input digests this run would record,
+every output it lists exists with the recorded digest, and its code stamp,
+the SHA-256 of the package source and the manifest's bytes, matches (the
+"verifying traces" of *Build systems à la carte*, Mokhov, Mitchell and
+Peyton Jones, ICFP 2018); ``Run.check`` says why it does not. The stamps
+live in ``<out_dir>.stamps.json``, beside the output directory, so a code
+edit changes no artifact. The report declares every other stage's
+manifest as an input, since its bundle records every file of the tree.
+
+``run_all`` skips a stage whose recorded run holds. Inputs are hashed after
+the upstream stages ran or were skipped, so a stage reruns only when an
+upstream artifact's bytes changed. The first stage always runs: it takes
+milliseconds, and a tool that times a run marks its start by wrapping
+``_STAGE_FUNCS[STAGES[0]]``. ``run_stage`` always runs its stage, but
+first checks, in order, every stage it reads from directly or through
+another stage, and refuses the first whose recorded run no longer holds,
+naming it and why. So a stage reads only artifacts this code wrote, and
+reads them without further checks. Both record the new code stamp. A stage
+that runs first deletes the outputs its old manifest lists, so an output
+it no longer writes does not linger.
 
 Stages run in a fixed order. Reruns with identical inputs, configuration,
 and seed are byte-identical, and a run that skips stages leaves the same
@@ -57,7 +61,7 @@ import numpy as np
 
 from . import (__version__, corpus, images, labor, lexicon, matcher, mentions,
                redirect_bias, stats, webhits)
-from .artifacts import dump_json, sha256_file, write_csv
+from .artifacts import dump_json, sha256_file, write_csv, write_jsonl
 from .config import AuditConfig
 from .images import ImageCategory
 from .lexicon import ProfessionEntry, Resolution
@@ -161,6 +165,7 @@ class Run:
     of the output directory."""
 
     def __init__(self, cfg: AuditConfig):
+        cfg.validate_thresholds()
         self.cfg = cfg
         self.out_dir = cfg.path("out_dir")
         if self.out_dir is None:
@@ -217,39 +222,27 @@ class Run:
     def rows(self, label: str) -> list[list]:
         """Rows of the upstream artifact the running stage declares under
         ``label``, as strings in ``HEADERS`` order (JSON values for JSON
-        lines). A header that differs from the writer's fails naming the
-        file and the stage to rerun."""
+        lines). Both entry points run a stage only on fresh upstream
+        artifacts, which this code wrote, so the columns are the
+        writer's."""
         artifact = DECLARATIONS[self.stage].reads[label]
-        header = list(HEADERS[artifact])
         with open(self.inputs[label], encoding="utf-8", newline="") as fh:
             if artifact.endswith(".jsonl"):
-                records = [json.loads(line) for line in fh]
-                ok = all(sorted(r) == sorted(header) for r in records)
-                rows = [[r.get(k) for k in header] for r in records]
-            else:
-                reader = csv.reader(fh)
-                ok = next(reader, None) == header
-                rows = list(reader)
-        if not ok:
-            raise PipelineError(
-                f"{artifact} does not have the columns {','.join(header)}; "
-                f"rerun stage {artifact.split('/')[0]!r}")
-        return rows
+                return [[record[k] for k in HEADERS[artifact]]
+                        for record in map(json.loads, fh)]
+            reader = csv.reader(fh)
+            next(reader)  # the header
+            return list(reader)
 
-    def execute(self, stage: str, force: str | None = None) -> list[Path]:
-        """Run the stage, write its manifest and record its code stamp;
-        returns its outputs, sorted. Unless ``force`` says why the stage
-        must run, a stage whose recorded run still holds is skipped and
-        its recorded outputs are returned."""
+    def check(self, stage: str, force: str | None
+              ) -> tuple[dict, dict, tuple[bytes, dict] | None, str | None]:
+        """The stage's inputs (label -> path), the head of the manifest
+        this run would write, its recorded manifest, and why it must run:
+        ``force``, else what differs from its recorded run, or None when
+        that run still holds."""
         decl = DECLARATIONS[stage]
-        stage_dir = self.out_dir / stage
-        inputs = {}
-        for label, artifact in decl.reads.items():
-            if not (self.out_dir / artifact).exists():
-                raise PipelineError(
-                    f"missing artifact {artifact}; run stage "
-                    f"{artifact.split('/')[0]!r} first")
-            inputs[label] = self.out_dir / artifact
+        inputs = {label: self.out_dir / artifact
+                  for label, artifact in decl.reads.items()}
         keys = decl.files + tuple(k for k in decl.optional
                                   if self.cfg.path(k))
         inputs.update(zip(keys, self.cfg.require(*keys)))
@@ -261,8 +254,17 @@ class Run:
             "inputs": {label: self.digest(p)
                        for label, p in sorted(inputs.items())},
         }
-        recorded = _read_manifest(stage_dir / "manifest.json")
-        reason = force or self._stale(stage, head, recorded)
+        recorded = _read_manifest(self.out_dir / stage / "manifest.json")
+        return (inputs, head, recorded,
+                force or self._stale(stage, head, recorded))
+
+    def execute(self, stage: str, force: str | None = None) -> list[Path]:
+        """Run the stage, write its manifest and record its code stamp;
+        returns its outputs, sorted. Unless ``force`` says why the stage
+        must run, a stage whose recorded run still holds is skipped and
+        its recorded outputs are returned."""
+        stage_dir = self.out_dir / stage
+        inputs, head, recorded, reason = self.check(stage, force)
         if reason is None:
             log.info("skipped stage %s (unchanged)", stage)
             return sorted(stage_dir / name for name in recorded[1]["outputs"])
@@ -347,19 +349,6 @@ def _entries(run: Run) -> list[ProfessionEntry]:
             for row in run.rows("entries")]
 
 
-def _mapped_records(run: Run, titles) -> list[tuple[str, corpus.ArticleRecord]]:
-    """Sorted (title, snapshot record) pairs of mapped articles."""
-    records = run.snapshot.records
-    out = []
-    for title in sorted(titles):
-        if title not in records:
-            raise PipelineError(
-                f"article {title!r} of {_ARTICLE_MAP} is not in the "
-                "snapshot; stage 'classify' is stale, rerun it")
-        out.append((title, records[title]))
-    return out
-
-
 def _write_dist(run: Run, dist: images.GroupedDistribution) -> None:
     write_csv(run.out(f"dist_{dist.grouping}.csv"),
               ["group", "n", "unresolved"] +
@@ -428,9 +417,6 @@ def stage_classify(run: Run) -> None:
         for role, title in e.titles():
             roles[e.id][role].append(title)
     for prof_id, role, article_title in run.rows("accepted"):
-        if prof_id not in roles:
-            raise PipelineError(f"accepted.csv references unknown "
-                                f"profession {prof_id!r}")
         if article_title not in roles[prof_id][role]:
             roles[prof_id][role].append(article_title)
 
@@ -532,7 +518,6 @@ def stage_webhits(run: Run) -> None:
 
 def stage_mentions(run: Run) -> None:
     cfg = run.cfg
-    titles = [title for title, _pid, _role in run.rows("article_map")]
     gender_lexicon = mentions.load_gender_lexicon(run.inputs["gender_lexicon"])
     birth_index: dict[str, int] = {}
     if "birth_years" in run.inputs:
@@ -542,7 +527,9 @@ def stage_mentions(run: Run) -> None:
     all_mentions: list[mentions.PersonMention] = []
     total = mentions.OverlapReport()
     skipped_outlinks = 0
-    for title, record in _mapped_records(run, titles):
+    # article_map.csv is sorted by title
+    for title, _pid, _role in run.rows("article_map"):
+        record = snapshot.records[title]
         link_ms, skipped = mentions.extract_link_mentions(record, snapshot)
         text_ms = mentions.extract_text_mentions(title, record.plain_text,
                                                  gender_lexicon)
@@ -556,10 +543,7 @@ def stage_mentions(run: Run) -> None:
     filtered, unknown, too_old = mentions.filter_by_birth(
         all_mentions, cfg.birth_cutoff)
 
-    with open(run.out("mentions.jsonl"), "w", encoding="utf-8") as fh:
-        for m in all_mentions:
-            fh.write(json.dumps(m.to_dict(), ensure_ascii=False,
-                                sort_keys=True) + "\n")
+    write_jsonl(run.out("mentions.jsonl"), (m.to_dict() for m in all_mentions))
 
     ratio_rows = []
     for variant, subset in (("all", all_mentions),
@@ -672,10 +656,6 @@ _BIAS_PAIRS = tuple((a.value, b.value) for a, b in (
     (BiasGroup.MALE_BIAS, BiasGroup.FEMALE_BIAS),
     (BiasGroup.MALE_BIAS, BiasGroup.NEUTRAL),
     (BiasGroup.NEUTRAL, BiasGroup.FEMALE_BIAS)))
-_RANKSUM_ALPHA = 0.05  # Bonferroni alpha and two-stage BH q of every suite
-# the join of an article that classify/article_map.csv does not map
-_UNMAPPED = {"profession_id": "", "title_role": "", "bias_group": "",
-             "labor_majority": "", "labor": None}
 
 
 def _ranksum_pairs(samples: dict[str, list[float]], pairs,
@@ -693,14 +673,14 @@ def _ranksum_pairs(samples: dict[str, list[float]], pairs,
     performed = [t for t in tests if "test" in t]
     summary: dict = {"tests": tests, "correction": correction}
     if correction == "bonferroni" and performed:
-        alpha = stats.bonferroni(_RANKSUM_ALPHA, len(performed))
-        summary["alpha"] = _RANKSUM_ALPHA
+        alpha = stats.bonferroni(stats.ALPHA, len(performed))
+        summary["alpha"] = stats.ALPHA
         summary["adjusted_alpha"] = alpha
         for t in performed:
             t["significant"] = t["test"]["p"] < alpha
     elif correction == "bh_two_stage" and performed:
-        stats.mark_bh_two_stage(performed, q=_RANKSUM_ALPHA)
-        summary["q"] = _RANKSUM_ALPHA
+        stats.mark_bh_two_stage(performed, q=stats.ALPHA)
+        summary["q"] = stats.ALPHA
     return summary
 
 
@@ -791,10 +771,10 @@ def stage_report(run: Run) -> None:
         labor_row = labor_rows.get(pid)
         articles[title] = {
             "profession_id": pid, "title_role": role,
-            "bias_group": groups.get(pid, BiasGroup.NO_EVIDENCE).value,
+            "bias_group": groups[pid].value,
             "labor_majority": labor_row["labor_majority"] if labor_row else "",
             "labor": labor_row}
-    ratios = [dict(articles.get(title, _UNMAPPED), variant=variant,
+    ratios = [dict(articles[title], variant=variant,
                    article_title=title, n_men=int(men), n_women=int(women),
                    male_ratio=float(ratio), bias_class=BiasClass(cls).value)
               for variant, title, men, women, ratio, cls
@@ -806,13 +786,13 @@ def stage_report(run: Run) -> None:
             "image_categories"):
         images_of[title].append(category)
     # (labor row, image categories) per article with a labor row
-    labor_images = [(articles.get(title, _UNMAPPED)["labor"], images_of[title])
+    labor_images = [(articles[title]["labor"], images_of[title])
                     for title in sorted(images_of)]
     labor_images = [(row, cats) for row, cats in labor_images if row]
 
     # labor percentage by bias group (figure 8 data) and the rank-sum /
     # regression suite over it
-    fig8_rows = [[pid, groups.get(pid, BiasGroup.NO_EVIDENCE).value,
+    fig8_rows = [[pid, groups[pid].value,
                   labor_rows[pid]["pct_women_labor"]]
                  for pid in sorted(labor_rows)]
     write_csv(run.out("figure8_labor_by_bias.csv"),
@@ -949,18 +929,33 @@ _STAGE_FUNCS = {
 }
 
 
+def _upstream(stage: str) -> set[str]:
+    """Every stage whose outputs ``stage`` reads, directly or through
+    another stage."""
+    direct = {artifact.split("/")[0]
+              for artifact in DECLARATIONS[stage].reads.values()}
+    return direct.union(*map(_upstream, direct))
+
+
 def run_stage(stage: str, cfg: AuditConfig) -> list[Path]:
+    """Run one stage, whatever its recorded run; returns its outputs. Fails
+    naming the first upstream stage whose recorded run no longer holds."""
     if stage not in _STAGE_FUNCS:
         raise PipelineError(f"unknown stage {stage!r}; expected one of "
                             f"{', '.join(STAGES)}")
-    cfg.validate_thresholds()
-    return Run(cfg).execute(stage, force="requested on its own")
+    run = Run(cfg)
+    upstream = _upstream(stage)
+    for before in (s for s in STAGES if s in upstream):
+        reason = run.check(before, None)[-1]
+        if reason is not None:
+            raise PipelineError(f"stage {before!r} is stale ({reason}); "
+                                f"run stage {before!r} first")
+    return run.execute(stage, force="requested on its own")
 
 
 def run_all(cfg: AuditConfig) -> list[Path]:
     """Run every stage in order, skipping those whose recorded run still
     holds; returns every stage's outputs."""
-    cfg.validate_thresholds()
     run = Run(cfg)
     outputs = []
     for stage in STAGES:

@@ -66,9 +66,6 @@ class PageState:
             raise ValueError("redirect PageState needs a target_kind")
 
 
-MISSING = PageState(kind=PageKind.MISSING)
-
-
 @dataclass
 class ProfessionPresence:
     profession_id: str

@@ -24,6 +24,16 @@ _Z95 = 1.959963984540054
 # from one generator.
 _MC_CHUNK = 8192
 
+# family-wise alpha of every Bonferroni suite and q of every two-stage
+# Benjamini-Hochberg correction
+ALPHA = 0.05
+
+# IRLS in logistic_fit: step tolerance, step limit, and the |beta| past
+# which a still-improving likelihood is taken for perfect separation
+_FIT_TOL = 1e-8
+_FIT_MAX_ITER = 100
+_SEPARATION_BOUND = 50.0
+
 
 def _norm_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
@@ -65,8 +75,6 @@ class LogisticFit:
     mcfadden_r2: float
     converged: bool
     iterations: int
-    log_likelihood: float
-    null_log_likelihood: float
 
 
 @dataclass
@@ -85,7 +93,6 @@ class BhResult:
     adjusted_p: list[float]
     m0_estimate: int
     q: float
-    stage2_level: float | None
 
 
 def midranks(values) -> list[float]:
@@ -108,7 +115,7 @@ def midranks(values) -> list[float]:
     return ranks
 
 
-def wilcoxon_rank_sum(x, y, continuity: bool = True) -> TestResult:
+def wilcoxon_rank_sum(x, y) -> TestResult:
     """Two-sided Wilcoxon-Mann-Whitney rank-sum test.
 
     Uses the normal approximation with tie-corrected variance and a 0.5
@@ -139,11 +146,10 @@ def wilcoxon_rank_sum(x, y, continuity: bool = True) -> TestResult:
                           method="wilcoxon_rank_sum", n=(n1, n2))
     mu = n1 * n2 / 2.0
     dev = u1 - mu
-    if continuity:
-        if dev > 0:
-            dev -= 0.5
-        elif dev < 0:
-            dev += 0.5
+    if dev > 0:
+        dev -= 0.5
+    elif dev < 0:
+        dev += 0.5
     z = dev / math.sqrt(var)
     p = min(1.0, 2.0 * _norm_cdf(-abs(z)))
     return TestResult(statistic=u1, z=z, p=p,
@@ -276,16 +282,16 @@ def _log_likelihood(X: np.ndarray, y: np.ndarray, beta: np.ndarray) -> float:
     return float(y @ eta - np.logaddexp(0.0, eta).sum())
 
 
-def logistic_fit(X, y, max_iter: int = 100, tol: float = 1e-8,
-                 separation_bound: float = 50.0) -> LogisticFit:
+def logistic_fit(X, y) -> LogisticFit:
     """Maximum-likelihood logistic regression via IRLS.
 
     ``X`` is the full design matrix including the intercept column; ``y``
-    is binary. Convergence when max |delta beta| < ``tol``. Wald standard
-    errors come from the inverse observed information X'WX. Suspected
-    perfect separation (|beta| drifting past ``separation_bound`` while the
-    likelihood still improves) yields a result flagged converged=False
-    rather than an exception.
+    is binary. Convergence when max |delta beta| < ``_FIT_TOL`` within
+    ``_FIT_MAX_ITER`` steps. Wald standard errors come from the inverse
+    observed information X'WX. Suspected perfect separation (|beta|
+    drifting past ``_SEPARATION_BOUND`` while the likelihood still
+    improves) yields a result flagged converged=False rather than an
+    exception.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -305,7 +311,7 @@ def logistic_fit(X, y, max_iter: int = 100, tol: float = 1e-8,
     ll_prev = _log_likelihood(X, y, beta)
     converged = False
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _FIT_MAX_ITER + 1):
         eta = np.clip(X @ beta, -35.0, 35.0)
         p = 1.0 / (1.0 + np.exp(-eta))
         w = np.maximum(p * (1.0 - p), 1e-10)
@@ -316,11 +322,11 @@ def logistic_fit(X, y, max_iter: int = 100, tol: float = 1e-8,
         except np.linalg.LinAlgError as exc:
             raise ValueError("logistic_fit: singular design matrix") from exc
         beta = beta + delta
-        if float(np.abs(delta).max()) < tol:
+        if float(np.abs(delta).max()) < _FIT_TOL:
             converged = True
             break
         ll = _log_likelihood(X, y, beta)
-        if float(np.abs(beta).max()) > separation_bound and ll > ll_prev:
+        if float(np.abs(beta).max()) > _SEPARATION_BOUND and ll > ll_prev:
             converged = False
             break
         ll_prev = ll
@@ -352,8 +358,6 @@ def logistic_fit(X, y, max_iter: int = 100, tol: float = 1e-8,
         mcfadden_r2=float(mcfadden),
         converged=converged,
         iterations=iterations,
-        log_likelihood=ll,
-        null_log_likelihood=float(ll_null),
     )
 
 
@@ -424,7 +428,7 @@ def bh_adjusted(pvals) -> list[float]:
     return [float(v) for v in adj]
 
 
-def bh_two_stage(pvals, q: float = 0.05) -> BhResult:
+def bh_two_stage(pvals, q: float = ALPHA) -> BhResult:
     """Two-stage Benjamini-Hochberg step-up correction.
 
     Stage 1 runs the step-up at q/(1+q) to estimate the number of true
@@ -436,8 +440,7 @@ def bh_two_stage(pvals, q: float = 0.05) -> BhResult:
     p = np.asarray(pvals, dtype=float)
     m = len(p)
     if m == 0:
-        return BhResult(reject=[], adjusted_p=[], m0_estimate=0, q=q,
-                        stage2_level=None)
+        return BhResult(reject=[], adjusted_p=[], m0_estimate=0, q=q)
     if ((p < 0) | (p > 1)).any():
         raise ValueError("bh_two_stage: p-values must lie in [0, 1]")
     stage1 = _bh_reject(p, q / (1.0 + q))
@@ -445,21 +448,17 @@ def bh_two_stage(pvals, q: float = 0.05) -> BhResult:
     if r1 == 0:
         reject = stage1
         m0 = m
-        level2 = None
     elif r1 == m:
         reject = stage1
         m0 = 0
-        level2 = None
     else:
         m0 = m - r1
-        level2 = q * m / m0
-        reject = _bh_reject(p, level2)
+        reject = _bh_reject(p, q * m / m0)
     return BhResult(
         reject=[bool(v) for v in reject],
         adjusted_p=bh_adjusted(p),
         m0_estimate=m0,
         q=q,
-        stage2_level=level2,
     )
 
 

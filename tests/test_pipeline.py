@@ -269,8 +269,8 @@ class TestCliErrors:
         assert "lexicon" in capsys.readouterr().err
 
     @pytest.mark.parametrize("stage", ["mentions"])
-    def test_stale_snapshot_names_classify(self, data_dir, tmp_path, capsys,
-                                           stage):
+    def test_stale_snapshot_names_match(self, data_dir, tmp_path, capsys,
+                                        stage):
         out_dir = tmp_path / "out"
         run_cli("report", "--all", "--config", data_dir / "config.json",
                 "--out-dir", out_dir)
@@ -283,10 +283,13 @@ class TestCliErrors:
         rc = run_cli(stage, "--config", data_dir / "config.json",
                      "--out-dir", out_dir, "--snapshot", other)
         assert rc == 1
-        err = capsys.readouterr().err
-        assert "Biologin" in err and "classify" in err
+        assert capsys.readouterr().err == (
+            "error: stage 'match' is stale (input snapshot changed); "
+            "run stage 'match' first\n")
 
     def test_images_reads_no_snapshot(self, data_dir, tmp_path, monkeypatch):
+        # images hashes the snapshot, to check match and classify, but
+        # parses none
         out_dir = tmp_path / "out"
         run_cli("report", "--all", "--config", data_dir / "config.json",
                 "--out-dir", out_dir)
@@ -297,8 +300,7 @@ class TestCliErrors:
 
         monkeypatch.setattr(pipeline.corpus, "load_snapshot", no_snapshot)
         rc = run_cli("images", "--config", data_dir / "config.json",
-                     "--out-dir", out_dir, "--snapshot",
-                     tmp_path / "missing.jsonl")
+                     "--out-dir", out_dir)
         assert rc == 0
         assert _tree(out_dir / "images") == before
 
@@ -360,8 +362,9 @@ class TestRun:
         accepted = Path(fixture_config.out_dir) / "match" / "accepted.csv"
         accepted.write_text("profession_id,title\nL0001,Lehrer\n",
                             encoding="utf-8")
-        with pytest.raises(PipelineError,
-                           match=r"match/accepted\.csv.*rerun stage 'match'"):
+        with pytest.raises(PipelineError, match=(
+                r"^stage 'match' is stale \(output accepted\.csv changed\); "
+                r"run stage 'match' first$")):
             pipeline.run_stage("classify", fixture_config)
 
     def test_entries_with_foreign_keys_rejected(self, fixture_config):
@@ -369,7 +372,9 @@ class TestRun:
         entries = Path(fixture_config.out_dir) / "lexicon" / "entries.jsonl"
         entries.write_text('{"id": "L0001", "title": "Lehrer"}\n',
                            encoding="utf-8")
-        with pytest.raises(PipelineError, match=r"lexicon/entries\.jsonl"):
+        with pytest.raises(PipelineError, match=(
+                r"^stage 'lexicon' is stale \(output entries\.jsonl "
+                r"changed\); run stage 'lexicon' first$")):
             pipeline.run_stage("labor", fixture_config)
 
 
@@ -640,6 +645,71 @@ class TestIncremental:
         pipeline.run_all(fixture_config)
         assert pipeline._LAST_SNAPSHOT_READER == "mentions"
         assert held == [(None, None)]
+
+
+# the stages each stage reads from, directly or through another stage
+_UPSTREAM = {
+    "lexicon": set(),
+    "match": {"lexicon"},
+    "classify": {"lexicon", "match"},
+    "webhits": {"lexicon", "match", "classify"},
+    "mentions": {"lexicon", "match", "classify"},
+    "images": {"lexicon", "match", "classify"},
+    "labor": {"lexicon"},
+    "report": set(pipeline.STAGES) - {"report"},
+}
+
+
+class TestUpstreamCheck:
+    """A single stage runs only on upstream stages whose recorded run still
+    holds, and otherwise refuses, writing nothing."""
+
+    def test_annotation_edit_refuses_report(self, work, capsys):
+        _edit_annotation(work)
+        before = _tree(work)
+        capsys.readouterr()
+        assert run_cli("report", "--config", work / "fixture" / "config.json",
+                       "--out-dir", work / "out") == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: stage 'images' is stale (input annotations changed); "
+            "run stage 'images' first"]
+        assert _tree(work) == before
+
+    def test_stale_stages_run_one_at_a_time(self, work):
+        _edit_annotation(work)
+        config = work / "fixture" / "config.json"
+        for stage in ("images", "report"):
+            assert run_cli(stage, "--config", config, "--out-dir",
+                           work / "out") == 0
+        assert run_cli("report", "--all", "--config", config, "--out-dir",
+                       work / "cold") == 0
+        assert _tree(work / "out") == _tree(work / "cold")
+
+    @pytest.mark.parametrize("tampered", pipeline.STAGES)
+    def test_tampered_stage_refused_by_its_descendants(self, work, stages_run,
+                                                       tampered):
+        cfg = AuditConfig.from_file(work / "fixture" / "config.json")
+        cfg.out_dir = str(work / "out")
+        name = min(_manifest(cfg, tampered)["outputs"])
+        with open(work / "out" / tampered / name, "a",
+                  encoding="utf-8") as fh:
+            fh.write(" ")
+        # the tampered stage last: running it mends its output
+        for stage in sorted(pipeline.STAGES, key=lambda s: s == tampered):
+            before = _tree(work)
+            del stages_run[:]
+            if tampered in _UPSTREAM[stage]:
+                with pytest.raises(PipelineError) as raised:
+                    pipeline.run_stage(stage, cfg)
+                assert str(raised.value) == (
+                    f"stage {tampered!r} is stale (output {name} changed); "
+                    f"run stage {tampered!r} first")
+                assert stages_run == []
+            else:
+                pipeline.run_stage(stage, cfg)
+                assert stages_run == [stage]
+            if stage != tampered:
+                assert _tree(work) == before, stage
 
 
 class TestBenchmarkHooks:

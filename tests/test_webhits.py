@@ -149,8 +149,7 @@ def fit_with(coefficients):
     return stats.LogisticFit(
         coefficients=list(coefficients), std_errors=[1.0] * k,
         p_values=[0.5] * k, ci95=[(c - 2.0, c + 2.0) for c in coefficients],
-        accuracy=1.0, mcfadden_r2=0.0, converged=True, iterations=1,
-        log_likelihood=0.0, null_log_likelihood=0.0)
+        accuracy=1.0, mcfadden_r2=0.0, converged=True, iterations=1)
 
 
 class TestReportIdentities:
