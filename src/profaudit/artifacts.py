@@ -57,10 +57,15 @@ def write_csv(path, header, rows) -> None:
 
 
 def write_jsonl(path, records) -> None:
-    """One JSON object per line, keys sorted, non-ASCII text kept as is."""
+    """One JSON object per line, keys sorted, non-ASCII text kept as is.
+
+    One encoder serves the whole file; each line is what ``json.dumps``
+    with the same two arguments gives.
+    """
+    encode = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
     with open(path, "w", encoding="utf-8") as fh:
         for record in records:
-            fh.write(json.dumps(record, ensure_ascii=False, sort_keys=True))
+            fh.write(encode(record))
             fh.write("\n")
 
 

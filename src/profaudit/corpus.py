@@ -105,25 +105,63 @@ def _validate_record(rec: ArticleRecord, where: str) -> None:
                                 "content fields")
 
 
+# fields a wrong type would pass through unnoticed: a string iterates as
+# its characters, and plain text is stored as it is
+_FIELD_TYPES = (("categories", list), ("outlinks", list), ("plain_text", str))
+
+
 def record_from_dict(data: dict, where: str = "record") -> ArticleRecord:
+    """An ArticleRecord from one decoded snapshot line, in NFC.
+
+    A line that is not a JSON object, or a field of the wrong type (a
+    string where a list belongs, a number where text belongs), raises
+    SnapshotError naming ``where`` and the field.
+    """
+    if type(data) is not dict:
+        raise SnapshotError(f"{where}: expected a JSON object, got "
+                            f"{type(data).__name__}")
+    categories = data.get("categories") or []
+    outlinks = data.get("outlinks") or []
+    plain_text = data.get("plain_text") or ""
+    if (type(categories) is not list or type(outlinks) is not list
+            or type(plain_text) is not str):
+        for key, kind in _FIELD_TYPES:
+            value = data.get(key)
+            if value and not isinstance(value, kind):
+                raise SnapshotError(
+                    f"{where}: field {key!r} must be a {kind.__name__}, "
+                    f"got {type(value).__name__}")
+    key = "images"
     try:
         images = [ImageRef(filename=nfc(i["filename"]),
                            width=int(i["width"]),
                            media_format=str(i["media_format"]).lower())
                   for i in data.get("images") or []]
-        rec = ArticleRecord(
-            title=nfc(data["title"]),
-            exists=bool(data.get("exists", True)),
-            redirect_target=(nfc(data["redirect_target"])
-                             if data.get("redirect_target") else None),
-            categories={nfc(c) for c in data.get("categories") or []},
-            outlinks=[nfc(o) for o in data.get("outlinks") or []],
-            images=images,
-            plain_text=data.get("plain_text") or "",
-            page_id=data.get("page_id"),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SnapshotError(f"{where}: malformed record ({exc})") from exc
+        key = "title"
+        title = nfc(data["title"])
+        key = "redirect_target"
+        redirect_target = data.get("redirect_target")
+        if redirect_target:
+            redirect_target = nfc(redirect_target)
+        key = "categories"
+        categories = {nfc(c) for c in categories}
+        key = "outlinks"
+        outlinks = [nfc(o) for o in outlinks]
+    except KeyError as exc:
+        raise SnapshotError(f"{where}: field {key!r}: missing key "
+                            f"{exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise SnapshotError(f"{where}: field {key!r}: {exc}") from exc
+    rec = ArticleRecord(
+        title=title,
+        exists=bool(data.get("exists", True)),
+        redirect_target=redirect_target or None,
+        categories=categories,
+        outlinks=outlinks,
+        images=images,
+        plain_text=plain_text,
+        page_id=data.get("page_id"),
+    )
     _validate_record(rec, where)
     return rec
 
@@ -143,8 +181,9 @@ def load_snapshot(path) -> CorpusSnapshot:
             try:
                 data = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise SnapshotError(f"line {line_no}: invalid JSON ({exc})") from exc
-            rec = record_from_dict(data, where=f"line {line_no}")
+                raise SnapshotError(f"snapshot line {line_no}: invalid JSON "
+                                    f"({exc})") from exc
+            rec = record_from_dict(data, where=f"snapshot line {line_no}")
             if rec.title in records:
                 log.warning("snapshot line %d: duplicate title %r, last wins",
                             line_no, rec.title)

@@ -6,6 +6,12 @@ whose target page sits in the "Frau" or "Mann" category; that gender is
 human-curated and therefore authoritative. Text mentions come from a
 dictionary gazetteer over first names: runs of two or more capitalized
 tokens whose first token (or two-token prefix) is a known first name.
+A token is a ``_WORD_RE`` match, letters joined by single hyphens; it is
+capitalized when ``str.isupper()`` holds for its first character; and the
+tokens of a run are separated only by blanks, the characters
+``str.split()`` splits on (the same set ``str.strip()`` removes). The
+text is put in NFC once, so every name taken from it, like every outlink
+title, is NFC already and is compared as it is.
 The gazetteer is deliberately simple and auditable; an external NER's
 output can be ingested instead by feeding its names through the same
 PersonMention shape.
@@ -121,12 +127,13 @@ def extract_link_mentions(record: ArticleRecord, snapshot: CorpusSnapshot
 
     Returns the mentions plus the count of outlinks skipped because the
     target is absent from the snapshot or ambiguously categorized.
+    Outlinks are taken as they are: ``corpus.record_from_dict`` has
+    already put them in NFC.
     """
     mentions: list[PersonMention] = []
     skipped = 0
     seen: set[str] = set()
-    for outlink in record.outlinks:
-        title = nfc(outlink)
+    for title in record.outlinks:
         if title in seen:
             continue
         seen.add(title)
@@ -140,10 +147,11 @@ def extract_link_mentions(record: ArticleRecord, snapshot: CorpusSnapshot
             if is_f:
                 skipped += 1
             continue
+        words = title.split()
         mentions.append(PersonMention(
             article_title=record.title,
             surface_name=title,
-            first_name=title.split()[0] if title.split() else title,
+            first_name=words[0] if words else title,
             gender=Gender.F if is_f else Gender.M,
             source=Source.LINK,
             linked_page=title,
@@ -154,29 +162,50 @@ def extract_link_mentions(record: ArticleRecord, snapshot: CorpusSnapshot
 _WORD_RE = re.compile(r"[^\W\d_]+(?:-[^\W\d_]+)*", re.UNICODE)
 
 
-def _capitalized_runs(text: str) -> list[str]:
-    """Maximal runs of >=2 capitalized tokens separated only by blanks."""
-    tokens = [(m.group(0), m.start(), m.end()) for m in _WORD_RE.finditer(text)]
-    runs: list[str] = []
-    current: list[tuple[str, int, int]] = []
+def _capitalized_runs(text: str) -> list[list[str]]:
+    """Maximal runs of >=2 capitalized tokens separated only by blanks,
+    each run as its list of tokens.
 
-    def flush():
-        if len(current) >= 2:
-            runs.append(" ".join(t[0] for t in current))
-
-    for tok in tokens:
-        word, start, _ = tok
-        if not word[0].isupper():
-            flush()
-            current = []
+    A token is a ``_WORD_RE`` match: letters (word characters that are
+    neither decimal digits nor ``_``) joined by single hyphens. It is
+    capitalized when ``str.isupper()`` holds for its first character. A
+    blank is a character ``str.split()`` splits on, the same set
+    ``str.strip()`` removes, and no token contains one. So the text is
+    read one ``str.split()`` chunk at a time: a chunk for which
+    ``str.isalpha()`` holds is exactly one token, and only the other
+    chunks go through ``_WORD_RE``. Two tokens are separated only by
+    blanks when the first ends its chunk and the second starts the next.
+    """
+    runs: list[list[str]] = []
+    run: list[str] = []
+    joined = False  # the chunk before ended on a capitalized token
+    for chunk in text.split():
+        if chunk.isalpha():
+            if not chunk[0].isupper():
+                joined = False
+            elif joined:
+                run.append(chunk)
+            else:
+                if len(run) >= 2:
+                    runs.append(run)
+                run = [chunk]
+                joined = True
             continue
-        if current:
-            gap = text[current[-1][2]:start]
-            if gap.strip() != "":
-                flush()
-                current = []
-        current.append(tok)
-    flush()
+        at_start = joined
+        joined = False
+        end = len(chunk)
+        for m in _WORD_RE.finditer(chunk):
+            word = m.group()
+            if word[0].isupper():
+                if at_start and m.start() == 0:
+                    run.append(word)
+                else:
+                    if len(run) >= 2:
+                        runs.append(run)
+                    run = [word]
+                joined = m.end() == end  # then m is the chunk's last token
+    if len(run) >= 2:
+        runs.append(run)
     return runs
 
 
@@ -193,16 +222,14 @@ def extract_text_mentions(article_title: str, plain_text: str,
     """
     mentions: list[PersonMention] = []
     seen: set[str] = set()
-    for run in _capitalized_runs(nfc(plain_text)):
-        tokens = run.split()
+    for tokens in _capitalized_runs(nfc(plain_text)):
         for i in range(len(tokens) - 1):
-            first_name = None
-            two = " ".join(tokens[i:i + 2])
+            two = tokens[i] + " " + tokens[i + 1]
             if two in lexicon:
                 first_name = two
             elif tokens[i] in lexicon:
                 first_name = tokens[i]
-            if first_name is None:
+            else:
                 continue
             surface = " ".join(tokens[i:])
             if surface not in seen:
@@ -225,17 +252,19 @@ def merge(link_mentions: list[PersonMention],
 
     Pairs present in both become source=both with the link gender
     authoritative; the report carries the overlap count and the rate
-    at which the lexicon gender disagreed with the link gender.
+    at which the lexicon gender disagreed with the link gender. Surface
+    names are compared as they are: a link mention's is an NFC outlink
+    title, a text mention's is made of tokens of NFC text.
     """
     merged: dict[tuple[str, str], PersonMention] = {}
     for m in link_mentions:
-        merged[(m.article_title, nfc(m.surface_name))] = m
+        merged[(m.article_title, m.surface_name)] = m
 
     comparisons = 0
     disagreements = 0
     overlap = 0
     for m in text_mentions:
-        key = (m.article_title, nfc(m.surface_name))
+        key = (m.article_title, m.surface_name)
         if key in merged:
             base = merged[key]
             if base.source is Source.LINK:

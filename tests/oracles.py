@@ -7,9 +7,13 @@ with the implementation under test.
 
 import itertools
 import math
+import re
+import unicodedata
 from functools import lru_cache
 
 import numpy as np
+
+from profaudit.mentions import PersonMention, Source
 
 
 @lru_cache(maxsize=None)
@@ -223,3 +227,78 @@ def pearson_direct(x, y) -> float:
     sxx = sum((a - mx) ** 2 for a in x)
     syy = sum((b - my) ** 2 for b in y)
     return sxy / math.sqrt(sxx * syy)
+
+
+# Reference gazetteer: the regex scan over the whole text that
+# profaudit.mentions used before its one-pass tokenizer, kept unchanged.
+# It shares only the PersonMention record type, so results compare with ==.
+
+def nfc(s: str) -> str:
+    return unicodedata.normalize("NFC", s)
+
+
+_WORD_RE = re.compile(r"[^\W\d_]+(?:-[^\W\d_]+)*", re.UNICODE)
+
+
+def _capitalized_runs(text: str) -> list[str]:
+    """Maximal runs of >=2 capitalized tokens separated only by blanks."""
+    tokens = [(m.group(0), m.start(), m.end()) for m in _WORD_RE.finditer(text)]
+    runs: list[str] = []
+    current: list[tuple[str, int, int]] = []
+
+    def flush():
+        if len(current) >= 2:
+            runs.append(" ".join(t[0] for t in current))
+
+    for tok in tokens:
+        word, start, _ = tok
+        if not word[0].isupper():
+            flush()
+            current = []
+            continue
+        if current:
+            gap = text[current[-1][2]:start]
+            if gap.strip() != "":
+                flush()
+                current = []
+        current.append(tok)
+    flush()
+    return runs
+
+
+def extract_text_mentions(article_title: str, plain_text: str,
+                          lexicon: dict) -> list[PersonMention]:
+    """Gazetteer pass over plain text.
+
+    Within each run of capitalized tokens, the mention starts at the first
+    token that is a lexicon first name and must be followed by at least
+    one more capitalized token (German capitalizes all nouns, so runs
+    often begin with non-name words like "Die Reporterin"). A two-token
+    lexicon entry wins over the single token (compound first names).
+    Identical surface names are emitted once per article.
+    """
+    mentions: list[PersonMention] = []
+    seen: set[str] = set()
+    for run in _capitalized_runs(nfc(plain_text)):
+        tokens = run.split()
+        for i in range(len(tokens) - 1):
+            first_name = None
+            two = " ".join(tokens[i:i + 2])
+            if two in lexicon:
+                first_name = two
+            elif tokens[i] in lexicon:
+                first_name = tokens[i]
+            if first_name is None:
+                continue
+            surface = " ".join(tokens[i:])
+            if surface not in seen:
+                seen.add(surface)
+                mentions.append(PersonMention(
+                    article_title=article_title,
+                    surface_name=surface,
+                    first_name=first_name,
+                    gender=lexicon[first_name],
+                    source=Source.NAME_MATCH,
+                ))
+            break  # one person per run suffix; avoid re-matching the rest
+    return mentions

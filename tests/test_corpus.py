@@ -52,6 +52,49 @@ class TestLoad:
         with pytest.raises(SnapshotError, match="line 2"):
             corpus.load_snapshot(p)
 
+    @pytest.mark.parametrize("line", ["[1, 2]", '"Anna"', "5", "null"])
+    def test_non_object_line_names_line(self, tmp_path, line):
+        p = tmp_path / "snap.jsonl"
+        p.write_text('{"title": "A"}\n' + line + "\n", encoding="utf-8")
+        with pytest.raises(SnapshotError,
+                           match="^snapshot line 2: expected a JSON object"):
+            corpus.load_snapshot(p)
+
+    @pytest.mark.parametrize("field, value", [
+        ("categories", "Frau"), ("outlinks", "Anna Meier"),
+        ("plain_text", 5), ("plain_text", ["Text."]),
+        ("categories", {"Frau": 1})])
+    def test_wrong_field_type_names_line_and_field(self, tmp_path, field,
+                                                   value):
+        p = tmp_path / "snap.jsonl"
+        write_jsonl(p, [{"title": "A"}, {"title": "B", field: value}])
+        with pytest.raises(SnapshotError,
+                           match=f"^snapshot line 2: field '{field}' must be"):
+            corpus.load_snapshot(p)
+
+    @pytest.mark.parametrize("record, field", [
+        ({"plain_text": "x"}, "title"), ({"title": 5}, "title"),
+        ({"title": "A", "redirect_target": 5}, "redirect_target"),
+        ({"title": "A", "categories": ["Frau", 5]}, "categories"),
+        ({"title": "A", "outlinks": [None]}, "outlinks"),
+        ({"title": "A", "images": "a.jpg"}, "images"),
+        ({"title": "A", "images": [{"filename": "a.jpg"}]}, "images")])
+    def test_bad_field_value_names_field(self, tmp_path, record, field):
+        p = tmp_path / "snap.jsonl"
+        write_jsonl(p, [record])
+        with pytest.raises(SnapshotError,
+                           match=f"^snapshot line 1: field '{field}'"):
+            corpus.load_snapshot(p)
+
+    def test_empty_values_still_load(self, tmp_path):
+        p = tmp_path / "snap.jsonl"
+        write_jsonl(p, [{"title": "A", "categories": None, "outlinks": [],
+                         "images": None, "plain_text": None,
+                         "redirect_target": ""}])
+        rec = corpus.load_snapshot(p).records["A"]
+        assert (rec.categories, rec.outlinks, rec.images, rec.plain_text,
+                rec.redirect_target) == (set(), [], [], "", None)
+
     def test_duplicate_title_last_wins(self, tmp_path, caplog):
         p = tmp_path / "snap.jsonl"
         write_jsonl(p, [

@@ -1,5 +1,10 @@
+import json
+import random
+import unicodedata
+
 import pytest
 
+import oracles
 from profaudit import mentions
 from profaudit.corpus import ArticleRecord, build_snapshot
 from profaudit.mentions import (BiasClass, Gender, PersonMention, Source,
@@ -110,6 +115,55 @@ class TestTextMentions:
         got = extract_text_mentions(
             "A", "Heinrich Heine kam. Heinrich Heine ging.", LEXICON)
         assert len(got) == 1
+
+
+# Pieces of random gazetteer texts: letters of both cases (ASCII, umlauts,
+# ß, titlecase ǅ), the non-decimal number characters ², ½ and Ⅻ that
+# _WORD_RE takes as letters, digits and _ that it does not, a combining
+# accent, CJK, punctuation, hyphens (single, double, leading, trailing)
+# and the blanks space, tab, newline and no-break space, plus names that
+# make runs hit the lexicon.
+GAZETTEER_PIECES = (list("aAzZäÄöÖüÜßǅ²½Ⅻ_07\u0301中,.()'- \t\n\xa0")
+                    + ["-", "--", " ", " ", " ", "  ", "Anna", "Hans",
+                       "Peter", "Schmidt", "Ölz", "Anna-Lena", "ǅemal",
+                       "müller", "Kim"])
+GAZETTEER_LEXICON = {"Anna": Gender.F, "Hans": Gender.M,
+                     "Hans Peter": Gender.M, "Anna-Lena": Gender.F,
+                     "Kim": Gender.UNKNOWN, "Ölz Anna": Gender.F,
+                     "ǅemal": Gender.M, "Ⅻ": Gender.M}
+
+
+class TestGazetteerAgainstReference:
+    """The one-pass tokenizer against the whole-text regex scan it
+    replaced (``oracles``)."""
+
+    def test_random_texts(self):
+        rng = random.Random(9001)
+        for _ in range(3000):
+            text = "".join(rng.choices(GAZETTEER_PIECES,
+                                       k=rng.randint(0, 40)))
+            runs = mentions._capitalized_runs(text)
+            assert [" ".join(r) for r in runs] == \
+                oracles._capitalized_runs(text), repr(text)
+            got = extract_text_mentions("A", text, GAZETTEER_LEXICON)
+            assert got == oracles.extract_text_mentions(
+                "A", text, GAZETTEER_LEXICON), repr(text)
+            for m in got:  # merge compares surface names without nfc()
+                assert unicodedata.normalize("NFC", m.surface_name) == \
+                    m.surface_name
+
+    def test_fixture_snapshot_texts(self, data_dir):
+        lexicon = mentions.load_gender_lexicon(data_dir / "gender_lexicon.csv")
+        n_mentions = 0
+        with open(data_dir / "snapshot.jsonl", encoding="utf-8") as fh:
+            for line in fh:
+                record = json.loads(line)
+                text = record.get("plain_text") or ""
+                got = extract_text_mentions(record["title"], text, lexicon)
+                assert got == oracles.extract_text_mentions(
+                    record["title"], text, lexicon)
+                n_mentions += len(got)
+        assert n_mentions > 0
 
 
 def pm(article, surface, gender, source=Source.LINK, linked=None, year=None):

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from profaudit import pipeline, stats
-from profaudit.artifacts import sha256_file
+from profaudit.artifacts import sha256_file, write_jsonl
 from profaudit.cli import main
 from profaudit.config import AuditConfig
 from profaudit.pipeline import PipelineError
@@ -256,6 +256,24 @@ class TestModelTables:
                 math.exp(intercept["coef"]), rel=1e-5, abs=1e-5)
 
 
+class TestWriteJsonl:
+    def test_lines_equal_json_dumps(self, tmp_path):
+        records = [
+            {"title": "Ärztin", "text": "Straße „Zitat“ 中文 \u0301 \\ \"",
+             "none": None, "b": True},
+            {"z": [1, [2.5, None], {"y": "ü", "x": [{"b": 1, "a": 0}]}],
+             "a": {"nested": {"k": -0.0}}},
+            {"floats": [0.1, 1e-07, 1e20, 3.141592653589793, float("inf"),
+                        -float("inf")], "int": 10**20},
+            {},
+        ]
+        path = tmp_path / "out.jsonl"
+        write_jsonl(path, iter(records))
+        expected = "".join(json.dumps(r, ensure_ascii=False, sort_keys=True)
+                           + "\n" for r in records)
+        assert path.read_bytes() == expected.encode("utf-8")
+
+
 class TestCliErrors:
     def test_missing_config_file(self, tmp_path, capsys):
         rc = run_cli("lexicon", "--config", tmp_path / "nope.json")
@@ -267,6 +285,24 @@ class TestCliErrors:
                      "--out-dir", tmp_path / "out")
         assert rc == 1
         assert "lexicon" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, message", [
+        ("[1, 2]", "snapshot line 26: expected a JSON object, got list"),
+        ('{"title": "X", "categories": "Frau"}',
+         "snapshot line 26: field 'categories' must be a list, got str")])
+    def test_malformed_snapshot_record_is_one_error_line(
+            self, data_dir, tmp_path, capsys, line, message):
+        work = tmp_path / "fixture"
+        shutil.copytree(data_dir, work, ignore=shutil.ignore_patterns(
+            "golden", "out"))
+        snapshot = work / "snapshot.jsonl"
+        assert len(snapshot.read_text(encoding="utf-8").splitlines()) == 25
+        with open(snapshot, "a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
+        rc = run_cli("report", "--all", "--config", work / "config.json",
+                     "--out-dir", tmp_path / "out")
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("stage", ["mentions"])
     def test_stale_snapshot_names_match(self, data_dir, tmp_path, capsys,
