@@ -114,8 +114,10 @@ def record_from_dict(data: dict, where: str = "record") -> ArticleRecord:
     """An ArticleRecord from one decoded snapshot line, in NFC.
 
     A line that is not a JSON object, or a field of the wrong type (a
-    string where a list belongs, a number where text belongs), raises
-    SnapshotError naming ``where`` and the field.
+    string where a list belongs, a number where text belongs, anything but
+    true or false for ``exists``, anything but an integer or null for
+    ``page_id``), raises SnapshotError naming ``where`` and the field. A
+    missing ``exists`` means the page exists.
     """
     if type(data) is not dict:
         raise SnapshotError(f"{where}: expected a JSON object, got "
@@ -131,6 +133,14 @@ def record_from_dict(data: dict, where: str = "record") -> ArticleRecord:
                 raise SnapshotError(
                     f"{where}: field {key!r} must be a {kind.__name__}, "
                     f"got {type(value).__name__}")
+    exists = data.get("exists", True)
+    if type(exists) is not bool:
+        raise SnapshotError(f"{where}: field 'exists' must be a bool, got "
+                            f"{type(exists).__name__}")
+    page_id = data.get("page_id")
+    if page_id is not None and type(page_id) is not int:
+        raise SnapshotError(f"{where}: field 'page_id' must be an int or "
+                            f"null, got {type(page_id).__name__}")
     key = "images"
     try:
         images = [ImageRef(filename=nfc(i["filename"]),
@@ -154,13 +164,13 @@ def record_from_dict(data: dict, where: str = "record") -> ArticleRecord:
         raise SnapshotError(f"{where}: field {key!r}: {exc}") from exc
     rec = ArticleRecord(
         title=title,
-        exists=bool(data.get("exists", True)),
+        exists=exists,
         redirect_target=redirect_target or None,
         categories=categories,
         outlinks=outlinks,
         images=images,
         plain_text=plain_text,
-        page_id=data.get("page_id"),
+        page_id=page_id,
     )
     _validate_record(rec, where)
     return rec

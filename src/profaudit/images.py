@@ -324,14 +324,14 @@ def distributions(items: list[tuple[str, ImageCategory]], grouping: str,
     group. With at least two groups, an overall chi-square test runs on
     the group-by-category table, followed by pairwise group tests and
     per-category post-hoc 2x2 tests whose p-values get the two-stage
-    step-up correction. ``stats.chi2_mc`` gives every table that reduces
-    to 2x2, each post-hoc table among them, an exact p-value, and samples
-    ``b`` tables for larger ones.
+    step-up correction. ``stats.chi2_mc`` gives every table small enough
+    to enumerate an exact p-value, and samples ``b`` tables for larger
+    ones; at the audit's sizes every table is enumerated.
 
-    Each test has its own 64-bit seed, hashed from ``seed`` and the label
-    ``images:{grouping}:{test}`` (test ``overall``, ``A|B`` or
-    ``A|B:category``), so no two sampled tests share a stream; exact
-    tests record no seed.
+    Only a sampled test records a seed (and ``B``): its own 64-bit seed,
+    hashed from ``seed`` and the label ``images:{grouping}:{test}`` (test
+    ``overall``, ``A|B`` or ``A|B:category``), so no two sampled tests
+    share a stream. An exact test records neither.
     """
     per_group: dict[str, Counter] = defaultdict(Counter)
     unresolved: Counter = Counter()

@@ -44,7 +44,8 @@ Stages run in a fixed order. Reruns with identical inputs, configuration,
 and seed are byte-identical, and a run that skips stages leaves the same
 tree as a run into an empty directory. Monte Carlo seeds derive from the
 run seed and a stable label per test, so adding a test never disturbs
-another test's p-value.
+another test's p-value. Seeds matter only for tables too large to
+enumerate; a table small enough gets its exact p-value, whatever the seed.
 """
 
 from __future__ import annotations

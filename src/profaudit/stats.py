@@ -1,7 +1,12 @@
 """Deterministic statistics engine: rank tests, chi-square tests with
-fixed-margin p-values (exact for 2x2 tables, Monte Carlo for larger ones),
-correlations, logistic regression, multi-rater agreement, and
-multiple-comparison corrections.
+fixed-margin p-values, correlations, logistic regression, multi-rater
+agreement, and multiple-comparison corrections.
+
+A chi-square p-value is exact, by enumeration over the table's columns,
+for every table whose margins bound that enumeration by ``_EXACT_STEPS``
+steps (every table the audit tests), and Monte Carlo for larger ones. The
+exact path compares the statistic as an integer, so its ties are exact
+and need no tolerance.
 
 Everything is implemented directly on top of numpy so that results are
 reproducible bit-for-bit from a single 64-bit seed and every method can be
@@ -11,6 +16,8 @@ formula substitution, simulate-then-fit) in the test suite.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -18,6 +25,13 @@ import numpy as np
 
 # z quantile for a two-sided 95% interval
 _Z95 = 1.959963984540054
+
+# A table is enumerated when _enumeration_steps bounds its DP by this many
+# steps, and sampled otherwise. The bound is an upper bound on the DP's
+# work, so an exact test costs at most about as much as sampling the same
+# table with the audit's b = 10000. Every image test of the audit is let
+# through: the largest, a 3x5 table with N = 33, bounds 3523.
+_EXACT_STEPS = 4000
 
 # Monte Carlo tables are simulated this many at a time, so memory stays
 # bounded whatever the number of draws; the chunks take consecutive draws
@@ -160,47 +174,150 @@ def _pearson_x2(table: np.ndarray, expected: np.ndarray) -> float:
     return float(((table - expected) ** 2 / expected).sum())
 
 
-def _exact_2x2_p(tab: np.ndarray, expected: np.ndarray,
-                 x2_obs: float) -> float:
-    """Exact fixed-margin p-value of a 2x2 table with positive margins.
+def _column_moves(s: tuple, total: int, w: list[int],
+                  w_rest: list[int] | None = None) -> list[tuple]:
+    """``(s - v, p, dq)`` for each column vector ``v`` that a column of
+    ``total`` units can take from row totals ``s``: the node it leads to,
+    its probability prod_i comb(s_i, v_i) / comb(sum(s), total), and the
+    Q it adds, sum_i v_i^2 w_i, plus sum_i (s_i - v_i)^2 w_rest_i when the
+    rest ``s - v`` is the last column.
 
-    With both margins fixed the table is its top-left cell ``a``, which is
-    hypergeometric on [lo, hi], and X2(a) = (a - E11)^2 * sum(1 / E). The
-    p-value is the mass of every ``a`` with X2(a) >= X2_obs - 1e-9, the
-    sampler's tie tolerance. Log weights come from the pmf ratio
-    P(a+1) / P(a) = (R1 - a)(C1 - a) / ((a + 1)(R2 - C1 + a + 1)) and are
-    shifted to a maximum of 0, so no weight that matters underflows.
+    The vectors are extended one row at a time, each row taking only
+    counts that the rows after it can complete. Per row, log comb(s_i, k)
+    is accumulated from the ratio comb(n, k + 1) / comb(n, k) =
+    (n - k) / (k + 1), up to a constant; the weights are shifted to a
+    maximum of 1 and divided by their sum, which is exactly that
+    denominator (Vandermonde's identity). So no weight overflows, none
+    that matters underflows, and the cost does not grow with the counts.
     """
-    r1, r2 = (int(v) for v in tab.sum(axis=1))
-    c1 = int(tab[:, 0].sum())
-    a = np.arange(max(0, c1 - r2), min(r1, c1) + 1, dtype=float)
-    step = a[:-1]
-    log_w = np.concatenate(([0.0], np.cumsum(
-        np.log((r1 - step) * (c1 - step))
-        - np.log((step + 1) * (r2 - c1 + step + 1)))))
-    w = np.exp(log_w - log_w.max())
-    x2 = (a - expected[0, 0]) ** 2 * (1.0 / expected).sum()
-    return float(w[x2 >= x2_obs - 1e-9].sum() / w.sum())
+    grand = room = sum(s)
+    moves = [((), total, 0.0, 0)]  # (s - v so far, units left, log w, dq)
+    for n, wi, wr in zip(s, w, w_rest or itertools.repeat(0)):
+        room -= n  # what the rows after this one can take
+        lo = max(0, total - grand + n)
+        log_c = [0.0]  # log comb(n, lo + i) - log comb(n, lo)
+        for k in range(lo, min(n, total)):
+            log_c.append(log_c[-1] + math.log((n - k) / (k + 1)))
+        moves = [(rest + (n - x,), left - x, lw + log_c[x - lo],
+                  dq + x * x * wi + (n - x) ** 2 * wr)
+                 for rest, left, lw, dq in moves
+                 for x in range(max(0, left - room), min(n, left) + 1)]
+    top = max(m[2] for m in moves)
+    p = [math.exp(m[2] - top) for m in moves]
+    norm = sum(p)
+    return [(rest, x / norm, dq) for (rest, _, _, dq), x in zip(moves, p)]
+
+
+def _enumeration_steps(rows: list[int], cols: list[int]) -> int:
+    """Upper bound, from the margins alone, on the (state, column vector)
+    pairs ``_exact_p`` visits when the DP runs over ``cols``.
+
+    A column of t units has at most prod (min(R_i, t) + 1) vectors, the
+    product over every row but the largest (that row takes the rest), and
+    at most comb(t + r - 1, r - 1), the ways to split t units into r rows.
+    A layer holds at most as many states as there are partial tables of
+    the columns placed so far, the product of their vector counts. The
+    last two columns are placed together, one step per node and vector of
+    the second-largest column. The nodes are at most those states, and at
+    most prod (R_i + 1) over the same rows; and since a step also fixes the
+    largest column's vector, there are at most as many nodes as that
+    column has vectors.
+    """
+    rest = sorted(rows)[:-1]
+    cols = sorted(cols)
+
+    def vectors(t: int) -> int:
+        return min(math.prod(min(x, t) + 1 for x in rest),
+                   math.comb(t + len(rest), len(rest)))
+
+    steps = states = 1
+    for t in cols[:-2]:
+        states *= vectors(t)
+        steps += states
+    nodes = min(states, math.prod(x + 1 for x in rest), vectors(cols[-1]))
+    return steps + nodes * vectors(cols[-2])
+
+
+def _exact_p(table: list[list[int]]) -> float:
+    """Exact fixed-margin p-value of the Pearson statistic for a table
+    with positive margins, by dynamic programming over its columns.
+
+    A node is the vector ``s`` of row totals not yet placed; taking column
+    vector ``v`` from it has the probability of ``_column_moves``. The
+    statistic is carried as the integer Q = sum n_ij^2 L / (R_i C_j) with
+    L = lcm(R_i C_j), so X2 = N Q / L - N and X2 >= X2_obs exactly when
+    Q >= Q_obs: ties are exact and need no tolerance. States with equal
+    (node, Q) are merged. Columns are placed by ascending total and the
+    last column is forced, so the second-largest is placed against the
+    sorted Q values of each node: one bisection per column vector. Rows
+    are put in ascending order of their totals too, so the arithmetic
+    depends on the sorted margins and Q_obs alone, and tables that differ
+    by a permutation of rows or columns, or a transposition, get the same
+    p. p is the hit mass over the total mass, both summed the same way, so
+    p is exactly 1.0 when every table reaches Q_obs and never exceeds 1.
+    """
+    table = sorted(table, key=sum)
+    rows = [sum(r) for r in table]
+    cols = [sum(c) for c in zip(*table)]
+    lcm = math.lcm(*(ri * cj for ri in rows for cj in cols))
+    w = [[lcm // (ri * cj) for ri in rows] for cj in cols]
+    q_obs = sum(x * x * w[j][i] for i, row in enumerate(table)
+                for j, x in enumerate(row))
+    order = sorted(range(len(cols)), key=cols.__getitem__)
+
+    layer = {tuple(rows): {0: 1.0}}  # node -> {Q so far: probability}
+    for j in order[:-2]:
+        nxt: dict[tuple, dict[int, float]] = {}
+        for s, qs in layer.items():
+            for node, p_v, dq in _column_moves(s, cols[j], w[j]):
+                child = nxt.setdefault(node, {})
+                for q, mass in qs.items():
+                    q += dq
+                    child[q] = child.get(q, 0.0) + mass * p_v
+        layer = nxt
+
+    j, last = order[-2], order[-1]
+    hit = total = 0.0
+    for s, qs in layer.items():
+        keys = sorted(qs)
+        # tail[k]: mass of the Q values keys[k:]
+        tail = list(itertools.accumulate(qs[q] for q in reversed(keys)))
+        tail = tail[::-1] + [0.0]
+        for _, p_v, dq in _column_moves(s, cols[j], w[j], w[last]):
+            hit += p_v * tail[bisect.bisect_left(keys, q_obs - dq)]
+            total += p_v * tail[0]
+    return hit / total
 
 
 def chi2_mc(table, b: int = 10000, seed: int = 0) -> TestResult:
     """Pearson chi-square independence test with a fixed-margin p-value.
 
-    Empty rows and columns are dropped first. A table that is then 2x2
-    gets the exact conditional p-value (see ``_exact_2x2_p``), recorded
-    as method ``chi2_exact`` with ``b`` and ``seed`` unused (None).
+    ``b`` must be at least 1 and the counts whole numbers. Empty rows and
+    columns are dropped first. A table whose margins bound its enumeration
+    (``_enumeration_steps``, in either orientation) by ``_EXACT_STEPS``
+    gets the exact conditional p-value of ``_exact_p``, recorded as method
+    ``chi2_exact`` with ``b`` and ``seed`` unused (None). That is every
+    table of the audit's image tests. There the statistic is compared as
+    the integer Q of ``_exact_p``, so exact ties need no tolerance.
 
-    Any larger table samples ``b`` tables with both margins fixed and
-    reports p = (1 + #{X2_sim >= X2_obs}) / (b + 1). Tables are drawn cell
-    by cell (Patefield 1981, AS 159, sequential form): given the cells
-    placed so far, a cell is hypergeometric in what is left of its row and
-    column totals; the last cell of each row and the last row follow from
-    the margins. One Philox generator keyed with ``seed`` draws every
-    table.
+    A larger table samples ``b`` tables with both margins fixed and
+    reports p = (1 + #{X2_sim >= X2_obs}) / (b + 1), counting float ties
+    within 1e-9. Tables are drawn cell by cell (Patefield 1981, AS 159,
+    sequential form): given the cells placed so far, a cell is
+    hypergeometric in what is left of its row and column totals; the last
+    cell of each row and the last row follow from the margins. One Philox
+    generator keyed with ``seed`` draws every table.
     """
-    tab = np.asarray(table, dtype=np.int64)
-    if tab.ndim != 2:
+    if b < 1:
+        raise ValueError("chi2_mc: b must be >= 1")
+    raw = np.asarray(table)
+    if raw.ndim != 2:
         raise ValueError("chi2_mc: table must be two-dimensional")
+    if raw.dtype.kind not in "iu" and not (
+            raw.dtype.kind == "f" and np.isfinite(raw).all()
+            and (raw == np.round(raw)).all()):
+        raise ValueError("chi2_mc: counts must be whole numbers")
+    tab = raw.astype(np.int64)
     if (tab < 0).any():
         raise ValueError("chi2_mc: negative counts")
     row_sums = tab.sum(axis=1)
@@ -214,9 +331,17 @@ def chi2_mc(table, b: int = 10000, seed: int = 0) -> TestResult:
     expected = np.outer(row_sums, col_sums) / total
     r, c = tab.shape
     x2_obs = _pearson_x2(tab.astype(float), expected)
-    if (r, c) == (2, 2):
-        return TestResult(statistic=x2_obs,
-                          p=_exact_2x2_p(tab, expected, x2_obs),
+    rows, cols = row_sums.tolist(), col_sums.tolist()
+    over_cols = _enumeration_steps(rows, cols)
+    over_rows = _enumeration_steps(cols, rows)
+    if min(over_cols, over_rows) <= _EXACT_STEPS:
+        # the cheaper orientation; on a tie, the one with the smaller
+        # sorted row totals, so a table and its transpose run the same DP
+        if (over_cols, sorted(rows)) <= (over_rows, sorted(cols)):
+            cells = tab.tolist()
+        else:
+            cells = tab.T.tolist()
+        return TestResult(statistic=x2_obs, p=_exact_p(cells),
                           method="chi2_exact", n=(total,))
 
     rng = np.random.Generator(np.random.Philox(key=seed))

@@ -86,6 +86,27 @@ class TestLoad:
                            match=f"^snapshot line 1: field '{field}'"):
             corpus.load_snapshot(p)
 
+    @pytest.mark.parametrize("field, value, kind", [
+        ("exists", "false", "str"), ("exists", 0, "int"),
+        ("exists", None, "NoneType"), ("page_id", "x", "str"),
+        ("page_id", 1.5, "float"), ("page_id", True, "bool")])
+    def test_exists_and_page_id_types_name_line_and_field(
+            self, tmp_path, field, value, kind):
+        p = tmp_path / "snap.jsonl"
+        write_jsonl(p, [{"title": "A"}, {"title": "B", field: value}])
+        with pytest.raises(SnapshotError,
+                           match=f"^snapshot line 2: field '{field}' must be "
+                                 f".*, got {kind}$"):
+            corpus.load_snapshot(p)
+
+    def test_missing_exists_means_the_page_exists(self, tmp_path):
+        p = tmp_path / "snap.jsonl"
+        write_jsonl(p, [{"title": "A", "page_id": 7},
+                        {"title": "B", "exists": False}])
+        records = corpus.load_snapshot(p).records
+        assert (records["A"].exists, records["A"].page_id) == (True, 7)
+        assert (records["B"].exists, records["B"].page_id) == (False, None)
+
     def test_empty_values_still_load(self, tmp_path):
         p = tmp_path / "snap.jsonl"
         write_jsonl(p, [{"title": "A", "categories": None, "outlinks": [],

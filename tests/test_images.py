@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from profaudit import images
+from profaudit import images, stats
 from profaudit.corpus import ImageRef
 from profaudit.images import (AnnotationResponse, CountAnswer, GenderAnswer,
                               ImageCategory, aggregate, filter_images,
@@ -240,7 +240,9 @@ class TestDistributions:
         categories = {t["category"] for t in dist.posthoc_tests}
         assert "men" in categories and "women" in categories
 
-    def test_every_test_has_its_own_seed(self):
+    def test_every_test_has_its_own_seed(self, monkeypatch):
+        # with no table small enough to enumerate, every test is sampled
+        monkeypatch.setattr(stats, "_EXACT_STEPS", 0)
         items = [("a", ImageCategory.MEN)] * 5 + \
                 [("a", ImageCategory.WOMEN)] * 3 + \
                 [("b", ImageCategory.WOMEN)] * 4 + \
@@ -250,14 +252,24 @@ class TestDistributions:
         dist = images.distributions(items, "t", b=200, seed=42)
         tests = [dist.overall_test.to_dict()]
         tests += [t["test"] for t in dist.pairwise_tests + dist.posthoc_tests]
-        # the overall 3x3 and three pairwise 2x3 tables are sampled; the
-        # post-hoc 2x2 tables are exact and draw no stream
-        seeds = [t["seed"] for t in tests if t["method"] == "chi2_monte_carlo"]
-        assert len(seeds) == 4
+        # the overall 3x3, three pairwise 2x3 and the post-hoc 2x2 tables
+        assert len(tests) == 4 + len(dist.posthoc_tests) > 9
+        assert all(t["method"] == "chi2_monte_carlo" and t["B"] == 200
+                   for t in tests)
+        seeds = [t["seed"] for t in tests]
         assert len(set(seeds)) == len(seeds)
-        exact = [t for t in tests if t["method"] == "chi2_exact"]
-        assert len(exact) == len(dist.posthoc_tests) > 5
-        assert all(t["seed"] is None and t["B"] is None for t in exact)
+
+    def test_small_tables_are_exact_and_record_no_seed(self):
+        items = [("a", ImageCategory.MEN)] * 5 + \
+                [("a", ImageCategory.WOMEN)] * 3 + \
+                [("b", ImageCategory.WOMEN)] * 4 + \
+                [("b", ImageCategory.NO_PERSON)] * 2
+        dist = images.distributions(items, "t", b=200, seed=42)
+        tests = [dist.overall_test.to_dict()]
+        tests += [t["test"] for t in dist.pairwise_tests + dist.posthoc_tests]
+        assert len(tests) > 3
+        assert all((t["method"], t["B"], t["seed"]) == ("chi2_exact", None,
+                                                        None) for t in tests)
 
     def test_deterministic_under_seed(self):
         items = [("a", ImageCategory.MEN)] * 6 + \

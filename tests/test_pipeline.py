@@ -186,7 +186,11 @@ class TestGoldenRun:
                   for p in out_dir.rglob("*") if p.is_file()}
         assert first == second
 
-    def test_seed_override_changes_mc_results(self, data_dir, tmp_path):
+    def test_seed_override_changes_mc_results(self, data_dir, tmp_path,
+                                              monkeypatch):
+        # every fixture table is small enough to enumerate, and an exact
+        # test uses no seed; with none enumerated, every test is sampled
+        monkeypatch.setattr(stats, "_EXACT_STEPS", 0)
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
         run_cli("report", "--all", "--config", data_dir / "config.json",
@@ -196,6 +200,18 @@ class TestGoldenRun:
         dist_a = (out_a / "images" / "distributions.json").read_bytes()
         dist_b = (out_b / "images" / "distributions.json").read_bytes()
         assert dist_a != dist_b
+
+    def test_mc_iterations_sets_the_sampled_budget(self, fixture_config,
+                                                   monkeypatch):
+        monkeypatch.setattr(stats, "_EXACT_STEPS", 0)
+        fixture_config.mc_iterations = 321
+        pipeline.run_all(fixture_config)
+        dist = json.loads((Path(fixture_config.out_dir) / "images" /
+                           "distributions.json").read_text(encoding="utf-8"))
+        tests = [t["test"] for d in dist.values() for t in d["posthoc_tests"]]
+        assert tests
+        assert {(t["method"], t["B"]) for t in tests} == {
+            ("chi2_monte_carlo", 321)}
 
     def test_bundle_manifest_covers_every_file(self, data_dir, tmp_path):
         out_dir = tmp_path / "out"

@@ -124,26 +124,39 @@ class TestWilcoxon:
         assert 0.02 < abs(res.p - exact) < 0.13
 
 
+@pytest.fixture()
+def sampled(monkeypatch):
+    """Every table above the enumeration bound: chi2_mc samples them all."""
+    monkeypatch.setattr(stats, "_EXACT_STEPS", 0)
+
+
 class TestChi2MC:
+    @pytest.mark.usefixtures("sampled")
     def test_diagonal_2x3_vs_exhaustive(self):
         table = [[4, 0, 0], [0, 3, 3]]
         p_exact = exact_chi2_perm_p(table)
         assert p_exact == pytest.approx(1 / 210)
         res = stats.chi2_mc(table, b=20000, seed=99)
+        assert res.method == "chi2_monte_carlo"
         assert abs(res.p - p_exact) <= 0.01
 
+    @pytest.mark.usefixtures("sampled")
     def test_identical_rows_p_near_one(self):
         res = stats.chi2_mc([[10, 10, 10], [10, 10, 10]], b=2000, seed=5)
+        assert res.method == "chi2_monte_carlo"
         assert res.p > 0.9
 
+    @pytest.mark.usefixtures("sampled")
     def test_determinism(self):
         table = [[8, 2, 4], [3, 7, 5]]
         a = stats.chi2_mc(table, b=5000, seed=123)
         b = stats.chi2_mc(table, b=5000, seed=123)
+        assert a.method == "chi2_monte_carlo"
         assert a.p == b.p
         c = stats.chi2_mc(table, b=5000, seed=124)
         assert c.p != a.p or c.seed != a.seed
 
+    @pytest.mark.usefixtures("sampled")
     def test_consistency_with_growing_b(self):
         table = [[6, 1, 2], [2, 5, 1]]
         p_exact = exact_chi2_perm_p(table)
@@ -151,26 +164,28 @@ class TestChi2MC:
         err_large = abs(stats.chi2_mc(table, b=100000, seed=1).p - p_exact)
         assert err_large <= max(err_small, 0.01)
 
+    @pytest.mark.usefixtures("sampled")
     def test_empty_margins_dropped(self):
-        # one padded table that reduces to 2x2 (exact), one to 2x3 (sampled)
-        for padded, reduced, method in [
-                ([[3, 0, 2], [0, 0, 0], [1, 0, 4]], [[3, 2], [1, 4]],
-                 "chi2_exact"),
+        # one padded table that reduces to 2x2, one to 2x3
+        for padded, reduced in [
+                ([[3, 0, 2], [0, 0, 0], [1, 0, 4]], [[3, 2], [1, 4]]),
                 ([[3, 0, 2, 1], [0, 0, 0, 0], [1, 0, 4, 2]],
-                 [[3, 2, 1], [1, 4, 2]], "chi2_monte_carlo")]:
+                 [[3, 2, 1], [1, 4, 2]])]:
             padded = stats.chi2_mc(padded, b=3000, seed=8)
             reduced = stats.chi2_mc(reduced, b=3000, seed=8)
-            assert padded.method == reduced.method == method
+            assert padded.method == reduced.method == "chi2_monte_carlo"
             assert padded.p == reduced.p
             assert padded.statistic == pytest.approx(reduced.statistic)
 
+    @pytest.mark.usefixtures("sampled")
     def test_seeds_do_not_alias(self):
         # a per-chunk key seed ^ chunk made seeds 0 and 1 draw the same
         # two chunks in swapped order, and so the same p
         table = [[8, 5, 3], [4, 7, 6]]
-        p0 = stats.chi2_mc(table, b=2 * stats._MC_CHUNK, seed=0).p
-        p1 = stats.chi2_mc(table, b=2 * stats._MC_CHUNK, seed=1).p
-        assert p0 != p1
+        p0 = stats.chi2_mc(table, b=2 * stats._MC_CHUNK, seed=0)
+        p1 = stats.chi2_mc(table, b=2 * stats._MC_CHUNK, seed=1)
+        assert p0.method == "chi2_monte_carlo"
+        assert p0.p != p1.p
 
     def test_memory_does_not_grow_with_n(self):
         table = [[100, 120, 90, 110, 150],
@@ -179,11 +194,15 @@ class TestChi2MC:
         assert sum(map(sum, table)) == 1700
         tracemalloc.start()
         try:
-            stats.chi2_mc(table, b=10000, seed=3)
+            res = stats.chi2_mc(table, b=10000, seed=3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 16 * 2**20
+        # a paper-scale table is far above the enumeration bound, so it is
+        # sampled: 10 of the 10000 tables drawn at seed 3 reach X2_obs
+        assert (res.method, res.b, res.seed) == ("chi2_monte_carlo", 10000, 3)
+        assert res.p == 11 / 10001
 
     def test_degenerate_table_rejected(self):
         with pytest.raises(ValueError):
@@ -192,6 +211,22 @@ class TestChi2MC:
             stats.chi2_mc([[5], [5]])
         with pytest.raises(ValueError):
             stats.chi2_mc([[5, 5], [0, 0]])
+
+    @pytest.mark.parametrize("b", [0, -5])
+    def test_budget_below_one_rejected(self, b):
+        with pytest.raises(ValueError, match="b must be >= 1"):
+            stats.chi2_mc([[8, 2, 4], [3, 7, 5]], b=b)
+
+    @pytest.mark.parametrize("table", [[[1.5, 2], [3, 4]],
+                                       [[1, 2], [float("nan"), 4]],
+                                       [["1", "2"], ["3", "4"]]])
+    def test_fractional_counts_rejected(self, table):
+        with pytest.raises(ValueError, match="whole numbers"):
+            stats.chi2_mc(table)
+
+    def test_whole_float_counts_accepted(self):
+        assert (stats.chi2_mc([[8.0, 2.0], [3.0, 7.0]]).p
+                == stats.chi2_mc([[8, 2], [3, 7]]).p)
 
 
 # small tables whose every fixed-margin table the exact oracle enumerates
@@ -217,11 +252,20 @@ class TestChi2AgainstExact:
         assert res.method == "chi2_exact"
         assert abs(res.p - exact_chi2_table_p(table)) <= 1e-12
 
+    @pytest.mark.parametrize("table", [t for t in _CHI2_GRID
+                                       if len(t) * len(t[0]) > 4])
+    def test_larger_small_table_is_exact(self, table):
+        res = stats.chi2_mc(table, b=20000, seed=1)
+        assert (res.method, res.b, res.seed) == ("chi2_exact", None, None)
+        assert abs(res.p - exact_chi2_table_p(table)) <= 1e-12
+
+    @pytest.mark.usefixtures("sampled")
     @pytest.mark.parametrize("index", range(len(_CHI2_GRID)))
     def test_mc_within_monte_carlo_error(self, index):
         table, b = _CHI2_GRID[index], 20000
         p = exact_chi2_table_p(table)
         res = stats.chi2_mc(table, b=b, seed=1000 + index)
+        assert res.method == "chi2_monte_carlo"
         assert abs(res.p - p) <= 4 * math.sqrt(p * (1 - p) / b) + 1 / (b + 1)
 
 
@@ -266,6 +310,76 @@ class TestChi2Exact:
         res = stats.chi2_mc(table)
         assert 0.0 < res.p
         assert res.p == pytest.approx(float(want), rel=1e-9)
+
+    def test_random_tables_match_oracle(self):
+        # a few hundred seeded tables, 2..4 rows and columns, some with an
+        # empty row or column; the oracle sees them with those dropped
+        rng = random.Random(20240501)
+        checked = 0
+        while checked < 300:
+            r, c = rng.randint(2, 4), rng.randint(2, 4)
+            table = [[0] * c for _ in range(r)]
+            for _ in range(rng.randint(4, 14 - r * c // 2)):
+                table[rng.randrange(r)][rng.randrange(c)] += 1
+            reduced = [row for row in table if sum(row)]
+            keep = [j for j in range(c) if any(row[j] for row in reduced)]
+            reduced = [[row[j] for j in keep] for row in reduced]
+            if len(reduced) < 2 or len(keep) < 2:
+                continue
+            res = stats.chi2_mc(table)
+            assert res.method == "chi2_exact", table
+            assert abs(res.p - exact_chi2_table_p(reduced)) <= 1e-12, table
+            checked += 1
+
+    def test_fixture_run_tables_match_oracle(self, data_dir, tmp_path,
+                                             monkeypatch):
+        from profaudit.cli import main
+        seen = []
+        chi2_mc = stats.chi2_mc
+
+        def recording(table, b=10000, seed=0):
+            res = chi2_mc(table, b=b, seed=seed)
+            seen.append((table, res))
+            return res
+
+        monkeypatch.setattr(stats, "chi2_mc", recording)
+        main(["report", "--all", "--config", str(data_dir / "config.json"),
+              "--out-dir", str(tmp_path / "out")])
+        assert len(seen) > 30
+        for table, res in seen:
+            reduced = [row for row in table if sum(row)]
+            reduced = [list(col) for col in zip(*reduced) if sum(col)]
+            assert (res.method, res.b, res.seed) == ("chi2_exact", None, None)
+            assert abs(res.p - exact_chi2_table_p(reduced)) <= 1e-12, table
+
+    @pytest.mark.parametrize("table", [[[10, 10, 10], [10, 10, 10]],
+                                       [[3, 3], [3, 3]],
+                                       [[2, 4, 6], [1, 2, 3]],
+                                       [[1, 2], [2, 4], [3, 6]]])
+    def test_minimum_statistic_gives_exactly_one(self, table):
+        # proportional rows: every table with these margins has X2 >= 0
+        res = stats.chi2_mc(table)
+        assert res.statistic == pytest.approx(0.0, abs=1e-12)
+        assert res.p == 1.0
+
+    def test_permuted_and_transposed_tables_give_equal_p(self):
+        rng = random.Random(77)
+        for _ in range(40):
+            table = [[rng.randint(0, 3) for _ in range(4)] for _ in range(3)]
+            if min(map(sum, table)) == 0 or min(map(sum, zip(*table))) == 0:
+                continue
+            res = stats.chi2_mc(table)
+            assert res.method == "chi2_exact"
+            p = res.p
+            assert stats.chi2_mc(table[::-1]).p == p
+            assert stats.chi2_mc([row[::-1] for row in table]).p == p
+            assert stats.chi2_mc([list(col) for col in zip(*table)]).p == p
+
+    def test_paper_scale_table_is_sampled(self):
+        rows = [570, 550, 580]
+        cols = [300, 325, 350, 345, 380]
+        assert min(stats._enumeration_steps(rows, cols),
+                   stats._enumeration_steps(cols, rows)) > stats._EXACT_STEPS
 
     def test_metadata_records_no_budget(self):
         d = stats.chi2_mc([[8, 2], [3, 7]], b=5000, seed=123).to_dict()
