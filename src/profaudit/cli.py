@@ -13,7 +13,7 @@ import logging
 import sys
 from pathlib import Path
 
-from . import corpus, mediawiki, pipeline
+from . import pipeline
 from .config import AuditConfig
 from .pipeline import STAGES, PipelineError
 
@@ -65,14 +65,17 @@ def build_parser() -> argparse.ArgumentParser:
     fetch.add_argument("--titles-file", required=True,
                        help="text file with one page title per line")
     fetch.add_argument("--out", required=True, help="snapshot JSONL to write")
-    fetch.add_argument("--endpoint", default=mediawiki.DEFAULT_ENDPOINT,
+    # _cmd_fetch resolves the defaults, so the audit never imports mediawiki
+    fetch.add_argument("--endpoint",
                        help="MediaWiki api.php URL (default: the German "
-                            "Wikipedia's)")
+                            "Wikipedia's, https://de.wikipedia.org/w/api.php)")
     fetch.add_argument("--rate", type=float, default=2.0,
                        help="max requests per second (default 2)")
     fetch.add_argument("--concurrency", type=int, default=4,
                        help="parallel requests (default 4)")
-    fetch.add_argument("--user-agent", default=mediawiki.DEFAULT_USER_AGENT)
+    fetch.add_argument("--user-agent",
+                       help="User-Agent header (default: 'profaudit/0.1 "
+                            "(profession corpus snapshot builder)')")
     return parser
 
 
@@ -89,6 +92,8 @@ def _load_config(args) -> AuditConfig:
 
 
 def _cmd_fetch(args) -> int:
+    from . import corpus, mediawiki
+
     if args.concurrency < 1:
         raise ValueError("--concurrency must be at least 1")
     if args.rate <= 0:
@@ -96,8 +101,8 @@ def _cmd_fetch(args) -> int:
     with open(args.titles_file, encoding="utf-8") as fh:
         titles = [line.strip() for line in fh if line.strip()]
     client = mediawiki.WikiClient(
-        endpoint=args.endpoint,
-        user_agent=args.user_agent,
+        endpoint=args.endpoint or mediawiki.DEFAULT_ENDPOINT,
+        user_agent=args.user_agent or mediawiki.DEFAULT_USER_AGENT,
         rate=mediawiki.RateLimiter(args.rate))
     records = client.fetch_many(titles, concurrency=args.concurrency)
     snapshot = corpus.build_snapshot(records)

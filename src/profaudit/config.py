@@ -107,6 +107,7 @@ class AuditConfig:
              "dominated_threshold in [0.5, 1]"),
             (self.min_judgments >= 1, "min_judgments >= 1"),
             (self.closure_depth >= 0, "closure_depth >= 0"),
+            (self.min_image_width >= 0, "min_image_width >= 0"),
             (self.mc_iterations >= 1, "mc_iterations >= 1"),
             (0 <= self.seed < 2**64, "seed in [0, 2**64)"),
         ]

@@ -58,8 +58,6 @@ from collections import defaultdict
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from . import (__version__, corpus, images, labor, lexicon, matcher, mentions,
                redirect_bias, stats, webhits)
 from .artifacts import dump_json, sha256_file, write_csv, write_jsonl
@@ -809,9 +807,8 @@ def stage_report(run: Run) -> None:
             if group != BiasGroup.NO_EVIDENCE.value]
     model_out: dict = {"n": len(rows)}
     if len(rows) >= 3 and 0 < sum(y for _, y in rows) < len(rows):
-        X = np.column_stack([np.ones(len(rows)),
-                             np.array([x for x, _ in rows])])
-        fit = stats.logistic_fit(X, np.array([y for _, y in rows]))
+        fit = stats.logistic_fit([[1.0, x] for x, _ in rows],
+                                 [y for _, y in rows])
         model_out.update(webhits.model_report(
             fit, "female_bias", ("intercept", "pct_women")))
     else:

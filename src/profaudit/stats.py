@@ -8,10 +8,12 @@ steps (every table the audit tests), and Monte Carlo for larger ones. The
 exact path compares the statistic as an integer, so its ties are exact
 and need no tolerance.
 
-Everything is implemented directly on top of numpy so that results are
-reproducible bit-for-bit from a single 64-bit seed and every method can be
-checked against small independent oracles (exhaustive enumeration, direct
-formula substitution, simulate-then-fit) in the test suite.
+Everything but the Monte Carlo sampler works on plain Python lists, so
+the audit, whose tables are all enumerated, never imports numpy; the
+sampler imports it to draw large tables. Results are reproducible
+bit-for-bit from a single 64-bit seed, and every method can be checked
+against small independent oracles (exhaustive enumeration, direct formula
+substitution, simulate-then-fit) in the test suite.
 """
 
 from __future__ import annotations
@@ -19,9 +21,10 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import numbers
+from collections.abc import Iterable
 from dataclasses import dataclass
-
-import numpy as np
+from operator import mul
 
 # z quantile for a two-sided 95% interval
 _Z95 = 1.959963984540054
@@ -51,6 +54,20 @@ _SEPARATION_BOUND = 50.0
 
 def _norm_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
+def _rows(table) -> list[list] | None:
+    """The rows of a non-empty two-dimensional table of equal-length rows
+    (nested lists or a numpy array), as lists; None for any other shape."""
+    try:
+        rows = [list(row) for row in table]
+    except TypeError:  # a row that is a single value
+        return None
+    if not rows or len({len(row) for row in rows}) > 1 or any(
+            isinstance(x, Iterable) and not isinstance(x, str)
+            for row in rows for x in row):
+        return None
+    return rows
 
 
 @dataclass
@@ -168,10 +185,6 @@ def wilcoxon_rank_sum(x, y) -> TestResult:
     p = min(1.0, 2.0 * _norm_cdf(-abs(z)))
     return TestResult(statistic=u1, z=z, p=p,
                       method="wilcoxon_rank_sum", n=(n1, n2))
-
-
-def _pearson_x2(table: np.ndarray, expected: np.ndarray) -> float:
-    return float(((table - expected) ** 2 / expected).sum())
 
 
 def _column_moves(s: tuple, total: int, w: list[int],
@@ -292,9 +305,10 @@ def _exact_p(table: list[list[int]]) -> float:
 def chi2_mc(table, b: int = 10000, seed: int = 0) -> TestResult:
     """Pearson chi-square independence test with a fixed-margin p-value.
 
-    ``b`` must be at least 1 and the counts whole numbers. Empty rows and
-    columns are dropped first. A table whose margins bound its enumeration
-    (``_enumeration_steps``, in either orientation) by ``_EXACT_STEPS``
+    ``table`` is nested lists or a numpy array of whole-number counts, and
+    ``b`` must be at least 1. Empty rows and columns are dropped first. A
+    table whose margins bound its enumeration (``_enumeration_steps``, in
+    either orientation) by ``_EXACT_STEPS``
     gets the exact conditional p-value of ``_exact_p``, recorded as method
     ``chi2_exact`` with ``b`` and ``seed`` unused (None). That is every
     table of the audit's image tests. There the statistic is compared as
@@ -306,44 +320,47 @@ def chi2_mc(table, b: int = 10000, seed: int = 0) -> TestResult:
     sequential form): given the cells placed so far, a cell is
     hypergeometric in what is left of its row and column totals; the last
     cell of each row and the last row follow from the margins. One Philox
-    generator keyed with ``seed`` draws every table.
+    generator keyed with ``seed`` draws every table. Only this branch
+    imports numpy.
     """
     if b < 1:
         raise ValueError("chi2_mc: b must be >= 1")
-    raw = np.asarray(table)
-    if raw.ndim != 2:
+    tab = _rows(table)
+    if tab is None:
         raise ValueError("chi2_mc: table must be two-dimensional")
-    if raw.dtype.kind not in "iu" and not (
-            raw.dtype.kind == "f" and np.isfinite(raw).all()
-            and (raw == np.round(raw)).all()):
+    if not all(isinstance(x, numbers.Integral) or (
+            isinstance(x, numbers.Real) and math.isfinite(x)
+            and float(x).is_integer()) for row in tab for x in row):
         raise ValueError("chi2_mc: counts must be whole numbers")
-    tab = raw.astype(np.int64)
-    if (tab < 0).any():
+    tab = [[int(x) for x in row] for row in tab]
+    if any(x < 0 for row in tab for x in row):
         raise ValueError("chi2_mc: negative counts")
-    row_sums = tab.sum(axis=1)
-    col_sums = tab.sum(axis=0)
-    if (row_sums > 0).sum() < 2 or (col_sums > 0).sum() < 2:
-        raise ValueError("chi2_mc: degenerate table (needs >=2 nonzero rows and columns)")
-    total = int(tab.sum())
     # drop empty margins so every expected cell is positive
-    tab = tab[row_sums > 0][:, col_sums > 0]
-    row_sums, col_sums = tab.sum(axis=1), tab.sum(axis=0)
-    expected = np.outer(row_sums, col_sums) / total
-    r, c = tab.shape
-    x2_obs = _pearson_x2(tab.astype(float), expected)
-    rows, cols = row_sums.tolist(), col_sums.tolist()
+    tab = [row for row in tab if any(row)]
+    keep = [j for j, col in enumerate(zip(*tab)) if any(col)]
+    if len(tab) < 2 or len(keep) < 2:
+        raise ValueError("chi2_mc: degenerate table (needs >=2 nonzero rows and columns)")
+    tab = [[row[j] for j in keep] for row in tab]
+    rows = [sum(row) for row in tab]
+    cols = [sum(col) for col in zip(*tab)]
+    total = sum(rows)
+    expected = [[ri * cj / total for cj in cols] for ri in rows]
+    x2_obs = sum((x - e) ** 2 / e for row, e_row in zip(tab, expected)
+                 for x, e in zip(row, e_row))
     over_cols = _enumeration_steps(rows, cols)
     over_rows = _enumeration_steps(cols, rows)
     if min(over_cols, over_rows) <= _EXACT_STEPS:
         # the cheaper orientation; on a tie, the one with the smaller
         # sorted row totals, so a table and its transpose run the same DP
-        if (over_cols, sorted(rows)) <= (over_rows, sorted(cols)):
-            cells = tab.tolist()
-        else:
-            cells = tab.T.tolist()
-        return TestResult(statistic=x2_obs, p=_exact_p(cells),
+        if (over_cols, sorted(rows)) > (over_rows, sorted(cols)):
+            tab = [list(col) for col in zip(*tab)]
+        return TestResult(statistic=x2_obs, p=_exact_p(tab),
                           method="chi2_exact", n=(total,))
 
+    import numpy as np  # only sampling a large table needs it
+
+    r, c = len(rows), len(cols)
+    row_sums, col_sums, expected = rows, np.array(cols), np.array(expected)
     rng = np.random.Generator(np.random.Philox(key=seed))
     ge = 0
     done = 0
@@ -373,19 +390,20 @@ def chi2_mc(table, b: int = 10000, seed: int = 0) -> TestResult:
 
 def pearson(x, y) -> float:
     """Product-moment correlation coefficient."""
-    xa = np.asarray(x, dtype=float)
-    ya = np.asarray(y, dtype=float)
-    if xa.shape != ya.shape or xa.ndim != 1:
+    xs = [float(v) for v in x]
+    ys = [float(v) for v in y]
+    if len(xs) != len(ys):
         raise ValueError("pearson: inputs must be 1-d vectors of equal length")
-    if len(xa) < 2:
+    if len(xs) < 2:
         raise ValueError("pearson: need at least two observations")
-    dx = xa - xa.mean()
-    dy = ya - ya.mean()
-    sx = math.sqrt(float(dx @ dx))
-    sy = math.sqrt(float(dy @ dy))
+    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+    dx = [v - mx for v in xs]
+    dy = [v - my for v in ys]
+    sx = math.sqrt(sum(map(mul, dx, dx)))
+    sy = math.sqrt(sum(map(mul, dy, dy)))
     if sx == 0.0 or sy == 0.0:
         raise ValueError("pearson: correlation undefined for a constant vector")
-    return float(dx @ dy) / (sx * sy)
+    return sum(map(mul, dx, dy)) / (sx * sy)
 
 
 def spearman(x, y) -> float:
@@ -401,10 +419,48 @@ def spearman(x, y) -> float:
     return pearson(midranks(x), midranks(y))
 
 
-def _log_likelihood(X: np.ndarray, y: np.ndarray, beta: np.ndarray) -> float:
-    eta = np.clip(X @ beta, -35.0, 35.0)
+def _etas(X: list[list[float]], beta: list[float]) -> list[float]:
+    """The linear predictor of every row, clipped to [-35, 35]."""
+    return [min(35.0, max(-35.0, sum(map(mul, row, beta)))) for row in X]
+
+
+def _log_likelihood(X, y, beta) -> float:
+    eta = _etas(X, beta)
     # log(1 + e^eta) computed stably
-    return float(y @ eta - np.logaddexp(0.0, eta).sum())
+    return sum(map(mul, y, eta)) - sum(
+        max(e, 0.0) + math.log1p(math.exp(-abs(e))) for e in eta)
+
+
+def _irls_terms(X, y, beta) -> tuple[list, list, list]:
+    """Fitted probabilities p, the information X'WX with the weights
+    p(1 - p) floored at 1e-10, and the score X'(y - p), at ``beta``."""
+    p = [1.0 / (1.0 + math.exp(-e)) for e in _etas(X, beta)]
+    w = [max(pi * (1.0 - pi), 1e-10) for pi in p]
+    cols = list(zip(*X))
+    wcols = [list(map(mul, col, w)) for col in cols]
+    resid = [yi - pi for yi, pi in zip(y, p)]
+    xtwx = [[sum(map(mul, a, wc)) for wc in wcols] for a in cols]
+    return p, xtwx, [sum(map(mul, col, resid)) for col in cols]
+
+
+def _solve(a: list[list[float]], b: list[list[float]]) -> list[list[float]]:
+    """x with a x = b, by Gauss-Jordan elimination with partial pivoting.
+    ``b`` has a row per row of ``a`` and a column per right-hand side. An
+    exactly zero pivot means ``a`` is singular."""
+    k = len(a)
+    m = [ra + rb for ra, rb in zip(a, b)]
+    for j in range(k):
+        top = max(range(j, k), key=lambda i: abs(m[i][j]))
+        if m[top][j] == 0.0:
+            raise ValueError("logistic_fit: singular design matrix")
+        m[j], m[top] = m[top], m[j]
+        pivot = m[j][j]
+        m[j] = [v / pivot for v in m[j]]
+        for i in range(k):
+            if i != j:
+                f = m[i][j]
+                m[i] = [v - f * u for v, u in zip(m[i], m[j])]
+    return [row[k:] for row in m]
 
 
 def logistic_fit(X, y) -> LogisticFit:
@@ -412,75 +468,62 @@ def logistic_fit(X, y) -> LogisticFit:
 
     ``X`` is the full design matrix including the intercept column; ``y``
     is binary. Convergence when max |delta beta| < ``_FIT_TOL`` within
-    ``_FIT_MAX_ITER`` steps. Wald standard errors come from the inverse
-    observed information X'WX. Suspected perfect separation (|beta|
-    drifting past ``_SEPARATION_BOUND`` while the likelihood still
-    improves) yields a result flagged converged=False rather than an
-    exception.
+    ``_FIT_MAX_ITER`` steps; each step solves X'WX delta = X'(y - p) by
+    ``_solve``. Wald standard errors come from the inverse observed
+    information X'WX, the same solve against the identity. Suspected
+    perfect separation (|beta| drifting past ``_SEPARATION_BOUND`` while
+    the likelihood still improves) yields a result flagged
+    converged=False rather than an exception.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.ndim != 2:
+    X = _rows(X)
+    if X is None:
         raise ValueError("logistic_fit: X must be a 2-d design matrix")
-    n, k = X.shape
+    X = [[float(v) for v in row] for row in X]
+    y = [float(v) for v in y]
+    n, k = len(X), len(X[0])
     if len(y) != n:
         raise ValueError("logistic_fit: X and y lengths differ")
     if n <= k:
         raise ValueError("logistic_fit: need more observations than parameters")
-    if not ((y == 0) | (y == 1)).all():
+    if any(v not in (0.0, 1.0) for v in y):
         raise ValueError("logistic_fit: y must be binary")
-    if y.min() == y.max():
+    if min(y) == max(y):
         raise ValueError("logistic_fit: y contains a single class")
 
-    beta = np.zeros(k)
+    beta = [0.0] * k
     ll_prev = _log_likelihood(X, y, beta)
     converged = False
     iterations = 0
     for iterations in range(1, _FIT_MAX_ITER + 1):
-        eta = np.clip(X @ beta, -35.0, 35.0)
-        p = 1.0 / (1.0 + np.exp(-eta))
-        w = np.maximum(p * (1.0 - p), 1e-10)
-        xtwx = X.T @ (X * w[:, None])
-        score = X.T @ (y - p)
-        try:
-            delta = np.linalg.solve(xtwx, score)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError("logistic_fit: singular design matrix") from exc
-        beta = beta + delta
-        if float(np.abs(delta).max()) < _FIT_TOL:
+        _, xtwx, score = _irls_terms(X, y, beta)
+        delta = [d for d, in _solve(xtwx, [[s] for s in score])]
+        beta = [b + d for b, d in zip(beta, delta)]
+        if max(map(abs, delta)) < _FIT_TOL:
             converged = True
             break
         ll = _log_likelihood(X, y, beta)
-        if float(np.abs(beta).max()) > _SEPARATION_BOUND and ll > ll_prev:
-            converged = False
+        if max(map(abs, beta)) > _SEPARATION_BOUND and ll > ll_prev:
             break
         ll_prev = ll
 
-    eta = np.clip(X @ beta, -35.0, 35.0)
-    p = 1.0 / (1.0 + np.exp(-eta))
-    w = np.maximum(p * (1.0 - p), 1e-10)
-    xtwx = X.T @ (X * w[:, None])
-    try:
-        cov = np.linalg.inv(xtwx)
-    except np.linalg.LinAlgError:
-        cov = np.linalg.pinv(xtwx)
-    se = np.sqrt(np.maximum(np.diag(cov), 0.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        zvals = np.where(se > 0, beta / se, np.inf)
-    pvals = [min(1.0, 2.0 * _norm_cdf(-abs(float(zv)))) for zv in zvals]
-    ci = [(float(b - _Z95 * s), float(b + _Z95 * s)) for b, s in zip(beta, se)]
-    accuracy = float(((p >= 0.5) == (y == 1)).mean())
+    p, xtwx, _ = _irls_terms(X, y, beta)
+    cov = _solve(xtwx, [[float(i == j) for j in range(k)] for i in range(k)])
+    se = [math.sqrt(max(cov[i][i], 0.0)) for i in range(k)]
+    pvals = [min(1.0, 2.0 * _norm_cdf(-abs(b / s if s > 0 else math.inf)))
+             for b, s in zip(beta, se)]
+    ci = [(b - _Z95 * s, b + _Z95 * s) for b, s in zip(beta, se)]
+    accuracy = sum((pi >= 0.5) == (yi == 1.0) for pi, yi in zip(p, y)) / n
     ll = _log_likelihood(X, y, beta)
-    pbar = float(y.mean())
+    pbar = sum(y) / n
     ll_null = n * (pbar * math.log(pbar) + (1 - pbar) * math.log(1 - pbar))
     mcfadden = 1.0 - ll / ll_null if ll_null != 0 else float("nan")
     return LogisticFit(
-        coefficients=[float(v) for v in beta],
-        std_errors=[float(v) for v in se],
+        coefficients=beta,
+        std_errors=se,
         p_values=pvals,
         ci95=ci,
         accuracy=accuracy,
-        mcfadden_r2=float(mcfadden),
+        mcfadden_r2=mcfadden,
         converged=converged,
         iterations=iterations,
     )
@@ -493,23 +536,20 @@ def fleiss_kappa(counts, n_raters: int) -> KappaResult:
     (i, j) is the number of raters who put item i in category j. Every
     row must sum to ``n_raters``.
     """
-    tab = np.asarray(counts, dtype=float)
-    if tab.ndim != 2:
+    tab = _rows(counts)
+    if tab is None:
         raise ValueError("fleiss_kappa: counts must be two-dimensional")
+    tab = [[float(v) for v in row] for row in tab]
     if n_raters < 2:
         raise ValueError("fleiss_kappa: need at least two raters")
-    n_items, n_cats = tab.shape
-    if n_items < 1:
-        raise ValueError("fleiss_kappa: no items")
-    row_sums = tab.sum(axis=1)
-    if not np.all(row_sums == n_raters):
+    n_items, n_cats = len(tab), len(tab[0])
+    if any(sum(row) != n_raters for row in tab):
         raise ValueError("fleiss_kappa: every row must sum to n_raters")
 
     n = float(n_raters)
-    p_i = ((tab ** 2).sum(axis=1) - n) / (n * (n - 1.0))
-    p_bar = float(p_i.mean())
-    p_j = tab.sum(axis=0) / (n_items * n)
-    p_bar_e = float((p_j ** 2).sum())
+    p_bar = sum((sum(map(mul, row, row)) - n) / (n * (n - 1.0))
+                for row in tab) / n_items
+    p_bar_e = sum((sum(col) / (n_items * n)) ** 2 for col in zip(*tab))
     if p_bar_e >= 1.0 - 1e-15:
         raise ValueError("fleiss_kappa: undefined, all assignments in one category")
     kappa = (p_bar - p_bar_e) / (1.0 - p_bar_e)
@@ -524,33 +564,32 @@ def bonferroni(alpha: float, m: int) -> float:
     return alpha / m
 
 
-def _bh_reject(pvals: np.ndarray, level: float) -> np.ndarray:
+def _bh_reject(p: list[float], level: float) -> list[bool]:
     """Linear step-up rejections at the given level."""
-    m = len(pvals)
-    order = np.argsort(pvals, kind="stable")
+    m = len(p)
+    order = sorted(range(m), key=p.__getitem__)
     kmax = 0
     for rank, idx in enumerate(order, start=1):
-        if pvals[idx] <= rank * level / m:
+        if p[idx] <= rank * level / m:
             kmax = rank
-    reject = np.zeros(m, dtype=bool)
-    reject[order[:kmax]] = True
+    reject = [False] * m
+    for idx in order[:kmax]:
+        reject[idx] = True
     return reject
 
 
 def bh_adjusted(pvals) -> list[float]:
     """Single-stage Benjamini-Hochberg adjusted p-values."""
-    p = np.asarray(pvals, dtype=float)
+    p = [float(v) for v in pvals]
     m = len(p)
-    if m == 0:
-        return []
-    order = np.argsort(p, kind="stable")
-    adj = np.empty(m)
+    order = sorted(range(m), key=p.__getitem__)
+    adj = [1.0] * m
     running = 1.0
     for rank in range(m, 0, -1):
         idx = order[rank - 1]
         running = min(running, p[idx] * m / rank)
         adj[idx] = running
-    return [float(v) for v in adj]
+    return adj
 
 
 def bh_two_stage(pvals, q: float = ALPHA) -> BhResult:
@@ -560,31 +599,22 @@ def bh_two_stage(pvals, q: float = ALPHA) -> BhResult:
     nulls m0 = m - r1; stage 2 reruns the step-up at q*m/m0. When stage 1
     rejects nothing the procedure stops (nothing rejected); when it
     rejects everything, everything stays rejected. Single-stage adjusted
-    p-values are emitted alongside for comparison.
+    p-values are emitted alongside for comparison. A p-value outside
+    [0, 1], NaN included, is a ValueError.
     """
-    p = np.asarray(pvals, dtype=float)
+    p = [float(v) for v in pvals]
     m = len(p)
     if m == 0:
         return BhResult(reject=[], adjusted_p=[], m0_estimate=0, q=q)
-    if ((p < 0) | (p > 1)).any():
+    if not all(0.0 <= v <= 1.0 for v in p):
         raise ValueError("bh_two_stage: p-values must lie in [0, 1]")
-    stage1 = _bh_reject(p, q / (1.0 + q))
-    r1 = int(stage1.sum())
-    if r1 == 0:
-        reject = stage1
-        m0 = m
-    elif r1 == m:
-        reject = stage1
-        m0 = 0
-    else:
-        m0 = m - r1
+    reject = _bh_reject(p, q / (1.0 + q))
+    r1 = sum(reject)
+    m0 = m - r1
+    if 0 < r1 < m:
         reject = _bh_reject(p, q * m / m0)
-    return BhResult(
-        reject=[bool(v) for v in reject],
-        adjusted_p=bh_adjusted(p),
-        m0_estimate=m0,
-        q=q,
-    )
+    return BhResult(reject=reject, adjusted_p=bh_adjusted(p),
+                    m0_estimate=m0, q=q)
 
 
 def mark_bh_two_stage(tests: list[dict], q: float) -> BhResult:

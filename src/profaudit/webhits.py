@@ -14,8 +14,6 @@ import logging
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import stats
 from .artifacts import read_rows, write_csv
 from .redirect_bias import BiasGroup
@@ -101,15 +99,14 @@ def fit_bias_models(records: list[HitRecord],
     if not usable:
         raise ValueError("fit_bias_models: no usable records")
 
-    diff = np.array([normalized_difference(r).value for r, _ in usable])
-    male_hits = np.array([float(r.hits_male) for r, _ in usable])
-    X = np.column_stack([np.ones(len(usable)), diff, male_hits])
+    X = [[1.0, normalized_difference(r).value, float(r.hits_male)]
+         for r, _ in usable]
 
     report: dict = {"n": len(usable), "standardized": False}
     for name, positive in (("model_female_bias", BiasGroup.FEMALE_BIAS),
                            ("model_male_bias", BiasGroup.MALE_BIAS)):
-        y = np.array([1.0 if g is positive else 0.0 for _, g in usable])
-        if y.min() == y.max():
+        y = [1.0 if g is positive else 0.0 for _, g in usable]
+        if min(y) == max(y):
             report[name] = {"skipped": f"outcome {positive.value} has a "
                                        "single class"}
             continue

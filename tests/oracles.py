@@ -14,6 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from profaudit.mentions import PersonMention, Source
+from profaudit.stats import BhResult, KappaResult, LogisticFit
 
 
 @lru_cache(maxsize=None)
@@ -227,6 +228,191 @@ def pearson_direct(x, y) -> float:
     sxx = sum((a - mx) ** 2 for a in x)
     syy = sum((b - my) ** 2 for b in y)
     return sxy / math.sqrt(sxx * syy)
+
+
+# Reference numpy statistics: logistic_fit, pearson, fleiss_kappa,
+# bh_adjusted and bh_two_stage as profaudit.stats implemented them on numpy
+# arrays before it moved to plain Python, kept unchanged. They share only
+# the result record types.
+
+_Z95 = 1.959963984540054
+_FIT_TOL = 1e-8
+_FIT_MAX_ITER = 100
+_SEPARATION_BOUND = 50.0
+
+
+def _norm_cdf(x: float) -> float:
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
+def numpy_pearson(x, y) -> float:
+    xa = np.asarray(x, dtype=float)
+    ya = np.asarray(y, dtype=float)
+    if xa.shape != ya.shape or xa.ndim != 1:
+        raise ValueError("pearson: inputs must be 1-d vectors of equal length")
+    if len(xa) < 2:
+        raise ValueError("pearson: need at least two observations")
+    dx = xa - xa.mean()
+    dy = ya - ya.mean()
+    sx = math.sqrt(float(dx @ dx))
+    sy = math.sqrt(float(dy @ dy))
+    if sx == 0.0 or sy == 0.0:
+        raise ValueError("pearson: correlation undefined for a constant vector")
+    return float(dx @ dy) / (sx * sy)
+
+
+def _numpy_log_likelihood(X: np.ndarray, y: np.ndarray,
+                          beta: np.ndarray) -> float:
+    eta = np.clip(X @ beta, -35.0, 35.0)
+    # log(1 + e^eta) computed stably
+    return float(y @ eta - np.logaddexp(0.0, eta).sum())
+
+
+def numpy_logistic_fit(X, y) -> LogisticFit:
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if X.ndim != 2:
+        raise ValueError("logistic_fit: X must be a 2-d design matrix")
+    n, k = X.shape
+    if len(y) != n:
+        raise ValueError("logistic_fit: X and y lengths differ")
+    if n <= k:
+        raise ValueError("logistic_fit: need more observations than parameters")
+    if not ((y == 0) | (y == 1)).all():
+        raise ValueError("logistic_fit: y must be binary")
+    if y.min() == y.max():
+        raise ValueError("logistic_fit: y contains a single class")
+
+    beta = np.zeros(k)
+    ll_prev = _numpy_log_likelihood(X, y, beta)
+    converged = False
+    iterations = 0
+    for iterations in range(1, _FIT_MAX_ITER + 1):
+        eta = np.clip(X @ beta, -35.0, 35.0)
+        p = 1.0 / (1.0 + np.exp(-eta))
+        w = np.maximum(p * (1.0 - p), 1e-10)
+        xtwx = X.T @ (X * w[:, None])
+        score = X.T @ (y - p)
+        try:
+            delta = np.linalg.solve(xtwx, score)
+        except np.linalg.LinAlgError as exc:
+            raise ValueError("logistic_fit: singular design matrix") from exc
+        beta = beta + delta
+        if float(np.abs(delta).max()) < _FIT_TOL:
+            converged = True
+            break
+        ll = _numpy_log_likelihood(X, y, beta)
+        if float(np.abs(beta).max()) > _SEPARATION_BOUND and ll > ll_prev:
+            converged = False
+            break
+        ll_prev = ll
+
+    eta = np.clip(X @ beta, -35.0, 35.0)
+    p = 1.0 / (1.0 + np.exp(-eta))
+    w = np.maximum(p * (1.0 - p), 1e-10)
+    xtwx = X.T @ (X * w[:, None])
+    try:
+        cov = np.linalg.inv(xtwx)
+    except np.linalg.LinAlgError:
+        cov = np.linalg.pinv(xtwx)
+    se = np.sqrt(np.maximum(np.diag(cov), 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        zvals = np.where(se > 0, beta / se, np.inf)
+    pvals = [min(1.0, 2.0 * _norm_cdf(-abs(float(zv)))) for zv in zvals]
+    ci = [(float(b - _Z95 * s), float(b + _Z95 * s)) for b, s in zip(beta, se)]
+    accuracy = float(((p >= 0.5) == (y == 1)).mean())
+    ll = _numpy_log_likelihood(X, y, beta)
+    pbar = float(y.mean())
+    ll_null = n * (pbar * math.log(pbar) + (1 - pbar) * math.log(1 - pbar))
+    mcfadden = 1.0 - ll / ll_null if ll_null != 0 else float("nan")
+    return LogisticFit(
+        coefficients=[float(v) for v in beta],
+        std_errors=[float(v) for v in se],
+        p_values=pvals,
+        ci95=ci,
+        accuracy=accuracy,
+        mcfadden_r2=float(mcfadden),
+        converged=converged,
+        iterations=iterations,
+    )
+
+
+def numpy_fleiss_kappa(counts, n_raters: int) -> KappaResult:
+    tab = np.asarray(counts, dtype=float)
+    if tab.ndim != 2:
+        raise ValueError("fleiss_kappa: counts must be two-dimensional")
+    if n_raters < 2:
+        raise ValueError("fleiss_kappa: need at least two raters")
+    n_items, n_cats = tab.shape
+    if n_items < 1:
+        raise ValueError("fleiss_kappa: no items")
+    row_sums = tab.sum(axis=1)
+    if not np.all(row_sums == n_raters):
+        raise ValueError("fleiss_kappa: every row must sum to n_raters")
+
+    n = float(n_raters)
+    p_i = ((tab ** 2).sum(axis=1) - n) / (n * (n - 1.0))
+    p_bar = float(p_i.mean())
+    p_j = tab.sum(axis=0) / (n_items * n)
+    p_bar_e = float((p_j ** 2).sum())
+    if p_bar_e >= 1.0 - 1e-15:
+        raise ValueError("fleiss_kappa: undefined, all assignments in one category")
+    kappa = (p_bar - p_bar_e) / (1.0 - p_bar_e)
+    return KappaResult(kappa=kappa, p_bar=p_bar, p_bar_e=p_bar_e,
+                       n_raters=n_raters, n_items=n_items, n_categories=n_cats)
+
+
+def _numpy_bh_reject(pvals: np.ndarray, level: float) -> np.ndarray:
+    m = len(pvals)
+    order = np.argsort(pvals, kind="stable")
+    kmax = 0
+    for rank, idx in enumerate(order, start=1):
+        if pvals[idx] <= rank * level / m:
+            kmax = rank
+    reject = np.zeros(m, dtype=bool)
+    reject[order[:kmax]] = True
+    return reject
+
+
+def numpy_bh_adjusted(pvals) -> list[float]:
+    p = np.asarray(pvals, dtype=float)
+    m = len(p)
+    if m == 0:
+        return []
+    order = np.argsort(p, kind="stable")
+    adj = np.empty(m)
+    running = 1.0
+    for rank in range(m, 0, -1):
+        idx = order[rank - 1]
+        running = min(running, p[idx] * m / rank)
+        adj[idx] = running
+    return [float(v) for v in adj]
+
+
+def numpy_bh_two_stage(pvals, q: float = 0.05) -> BhResult:
+    p = np.asarray(pvals, dtype=float)
+    m = len(p)
+    if m == 0:
+        return BhResult(reject=[], adjusted_p=[], m0_estimate=0, q=q)
+    if ((p < 0) | (p > 1)).any():
+        raise ValueError("bh_two_stage: p-values must lie in [0, 1]")
+    stage1 = _numpy_bh_reject(p, q / (1.0 + q))
+    r1 = int(stage1.sum())
+    if r1 == 0:
+        reject = stage1
+        m0 = m
+    elif r1 == m:
+        reject = stage1
+        m0 = 0
+    else:
+        m0 = m - r1
+        reject = _numpy_bh_reject(p, q * m / m0)
+    return BhResult(
+        reject=[bool(v) for v in reject],
+        adjusted_p=numpy_bh_adjusted(p),
+        m0_estimate=m0,
+        q=q,
+    )
 
 
 # Reference gazetteer: the regex scan over the whole text that

@@ -217,6 +217,30 @@ def test_cli_import_loads_no_http_library():
 
 
 class TestFetchCommand:
+    def test_defaults_resolved_and_named_in_help(self, tmp_path, capsys,
+                                                 monkeypatch):
+        built = {}
+
+        class Client:
+            def __init__(self, **kwargs):
+                built.update(kwargs)
+
+            def fetch_many(self, titles, concurrency):
+                return {}
+
+        monkeypatch.setattr(mediawiki, "WikiClient", Client)
+        titles = tmp_path / "titles.txt"
+        titles.write_text("Lehrer\n", encoding="utf-8")
+        assert main(["fetch", "--titles-file", str(titles), "--out",
+                     str(tmp_path / "snapshot.jsonl")]) == 0
+        assert (built["endpoint"], built["user_agent"]) == (
+            mediawiki.DEFAULT_ENDPOINT, mediawiki.DEFAULT_USER_AGENT)
+        with pytest.raises(SystemExit):
+            main(["fetch", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert mediawiki.DEFAULT_ENDPOINT in help_text
+        assert mediawiki.DEFAULT_USER_AGENT in help_text
+
     @pytest.mark.parametrize("flag, value", [("--concurrency", "0"),
                                              ("--concurrency", "-2"),
                                              ("--rate", "0"),

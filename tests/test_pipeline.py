@@ -120,6 +120,21 @@ class TestConfig:
         assert "seed" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    def test_negative_min_image_width_fails_before_any_stage(
+            self, data_dir, tmp_path, capsys):
+        config = json.loads((data_dir / "config.json").read_text(
+            encoding="utf-8"))
+        config["min_image_width"] = -5
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(config), encoding="utf-8")
+        out_dir = tmp_path / "out"
+        rc = run_cli("report", "--all", "--config", p, "--out-dir", out_dir)
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "min_image_width >= 0" in err[0]
+        assert not out_dir.exists()
+
     def test_min_image_width_takes_effect(self, fixture_config):
         fixture_config.min_image_width = 10**9
         pipeline.run_all(fixture_config)
@@ -128,6 +143,23 @@ class TestConfig:
         assert categories.splitlines() == [
             "image_id,article_title,profession_id,title_role,bias_group,"
             "category"]
+
+
+def test_audit_imports_neither_numpy_nor_fetcher(data_dir, tmp_path):
+    # a fresh process, since this one has imported numpy for the oracles
+    absent = ("numpy", "concurrent.futures", "urllib.request",
+              "profaudit.mediawiki")
+    code = ("import sys; from profaudit.cli import main; "
+            f"rc = main(['report', '--all', '--config', "
+            f"{str(data_dir / 'config.json')!r}, '--out-dir', "
+            f"{str(tmp_path / 'out')!r}]); "
+            f"print(rc, [m for m in {absent!r} if m in sys.modules])")
+    env = dict(os.environ, PYTHONPATH=str(
+        Path(pipeline.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.splitlines()[-1] == "0 []"
+    assert (tmp_path / "out" / "report" / "bundle_manifest.json").exists()
 
 
 class TestStageOrdering:

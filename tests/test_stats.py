@@ -17,6 +17,11 @@ from oracles import (
     fd_gradient,
     logistic_log_likelihood,
     logistic_score,
+    numpy_bh_adjusted,
+    numpy_bh_two_stage,
+    numpy_fleiss_kappa,
+    numpy_logistic_fit,
+    numpy_pearson,
     pearson_direct,
 )
 
@@ -219,14 +224,44 @@ class TestChi2MC:
 
     @pytest.mark.parametrize("table", [[[1.5, 2], [3, 4]],
                                        [[1, 2], [float("nan"), 4]],
-                                       [["1", "2"], ["3", "4"]]])
+                                       [[1, 2], [float("inf"), 4]],
+                                       [["1", "2"], ["3", "4"]],
+                                       [[1, "1"], [3, 4]],
+                                       np.array([[1.5, 2.0], [3.0, 4.0]])])
     def test_fractional_counts_rejected(self, table):
         with pytest.raises(ValueError, match="whole numbers"):
+            stats.chi2_mc(table)
+
+    @pytest.mark.parametrize("table", [[[1, 2], [3]], [1, 2, 3], 5, [],
+                                       [[[1, 2]], [[3, 4]]],
+                                       [[1, [2]], [3, 4]],
+                                       np.array([1, 2, 3]),
+                                       np.ones((2, 2, 2), dtype=int)])
+    def test_not_two_dimensional_rejected(self, table):
+        with pytest.raises(ValueError, match="two-dimensional"):
+            stats.chi2_mc(table)
+
+    @pytest.mark.parametrize("table", [[[1, -2], [3, 4]],
+                                       np.array([[1.0, 2.0], [-3.0, 4.0]])])
+    def test_negative_counts_rejected(self, table):
+        with pytest.raises(ValueError, match="negative counts"):
             stats.chi2_mc(table)
 
     def test_whole_float_counts_accepted(self):
         assert (stats.chi2_mc([[8.0, 2.0], [3.0, 7.0]]).p
                 == stats.chi2_mc([[8, 2], [3, 7]]).p)
+
+    @pytest.mark.parametrize("sample", [False, True])
+    def test_numpy_tables_match_lists(self, monkeypatch, sample):
+        if sample:
+            monkeypatch.setattr(stats, "_EXACT_STEPS", 0)
+        table = [[8, 0, 2, 4], [0, 0, 0, 0], [3, 0, 7, 5]]
+        want = stats.chi2_mc(table, b=3000, seed=8)
+        for same in (np.array(table, dtype=np.int64),
+                     np.array(table, dtype=np.float64),
+                     [[np.int64(x) for x in row] for row in table],
+                     [[np.float64(x) for x in row] for row in table]):
+            assert stats.chi2_mc(same, b=3000, seed=8) == want
 
 
 # small tables whose every fixed-margin table the exact oracle enumerates
@@ -492,6 +527,14 @@ class TestLogistic:
         with pytest.raises(ValueError):
             stats.logistic_fit(X, np.ones(5))
 
+    def test_solve_pivots_and_detects_singular(self):
+        # a zero leading entry needs a row swap; this solution is exact
+        assert stats._solve([[0.0, 2.0], [4.0, 0.0]],
+                            [[2.0, 1.0], [8.0, 0.0]]) == [[2.0, 0.0],
+                                                          [1.0, 0.5]]
+        with pytest.raises(ValueError, match="singular"):
+            stats._solve([[1.0, 2.0], [2.0, 4.0]], [[1.0], [1.0]])
+
 
 class TestFleissKappa:
     def test_perfect_agreement(self):
@@ -567,3 +610,115 @@ class TestCorrections:
         res = stats.bh_two_stage([])
         assert res.reject == []
         assert res.adjusted_p == []
+
+    @pytest.mark.parametrize("bad", [float("nan"), -0.1, 1.5, float("inf")])
+    def test_bh_p_outside_unit_interval_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            stats.bh_two_stage([0.001, bad, 0.02])
+
+
+def _close(got, want):
+    """Equal to 1e-9 relative; an absolute 1e-12 for values that cancel
+    to about zero, such as the McFadden R2 of an intercept-only model."""
+    return got == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+
+def _fit_values(fit) -> list:
+    return [*fit.coefficients, *fit.std_errors, *fit.p_values,
+            *(c for ci in fit.ci95 for c in ci), fit.accuracy,
+            fit.mcfadden_r2]
+
+
+class TestAgainstNumpyOracles:
+    """The plain-Python statistics against the numpy versions they
+    replaced (tests/oracles.py), on seeded random inputs."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_logistic_fit(self, k):
+        rng = random.Random(600 + k)
+        converged = 0
+        for _ in range(20):
+            n = rng.randint(k + 3, 60)
+            # intercept, a normal predictor, a large count predictor
+            X = [[1.0, rng.gauss(0, 2), float(rng.randint(0, 5000))][:k]
+                 for _ in range(n)]
+            beta = [rng.gauss(0, 1), rng.gauss(0, 1), rng.gauss(0, 1e-3)]
+            y = [float(rng.random() < 1 / (1 + math.exp(
+                -sum(b * x for b, x in zip(beta, row))))) for row in X]
+            if min(y) == max(y):
+                continue
+            got, want = stats.logistic_fit(X, y), numpy_logistic_fit(X, y)
+            assert ((got.converged, got.iterations)
+                    == (want.converged, want.iterations))
+            if want.converged:  # small samples may separate
+                converged += 1
+                assert _close(_fit_values(got), _fit_values(want))
+        assert converged >= 10
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_logistic_fit_separated(self, k):
+        rng = random.Random(700 + k)
+        for _ in range(10):
+            n = rng.randint(6, 40)
+            xs = sorted(rng.gauss(0, 2) for _ in range(n))
+            X = [[1.0, x, float(rng.randint(0, 100))][:k] for x in xs]
+            cut = rng.randint(1, n - 1)
+            y = [float(i >= cut) for i in range(n)]
+            got, want = stats.logistic_fit(X, y), numpy_logistic_fit(X, y)
+            assert (got.converged, got.iterations) == (False,
+                                                       want.iterations)
+            # a drifting fit stops where the likelihood flattens, so its
+            # digits are looser than a converged fit's
+            assert got.coefficients == pytest.approx(want.coefficients,
+                                                     rel=1e-6)
+
+    @pytest.mark.parametrize("column", [
+        lambda row: row[1],  # a duplicated predictor
+        lambda row: 0.0])
+    def test_logistic_fit_rank_deficient(self, column):
+        rng = random.Random(31)
+        X = [[1.0, rng.gauss(0, 1)] for _ in range(20)]
+        X = [row + [column(row)] for row in X]
+        y = [float(i % 3 == 0) for i in range(20)]
+        for fit in (stats.logistic_fit, numpy_logistic_fit):
+            with pytest.raises(ValueError, match="singular design matrix"):
+                fit(X, y)
+
+    def test_pearson(self):
+        rng = random.Random(41)
+        for _ in range(50):
+            n = rng.randint(2, 40)
+            x = [rng.gauss(0, 3) for _ in range(n)]
+            y = [rng.gauss(0, 1) + rng.choice([0, 0.5]) * v for v in x]
+            assert _close(stats.pearson(x, y), numpy_pearson(x, y))
+
+    def test_fleiss_kappa(self):
+        rng = random.Random(43)
+        for _ in range(50):
+            raters, cats = rng.randint(2, 6), rng.randint(2, 4)
+            rows = []
+            for _ in range(rng.randint(1, 12)):
+                row = [0] * cats
+                for _ in range(raters):
+                    row[rng.randrange(cats)] += 1
+                rows.append(row)
+            try:
+                want = numpy_fleiss_kappa(rows, raters)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    stats.fleiss_kappa(rows, raters)
+                continue
+            got = stats.fleiss_kappa(rows, raters)
+            assert _close([got.kappa, got.p_bar, got.p_bar_e],
+                          [want.kappa, want.p_bar, want.p_bar_e])
+            assert ((got.n_raters, got.n_items, got.n_categories)
+                    == (want.n_raters, want.n_items, want.n_categories))
+
+    def test_benjamini_hochberg_with_ties(self):
+        rng = random.Random(47)
+        for _ in range(100):
+            # two decimals, so many p-values tie
+            ps = [round(rng.random() ** 3, 2) for _ in range(rng.randint(1, 12))]
+            assert stats.bh_adjusted(ps) == numpy_bh_adjusted(ps)
+            for q in (0.05, 0.2):
+                assert stats.bh_two_stage(ps, q) == numpy_bh_two_stage(ps, q)
