@@ -26,6 +26,10 @@ CATEGORY_PREFIX = "Kategorie:"
 # profession"
 PROFESSION_ROOTS = ("Beruf", "Amt", "Person nach Tätigkeit")
 
+# decodes every snapshot line; see load_snapshot
+_DECODER = json.JSONDecoder()
+
+
 class SnapshotError(ValueError):
     pass
 
@@ -34,7 +38,7 @@ class RedirectCycleError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class ImageRef:
     filename: str
     width: int
@@ -45,7 +49,7 @@ class ImageRef:
                 "media_format": self.media_format}
 
 
-@dataclass
+@dataclass(slots=True)
 class ArticleRecord:
     title: str
     exists: bool = True
@@ -143,10 +147,13 @@ def record_from_dict(data: dict, where: str = "record") -> ArticleRecord:
                             f"null, got {type(page_id).__name__}")
     key = "images"
     try:
+        # most pages have no images and no outlinks: skip those
+        # comprehensions, each a function call
+        images = data.get("images")
         images = [ImageRef(filename=nfc(i["filename"]),
                            width=int(i["width"]),
                            media_format=str(i["media_format"]).lower())
-                  for i in data.get("images") or []]
+                  for i in images] if images else []
         key = "title"
         title = nfc(data["title"])
         key = "redirect_target"
@@ -156,7 +163,7 @@ def record_from_dict(data: dict, where: str = "record") -> ArticleRecord:
         key = "categories"
         categories = {nfc(c) for c in categories}
         key = "outlinks"
-        outlinks = [nfc(o) for o in outlinks]
+        outlinks = [nfc(o) for o in outlinks] if outlinks else []
     except KeyError as exc:
         raise SnapshotError(f"{where}: field {key!r}: missing key "
                             f"{exc}") from exc
@@ -181,6 +188,14 @@ def load_snapshot(path) -> CorpusSnapshot:
 
     Malformed lines fail with the line number; duplicate titles keep the
     last record and log a warning.
+
+    Each stripped line is decoded on its own, by one ``raw_decode`` call
+    without the whitespace scans of ``json.loads``. A line that call does
+    not read whole goes to ``json.loads``, which rejects it with its own
+    message. Lines are not decoded in chunks: two malformed lines can join
+    into valid JSON with the right number of values (``{"t": [1`` then
+    ``2]}, {}``), so a chunk that decodes would still need checking line
+    by line.
     """
     records: dict[str, ArticleRecord] = {}
     with open(path, encoding="utf-8") as fh:
@@ -189,10 +204,17 @@ def load_snapshot(path) -> CorpusSnapshot:
             if not line:
                 continue
             try:
-                data = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SnapshotError(f"snapshot line {line_no}: invalid JSON "
-                                    f"({exc})") from exc
+                data, end = _DECODER.raw_decode(line)
+            except json.JSONDecodeError:
+                end = None
+            if end != len(line):
+                # a stripped line raw_decode does not read whole fails in
+                # json.loads too, with json.loads' own message
+                try:
+                    data = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise SnapshotError(f"snapshot line {line_no}: invalid "
+                                        f"JSON ({exc})") from exc
             rec = record_from_dict(data, where=f"snapshot line {line_no}")
             if rec.title in records:
                 log.warning("snapshot line %d: duplicate title %r, last wins",

@@ -51,6 +51,7 @@ enumerate; a table small enough gets its exact p-value, whatever the seed.
 from __future__ import annotations
 
 import csv
+import gc
 import hashlib
 import json
 import logging
@@ -161,7 +162,15 @@ class Run:
     function: the config, the running stage's declared inputs (label ->
     path) and outputs, the snapshot and category closure, each parsed at
     most once, the digest of every file hashed so far and the code stamps
-    of the output directory."""
+    of the output directory.
+
+    The snapshot is the run's largest structure and holds no reference
+    cycles, so the cyclic collector can free none of it. It loads with the
+    collector paused (the enabled state is restored after), and once it
+    has loaded, ``gc.freeze()`` takes it, with everything else then
+    tracked, out of the collector's sweeps, unless something is frozen
+    already. ``drop_snapshot`` unfreezes; ``run_all`` and ``run_stage``
+    call it however they end, so no run leaves objects frozen."""
 
     def __init__(self, cfg: AuditConfig):
         cfg.validate_thresholds()
@@ -182,13 +191,23 @@ class Run:
         self.inputs: dict[str, Path] = {}
         self.outputs: list[Path] = []
         self._snapshot: corpus.CorpusSnapshot | None = None
+        self._frozen = False
         self._closure: set[str] | None = None
         self._digests: dict[Path, str] = {}
 
     @property
     def snapshot(self) -> corpus.CorpusSnapshot:
         if self._snapshot is None:
-            self._snapshot = corpus.load_snapshot(self.inputs["snapshot"])
+            enabled = gc.isenabled()
+            gc.disable()
+            try:
+                self._snapshot = corpus.load_snapshot(self.inputs["snapshot"])
+            finally:
+                if enabled:
+                    gc.enable()
+            if gc.get_freeze_count() == 0:
+                gc.freeze()
+                self._frozen = True
         return self._snapshot
 
     @property
@@ -201,6 +220,9 @@ class Run:
 
     def drop_snapshot(self) -> None:
         """Free the snapshot and the closure; a later reader parses again."""
+        if self._frozen:
+            gc.unfreeze()
+            self._frozen = False
         self._snapshot = self._closure = None
 
     def out(self, name: str) -> Path:
@@ -948,7 +970,10 @@ def run_stage(stage: str, cfg: AuditConfig) -> list[Path]:
         if reason is not None:
             raise PipelineError(f"stage {before!r} is stale ({reason}); "
                                 f"run stage {before!r} first")
-    return run.execute(stage, force="requested on its own")
+    try:
+        return run.execute(stage, force="requested on its own")
+    finally:
+        run.drop_snapshot()
 
 
 def run_all(cfg: AuditConfig) -> list[Path]:
@@ -956,9 +981,13 @@ def run_all(cfg: AuditConfig) -> list[Path]:
     holds; returns every stage's outputs."""
     run = Run(cfg)
     outputs = []
-    for stage in STAGES:
-        force = "the first stage always runs" if stage == STAGES[0] else None
-        outputs += run.execute(stage, force)
-        if stage == _LAST_SNAPSHOT_READER:
-            run.drop_snapshot()
+    try:
+        for stage in STAGES:
+            force = ("the first stage always runs" if stage == STAGES[0]
+                     else None)
+            outputs += run.execute(stage, force)
+            if stage == _LAST_SNAPSHOT_READER:
+                run.drop_snapshot()
+    finally:
+        run.drop_snapshot()
     return outputs

@@ -120,8 +120,10 @@ def fit_bias_models(records: list[HitRecord],
 def model_report(fit: stats.LogisticFit, outcome: str, predictors) -> dict:
     """Table layout: one row per coefficient, named by ``predictors``,
     with an odds-ratio column. A one-unit predictor increase multiplies
-    the odds by exp(coef); for |coef| >= 500 the odds ratio is written as
-    null."""
+    the odds by exp(coef); the odds ratio is written as null for
+    |coef| >= 500, and for every coefficient of a fit that did not
+    converge (a separated design, whose coefficients drift without bound,
+    so exp(coef) would print digits of arithmetic noise)."""
     rows = []
     for i, name in enumerate(predictors):
         coef = fit.coefficients[i]
@@ -132,7 +134,8 @@ def model_report(fit: stats.LogisticFit, outcome: str, predictors) -> dict:
             "p": fit.p_values[i],
             "ci95_low": fit.ci95[i][0],
             "ci95_high": fit.ci95[i][1],
-            "odds_ratio": math.exp(coef) if abs(coef) < 500 else None,
+            "odds_ratio": (math.exp(coef)
+                           if fit.converged and abs(coef) < 500 else None),
         })
     return {
         "outcome": outcome,

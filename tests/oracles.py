@@ -6,6 +6,7 @@ with the implementation under test.
 """
 
 import itertools
+import json
 import math
 import re
 import unicodedata
@@ -13,6 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from profaudit.corpus import ArticleRecord, ImageRef, build_snapshot
 from profaudit.mentions import PersonMention, Source
 from profaudit.stats import BhResult, KappaResult, LogisticFit
 
@@ -488,3 +490,33 @@ def extract_text_mentions(article_title: str, plain_text: str,
                 ))
             break  # one person per run suffix; avoid re-matching the rest
     return mentions
+
+
+# Reference snapshot loader: profaudit.corpus.load_snapshot as it was when
+# it called json.loads on each line, with each record built straight from
+# the snapshot format. It checks none of the record invariants, so compare
+# it on valid snapshots only. It shares the record types and
+# build_snapshot, so results compare with ==.
+
+def load_snapshot_json_loads(path):
+    records = {}
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            data = json.loads(line)
+            target = data.get("redirect_target")
+            rec = ArticleRecord(
+                title=nfc(data["title"]),
+                exists=data.get("exists", True),
+                redirect_target=nfc(target) if target else None,
+                categories={nfc(c) for c in data.get("categories") or []},
+                outlinks=[nfc(o) for o in data.get("outlinks") or []],
+                images=[ImageRef(nfc(i["filename"]), int(i["width"]),
+                                 str(i["media_format"]).lower())
+                        for i in data.get("images") or []],
+                plain_text=data.get("plain_text") or "",
+                page_id=data.get("page_id"))
+            records[rec.title] = rec
+    return build_snapshot(records)

@@ -1,6 +1,9 @@
 import json
+import random
+import unicodedata
 
 import pytest
+from oracles import load_snapshot_json_loads
 
 from profaudit import corpus
 from profaudit.corpus import (ArticleRecord, ImageRef, RedirectCycleError,
@@ -51,6 +54,55 @@ class TestLoad:
         p.write_text('{"title": "A"}\n{broken\n', encoding="utf-8")
         with pytest.raises(SnapshotError, match="line 2"):
             corpus.load_snapshot(p)
+
+    @pytest.mark.parametrize("line", [
+        '{"title": "B"} \t {"title": "C"}',
+        '\ufeff{"title": "B"}', '{"title": "B",}', '{"title": "B"', "{]",
+        '{"title": "B"} x'])
+    def test_invalid_line_fails_as_json_loads_does(self, tmp_path, line):
+        p = tmp_path / "snap.jsonl"
+        p.write_text('{"title": "A"}\n' + line + "\n", encoding="utf-8")
+        with pytest.raises(json.JSONDecodeError) as loads_error:
+            json.loads(line)
+        with pytest.raises(SnapshotError) as raised:
+            corpus.load_snapshot(p)
+        assert str(raised.value) == (f"snapshot line 2: invalid JSON "
+                                     f"({loads_error.value})")
+
+    def test_two_objects_on_one_line(self, tmp_path):
+        p = tmp_path / "snap.jsonl"
+        p.write_text('{"title": "A"} {"title": "B"}\n', encoding="utf-8")
+        with pytest.raises(SnapshotError,
+                           match=r"^snapshot line 1: invalid JSON \(Extra "
+                                 r"data: line 1 column 16 \(char 15\)\)$"):
+            corpus.load_snapshot(p)
+
+    def test_lines_that_join_into_valid_json_fail_at_the_first(self,
+                                                               tmp_path):
+        # joined as one array, these two lines decode as two objects
+        lines = ['{"t": [1', '2]}, {}']
+        assert len(json.loads("[" + ",".join(lines) + "]")) == 2
+        p = tmp_path / "snap.jsonl"
+        p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(SnapshotError,
+                           match=r"^snapshot line 1: invalid JSON \("):
+            corpus.load_snapshot(p)
+
+    def test_blank_lines_keep_the_line_number(self, tmp_path):
+        p = tmp_path / "snap.jsonl"
+        p.write_text('{"title": "A"}\n\n \t \n{broken\n', encoding="utf-8")
+        with pytest.raises(SnapshotError,
+                           match=r"^snapshot line 4: invalid JSON \("):
+            corpus.load_snapshot(p)
+
+    def test_crlf_lines_load(self, tmp_path):
+        p = tmp_path / "snap.jsonl"
+        p.write_bytes(b'{"title": "A", "plain_text": "a"}\r\n\r\n'
+                      b'{"title": "B", "redirect_target": "A"}\r\n')
+        records = corpus.load_snapshot(p).records
+        assert list(records) == ["A", "B"]
+        assert records["A"].plain_text == "a"
+        assert records["B"].redirect_target == "A"
 
     @pytest.mark.parametrize("line", ["[1, 2]", '"Anna"', "5", "null"])
     def test_non_object_line_names_line(self, tmp_path, line):
@@ -146,6 +198,69 @@ class TestLoad:
         corpus.save_snapshot(snap, p2)
         corpus.save_snapshot(corpus.load_snapshot(p2), p3)
         assert p2.read_bytes() == p3.read_bytes()
+
+
+def synthetic_snapshot_text(seed, n=400):
+    """Snapshot lines that stress the decoding: U+2028 and U+2029 in text
+    and around lines, non-BMP characters written as escaped surrogate
+    pairs, titles in NFD that meet their NFC form, duplicate titles,
+    CRLF, blank and indented lines."""
+    rng = random.Random(seed)
+    names = ["Ärztin", "Straße", "Zoë Brück", "Chef\u2028koch", "Ångström",
+             "Kategorie:Übersetzer", "Kategorie:Beruf", "Emoji \U0001F600"]
+    words = ["Text", "\u2028", "\u2029", "\U0001F600", "a\u0308", "\\",
+             "\"", "\u00a0", "Zitat „x“"]
+
+    def title():
+        return unicodedata.normalize(rng.choice(["NFC", "NFD"]),
+                                     f"{rng.choice(names)} {rng.randrange(40)}")
+
+    lines = []
+    for page_id in range(n):
+        rec = {"title": title()}
+        kind = rng.random()
+        if kind < 0.2:
+            rec["redirect_target"] = title()
+        elif kind < 0.3:
+            rec["exists"] = False
+        else:
+            rec.update(
+                plain_text=" ".join(rng.choices(words, k=rng.randint(0, 9))),
+                categories=[title().split(":")[-1]
+                            for _ in range(rng.randint(0, 3))],
+                outlinks=[title() for _ in range(rng.randint(0, 3))],
+                images=[{"filename": title() + ".jpg",
+                         "width": rng.randint(0, 999),
+                         "media_format": rng.choice(["JPG", "png"])}],
+                page_id=rng.choice([None, page_id]))
+        pad = rng.choice(["", " ", "\t", "\u2028", "\u00a0"])
+        lines.append(pad + json.dumps(rec, ensure_ascii=rng.random() < 0.5)
+                     + rng.choice(["\n", "\r\n", "\n\n"]))
+    return "".join(lines)
+
+
+class TestLoadAgainstReference:
+    """load_snapshot gives the records of the loader that called
+    json.loads on each line."""
+
+    def assert_same_as_reference(self, path):
+        got = corpus.load_snapshot(path)
+        want = load_snapshot_json_loads(path)
+        assert list(got.records.items()) == list(want.records.items())
+        assert got.subcategories == want.subcategories
+
+    def test_fixture(self, data_dir):
+        self.assert_same_as_reference(data_dir / "snapshot.jsonl")
+
+    def test_synthetic(self, tmp_path):
+        text = synthetic_snapshot_text(seed=1702)
+        assert "\\ud83d\\ude00" in text and "\u2028" in text
+        p = tmp_path / "snap.jsonl"
+        p.write_text(text, encoding="utf-8")
+        records = corpus.load_snapshot(p).records
+        assert len(records) < text.count("{\"title\"")  # duplicates
+        assert any("\U0001F600" in t for t in records)
+        self.assert_same_as_reference(p)
 
 
 class TestResolve:

@@ -1,3 +1,4 @@
+import gc
 import json
 import logging
 import math
@@ -302,6 +303,77 @@ class TestModelTables:
             assert slope["coef"] == coef and slope["odds_ratio"] is None
             assert intercept["odds_ratio"] == pytest.approx(
                 math.exp(intercept["coef"]), rel=1e-5, abs=1e-5)
+
+
+@pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+def collector(request):
+    """The collector enabled or disabled for the test; afterwards its old
+    state is restored and nothing is left frozen."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+    gc.unfreeze()
+
+
+class TestCollectorPolicy:
+    """The snapshot loads with the collector paused and stays frozen only
+    while the run holds it."""
+
+    @pytest.fixture()
+    def seen(self, monkeypatch):
+        """Whether the collector ran while the snapshot loaded, and the
+        freeze count at the end of each stage function."""
+        seen = {}
+        load = pipeline.corpus.load_snapshot
+
+        def load_snapshot(path):
+            seen["enabled_in_load"] = gc.isenabled()
+            return load(path)
+
+        monkeypatch.setattr(pipeline.corpus, "load_snapshot", load_snapshot)
+        for stage, fn in list(pipeline._STAGE_FUNCS.items()):
+            def wrapper(run, _stage=stage, _fn=fn):
+                result = _fn(run)
+                seen[_stage] = gc.get_freeze_count()
+                return result
+
+            monkeypatch.setitem(pipeline._STAGE_FUNCS, stage, wrapper)
+        return seen
+
+    def test_run_all(self, fixture_config, collector, seen):
+        pipeline.run_all(fixture_config)
+        assert seen.pop("enabled_in_load") is False
+        # frozen from the first stage that reads the snapshot to the last
+        assert [s for s in pipeline.STAGES if seen[s]] == [
+            "match", "classify", "webhits", "mentions"]
+        assert gc.get_freeze_count() == 0 and gc.isenabled() is collector
+
+    def test_run_stage(self, fixture_config, collector, seen):
+        pipeline.run_all(fixture_config)
+        seen.clear()
+        pipeline.run_stage("mentions", fixture_config)
+        assert seen["enabled_in_load"] is False and seen["mentions"] > 0
+        assert gc.get_freeze_count() == 0 and gc.isenabled() is collector
+
+    def test_failed_load(self, data_dir, tmp_path, collector):
+        work = tmp_path / "fixture"
+        shutil.copytree(data_dir, work, ignore=shutil.ignore_patterns(
+            "golden", "out"))
+        with open(work / "snapshot.jsonl", "a", encoding="utf-8") as fh:
+            fh.write("{broken\n")
+        cfg = AuditConfig.from_file(work / "config.json")
+        cfg.out_dir = str(tmp_path / "out")
+        with pytest.raises(pipeline.corpus.SnapshotError, match="line 26"):
+            pipeline.run_all(cfg)
+        assert gc.get_freeze_count() == 0 and gc.isenabled() is collector
+
+    def test_leaves_a_callers_freeze_alone(self, fixture_config, collector,
+                                           seen):
+        gc.freeze()
+        frozen = gc.get_freeze_count()
+        pipeline.run_all(fixture_config)
+        assert seen["match"] == frozen and gc.get_freeze_count() == frozen
 
 
 class TestWriteJsonl:

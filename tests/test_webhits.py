@@ -168,3 +168,16 @@ class TestReportIdentities:
                                     ("a", "b"))["coefficients"]
         assert rows[0]["odds_ratio"] is None
         assert rows[1]["odds_ratio"] == math.exp(499.0)
+
+    def test_odds_ratio_null_when_not_converged(self):
+        # x separates the outcome, so the coefficients drift without bound
+        x = [-3.0, -2.0, -1.0, 1.0, 2.0, 3.0]
+        fit = stats.logistic_fit([[1.0, v] for v in x],
+                                 [float(v > 0) for v in x])
+        assert not fit.converged and all(abs(c) < 500
+                                         for c in fit.coefficients)
+        table = webhits.model_report(fit, "x", ("a", "b"))
+        assert table["converged"] is False
+        assert [r["coef"] for r in table["coefficients"]] == fit.coefficients
+        assert [r["odds_ratio"] for r in table["coefficients"]] == [None,
+                                                                    None]
