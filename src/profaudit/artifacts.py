@@ -87,6 +87,19 @@ def read_rows(path, what: str, header: str | None, ncols: int):
             yield row_no, row
 
 
+def check_unique(first_rows: dict, key, row_no: int, what: str,
+                 key_name: str) -> None:
+    """Record that ``key`` is on row ``row_no`` of a ``what`` file.
+
+    ``first_rows`` maps each key seen so far to its row. A key seen before
+    raises ``ValueError`` naming ``what`` and both rows.
+    """
+    first = first_rows.setdefault(key, row_no)
+    if first != row_no:
+        raise ValueError(f"{what} row {row_no}: duplicate {key_name} "
+                         f"{key!r} (first on row {first})")
+
+
 def sha256_file(path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import stats
-from .artifacts import read_rows
+from .artifacts import check_unique, read_rows
 from .corpus import ImageRef
 
 log = logging.getLogger(__name__)
@@ -156,11 +156,15 @@ def load_responses(path) -> list[AnnotationResponse]:
 
 
 def load_gold_labels(path) -> dict[str, ImageCategory]:
-    """CSV: image_id, category."""
+    """CSV: image_id, category. A repeated image id is an error naming
+    both rows."""
     out: dict[str, ImageCategory] = {}
+    rows: dict[str, int] = {}
     for row_no, row in read_rows(path, "gold labels", "image_id", 2):
+        image_id = row[0].strip()
+        check_unique(rows, image_id, row_no, "gold labels", "image_id")
         try:
-            out[row[0].strip()] = ImageCategory(row[1].strip())
+            out[image_id] = ImageCategory(row[1].strip())
         except ValueError as exc:
             raise ValueError(f"gold labels row {row_no}: {exc}") from exc
     return out

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .artifacts import read_rows, write_csv
+from .artifacts import check_unique, read_rows, write_csv
 
 
 class MatchKind(str, Enum):
@@ -57,13 +57,10 @@ def load_stats(path) -> list[LaborStat]:
     """CSV columns: code, label, men, women. Duplicate codes and
     non-numeric counts are errors naming the row."""
     out: list[LaborStat] = []
-    seen: set[str] = set()
+    rows: dict[str, int] = {}
     for row_no, row in read_rows(path, "labor stats", "code", 4):
         code = row[0].strip()
-        if code in seen:
-            raise ValueError(f"labor stats row {row_no}: duplicate code "
-                             f"{code!r}")
-        seen.add(code)
+        check_unique(rows, code, row_no, "labor stats", "code")
         try:
             men = int(row[2])
             women = int(row[3])

@@ -15,6 +15,13 @@ title, is NFC already and is compared as it is.
 The gazetteer is deliberately simple and auditable; an external NER's
 output can be ingested instead by feeding its names through the same
 PersonMention shape.
+
+Each line of the ``mentions.jsonl`` artifact is one mention's
+``PersonMention.json_line()``: byte for byte what ``json.dumps`` gives for
+the mention's fields with ``ensure_ascii=False`` and ``sort_keys=True``,
+written without building a dict or calling an encoder per mention.
+``tests/oracles.py`` keeps the dict-and-``json.dumps`` form as the
+reference.
 """
 
 from __future__ import annotations
@@ -22,8 +29,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from json.encoder import encode_basestring as _quote
 
-from .artifacts import read_rows
+from .artifacts import check_unique, read_rows
 from .corpus import ArticleRecord, CorpusSnapshot
 from .text import nfc
 
@@ -53,8 +61,17 @@ class BiasClass(str, Enum):
     EQUAL = "equal"
 
 
-@dataclass
+# each enum member's JSON string, as json.dumps writes its value
+_JSON = {member: _quote(member.value) for member in (*Gender, *Source)}
+
+
+@dataclass(slots=True)
 class PersonMention:
+    """One person mentioned in one article.
+
+    ``json_line()`` is the mention's line of ``mentions.jsonl``.
+    """
+
     article_title: str
     surface_name: str
     first_name: str
@@ -63,16 +80,25 @@ class PersonMention:
     linked_page: str | None = None
     birth_year: int | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "article_title": self.article_title,
-            "surface_name": self.surface_name,
-            "first_name": self.first_name,
-            "gender": self.gender.value,
-            "source": self.source.value,
-            "linked_page": self.linked_page,
-            "birth_year": self.birth_year,
-        }
+    def json_line(self) -> str:
+        """The JSON object of every field, keys sorted, then a newline.
+
+        Equal to ``json.dumps(d, ensure_ascii=False, sort_keys=True) +
+        "\\n"`` for ``d`` the dict of the fields with the enums as their
+        values: text goes through the encoder ``json.dumps`` uses when
+        ``ensure_ascii`` is false, a year through ``int.__repr__``, and a
+        missing page or year is ``null``.
+        """
+        page = self.linked_page
+        year = self.birth_year
+        return (
+            f'{{"article_title": {_quote(self.article_title)}, '
+            f'"birth_year": {"null" if year is None else int.__repr__(year)}, '
+            f'"first_name": {_quote(self.first_name)}, '
+            f'"gender": {_JSON[self.gender]}, '
+            f'"linked_page": {"null" if page is None else _quote(page)}, '
+            f'"source": {_JSON[self.source]}, '
+            f'"surface_name": {_quote(self.surface_name)}}}\n')
 
 
 @dataclass
@@ -102,11 +128,14 @@ class OverlapReport:
 def load_gender_lexicon(path) -> dict[str, Gender]:
     """First-name lexicon CSV: name, gender (m/f/ambiguous), optional weight.
 
-    Lookup is case-exact on the capitalized NFC form.
+    Lookup is case-exact on the capitalized NFC form. A name that repeats
+    in NFC is an error naming both rows.
     """
     table: dict[str, Gender] = {}
+    rows: dict[str, int] = {}
     for row_no, row in read_rows(path, "gender lexicon", "name", 2):
         name = nfc(row[0].strip())
+        check_unique(rows, name, row_no, "gender lexicon", "name")
         tag = row[1].strip().lower()
         if tag in ("m", "male"):
             gender = Gender.M
@@ -329,15 +358,19 @@ def parse_birth_year(plain_text: str) -> int | None:
 
 
 def load_birth_years(path) -> dict[str, int]:
-    """CSV: page_title, year."""
+    """CSV: page_title, year. A title that repeats in NFC is an error
+    naming both rows."""
     table: dict[str, int] = {}
+    rows: dict[str, int] = {}
     for row_no, row in read_rows(path, "birth years", "page_title", 2):
+        title = nfc(row[0].strip())
+        check_unique(rows, title, row_no, "birth years", "page title")
         try:
             year = int(row[1])
         except ValueError as exc:
             raise ValueError(f"birth years row {row_no}: bad year "
                              f"{row[1]!r}") from exc
-        table[nfc(row[0].strip())] = year
+        table[title] = year
     return table
 
 

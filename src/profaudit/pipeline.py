@@ -61,7 +61,7 @@ from pathlib import Path
 
 from . import (__version__, corpus, images, labor, lexicon, matcher, mentions,
                redirect_bias, stats, webhits)
-from .artifacts import dump_json, sha256_file, write_csv, write_jsonl
+from .artifacts import dump_json, sha256_file, write_csv
 from .config import AuditConfig
 from .images import ImageCategory
 from .lexicon import ProfessionEntry, Resolution
@@ -538,6 +538,16 @@ def stage_webhits(run: Run) -> None:
 # --------------------------------------------------------------- mentions
 
 def stage_mentions(run: Run) -> None:
+    """Persons mentioned in each profession article.
+
+    ``mentions.jsonl`` holds every merged mention, one
+    ``PersonMention.json_line()`` per line: byte for byte the
+    ``json.dumps(..., ensure_ascii=False, sort_keys=True)`` form, whose
+    reference is kept in ``tests/oracles.py``. ``ratios.csv`` has the
+    per-article male ratios over all mentions and over those born after
+    the cutoff; ``merge_report.json`` the overlap of the two extraction
+    routes and the birth filter's counts.
+    """
     cfg = run.cfg
     gender_lexicon = mentions.load_gender_lexicon(run.inputs["gender_lexicon"])
     birth_index: dict[str, int] = {}
@@ -564,7 +574,8 @@ def stage_mentions(run: Run) -> None:
     filtered, unknown, too_old = mentions.filter_by_birth(
         all_mentions, cfg.birth_cutoff)
 
-    write_jsonl(run.out("mentions.jsonl"), (m.to_dict() for m in all_mentions))
+    with open(run.out("mentions.jsonl"), "w", encoding="utf-8") as fh:
+        fh.writelines(m.json_line() for m in all_mentions)
 
     ratio_rows = []
     for variant, subset in (("all", all_mentions),

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from . import stats
-from .artifacts import read_rows, write_csv
+from .artifacts import check_unique, read_rows, write_csv
 from .redirect_bias import BiasGroup
 
 log = logging.getLogger(__name__)
@@ -35,9 +35,13 @@ class NormalizedDifference:
 
 
 def load_hits(path) -> list[HitRecord]:
-    """CSV columns: profession_id, hits_male, hits_female."""
+    """CSV columns: profession_id, hits_male, hits_female. A repeated
+    profession id is an error naming both rows."""
     out = []
+    rows: dict[str, int] = {}
     for row_no, row in read_rows(path, "hits", "profession_id", 3):
+        pid = row[0].strip()
+        check_unique(rows, pid, row_no, "hits", "profession_id")
         try:
             male = int(row[1])
             female = int(row[2])
@@ -45,7 +49,7 @@ def load_hits(path) -> list[HitRecord]:
             raise ValueError(f"hits row {row_no}: non-numeric count") from exc
         if male < 0 or female < 0:
             raise ValueError(f"hits row {row_no}: negative count")
-        out.append(HitRecord(row[0].strip(), male, female))
+        out.append(HitRecord(pid, male, female))
     return out
 
 

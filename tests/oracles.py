@@ -520,3 +520,20 @@ def load_snapshot_json_loads(path):
                 page_id=data.get("page_id"))
             records[rec.title] = rec
     return build_snapshot(records)
+
+
+# Reference mention record: PersonMention.to_dict as it was before
+# PersonMention.json_line wrote each line of mentions.jsonl directly. The
+# line it stands for is json.dumps(mention_to_dict(m), ensure_ascii=False,
+# sort_keys=True) + "\n".
+
+def mention_to_dict(m: PersonMention) -> dict:
+    return {
+        "article_title": m.article_title,
+        "surface_name": m.surface_name,
+        "first_name": m.first_name,
+        "gender": m.gender.value,
+        "source": m.source.value,
+        "linked_page": m.linked_page,
+        "birth_year": m.birth_year,
+    }

@@ -301,3 +301,12 @@ class TestLoadFiles:
         p = tmp_path / "gold.csv"
         p.write_text("image_id,category\nimg1,men\n", encoding="utf-8")
         assert images.load_gold_labels(p) == {"img1": ImageCategory.MEN}
+
+    def test_duplicate_gold_image_names_both_rows(self, tmp_path):
+        # the later row used to win and change how workers were scored
+        p = tmp_path / "gold.csv"
+        p.write_text("image_id,category\nimg1,men\nimg2,women\nimg1,women\n",
+                     encoding="utf-8")
+        with pytest.raises(ValueError, match=r"^gold labels row 4: duplicate "
+                           r"image_id 'img1' \(first on row 2\)$"):
+            images.load_gold_labels(p)

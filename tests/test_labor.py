@@ -23,7 +23,8 @@ class TestLoadStats:
     def test_duplicate_code_rejected(self, tmp_path):
         p = tmp_path / "stats.csv"
         p.write_text("8445,A,1,1\n8445,B,2,2\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="duplicate"):
+        with pytest.raises(ValueError, match=r"^labor stats row 2: duplicate "
+                           r"code '8445' \(first on row 1\)$"):
             labor.load_stats(p)
 
     def test_non_numeric_names_row(self, tmp_path):

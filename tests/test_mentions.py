@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 import unicodedata
@@ -166,6 +167,81 @@ class TestGazetteerAgainstReference:
         assert n_mentions > 0
 
 
+# Text that json.dumps escapes or keeps as it is: quote, backslash, every
+# C0 control, DEL, the line and paragraph separators, characters outside
+# the BMP and a lone surrogate.
+JSON_TEXTS = ["", "Anna Müller", '"', "\\", "".join(map(chr, range(0x20))),
+              "\x7f", "\u2028\u2029", "\U0001f600\U0001d538",
+              'a"b\\c\x00\x1f\x7f\u2028\U0001f600 ß', "\ud800"]
+JSON_PIECES = list('"\\/\x00\x08\t\n\x0c\r\x1f\x7f\x80\u2028\u2029'
+                   "\ud83d\U0001f600 aAäß中") + ["Anna", " Müller"]
+
+
+def reference_line(m: PersonMention) -> str:
+    return json.dumps(oracles.mention_to_dict(m), ensure_ascii=False,
+                      sort_keys=True) + "\n"
+
+
+def full_mention(**changes) -> PersonMention:
+    m = PersonMention("Beruf", "Anna Beispiel", "Anna", Gender.F,
+                      Source.LINK, linked_page="Anna Beispiel",
+                      birth_year=1970)
+    for name, value in changes.items():
+        setattr(m, name, value)
+    return m
+
+
+class TestJsonLine:
+    """``json_line`` against the dict-and-``json.dumps`` form it replaced
+    (``oracles.mention_to_dict``)."""
+
+    def test_every_text_in_every_text_field(self):
+        for field in ("article_title", "surface_name", "first_name",
+                      "linked_page"):
+            for text in JSON_TEXTS:
+                m = full_mention(**{field: text})
+                assert m.json_line() == reference_line(m), (field, text)
+
+    def test_missing_and_present_page_and_year(self):
+        for page in (None, "", "Anna Beispiel"):
+            for year in (None, 0, 1960, 1970, -44, 10 ** 20):
+                m = full_mention(linked_page=page, birth_year=year)
+                assert m.json_line() == reference_line(m), (page, year)
+        assert '"birth_year": null' in full_mention(birth_year=None).json_line()
+        assert '"linked_page": null' in \
+            full_mention(linked_page=None).json_line()
+
+    def test_every_gender_and_source(self):
+        for gender in Gender:
+            for source in Source:
+                m = full_mention(gender=gender, source=source)
+                assert m.json_line() == reference_line(m), (gender, source)
+
+    def test_random_mentions(self):
+        rng = random.Random(1307)
+
+        def text():
+            return "".join(rng.choices(JSON_PIECES, k=rng.randint(0, 12)))
+
+        for _ in range(2000):
+            m = PersonMention(
+                text(), text(), text(), rng.choice(list(Gender)),
+                rng.choice(list(Source)),
+                linked_page=rng.choice([None, text()]),
+                birth_year=rng.choice([None, rng.randint(-3000, 3000)]))
+            assert m.json_line() == reference_line(m), m
+
+    def test_line_holds_every_field(self):
+        # a field added to PersonMention must reach the line
+        m = full_mention()
+        line = m.json_line()
+        assert line.endswith("\n") and "\n" not in line[:-1]
+        fields = [f.name for f in dataclasses.fields(PersonMention)]
+        parsed = json.loads(line)
+        assert list(parsed) == sorted(fields)
+        assert parsed == {name: getattr(m, name) for name in fields}
+
+
 def pm(article, surface, gender, source=Source.LINK, linked=None, year=None):
     return PersonMention(article, surface, surface.split()[0], gender, source,
                          linked_page=linked, birth_year=year)
@@ -303,6 +379,31 @@ class TestBirthFilter:
         p.write_text("Heinrich Heine,ungefähr 1800\n", encoding="utf-8")
         with pytest.raises(ValueError, match="row 1"):
             mentions.load_birth_years(p)
+
+    def test_duplicate_birth_title_names_both_rows(self, tmp_path):
+        # the later row used to win: 1950 moved the mention across 1960
+        p = tmp_path / "birth.csv"
+        p.write_text("page_title,year\nAnna A,1970\nAnna A,1950\n",
+                     encoding="utf-8")
+        with pytest.raises(ValueError, match=r"^birth years row 3: duplicate "
+                           r"page title 'Anna A' \(first on row 2\)$"):
+            mentions.load_birth_years(p)
+
+
+class TestGenderLexicon:
+    def test_duplicate_name_names_both_rows(self, tmp_path):
+        # the later row used to win and load Anna as a man
+        p = tmp_path / "lexicon.csv"
+        p.write_text("Anna,f\nAnna,m\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"^gender lexicon row 2: "
+                           r"duplicate name 'Anna' \(first on row 1\)$"):
+            mentions.load_gender_lexicon(p)
+
+    def test_names_equal_after_nfc_are_duplicates(self, tmp_path):
+        p = tmp_path / "lexicon.csv"
+        p.write_text("Zo\u00eb,f\n Zoe\u0308 ,m\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="row 2: duplicate name"):
+            mentions.load_gender_lexicon(p)
 
 
 class TestArticleStats:

@@ -1,4 +1,5 @@
 import gc
+import importlib.util
 import json
 import logging
 import math
@@ -886,6 +887,22 @@ class TestBenchmarkHooks:
         pipeline.run_all(fixture_config)
         assert len(seen) == 2
         assert set(pipeline._STAGE_FUNCS) == set(pipeline.STAGES)
+
+    def test_tracer_names_resolve(self):
+        # read perfbench/tracer.py as it is, without installing its wrappers
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracer",
+                                                      path)
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        for module_name, attr, _ in tracer.SPANS + tracer.COUNTED:
+            module = importlib.import_module("profaudit." + module_name)
+            assert callable(getattr(module, attr, None)), \
+                f"{module_name}.{attr}"
+        for attr, _ in tracer.ARTIFACT_SPANS:
+            assert callable(getattr(pipeline, attr, None)), attr
+        assert callable(pipeline._STAGE_FUNCS[pipeline.STAGES[0]])
+        assert tracer.STAGES == pipeline.STAGES
 
     def test_each_file_hashed_once_per_run(self, fixture_config,
                                            monkeypatch):

@@ -62,6 +62,14 @@ class TestLoadHits:
         with pytest.raises(ValueError, match="row 1"):
             webhits.load_hits(p)
 
+    def test_duplicate_profession_names_both_rows(self, tmp_path):
+        # a repeated id used to give two normalized differences
+        p = tmp_path / "hits.csv"
+        p.write_text("p1,10,20\n# note\np2,1,1\np1,30,40\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"^hits row 4: duplicate "
+                           r"profession_id 'p1' \(first on row 1\)$"):
+            webhits.load_hits(p)
+
 
 def simulate_records(rng, n=400):
     """Professions whose bias group depends on the hit difference, with
