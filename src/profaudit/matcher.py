@@ -17,6 +17,18 @@ decision ingested from a CSV file.
 - **Length buckets.** Article titles are normalised once and grouped by
   length. A whole bucket is skipped when the length gap, a lower bound on
   the distance, exceeds ``k(L)``.
+- **Segment filter.** If ``ed(p, a) <= k``, some one of the ``k + 1``
+  disjoint segments of ``a`` occurs exactly in ``p`` (pigeonhole: ``k``
+  edits touch at most ``k`` segments), and for a suitable such segment
+  ``i`` at most ``i`` edits fall before it and ``k - i`` after it. So with
+  ``Δ = len(p) - len(a)`` segment ``i``, starting at ``s_i``, starts in
+  ``p`` within ``[max(s_i - i, s_i + Δ - (k - i)), min(s_i + i, s_i + Δ +
+  (k - i))]``. Each length bucket is split into even segments and indexed
+  once per cutoff it is probed with; only the titles that some window hits
+  reach the kernel, in bucket order. A bucket of titles no longer than
+  ``k`` would have an empty segment, which every title matches, so it is
+  scanned whole. This is the partition filter of PASS-JOIN (Li, Deng, Wang
+  and Feng, PVLDB 5(3), 2011) with its multi-match-aware windows.
 - **Bit-parallel kernel.** The distance is Myers' bit-vector algorithm
   (JACM 46(3), 1999) in Hyyrö's form for Levenshtein distance: one column
   of the DP matrix is a pair of Python ints, so titles of any length fit,
@@ -31,11 +43,14 @@ tested against.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from enum import Enum
 
-from .artifacts import read_rows, write_csv
+from .artifacts import check_unique, read_rows, write_csv
 from .text import nfc
+
+log = logging.getLogger(__name__)
 
 
 class MatchStatus(str, Enum):
@@ -154,6 +169,51 @@ def _bounded_distance(masks: dict[str, int], m: int, text: str,
     return slack
 
 
+def _segment_index(bucket: list[str], k: int):
+    """The ``k + 1`` even segments of the bucket's length, as (start,
+    length) pairs, and per segment a map from its substring to the ranks
+    of the bucket's titles that have it there."""
+    parts = k + 1
+    short, extra = divmod(len(bucket[0]), parts)
+    segments = []
+    start = 0
+    for i in range(parts):
+        length = short + (i >= parts - extra)
+        segments.append((start, length))
+        start += length
+    tables: list[dict[str, list[int]]] = [{} for _ in segments]
+    for rank, atitle in enumerate(bucket):
+        for (start, length), table in zip(segments, tables):
+            table.setdefault(atitle[start:start + length], []).append(rank)
+    return segments, tables
+
+
+def _filtered(ptitle: str, bucket: list[str], k: int, indexes: dict):
+    """The titles of ``bucket`` (all of length ``alen``) that may lie within
+    distance ``k`` of ``ptitle``, in bucket order.
+
+    ``indexes`` caches :func:`_segment_index` per (alen, k). A bucket with
+    ``alen <= k`` would have an empty segment, so all of it is returned.
+    """
+    alen = len(bucket[0])
+    if alen <= k:
+        return bucket
+    entry = indexes.get((alen, k))
+    if entry is None:
+        entry = indexes[(alen, k)] = _segment_index(bucket, k)
+    plen = len(ptitle)
+    delta = plen - alen
+    hits: set[int] = set()
+    for i, ((start, length), table) in enumerate(zip(*entry)):
+        lo = max(start - i, start + delta - (k - i), 0)
+        hi = min(start + i, start + delta + (k - i), plen - length)
+        for pos in range(lo, hi + 1):
+            ranks = table.get(ptitle[pos:pos + length])
+            if ranks:
+                hits.update(ranks)
+    return [bucket[rank] for rank in sorted(hits)]
+
+
 def match(professions, titles, d_max: int = 2,
           r_min: float = 0.8) -> list[MatchCandidate]:
     """All-pairs match of profession titles against article titles.
@@ -168,6 +228,8 @@ def match(professions, titles, d_max: int = 2,
     for atitle in sorted({nfc(t) for t in titles}):
         buckets.setdefault(len(atitle), []).append(atitle)
     cutoffs: dict[int, int] = {}
+    indexes: dict[tuple[int, int], tuple] = {}
+    admitted = verified = 0
     out: list[MatchCandidate] = []
     for prof_id, role, raw in professions:
         ptitle = nfc(raw)
@@ -183,7 +245,10 @@ def match(professions, titles, d_max: int = 2,
             # the length gap is a lower bound on the distance
             if abs(plen - alen) > k:
                 continue
-            for atitle in bucket:
+            admitted += len(bucket)
+            near = _filtered(ptitle, bucket, k, indexes)
+            verified += len(near)
+            for atitle in near:
                 d = _bounded_distance(masks, plen, atitle, k)
                 if d < 0:
                     continue
@@ -195,6 +260,8 @@ def match(professions, titles, d_max: int = 2,
                     out.append(MatchCandidate(prof_id, ptitle, atitle, d,
                                               1.0 - d / longest,
                                               MatchStatus.FUZZY, role))
+    log.info("match: %d pairs admitted by length, %d verified, "
+             "%d candidates", admitted, verified, len(out))
     out.sort(key=lambda c: (c.profession_id, -c.ratio, c.article_title,
                             c.profession_title))
     return out
@@ -207,16 +274,20 @@ def apply_decisions(candidates: list[MatchCandidate], path) -> list[MatchCandida
     verdict in {confirm, reject}. Only fuzzy candidates are reviewable;
     exact matches are confirmed by construction and stay untouched even
     when they share a key with a reviewed pair. A row referencing a pair
-    that has no reviewable candidate is an error.
+    that has no reviewable candidate is an error, and so is a pair that
+    repeats (article titles compared after NFC).
     """
     index: dict[tuple[str, str], list[MatchCandidate]] = {}
     for cand in candidates:
         if cand.status is MatchStatus.EXACT:
             continue
         index.setdefault((cand.profession_id, cand.article_title), []).append(cand)
+    rows: dict[tuple[str, str], int] = {}
     for row_no, row in read_rows(path, "decisions", "profession_id", 4):
         prof_id, atitle, verdict, group = (c.strip() for c in row[:4])
         key = (prof_id, nfc(atitle))
+        check_unique(rows, key, row_no, "decisions",
+                     "(profession_id, article_title)")
         if key not in index:
             raise ValueError(
                 f"decisions row {row_no}: no candidate for "

@@ -1,5 +1,6 @@
 import random
 import unicodedata
+from collections import Counter
 
 import pytest
 
@@ -62,24 +63,60 @@ def as_rows(candidates):
 MATCH_ALPHABET = "aAbeEäÄöüßẞ\u0308\U0001D504"
 
 
-def random_title(rng, longest=12):
-    return "".join(rng.choice(MATCH_ALPHABET)
+def random_title(rng, longest=12, alphabet=MATCH_ALPHABET):
+    return "".join(rng.choice(alphabet)
                    for _ in range(rng.randint(0, longest)))
 
 
-def near_variant(rng, title):
+def near_variant(rng, title, alphabet=MATCH_ALPHABET):
     chars = list(title)
     for _ in range(rng.randint(0, 4)):
         op = rng.randrange(3)
         pos = rng.randint(0, len(chars))
         if op == 0:
-            chars.insert(pos, rng.choice(MATCH_ALPHABET))
+            chars.insert(pos, rng.choice(alphabet))
         elif chars and pos < len(chars):
             if op == 1:
                 del chars[pos]
             else:
-                chars[pos] = rng.choice(MATCH_ALPHABET)
+                chars[pos] = rng.choice(alphabet)
     return "".join(chars)
+
+
+def gap_variants(rng, title, alphabet, d_max, r_min):
+    """Titles whose length differs from ``title``'s by exactly the cutoff
+    k(longest), one shorter and one longer where such a gap exists, the
+    longer one sometimes with one substitution more than k allows."""
+    plen = len(title)
+    out = []
+    k = matcher._cutoff(plen, d_max, r_min) if plen else -1
+    if 0 < k <= plen:
+        chars = list(title)
+        for _ in range(k):
+            del chars[rng.randrange(len(chars))]
+        out.append("".join(chars))
+    for gap in range(1, plen + 8):
+        if matcher._cutoff(plen + gap, d_max, r_min) == gap:
+            chars = list(title)
+            for _ in range(gap):
+                chars.insert(rng.randint(0, len(chars)),
+                             rng.choice(alphabet))
+            if chars and rng.random() < 0.5:
+                chars[rng.randrange(len(chars))] = rng.choice(alphabet)
+            out.append("".join(chars))
+            break
+    return out
+
+
+SYLLABLES = ("an", "ar", "be", "ber", "da", "de", "en", "er", "fa", "ge",
+             "hal", "in", "ka", "ker", "la", "ler", "ma", "mann", "ne",
+             "ner", "or", "pe", "ra", "rin", "sa", "te", "ter", "un", "ver",
+             "zi")
+
+
+def syllable_word(rng):
+    word = "".join(rng.choice(SYLLABLES) for _ in range(rng.randint(2, 5)))
+    return word.capitalize()
 
 
 class TestLevDistance:
@@ -212,6 +249,44 @@ class TestBoundedDistance:
         assert got == naive_lev(a, b) == 3
 
 
+class TestSegmentFilter:
+    def test_kernel_runs_on_few_admitted_pairs(self, monkeypatch):
+        rng = random.Random(4242)
+        professions = [(f"p{i}", "neutral", syllable_word(rng))
+                       for i in range(200)]
+        titles = [syllable_word(rng) for _ in range(4000)]
+        # pairs the length buckets admit: length gap at most k(longest)
+        lengths = Counter(len(t) for t in set(titles))
+        admitted = 0
+        for _, _, p in professions:
+            for alen, count in lengths.items():
+                longest = max(len(p), alen)
+                if abs(len(p) - alen) <= matcher._cutoff(longest, 2, 0.8):
+                    admitted += count
+        calls = 0
+        kernel = matcher._bounded_distance
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(matcher, "_bounded_distance", counting)
+        cands = matcher.match(professions, titles)
+        assert cands and admitted > 100_000
+        assert calls < 0.10 * admitted, (calls, admitted)
+
+    def test_logs_admitted_verified_and_candidates(self, caplog):
+        with caplog.at_level("INFO", logger="profaudit.matcher"):
+            cands = matcher.match([("p1", "male", "Lehrer")],
+                                  ["Lehrer", "Lehrerin", "Koch", "Abt"])
+        assert len(cands) == 2
+        # "Abt" is three letters shorter, past k(6) = 2; "Koch" shares no
+        # segment with "Lehrer" near its own position
+        assert caplog.messages == [
+            "match: 3 pairs admitted by length, 2 verified, 2 candidates"]
+
+
 class TestCutoff:
     def test_float_boundary_at_length_15_is_kept(self):
         # 1 - 3/15 == 0.8 in float, while floor(15 * (1 - 0.8)) == 2
@@ -245,6 +320,30 @@ class TestMatchAgainstBruteForce:
                                         r_min=r_min))
             assert got == brute_match(professions, titles, d_max,
                                       r_min), r_min
+
+    # 120 cases for each of 3 alphabets x 6 values of d_max: 2,160 cases
+    @pytest.mark.parametrize("d_max", [0, 1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("alphabet", ["ab", "abc", MATCH_ALPHABET])
+    def test_segment_filter_edge_cases(self, alphabet, d_max):
+        """Two- and three-letter alphabets make segments collide; titles
+        shorter than k+1 (empty ones included) have no segment index; a
+        length gap of exactly k leaves one position per window."""
+        rng = random.Random(f"segments:{alphabet}:{d_max}")
+        for case in range(120):
+            r_min = rng.choice((0, 0.1, 0.5, 2 / 3, 0.75, 0.8, 0.9, 1))
+            bases = [random_title(rng, 9, alphabet) for _ in range(3)]
+            titles = ["", random_title(rng, 3, alphabet)]
+            for base in bases:
+                titles += [near_variant(rng, base, alphabet),
+                           random_title(rng, 9, alphabet),
+                           unicodedata.normalize("NFD", base)]
+                titles += gap_variants(rng, base, alphabet, d_max, r_min)
+            professions = [(f"p{i}", "neutral", t)
+                           for i, t in enumerate(bases + [""])]
+            got = as_rows(matcher.match(professions, titles, d_max=d_max,
+                                        r_min=r_min))
+            assert got == brute_match(professions, titles, d_max,
+                                      r_min), (case, r_min)
 
     def test_length_15_at_distance_3_emitted_by_default(self):
         p, a = "Zahntechnikerin", "Zahntechnikxyzn"
@@ -288,6 +387,27 @@ class TestDecisions:
         path = tmp_path / "decisions.csv"
         path.write_text("p9,Nirgendwo,confirm,male\n", encoding="utf-8")
         with pytest.raises(ValueError, match="Nirgendwo"):
+            matcher.apply_decisions(cands, path)
+
+    @pytest.mark.parametrize("second", ["Chefsteward", " Chefsteward "])
+    def test_repeated_pair_names_both_rows(self, tmp_path, second):
+        cands = self._candidates()
+        path = tmp_path / "decisions.csv"
+        path.write_text("p1,Chefsteward,confirm,male\n"
+                        "p2,Gichter,reject,\n"
+                        f"p1,{second},reject,\n", encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            matcher.apply_decisions(cands, path)
+        assert str(err.value) == (
+            "decisions row 3: duplicate (profession_id, article_title) "
+            "('p1', 'Chefsteward') (first on row 1)")
+
+    def test_repeated_pair_compared_after_nfc(self, tmp_path):
+        cands = matcher.match([("p1", "male", "Bäcker")], ["Bäckerin"])
+        path = tmp_path / "decisions.csv"
+        path.write_text("p1,B\u00e4ckerin,confirm,male\n"
+                        "p1,Ba\u0308ckerin,reject,\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="row 2: duplicate .*row 1"):
             matcher.apply_decisions(cands, path)
 
     def test_unknown_verdict_is_error(self, tmp_path):
