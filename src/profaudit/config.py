@@ -46,11 +46,6 @@ class AuditConfig:
 
     base_dir: Path = field(default_factory=Path, repr=False)
 
-    _PATH_KEYS = ("snapshot", "professions", "abbreviations",
-                  "manual_assignments", "match_decisions", "hits",
-                  "labor_stats", "labor_classifier", "gender_lexicon",
-                  "birth_years", "annotations", "gold_labels", "out_dir")
-
     @classmethod
     def from_file(cls, path) -> "AuditConfig":
         path = Path(path)
@@ -122,3 +117,9 @@ class AuditConfig:
                 continue
             out[f.name] = getattr(self, f.name)
         return out
+
+
+# the path-valued keys, the input files and out_dir, in field order: every
+# field annotated as a string
+AuditConfig._PATH_KEYS = tuple(f.name for f in fields(AuditConfig)
+                               if f.type in ("str", "str | None"))

@@ -1,11 +1,12 @@
 """Snapshot model of an encyclopedia: pages, redirects, categories,
 outlinks, images, and plain text.
 
-All analysis modules consume an immutable CorpusSnapshot loaded from JSON
-lines; the live MediaWiki populator in :mod:`profaudit.mediawiki` is only
-one way to produce such a file. Category pages are ordinary records whose
-title carries the category namespace prefix; the subcategory graph is
-derived from their parent categories.
+The stages that read articles (match, classify and mentions) take a
+CorpusSnapshot loaded from JSON lines; the live MediaWiki populator in
+:mod:`profaudit.mediawiki` is only one way to produce such a file.
+Category pages are ordinary records whose title carries the category
+namespace prefix; the subcategory graph is derived from their parent
+categories.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import logging
 from collections import Counter, defaultdict
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 from . import stats
@@ -244,9 +244,11 @@ def aggregate_all(retained: list[AnnotationResponse],
             for image, resps in sorted(by_image.items())}
 
 
-KAPPA_CATEGORIES = (ImageCategory.MEN, ImageCategory.WOMEN,
-                    ImageCategory.MIXED_EQUAL, ImageCategory.NOT_RECOGNIZABLE,
-                    ImageCategory.NO_PERSON)
+# the categories an image can resolve to: the columns of the kappa rating
+# table and of every distribution
+RESOLVED_CATEGORIES = (ImageCategory.MEN, ImageCategory.WOMEN,
+                       ImageCategory.MIXED_EQUAL,
+                       ImageCategory.NOT_RECOGNIZABLE, ImageCategory.NO_PERSON)
 
 
 def kappa_from_responses(retained: list[AnnotationResponse]
@@ -261,7 +263,7 @@ def kappa_from_responses(retained: list[AnnotationResponse]
     for resp in retained:
         by_image[resp.image_id].append(resp)
     rows = []
-    col = {c: i for i, c in enumerate(KAPPA_CATEGORIES)}
+    col = {c: i for i, c in enumerate(RESOLVED_CATEGORIES)}
     for image in sorted(by_image):
         ordered = sorted(by_image[image],
                          key=lambda r: (r.timestamp, r.worker_id))
@@ -269,7 +271,7 @@ def kappa_from_responses(retained: list[AnnotationResponse]
                   if c is not None]
         if len(mapped) < 3:
             continue
-        row = [0] * len(KAPPA_CATEGORIES)
+        row = [0] * len(RESOLVED_CATEGORIES)
         for c in mapped[:3]:
             row[col[c]] += 1
         rows.append(row)
@@ -279,48 +281,8 @@ def kappa_from_responses(retained: list[AnnotationResponse]
     return stats.fleiss_kappa(rows, 3)
 
 
-DISTRIBUTION_CATEGORIES = KAPPA_CATEGORIES
-
-
-@dataclass
-class GroupDistribution:
-    group: str
-    n: int
-    proportions: dict[str, float]
-    unresolved: int
-
-
-@dataclass
-class GroupedDistribution:
-    grouping: str
-    groups: list[GroupDistribution]
-    overall_test: stats.TestResult | None
-    pairwise_tests: list[dict]
-    posthoc_tests: list[dict]
-    correction: stats.BhResult | None
-
-    def to_dict(self) -> dict:
-        return {
-            "grouping": self.grouping,
-            "groups": [{
-                "group": g.group, "n": g.n, "unresolved": g.unresolved,
-                "proportions": g.proportions,
-            } for g in self.groups],
-            "overall_test": self.overall_test.to_dict()
-                            if self.overall_test else None,
-            "pairwise_tests": self.pairwise_tests,
-            "posthoc_tests": self.posthoc_tests,
-            "bh_correction": None if self.correction is None else {
-                "q": self.correction.q,
-                "m0_estimate": self.correction.m0_estimate,
-                "reject": self.correction.reject,
-                "adjusted_p": self.correction.adjusted_p,
-            },
-        }
-
-
 def distributions(items: list[tuple[str, ImageCategory]], grouping: str,
-                  b: int = 10000, seed: int = 0) -> GroupedDistribution:
+                  b: int = 10000, seed: int = 0) -> dict:
     """Per-group category proportions plus independence tests.
 
     ``items`` pairs a group label with an aggregated image category.
@@ -336,6 +298,14 @@ def distributions(items: list[tuple[str, ImageCategory]], grouping: str,
     hashed from ``seed`` and the label ``images:{grouping}:{test}`` (test
     ``overall``, ``A|B`` or ``A|B:category``), so no two sampled tests
     share a stream. An exact test records neither.
+
+    Returns the dict that ``distributions.json`` holds for the grouping:
+    ``grouping``; ``groups``, one ``{group, n, unresolved, proportions}``
+    per group in sorted order, ``proportions`` keyed by the values of
+    ``RESOLVED_CATEGORIES``; ``overall_test`` (``TestResult.to_dict``, or
+    None); ``pairwise_tests`` as ``{groups, test}``; ``posthoc_tests`` as
+    ``{groups, category, test}`` marked by ``stats.mark_bh_two_stage``;
+    and ``bh_correction``, that call's ``BhResult`` as a dict, or None.
     """
     per_group: dict[str, Counter] = defaultdict(Counter)
     unresolved: Counter = Counter()
@@ -350,12 +320,9 @@ def distributions(items: list[tuple[str, ImageCategory]], grouping: str,
     for g in groups:
         counts = per_group[g]
         n = sum(counts.values())
-        dists.append(GroupDistribution(
-            group=g, n=n,
-            proportions={c.value: counts.get(c, 0) / n
-                         for c in DISTRIBUTION_CATEGORIES},
-            unresolved=unresolved.get(g, 0),
-        ))
+        dists.append({"group": g, "n": n, "unresolved": unresolved.get(g, 0),
+                      "proportions": {c.value: counts.get(c, 0) / n
+                                      for c in RESOLVED_CATEGORIES}})
     for g in unresolved:
         if g not in per_group:
             log.warning("group %r has only unresolved images, omitted", g)
@@ -364,17 +331,17 @@ def distributions(items: list[tuple[str, ImageCategory]], grouping: str,
         return [[per_group[g].get(c, 0) for c in categories]
                 for g in selected]
 
-    def mc_test(table, test: str) -> stats.TestResult:
+    def mc_test(table, test: str) -> dict:
         key = f"{seed}:images:{grouping}:{test}".encode("utf-8")
         digest = hashlib.blake2b(key, digest_size=8).digest()
-        return stats.chi2_mc(table, b=b, seed=int.from_bytes(digest, "big"))
+        return stats.chi2_mc(table, b=b,
+                             seed=int.from_bytes(digest, "big")).to_dict()
 
-    overall = None
+    overall = correction = None
     pairwise: list[dict] = []
     posthoc: list[dict] = []
-    correction = None
     if len(groups) >= 2:
-        used = [c for c in DISTRIBUTION_CATEGORIES
+        used = [c for c in RESOLVED_CATEGORIES
                 if any(per_group[g].get(c, 0) for g in groups)]
         if len(used) >= 2:
             overall = mc_test(table_for(groups, used), "overall")
@@ -382,12 +349,12 @@ def distributions(items: list[tuple[str, ImageCategory]], grouping: str,
             for j in range(i + 1, len(groups)):
                 pair = [groups[i], groups[j]]
                 name = f"{groups[i]}|{groups[j]}"
-                pair_used = [c for c in DISTRIBUTION_CATEGORIES
+                pair_used = [c for c in RESOLVED_CATEGORIES
                              if any(per_group[g].get(c, 0) for g in pair)]
                 if len(pair_used) >= 2:
-                    res = mc_test(table_for(pair, pair_used), name)
-                    pairwise.append({"groups": pair, "test": res.to_dict()})
-                for c in DISTRIBUTION_CATEGORIES:
+                    pairwise.append({"groups": pair, "test": mc_test(
+                        table_for(pair, pair_used), name)})
+                for c in RESOLVED_CATEGORIES:
                     t = []
                     for g in pair:
                         in_c = per_group[g].get(c, 0)
@@ -397,12 +364,12 @@ def distributions(items: list[tuple[str, ImageCategory]], grouping: str,
                         continue
                     if sum(r[0] for r in t) == 0 or sum(r[1] for r in t) == 0:
                         continue
-                    res = mc_test(t, f"{name}:{c.value}")
                     posthoc.append({"groups": pair, "category": c.value,
-                                    "test": res.to_dict()})
+                                    "test": mc_test(t, f"{name}:{c.value}")})
         if posthoc:
-            correction = stats.mark_bh_two_stage(posthoc, q=stats.ALPHA)
+            correction = asdict(stats.mark_bh_two_stage(posthoc,
+                                                        q=stats.ALPHA))
 
-    return GroupedDistribution(grouping=grouping, groups=dists,
-                               overall_test=overall, pairwise_tests=pairwise,
-                               posthoc_tests=posthoc, correction=correction)
+    return {"grouping": grouping, "groups": dists, "overall_test": overall,
+            "pairwise_tests": pairwise, "posthoc_tests": posthoc,
+            "bh_correction": correction}

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from enum import Enum
 
-from .artifacts import read_rows, write_csv, write_jsonl
+from .artifacts import check_unique, read_rows, write_csv, write_jsonl
 from .text import nfc
 
 # substrings marking field/study names rather than professions
@@ -223,9 +223,11 @@ def load_manual_assignments(path, entries: list[ProfessionEntry]) -> list[Profes
     """Override entries from a reviewer CSV.
 
     Rows are (line_no, group, male, female, neutral) with group in
-    {pair, neutral}. Unknown line numbers are an error naming the row.
+    {pair, neutral}. Unknown line numbers are an error naming the row; a
+    repeated one is an error naming both rows.
     """
     by_line = {e.line_no: e for e in entries}
+    rows: dict[int, int] = {}
     for row_no, row in read_rows(path, "manual assignments", "line_no", 5):
         try:
             line_no = int(row[0])
@@ -235,6 +237,7 @@ def load_manual_assignments(path, entries: list[ProfessionEntry]) -> list[Profes
         if line_no not in by_line:
             raise ValueError(
                 f"manual assignments row {row_no}: unknown line_no {line_no}")
+        check_unique(rows, line_no, row_no, "manual assignments", "line_no")
         group = row[1].strip()
         male = nfc(row[2].strip()) or None
         female = nfc(row[3].strip()) or None

@@ -96,14 +96,6 @@ def lev_distance(a: str, b: str) -> int:
     return previous[-1]
 
 
-def lev_ratio(a: str, b: str) -> float:
-    """Match proportion 1 - distance / max(len(a), len(b)), in [0, 1]."""
-    longest = max(len(a), len(b))
-    if longest == 0:
-        raise ValueError("lev_ratio: undefined for two empty strings")
-    return 1.0 - lev_distance(a, b) / longest
-
-
 def _cutoff(longest: int, d_max: int, r_min: float) -> int:
     """Largest distance in 0..longest that the emission predicate accepts.
 

@@ -55,7 +55,7 @@ import gc
 import hashlib
 import json
 import logging
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -370,14 +370,14 @@ def _entries(run: Run) -> list[ProfessionEntry]:
             for row in run.rows("entries")]
 
 
-def _write_dist(run: Run, dist: images.GroupedDistribution) -> None:
-    write_csv(run.out(f"dist_{dist.grouping}.csv"),
-              ["group", "n", "unresolved"] +
-              [c.value for c in images.DISTRIBUTION_CATEGORIES],
-              [[g.group, g.n, g.unresolved] +
-               [g.proportions[c.value]
-                for c in images.DISTRIBUTION_CATEGORIES]
-               for g in dist.groups])
+def _write_dist(run: Run, dist: dict) -> None:
+    """``dist_<grouping>.csv`` from an ``images.distributions`` result."""
+    categories = [c.value for c in images.RESOLVED_CATEGORIES]
+    write_csv(run.out(f"dist_{dist['grouping']}.csv"),
+              ["group", "n", "unresolved"] + categories,
+              [[g["group"], g["n"], g["unresolved"]] +
+               [g["proportions"][c] for c in categories]
+               for g in dist["groups"]])
 
 
 # ---------------------------------------------------------------- lexicon
@@ -461,8 +461,6 @@ def stage_classify(run: Run) -> None:
                     continue
                 article_map[state.title] = (prof_id, role)
 
-    report = redirect_bias.tally(presences, classifications)
-
     write_csv(run.out("classifications.csv"), HEADERS[_CLASSIFICATIONS],
               [[pid, entries[pid].text, classifications[pid].value]
                for pid in sorted(classifications)])
@@ -492,25 +490,16 @@ def stage_classify(run: Run) -> None:
               ["profession_id", "title_role", "title", "kind", "target",
                "target_kind", "about_profession"], presence_rows)
 
-    table = report.to_dict()
-    for name in ("table_1a", "table_1b", "table_1c"):
-        rows = [[role] + list(cols.values())
-                for role, cols in table[name].items()]
-        header = ["title_gender"] + list(next(iter(table[name].values())))
-        write_csv(run.out(f"{name}.csv"), header, rows)
-    write_csv(run.out("figure4.csv"),
-              ["title_gender", "n", "page_share", "redirect_share",
-               "no_page_share"],
-              [[r["title_gender"], r["n"], r["page_share"],
-                r["redirect_share"], r["no_page_share"]]
-               for r in redirect_bias.figure4_rows(report)])
-    write_csv(run.out("figure5.csv"),
-              ["title_gender", "n_redirects", "to_opposite_share",
-               "other_share"],
-              [[r["title_gender"], r["n_redirects"], r["to_opposite_share"],
-                r["other_share"]]
-               for r in redirect_bias.figure5_rows(report)])
-    dump_json(table, run.out("summary.json"))
+    summary = {}
+    for name, rows in redirect_bias.tally(presences).items():
+        columns = redirect_bias.TABLES[name]
+        write_csv(run.out(f"{name}.csv"), columns, rows)
+        if name.startswith("table_"):
+            summary[name] = {row[0]: dict(zip(columns[1:], row[1:]))
+                             for row in rows}
+    counts = Counter(classifications.values())
+    summary["bias_groups"] = {g.value: counts[g] for g in BiasGroup}
+    dump_json(summary, run.out("summary.json"))
 
 
 # ---------------------------------------------------------------- webhits
@@ -654,9 +643,8 @@ def stage_images(run: Run) -> None:
                                 ("redirect_bias", 4)):
         items = [("all" if key_index is None else row[key_index],
                   ImageCategory(row[5])) for row in category_rows]
-        dist = images.distributions(items, grouping, b=cfg.mc_iterations,
-                                    seed=cfg.seed)
-        dist_report[grouping] = dist.to_dict()
+        dist_report[grouping] = dist = images.distributions(
+            items, grouping, b=cfg.mc_iterations, seed=cfg.seed)
         _write_dist(run, dist)
     dump_json(dist_report, run.out("distributions.json"))
 
@@ -859,9 +847,8 @@ def stage_report(run: Run) -> None:
         if not items:
             image_labor_report[grouping] = {"skipped": "no joined images"}
             continue
-        dist = images.distributions(items, grouping, b=cfg.mc_iterations,
-                                    seed=cfg.seed)
-        image_labor_report[grouping] = dist.to_dict()
+        image_labor_report[grouping] = dist = images.distributions(
+            items, grouping, b=cfg.mc_iterations, seed=cfg.seed)
         _write_dist(run, dist)
     dump_json(image_labor_report, run.out("image_labor_distributions.json"))
 

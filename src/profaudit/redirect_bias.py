@@ -19,6 +19,10 @@ profession's own confirmed titles count as neutral-or-other; multi-hop
 redirects classify by their final resolved target. Articles outside the
 profession-category closure are treated as absent by the classifier but
 still show up in the tally as "other pages".
+
+``tally`` counts the presences into the paper's Tables 1a-1c and Figures
+4-5: a dict from table name to a list of rows, at most one per title
+gender, each a list of cells in the order of the columns ``TABLES`` names.
 """
 
 from __future__ import annotations
@@ -181,117 +185,66 @@ def build_presence(profession_id: str, titles_by_role: dict[str, list[str]],
     )
 
 
-@dataclass
-class RoleTally:
-    total: int = 0
-    pages: int = 0
-    validated: int = 0
-    other_pages: int = 0
-    redirects: int = 0
-    redirects_to_male: int = 0
-    redirects_to_female: int = 0
-    redirects_other: int = 0
-
-    @property
-    def no_page(self) -> int:
-        return self.total - self.pages - self.redirects
-
-    @property
-    def redirects_to_opposite(self) -> int:
-        return self.redirects_to_male + self.redirects_to_female
-
-
-@dataclass
-class RedirectReport:
-    roles: dict[str, RoleTally]
-    bias_counts: dict[str, int]
-
-    def to_dict(self) -> dict:
-        return {
-            "table_1a": {
-                role: {"all": t.total, "wiki_pages": t.pages,
-                       "redirects": t.redirects, "no_page": t.no_page}
-                for role, t in self.roles.items()
-            },
-            "table_1b": {
-                role: {"all_wiki_pages": t.pages, "validated": t.validated,
-                       "other_pages": t.other_pages}
-                for role, t in self.roles.items()
-            },
-            "table_1c": {
-                role: {"all_redirects": t.redirects,
-                       "to_male": t.redirects_to_male,
-                       "to_female": t.redirects_to_female,
-                       "to_opposite": t.redirects_to_opposite,
-                       "other_redirects": t.redirects_other}
-                for role, t in self.roles.items()
-            },
-            "bias_groups": dict(self.bias_counts),
-        }
-
-
 ROLES = ("male", "female", "neutral")
 
+# the columns of each table ``tally`` returns, one CSV of the classify stage
+# each; the first names the title gender of the row
+TABLES = {
+    "table_1a": ("title_gender", "all", "wiki_pages", "redirects", "no_page"),
+    "table_1b": ("title_gender", "all_wiki_pages", "validated",
+                 "other_pages"),
+    "table_1c": ("title_gender", "all_redirects", "to_male", "to_female",
+                 "to_opposite", "other_redirects"),
+    "figure4": ("title_gender", "n", "page_share", "redirect_share",
+                "no_page_share"),
+    "figure5": ("title_gender", "n_redirects", "to_opposite_share",
+                "other_share"),
+}
 
-def tally(presences: list[ProfessionPresence],
-          classifications: dict[str, BiasGroup]) -> RedirectReport:
-    """Aggregate presence states into the three report tables plus
-    bias-group totals."""
-    roles = {role: RoleTally() for role in ROLES}
+
+def tally(presences: list[ProfessionPresence]) -> dict[str, list[list]]:
+    """The rows of Tables 1a-1c and Figures 4-5, by table name.
+
+    A profession counts towards a role's row when it has a title of that
+    role. Each of Tables 1a-1c has one row per role, in ``ROLES`` order,
+    with pages + redirects + no_page = all and validated + other_pages =
+    pages. Figure 4 gives, per role with a title, the shares of pages,
+    redirects and absent titles; Figure 5, per role with a redirect, the
+    shares of its redirects that land on the opposite gendered title and
+    elsewhere. Row cells follow the columns named in ``TABLES``.
+    """
+    counts = {role: Counter() for role in ROLES}
     for presence in presences:
         for role in ROLES:
             state: PageState = getattr(presence, role)
             if state.kind is PageKind.MISSING and state.title is None:
                 continue  # profession has no title for this role
-            t = roles[role]
-            t.total += 1
+            c = counts[role]
+            c["all"] += 1
             if state.kind is PageKind.ARTICLE:
-                t.pages += 1
-                if state.about_profession:
-                    t.validated += 1
-                else:
-                    t.other_pages += 1
+                c["pages"] += 1
+                c["validated" if state.about_profession else "other"] += 1
             elif state.kind is PageKind.REDIRECT:
-                t.redirects += 1
-                if state.target_kind is TargetKind.MALE_TITLE:
-                    t.redirects_to_male += 1
-                elif state.target_kind is TargetKind.FEMALE_TITLE:
-                    t.redirects_to_female += 1
-                else:
-                    t.redirects_other += 1
-    counts = Counter(group.value for group in classifications.values())
-    bias_counts = {g.value: counts.get(g.value, 0) for g in BiasGroup}
-    return RedirectReport(roles=roles, bias_counts=bias_counts)
+                c["redirects"] += 1
+                c[state.target_kind] += 1
 
-
-def figure4_rows(report: RedirectReport) -> list[dict]:
-    """Per title gender: share of pages, redirects, and absent titles."""
-    rows = []
+    tables: dict[str, list[list]] = {name: [] for name in TABLES}
     for role in ROLES:
-        t = report.roles[role]
-        if t.total == 0:
-            continue
-        rows.append({
-            "title_gender": role,
-            "n": t.total,
-            "page_share": t.pages / t.total,
-            "redirect_share": t.redirects / t.total,
-            "no_page_share": t.no_page / t.total,
-        })
-    return rows
-
-
-def figure5_rows(report: RedirectReport) -> list[dict]:
-    """Per title gender: where its redirects land."""
-    rows = []
-    for role in ROLES:
-        t = report.roles[role]
-        if t.redirects == 0:
-            continue
-        rows.append({
-            "title_gender": role,
-            "n_redirects": t.redirects,
-            "to_opposite_share": t.redirects_to_opposite / t.redirects,
-            "other_share": t.redirects_other / t.redirects,
-        })
-    return rows
+        c = counts[role]
+        total, pages, redirects = c["all"], c["pages"], c["redirects"]
+        no_page = total - pages - redirects
+        to_male = c[TargetKind.MALE_TITLE]
+        to_female = c[TargetKind.FEMALE_TITLE]
+        other = c[TargetKind.NEUTRAL_OR_OTHER]
+        tables["table_1a"].append([role, total, pages, redirects, no_page])
+        tables["table_1b"].append([role, pages, c["validated"], c["other"]])
+        tables["table_1c"].append([role, redirects, to_male, to_female,
+                                   to_male + to_female, other])
+        if total:
+            tables["figure4"].append([role, total, pages / total,
+                                      redirects / total, no_page / total])
+        if redirects:
+            tables["figure5"].append([role, redirects,
+                                      (to_male + to_female) / redirects,
+                                      other / redirects])
+    return tables

@@ -79,7 +79,6 @@ class TestResult:
     method: str
     n: tuple
     z: float | None = None
-    correction: dict | None = None
     b: int | None = None
     seed: int | None = None
 
@@ -90,7 +89,7 @@ class TestResult:
             "z": self.z,
             "p": self.p,
             "n": list(self.n),
-            "correction": self.correction,
+            "correction": None,  # a correction is recorded beside the test
             "seed": self.seed,
             "B": self.b,
         }

@@ -28,12 +28,6 @@ class HitRecord:
     hits_female: int
 
 
-@dataclass
-class NormalizedDifference:
-    profession_id: str
-    value: float
-
-
 def load_hits(path) -> list[HitRecord]:
     """CSV columns: profession_id, hits_male, hits_female. A repeated
     profession id is an error naming both rows."""
@@ -53,27 +47,27 @@ def load_hits(path) -> list[HitRecord]:
     return out
 
 
-def normalized_difference(record: HitRecord) -> NormalizedDifference:
+def normalized_difference(record: HitRecord) -> float:
     """(male - female) / (male + female); undefined for a zero total."""
     total = record.hits_male + record.hits_female
     if total <= 0:
         raise ValueError(
             f"normalized difference undefined for {record.profession_id}: "
             "zero total hits")
-    value = (record.hits_male - record.hits_female) / total
-    return NormalizedDifference(record.profession_id, value)
+    return (record.hits_male - record.hits_female) / total
 
 
-def compute_differences(records) -> tuple[list[NormalizedDifference], list[str]]:
-    """Batch variant; zero-total records are excluded with a warning."""
-    diffs: list[NormalizedDifference] = []
+def compute_differences(records) -> tuple[dict[str, float], list[str]]:
+    """Batch variant: ``{profession_id: difference}`` and the excluded
+    ids; zero-total records are excluded with a warning."""
+    diffs: dict[str, float] = {}
     excluded: list[str] = []
     for rec in records:
         if rec.hits_male + rec.hits_female == 0:
             log.warning("excluding %s: zero total hits", rec.profession_id)
             excluded.append(rec.profession_id)
             continue
-        diffs.append(normalized_difference(rec))
+        diffs[rec.profession_id] = normalized_difference(rec)
     return diffs, excluded
 
 
@@ -103,7 +97,7 @@ def fit_bias_models(records: list[HitRecord],
     if not usable:
         raise ValueError("fit_bias_models: no usable records")
 
-    X = [[1.0, normalized_difference(r).value, float(r.hits_male)]
+    X = [[1.0, normalized_difference(r), float(r.hits_male)]
          for r, _ in usable]
 
     report: dict = {"n": len(usable), "standardized": False}
@@ -150,12 +144,9 @@ def model_report(fit: stats.LogisticFit, outcome: str, predictors) -> dict:
     }
 
 
-def write_differences(diffs: list[NormalizedDifference],
+def write_differences(diffs: dict[str, float],
                       groups: dict[str, BiasGroup], path) -> None:
     """Figure data: per-profession normalized difference with bias group."""
-    rows = []
-    for d in sorted(diffs, key=lambda d: d.profession_id):
-        group = groups.get(d.profession_id)
-        rows.append([d.profession_id, d.value, group.value if group else ""])
     write_csv(path, ["profession_id", "normalized_difference", "bias_group"],
-              rows)
+              [[pid, diffs[pid], groups[pid].value if pid in groups else ""]
+               for pid in sorted(diffs)])

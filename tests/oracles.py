@@ -417,6 +417,30 @@ def numpy_bh_two_stage(pvals, q: float = 0.05) -> BhResult:
     )
 
 
+def naive_lev(a, b):
+    """Full-matrix dynamic programming reference."""
+    n, m = len(a), len(b)
+    d = [[0] * (m + 1) for _ in range(n + 1)]
+    for i in range(n + 1):
+        d[i][0] = i
+    for j in range(m + 1):
+        d[0][j] = j
+    for i in range(1, n + 1):
+        for j in range(1, m + 1):
+            cost = 0 if a[i - 1] == b[j - 1] else 1
+            d[i][j] = min(d[i - 1][j] + 1, d[i][j - 1] + 1,
+                          d[i - 1][j - 1] + cost)
+    return d[n][m]
+
+
+def lev_ratio(a: str, b: str) -> float:
+    """Match proportion 1 - distance / max(len(a), len(b)), in [0, 1]."""
+    longest = max(len(a), len(b))
+    if longest == 0:
+        raise ValueError("lev_ratio: undefined for two empty strings")
+    return 1.0 - naive_lev(a, b) / longest
+
+
 # Reference gazetteer: the regex scan over the whole text that
 # profaudit.mentions used before its one-pass tokenizer, kept unchanged.
 # It shares only the PersonMention record type, so results compare with ==.

@@ -216,28 +216,30 @@ class TestDistributions:
                 [("g2", ImageCategory.NO_PERSON)] * 5 + \
                 [("g2", ImageCategory.MEN)] * 5
         dist = images.distributions(items, "test", b=500, seed=3)
-        for g in dist.groups:
-            assert abs(sum(g.proportions.values()) - 1.0) < 1e-12
-        by_name = {g.group: g for g in dist.groups}
-        assert by_name["g1"].unresolved == 1
-        assert by_name["g1"].n == 10
+        for g in dist["groups"]:
+            assert abs(sum(g["proportions"].values()) - 1.0) < 1e-12
+        by_name = {g["group"]: g for g in dist["groups"]}
+        assert by_name["g1"]["unresolved"] == 1
+        assert by_name["g1"]["n"] == 10
 
     def test_single_group_skips_tests(self):
         items = [("nur", ImageCategory.MEN), ("nur", ImageCategory.WOMEN),
                  ("nur", ImageCategory.MEN)]
         dist = images.distributions(items, "test", b=500, seed=3)
-        assert dist.overall_test is None
-        assert dist.pairwise_tests == []
+        assert dist["overall_test"] is None
+        assert dist["pairwise_tests"] == []
 
     def test_two_groups_tested_with_posthoc(self):
         items = [("a", ImageCategory.MEN)] * 9 + [("a", ImageCategory.WOMEN)] + \
                 [("b", ImageCategory.WOMEN)] * 9 + [("b", ImageCategory.MEN)]
         dist = images.distributions(items, "test", b=2000, seed=11)
-        assert dist.overall_test is not None
-        assert dist.overall_test.p < 0.05
-        assert dist.posthoc_tests
-        assert dist.correction is not None
-        categories = {t["category"] for t in dist.posthoc_tests}
+        assert dist["overall_test"] is not None
+        assert dist["overall_test"]["p"] < 0.05
+        assert dist["posthoc_tests"]
+        assert dist["bh_correction"] is not None
+        assert set(dist["bh_correction"]) == {"q", "m0_estimate", "reject",
+                                              "adjusted_p"}
+        categories = {t["category"] for t in dist["posthoc_tests"]}
         assert "men" in categories and "women" in categories
 
     def test_every_test_has_its_own_seed(self, monkeypatch):
@@ -250,10 +252,11 @@ class TestDistributions:
                 [("c", ImageCategory.MEN)] * 2 + \
                 [("c", ImageCategory.NO_PERSON)] * 4
         dist = images.distributions(items, "t", b=200, seed=42)
-        tests = [dist.overall_test.to_dict()]
-        tests += [t["test"] for t in dist.pairwise_tests + dist.posthoc_tests]
+        tests = [dist["overall_test"]]
+        tests += [t["test"]
+                  for t in dist["pairwise_tests"] + dist["posthoc_tests"]]
         # the overall 3x3, three pairwise 2x3 and the post-hoc 2x2 tables
-        assert len(tests) == 4 + len(dist.posthoc_tests) > 9
+        assert len(tests) == 4 + len(dist["posthoc_tests"]) > 9
         assert all(t["method"] == "chi2_monte_carlo" and t["B"] == 200
                    for t in tests)
         seeds = [t["seed"] for t in tests]
@@ -265,8 +268,9 @@ class TestDistributions:
                 [("b", ImageCategory.WOMEN)] * 4 + \
                 [("b", ImageCategory.NO_PERSON)] * 2
         dist = images.distributions(items, "t", b=200, seed=42)
-        tests = [dist.overall_test.to_dict()]
-        tests += [t["test"] for t in dist.pairwise_tests + dist.posthoc_tests]
+        tests = [dist["overall_test"]]
+        tests += [t["test"]
+                  for t in dist["pairwise_tests"] + dist["posthoc_tests"]]
         assert len(tests) > 3
         assert all((t["method"], t["B"], t["seed"]) == ("chi2_exact", None,
                                                         None) for t in tests)
@@ -278,7 +282,7 @@ class TestDistributions:
                 [("b", ImageCategory.MEN)] * 4
         d1 = images.distributions(items, "t", b=1000, seed=42)
         d2 = images.distributions(items, "t", b=1000, seed=42)
-        assert d1.to_dict() == d2.to_dict()
+        assert d1 == d2
 
 
 class TestLoadFiles:

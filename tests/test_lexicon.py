@@ -156,6 +156,17 @@ class TestManualAssignments:
         with pytest.raises(ValueError):
             lexicon.load_manual_assignments(path, entries)
 
+    def test_repeated_line_no_names_both_rows(self, tmp_path):
+        # the later row used to win without a word
+        entries = [lexicon.split(RawLine("Fookraft", 2))]
+        path = tmp_path / "manual.csv"
+        path.write_text("line_no,group,male,female,neutral\n"
+                        "2,neutral,,,Fookraft\n# note\n"
+                        "2,pair,Foomann,Foofrau,\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"^manual assignments row 4: "
+                           r"duplicate line_no 2 \(first on row 2\)$"):
+            lexicon.load_manual_assignments(path, entries)
+
 
 class TestFixtureFile:
     def test_partition_and_counts(self, data_dir):

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from profaudit import pipeline, stats
+from profaudit import pipeline, redirect_bias, stats
 from profaudit.artifacts import sha256_file, write_jsonl
 from profaudit.cli import main
 from profaudit.config import AuditConfig
@@ -277,6 +277,30 @@ class TestGoldenRun:
         dist = json.loads((out_dir / "images" / "distributions.json")
                           .read_text(encoding="utf-8"))
         assert dist["overall"]["groups"] == []
+
+    def test_no_professions_gives_zero_tables_and_header_only_figures(
+            self, fixture_config, tmp_path):
+        (tmp_path / "professions.txt").write_text("", encoding="utf-8")
+        fixture_config.professions = str(tmp_path / "professions.txt")
+        fixture_config.manual_assignments = None
+        fixture_config.match_decisions = None
+        for stage in ("lexicon", "match", "classify"):
+            pipeline.run_stage(stage, fixture_config)
+        out = Path(fixture_config.out_dir) / "classify"
+        for name in ("figure4", "figure5"):
+            assert (out / f"{name}.csv").read_text(encoding="utf-8") == \
+                ",".join(redirect_bias.TABLES[name]) + "\n"
+        summary = json.loads((out / "summary.json")
+                             .read_text(encoding="utf-8"))
+        for name in ("table_1a", "table_1b", "table_1c"):
+            lines = (out / f"{name}.csv").read_text(encoding="utf-8")
+            assert lines.splitlines()[1:] == [
+                role + ",0" * (len(redirect_bias.TABLES[name]) - 1)
+                for role in redirect_bias.ROLES]
+            assert set(summary[name]) == set(redirect_bias.ROLES)
+            assert all(v == 0 for row in summary[name].values()
+                       for v in row.values())
+        assert set(summary["bias_groups"].values()) == {0}
 
 
 class TestModelTables:

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -190,11 +191,20 @@ class TestBuildPresence:
         assert p.male.title == "Lehrer"
 
 
+def by_role(rows, table):
+    """Each role's row of one table as {column: value}."""
+    columns = rb.TABLES[table]
+    return {row[0]: dict(zip(columns[1:], row[1:])) for row in rows[table]}
+
+
 class TestTally:
     def test_empty_input_all_zero(self):
-        report = rb.tally([], {})
-        assert all(t.total == 0 for t in report.roles.values())
-        assert sum(report.bias_counts.values()) == 0
+        tables = rb.tally([])
+        assert set(tables) == set(rb.TABLES)
+        for name in ("table_1a", "table_1b", "table_1c"):
+            assert [row[0] for row in tables[name]] == list(rb.ROLES)
+            assert all(v == 0 for row in tables[name] for v in row[1:])
+        assert tables["figure4"] == [] and tables["figure5"] == []
 
     def test_counts_and_conservation(self):
         snap = fixture_snapshot()
@@ -208,37 +218,44 @@ class TestTally:
         }
         presences = [rb.build_presence(pid, roles, snap, closure)
                      for pid, roles in profs.items()]
-        classifications = {p.profession_id: classify(p) for p in presences}
-        report = rb.tally(presences, classifications)
+        tables = rb.tally(presences)
+        t1a, t1b, t1c = (by_role(tables, name)
+                         for name in ("table_1a", "table_1b", "table_1c"))
 
-        masc = report.roles["male"]
-        assert masc.total == 4  # p1, p2, p3, p5 carry a male title
-        assert masc.pages == 2  # Lehrer, Beamter
-        assert masc.validated == 1  # Lehrer only
-        assert masc.other_pages == 1  # Beamter
-        assert masc.redirects == 2  # Entbindungspfleger, Dressman
-        assert masc.redirects_to_female == 1
-        assert masc.redirects_other == 1
-        assert masc.no_page == 0
+        assert t1a["male"]["all"] == 4  # p1, p2, p3, p5 carry a male title
+        assert t1a["male"]["wiki_pages"] == 2  # Lehrer, Beamter
+        assert t1b["male"]["validated"] == 1  # Lehrer only
+        assert t1b["male"]["other_pages"] == 1  # Beamter
+        assert t1a["male"]["redirects"] == 2  # Entbindungspfleger, Dressman
+        assert t1c["male"]["to_female"] == 1
+        assert t1c["male"]["other_redirects"] == 1
+        assert t1a["male"]["no_page"] == 0
 
-        fem = report.roles["female"]
-        assert fem.total == 3
-        assert fem.redirects_to_male == 1
-        assert fem.no_page == 1  # Beamtin
+        assert t1a["female"]["all"] == 3
+        assert t1c["female"]["to_male"] == 1
+        assert t1a["female"]["no_page"] == 1  # Beamtin
 
-        assert report.roles["neutral"].validated == 1
+        assert t1b["neutral"]["validated"] == 1
 
         # conservation: bias groups sum to the classified professions
-        assert sum(report.bias_counts.values()) == len(profs)
-        assert report.bias_counts["male_bias"] == 1
-        assert report.bias_counts["female_bias"] == 1
-        assert report.bias_counts["neutral"] == 2
-        assert report.bias_counts["no_evidence"] == 1
+        bias_counts = Counter(classify(p).value for p in presences)
+        assert sum(bias_counts.values()) == len(profs)
+        assert bias_counts["male_bias"] == 1
+        assert bias_counts["female_bias"] == 1
+        assert bias_counts["neutral"] == 2
+        assert bias_counts["no_evidence"] == 1
 
-        # row identity: pages + redirects + no_page = all
-        for t in report.roles.values():
-            assert t.pages + t.redirects + t.no_page == t.total
-            assert t.validated + t.other_pages == t.pages
+        # row identities: pages + redirects + no_page = all, validated +
+        # other = pages, and the redirect columns add up across the tables
+        for role in rb.ROLES:
+            a, b, c = t1a[role], t1b[role], t1c[role]
+            assert a["wiki_pages"] + a["redirects"] + a["no_page"] == a["all"]
+            assert b["validated"] + b["other_pages"] == b["all_wiki_pages"]
+            assert b["all_wiki_pages"] == a["wiki_pages"]
+            assert c["all_redirects"] == a["redirects"]
+            assert c["to_male"] + c["to_female"] == c["to_opposite"]
+            assert c["to_opposite"] + c["other_redirects"] == \
+                c["all_redirects"]
 
     def test_figure_rows(self):
         snap = fixture_snapshot()
@@ -246,9 +263,11 @@ class TestTally:
         presences = [rb.build_presence("p1", {"male": ["Lehrer"],
                                               "female": ["Lehrerin"]},
                                        snap, closure)]
-        report = rb.tally(presences, {"p1": BiasGroup.MALE_BIAS})
-        fig4 = {r["title_gender"]: r for r in rb.figure4_rows(report)}
+        tables = rb.tally(presences)
+        fig4 = by_role(tables, "figure4")
         assert fig4["male"]["page_share"] == 1.0
         assert fig4["female"]["redirect_share"] == 1.0
-        fig5 = {r["title_gender"]: r for r in rb.figure5_rows(report)}
+        assert "neutral" not in fig4  # no neutral title
+        fig5 = by_role(tables, "figure5")
         assert fig5["female"]["to_opposite_share"] == 1.0
+        assert set(fig5) == {"female"}  # the only role with a redirect
