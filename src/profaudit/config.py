@@ -5,46 +5,60 @@ code change."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-# accepted JSON types of the analysis constants, by annotation
-_KINDS = {"int": ((int,), "an integer"), "float": ((int, float), "a number")}
-
-
-@dataclass
-class AuditConfig:
+# every key with its default, in order; the type of the default says which
+# JSON values the key accepts
+_DEFAULTS = {
     # input files; relative paths resolve against the config file location
-    snapshot: str = ""
-    professions: str = ""
-    abbreviations: str | None = None
-    manual_assignments: str | None = None
-    match_decisions: str | None = None
-    hits: str | None = None
-    labor_stats: str | None = None
-    labor_classifier: str | None = None
-    gender_lexicon: str | None = None
-    birth_years: str | None = None
-    annotations: str | None = None
-    gold_labels: str | None = None
-    out_dir: str = "out"
+    "snapshot": "",
+    "professions": "",
+    "abbreviations": None,
+    "manual_assignments": None,
+    "match_decisions": None,
+    "hits": None,
+    "labor_stats": None,
+    "labor_classifier": None,
+    "gender_lexicon": None,
+    "birth_years": None,
+    "annotations": None,
+    "gold_labels": None,
+    "out_dir": "out",
 
     # analysis constants
-    d_max: int = 2
-    r_min: float = 0.8
-    worker_accuracy: float = 0.7
-    equality_band: float = 0.05
-    birth_cutoff: int = 1960
-    majority_threshold: float = 0.5
-    dominated_threshold: float = 0.7
-    min_judgments: int = 3
-    closure_depth: int = 5
-    min_image_width: int = 100
+    "d_max": 2,
+    "r_min": 0.8,
+    "worker_accuracy": 0.7,
+    "equality_band": 0.05,
+    "birth_cutoff": 1960,
+    "majority_threshold": 0.5,
+    "dominated_threshold": 0.7,
+    "min_judgments": 3,
+    "closure_depth": 5,
+    "min_image_width": 100,
 
-    seed: int = 1
-    mc_iterations: int = 10000
+    "seed": 1,
+    "mc_iterations": 10000,
+}
 
-    base_dir: Path = field(default_factory=Path, repr=False)
+# accepted JSON types of a key, by the type of its default
+_PATH_KIND = ((str, type(None)), "a string or null")
+_KINDS = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+          str: _PATH_KIND, type(None): _PATH_KIND}
+
+
+class AuditConfig:
+    # the path-valued keys, the input files and out_dir, in order: every key
+    # whose default is a string or None
+    _PATH_KEYS = tuple(key for key, value in _DEFAULTS.items()
+                       if value is None or isinstance(value, str))
+
+    def __init__(self, **values):
+        unknown = set(values) - set(_DEFAULTS)
+        if unknown:
+            raise TypeError(f"AuditConfig: unknown keys {sorted(unknown)}")
+        self.__dict__.update(_DEFAULTS, **values)
+        self.base_dir = Path()
 
     @classmethod
     def from_file(cls, path) -> "AuditConfig":
@@ -54,19 +68,17 @@ class AuditConfig:
         if not isinstance(data, dict):
             raise ValueError(f"config: {path} must hold a JSON object, "
                              f"got {type(data).__name__}")
-        known = {f.name for f in fields(cls)} - {"base_dir"}
-        unknown = set(data) - known
+        unknown = set(data) - set(_DEFAULTS)
         if unknown:
             raise ValueError(f"config: unknown keys {sorted(unknown)}")
-        for f in fields(cls):
-            if f.name not in data:
+        for key, default in _DEFAULTS.items():
+            if key not in data:
                 continue
             # a bool is not an int here, and an int is a valid float
-            types, kind = (((str, type(None)), "a string or null")
-                           if f.name in cls._PATH_KEYS else _KINDS[f.type])
-            if type(data[f.name]) not in types:
-                raise ValueError(f"config: {f.name!r} must be {kind}, "
-                                 f"got {data[f.name]!r}")
+            types, kind = _KINDS[type(default)]
+            if type(data[key]) not in types:
+                raise ValueError(f"config: {key!r} must be {kind}, "
+                                 f"got {data[key]!r}")
         cfg = cls(**data)
         cfg.base_dir = path.parent.resolve()
         return cfg
@@ -111,15 +123,5 @@ class AuditConfig:
                 raise ValueError(f"config: threshold out of range ({rule})")
 
     def to_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            if f.name == "base_dir":
-                continue
-            out[f.name] = getattr(self, f.name)
-        return out
-
-
-# the path-valued keys, the input files and out_dir, in field order: every
-# field annotated as a string
-AuditConfig._PATH_KEYS = tuple(f.name for f in fields(AuditConfig)
-                               if f.type in ("str", "str | None"))
+        """Every key with its value, in order; ``base_dir`` is not a key."""
+        return {key: getattr(self, key) for key in _DEFAULTS}

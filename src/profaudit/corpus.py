@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import json
 import logging
-from collections import deque
-from dataclasses import dataclass, field
+from collections import deque, namedtuple
 
 from .artifacts import write_jsonl
 from .text import nfc
@@ -39,27 +38,37 @@ class RedirectCycleError(ValueError):
     pass
 
 
-@dataclass(slots=True)
 class ImageRef:
-    filename: str
-    width: int
-    media_format: str
+    __slots__ = ("filename", "width", "media_format")
+
+    def __init__(self, filename: str, width: int, media_format: str):
+        self.filename = filename
+        self.width = width
+        self.media_format = media_format
 
     def to_dict(self) -> dict:
         return {"filename": self.filename, "width": self.width,
                 "media_format": self.media_format}
 
 
-@dataclass(slots=True)
 class ArticleRecord:
-    title: str
-    exists: bool = True
-    redirect_target: str | None = None
-    categories: set[str] = field(default_factory=set)
-    outlinks: list[str] = field(default_factory=list)
-    images: list[ImageRef] = field(default_factory=list)
-    plain_text: str = ""
-    page_id: int | None = None
+    __slots__ = ("title", "exists", "redirect_target", "categories",
+                 "outlinks", "images", "plain_text", "page_id")
+
+    def __init__(self, title: str, exists: bool = True,
+                 redirect_target: str | None = None,
+                 categories: set[str] | None = None,
+                 outlinks: list[str] | None = None,
+                 images: list[ImageRef] | None = None,
+                 plain_text: str = "", page_id: int | None = None):
+        self.title = title
+        self.exists = exists
+        self.redirect_target = redirect_target
+        self.categories = set() if categories is None else categories
+        self.outlinks = [] if outlinks is None else outlinks
+        self.images = [] if images is None else images
+        self.plain_text = plain_text
+        self.page_id = page_id
 
     @property
     def is_redirect(self) -> bool:
@@ -78,19 +87,18 @@ class ArticleRecord:
         }
 
 
-@dataclass
-class ResolvedPage:
-    final_title: str
-    hops: int
-    chain: list[str]
-    exists: bool
-    record: ArticleRecord | None = None
+# where a redirect chain ends (see resolve); record is None for a missing page
+ResolvedPage = namedtuple("ResolvedPage",
+                          "final_title hops chain exists record")
 
 
-@dataclass
 class CorpusSnapshot:
-    records: dict[str, ArticleRecord]
-    subcategories: dict[str, set[str]]
+    __slots__ = ("records", "subcategories")
+
+    def __init__(self, records: dict[str, ArticleRecord],
+                 subcategories: dict[str, set[str]]):
+        self.records = records
+        self.subcategories = subcategories
 
 
 def _validate_record(rec: ArticleRecord, where: str) -> None:

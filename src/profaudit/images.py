@@ -16,7 +16,6 @@ from __future__ import annotations
 import hashlib
 import logging
 from collections import Counter, defaultdict
-from dataclasses import asdict, dataclass
 from enum import Enum
 
 from . import stats
@@ -70,42 +69,35 @@ _MULTI_GENDERS = {GenderAnswer.ONLY_FEMALE, GenderAnswer.ONLY_MALE,
                   GenderAnswer.MIXED_EQUAL, GenderAnswer.NOT_RECOGNIZABLE}
 
 
-@dataclass
 class AnnotationResponse:
-    worker_id: str
-    image_id: str
-    timestamp: int
-    count_answer: CountAnswer
-    gender_answer: GenderAnswer
+    __slots__ = ("worker_id", "image_id", "timestamp", "count_answer",
+                 "gender_answer")
 
-    def __post_init__(self):
-        no_person = self.count_answer in (CountAnswer.NOT_SHOWN,
-                                          CountAnswer.NO_PERSON)
-        if no_person != (self.gender_answer is GenderAnswer.NONE):
+    def __init__(self, worker_id: str, image_id: str, timestamp: int,
+                 count_answer: CountAnswer, gender_answer: GenderAnswer):
+        no_person = count_answer in (CountAnswer.NOT_SHOWN,
+                                     CountAnswer.NO_PERSON)
+        if no_person != (gender_answer is GenderAnswer.NONE):
             raise ValueError(
-                f"response {self.worker_id}/{self.image_id}: gender answer "
-                f"{self.gender_answer.value!r} illegal for count "
-                f"{self.count_answer.value!r}")
-        if self.count_answer in (CountAnswer.ONE_PERSON,
-                                 CountAnswer.SEVERAL_ONE_DOMINANT):
-            if self.gender_answer not in _SINGLE_GENDERS:
+                f"response {worker_id}/{image_id}: gender answer "
+                f"{gender_answer.value!r} illegal for count "
+                f"{count_answer.value!r}")
+        if count_answer in (CountAnswer.ONE_PERSON,
+                            CountAnswer.SEVERAL_ONE_DOMINANT):
+            if gender_answer not in _SINGLE_GENDERS:
                 raise ValueError(
-                    f"response {self.worker_id}/{self.image_id}: "
-                    f"{self.gender_answer.value!r} not a single-person answer")
-        if self.count_answer is CountAnswer.SEVERAL_NO_DOMINANT:
-            if self.gender_answer not in _MULTI_GENDERS:
+                    f"response {worker_id}/{image_id}: "
+                    f"{gender_answer.value!r} not a single-person answer")
+        if count_answer is CountAnswer.SEVERAL_NO_DOMINANT:
+            if gender_answer not in _MULTI_GENDERS:
                 raise ValueError(
-                    f"response {self.worker_id}/{self.image_id}: "
-                    f"{self.gender_answer.value!r} not a several-persons answer")
-
-
-@dataclass
-class WorkerRecord:
-    worker_id: str
-    gold_answered: int
-    gold_correct: int
-    accuracy: float
-    active: bool
+                    f"response {worker_id}/{image_id}: "
+                    f"{gender_answer.value!r} not a several-persons answer")
+        self.worker_id = worker_id
+        self.image_id = image_id
+        self.timestamp = timestamp
+        self.count_answer = count_answer
+        self.gender_answer = gender_answer
 
 
 def filter_images(refs: list[ImageRef], min_width: int) -> list[ImageRef]:
@@ -174,7 +166,7 @@ def score_workers(responses: list[AnnotationResponse],
                   gold_labels: dict[str, ImageCategory],
                   known_images: set[str],
                   threshold: float = WORKER_ACCURACY_THRESHOLD
-                  ) -> tuple[list[WorkerRecord], list[AnnotationResponse]]:
+                  ) -> tuple[list[dict], list[AnnotationResponse]]:
     """Gold-question quality control.
 
     Responses are replayed per worker in (timestamp, image) order;
@@ -182,6 +174,10 @@ def score_workers(responses: list[AnnotationResponse],
     responses, starting from 100% before any gold item was seen. Once a
     worker's accuracy drops below the threshold, all of that worker's
     responses are discarded.
+
+    Returns one record per worker, in worker order, as a dict with
+    ``worker_id``, ``gold_answered``, ``gold_correct``, ``accuracy`` and
+    ``active``, and the responses retained.
     """
     by_worker: dict[str, list[AnnotationResponse]] = defaultdict(list)
     for resp in responses:
@@ -190,7 +186,7 @@ def score_workers(responses: list[AnnotationResponse],
                              f"{resp.image_id!r}")
         by_worker[resp.worker_id].append(resp)
 
-    records: list[WorkerRecord] = []
+    records: list[dict] = []
     retained: list[AnnotationResponse] = []
     for worker_id in sorted(by_worker):
         ordered = sorted(by_worker[worker_id],
@@ -210,8 +206,9 @@ def score_workers(responses: list[AnnotationResponse],
             if accuracy < threshold:
                 active = False
                 break
-        records.append(WorkerRecord(worker_id, answered, correct, accuracy,
-                                    active))
+        records.append({"worker_id": worker_id, "gold_answered": answered,
+                        "gold_correct": correct, "accuracy": accuracy,
+                        "active": active})
         if active:
             retained.extend(ordered)
     return records, retained
@@ -251,9 +248,9 @@ RESOLVED_CATEGORIES = (ImageCategory.MEN, ImageCategory.WOMEN,
                        ImageCategory.NOT_RECOGNIZABLE, ImageCategory.NO_PERSON)
 
 
-def kappa_from_responses(retained: list[AnnotationResponse]
-                         ) -> stats.KappaResult:
-    """Fleiss' kappa over the mapped category space.
+def kappa_from_responses(retained: list[AnnotationResponse]) -> dict:
+    """Fleiss' kappa over the mapped category space, as the dict
+    ``stats.fleiss_kappa`` returns.
 
     Uses images with at least three mapped responses, down-sampled to the
     first three by (timestamp, worker_id) so the fixed-rater formula
@@ -305,7 +302,7 @@ def distributions(items: list[tuple[str, ImageCategory]], grouping: str,
     ``RESOLVED_CATEGORIES``; ``overall_test`` (``TestResult.to_dict``, or
     None); ``pairwise_tests`` as ``{groups, test}``; ``posthoc_tests`` as
     ``{groups, category, test}`` marked by ``stats.mark_bh_two_stage``;
-    and ``bh_correction``, that call's ``BhResult`` as a dict, or None.
+    and ``bh_correction``, the dict that call returns, or None.
     """
     per_group: dict[str, Counter] = defaultdict(Counter)
     unresolved: Counter = Counter()
@@ -367,8 +364,7 @@ def distributions(items: list[tuple[str, ImageCategory]], grouping: str,
                     posthoc.append({"groups": pair, "category": c.value,
                                     "test": mc_test(t, f"{name}:{c.value}")})
         if posthoc:
-            correction = asdict(stats.mark_bh_two_stage(posthoc,
-                                                        q=stats.ALPHA))
+            correction = stats.mark_bh_two_stage(posthoc, q=stats.ALPHA)
 
     return {"grouping": grouping, "groups": dists, "overall_test": overall,
             "pairwise_tests": pairwise, "posthoc_tests": posthoc,

@@ -10,7 +10,7 @@ exactly or by prefix against the statistics table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 from .artifacts import check_unique, read_rows, write_csv
@@ -33,24 +33,16 @@ class DominatedGroup(str, Enum):
     NONE = "not_dominated"
 
 
-@dataclass
-class LaborStat:
-    kldb_code: str
-    label: str
-    n_men: int
-    n_women: int
+class LaborStat(namedtuple("LaborStat", "kldb_code label n_men n_women")):
+    __slots__ = ()
 
     @property
     def pct_women(self) -> float:
         return self.n_women / (self.n_men + self.n_women)
 
 
-@dataclass
-class CodeAssignment:
-    profession_id: str
-    kldb_code: str
-    match_kind: MatchKind
-    matched_title: str
+CodeAssignment = namedtuple("CodeAssignment",
+                            "profession_id kldb_code match_kind matched_title")
 
 
 def load_stats(path) -> list[LaborStat]:
@@ -75,15 +67,18 @@ def load_stats(path) -> list[LaborStat]:
 
 
 def load_classifier(path) -> dict[str, str]:
-    """Profession-name to code index, CSV columns (name, code)."""
+    """Profession-name to code index, CSV columns (name, code). A name
+    repeated with the same code is accepted; with another code it is an
+    error naming both rows."""
     index: dict[str, str] = {}
+    rows: dict[str, int] = {}
     for row_no, row in read_rows(path, "classifier", "name", 2):
         name = row[0].strip()
         code = row[1].strip()
-        if name in index and index[name] != code:
+        first = rows.setdefault(name, row_no)
+        if index.setdefault(name, code) != code:
             raise ValueError(f"classifier row {row_no}: conflicting code "
-                             f"for {name!r}")
-        index[name] = code
+                             f"for {name!r} (first on row {first})")
     return index
 
 
@@ -149,16 +144,9 @@ def dominated_group(pct_women: float, threshold: float = 0.7) -> DominatedGroup:
     return DominatedGroup.NONE
 
 
-@dataclass
-class JoinedLabor:
-    profession_id: str
-    kldb_code: str
-    match_kind: MatchKind
-    n_men: int
-    n_women: int
-    pct_women: float
-    majority: MajorityGroup
-    dominated: DominatedGroup
+JOINED_HEADER = ("profession_id", "kldb_code", "match_kind", "n_men",
+                 "n_women", "pct_women", "majority", "dominated")
+JoinedLabor = namedtuple("JoinedLabor", JOINED_HEADER)
 
 
 def join(assignments: list[CodeAssignment], stats: list[LaborStat],
@@ -180,10 +168,6 @@ def join(assignments: list[CodeAssignment], stats: list[LaborStat],
             dominated=dominated_group(pct, dominated_threshold),
         ))
     return out
-
-
-JOINED_HEADER = ("profession_id", "kldb_code", "match_kind", "n_men",
-                 "n_women", "pct_women", "majority", "dominated")
 
 
 def write_joined(rows: list[JoinedLabor], path) -> None:

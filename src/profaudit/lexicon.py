@@ -11,7 +11,7 @@ and ß are never folded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from collections import namedtuple
 from enum import Enum
 
 from .artifacts import check_unique, read_rows, write_csv, write_jsonl
@@ -75,21 +75,26 @@ class Resolution(str, Enum):
     UNRESOLVED = "unresolved"
 
 
-@dataclass
-class RawLine:
-    text: str
-    line_no: int
+RawLine = namedtuple("RawLine", "text line_no")
+
+# the attributes of a ProfessionEntry, and the keys of its entries.jsonl record
+ENTRY_FIELDS = ("id", "line_no", "text", "male_title", "female_title",
+                "neutral_title", "resolution")
 
 
-@dataclass
 class ProfessionEntry:
-    id: str
-    line_no: int
-    text: str
-    male_title: str | None
-    female_title: str | None
-    neutral_title: str | None
-    resolution: Resolution
+    __slots__ = ENTRY_FIELDS
+
+    def __init__(self, id: str, line_no: int, text: str,
+                 male_title: str | None, female_title: str | None,
+                 neutral_title: str | None, resolution: Resolution):
+        self.id = id
+        self.line_no = line_no
+        self.text = text
+        self.male_title = male_title
+        self.female_title = female_title
+        self.neutral_title = neutral_title
+        self.resolution = resolution
 
     @property
     def is_pair(self) -> bool:
@@ -111,9 +116,6 @@ class ProfessionEntry:
         out = {name: getattr(self, name) for name in ENTRY_FIELDS}
         out["resolution"] = self.resolution.value
         return out
-
-
-ENTRY_FIELDS = tuple(f.name for f in fields(ProfessionEntry))
 
 
 def load_abbreviations(path=None) -> dict[str, str]:

@@ -44,7 +44,6 @@ tested against.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from enum import Enum
 
 from .artifacts import check_unique, read_rows, write_csv
@@ -60,16 +59,23 @@ class MatchStatus(str, Enum):
     REJECTED = "rejected"
 
 
-@dataclass
 class MatchCandidate:
-    profession_id: str
-    profession_title: str
-    article_title: str
-    distance: int
-    ratio: float
-    status: MatchStatus
-    title_role: str  # which slot the profession title came from: male/female/neutral
-    gender_group: str | None = None
+    __slots__ = ("profession_id", "profession_title", "article_title",
+                 "distance", "ratio", "status", "title_role", "gender_group")
+
+    def __init__(self, profession_id: str, profession_title: str,
+                 article_title: str, distance: int, ratio: float,
+                 status: MatchStatus, title_role: str,
+                 gender_group: str | None = None):
+        self.profession_id = profession_id
+        self.profession_title = profession_title
+        self.article_title = article_title
+        self.distance = distance
+        self.ratio = ratio
+        self.status = status
+        # which slot the profession title came from: male/female/neutral
+        self.title_role = title_role
+        self.gender_group = gender_group
 
 
 def lev_distance(a: str, b: str) -> int:

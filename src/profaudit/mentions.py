@@ -27,7 +27,6 @@ reference.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 from json.encoder import encode_basestring as _quote
 
@@ -65,20 +64,26 @@ class BiasClass(str, Enum):
 _JSON = {member: _quote(member.value) for member in (*Gender, *Source)}
 
 
-@dataclass(slots=True)
 class PersonMention:
     """One person mentioned in one article.
 
     ``json_line()`` is the mention's line of ``mentions.jsonl``.
     """
 
-    article_title: str
-    surface_name: str
-    first_name: str
-    gender: Gender
-    source: Source
-    linked_page: str | None = None
-    birth_year: int | None = None
+    __slots__ = ("article_title", "surface_name", "first_name", "gender",
+                 "source", "linked_page", "birth_year")
+
+    def __init__(self, article_title: str, surface_name: str,
+                 first_name: str, gender: Gender, source: Source,
+                 linked_page: str | None = None,
+                 birth_year: int | None = None):
+        self.article_title = article_title
+        self.surface_name = surface_name
+        self.first_name = first_name
+        self.gender = gender
+        self.source = source
+        self.linked_page = linked_page
+        self.birth_year = birth_year
 
     def json_line(self) -> str:
         """The JSON object of every field, keys sorted, then a newline.
@@ -99,30 +104,6 @@ class PersonMention:
             f'"linked_page": {"null" if page is None else _quote(page)}, '
             f'"source": {_JSON[self.source]}, '
             f'"surface_name": {_quote(self.surface_name)}}}\n')
-
-
-@dataclass
-class MentionStats:
-    article_title: str
-    n_men: int
-    n_women: int
-    male_ratio: float
-    bias_class: BiasClass
-
-
-@dataclass
-class OverlapReport:
-    n_link: int = 0
-    n_text: int = 0
-    n_overlap: int = 0
-    gender_comparisons: int = 0
-    gender_disagreements: int = 0
-
-    @property
-    def disagreement_rate(self) -> float:
-        if self.gender_comparisons == 0:
-            return 0.0
-        return self.gender_disagreements / self.gender_comparisons
 
 
 def load_gender_lexicon(path) -> dict[str, Gender]:
@@ -276,14 +257,17 @@ def extract_text_mentions(article_title: str, plain_text: str,
 
 def merge(link_mentions: list[PersonMention],
           text_mentions: list[PersonMention]
-          ) -> tuple[list[PersonMention], OverlapReport]:
+          ) -> tuple[list[PersonMention], dict]:
     """Union the two routes per (article, surface name).
 
     Pairs present in both become source=both with the link gender
-    authoritative; the report carries the overlap count and the rate
-    at which the lexicon gender disagreed with the link gender. Surface
-    names are compared as they are: a link mention's is an NFC outlink
-    title, a text mention's is made of tokens of NFC text.
+    authoritative. Surface names are compared as they are: a link
+    mention's is an NFC outlink title, a text mention's is made of tokens
+    of NFC text. The report is a dict of counts, which add up key by key
+    over several merges: link and text mentions (``n_link``, ``n_text``),
+    pairs in both (``n_overlap``), those of them the lexicon gave a gender
+    (``gender_comparisons``) and those where that gender disagreed with
+    the link gender (``gender_disagreements``).
     """
     merged: dict[tuple[str, str], PersonMention] = {}
     for m in link_mentions:
@@ -308,23 +292,32 @@ def merge(link_mentions: list[PersonMention],
 
     out = sorted(merged.values(),
                  key=lambda m: (m.article_title, m.surface_name))
-    report = OverlapReport(
-        n_link=len(link_mentions),
-        n_text=len(text_mentions),
-        n_overlap=overlap,
-        gender_comparisons=comparisons,
-        gender_disagreements=disagreements,
-    )
+    report = {
+        "n_link": len(link_mentions),
+        "n_text": len(text_mentions),
+        "n_overlap": overlap,
+        "gender_comparisons": comparisons,
+        "gender_disagreements": disagreements,
+    }
     return out, report
 
 
+def disagreement_rate(report: dict) -> float:
+    """Share of a merge report's gender comparisons where the lexicon
+    gender disagreed with the link gender; 0 without comparisons."""
+    comparisons = report["gender_comparisons"]
+    return report["gender_disagreements"] / comparisons if comparisons else 0.0
+
+
 def male_ratio_and_class(article_title: str, n_men: int, n_women: int,
-                         band: float = EQUALITY_BAND) -> MentionStats:
+                         band: float = EQUALITY_BAND) -> dict:
     """Equality band 0.5 +/- band for n >= SMALL_SAMPLE_LIMIT, strict
     equality below.
 
     Above the band is male-biased, below is female-biased; articles
-    without any mentioned person are the caller's job to exclude.
+    without any mentioned person are the caller's job to exclude. Returns
+    a dict of ``article_title``, ``n_men``, ``n_women``, ``male_ratio``
+    and ``bias_class`` (a ``BiasClass``).
     """
     total = n_men + n_women
     if total <= 0:
@@ -340,7 +333,8 @@ def male_ratio_and_class(article_title: str, n_men: int, n_women: int,
         cls = BiasClass.MALE_BIASED
     else:
         cls = BiasClass.FEMALE_BIASED
-    return MentionStats(article_title, n_men, n_women, ratio, cls)
+    return {"article_title": article_title, "n_men": n_men,
+            "n_women": n_women, "male_ratio": ratio, "bias_class": cls}
 
 
 _MONTHS = ("Januar|Februar|März|April|Mai|Juni|Juli|August|September"
@@ -410,8 +404,9 @@ def filter_by_birth(mentions: list[PersonMention], cutoff: int = BIRTH_CUTOFF
 
 
 def article_stats(mentions: list[PersonMention],
-                  band: float = EQUALITY_BAND) -> list[MentionStats]:
-    """Per-article counts and bias class over gendered mentions.
+                  band: float = EQUALITY_BAND) -> list[dict]:
+    """Per-article counts and bias class over gendered mentions, one
+    ``male_ratio_and_class`` dict per article, by title.
 
     Unknown-gender mentions do not enter the counts; articles left with
     no gendered mention are excluded.

@@ -55,8 +55,7 @@ import gc
 import hashlib
 import json
 import logging
-from collections import Counter, defaultdict
-from dataclasses import asdict, dataclass, field
+from collections import Counter, defaultdict, namedtuple
 from pathlib import Path
 
 from . import (__version__, corpus, images, labor, lexicon, matcher, mentions,
@@ -75,14 +74,12 @@ class PipelineError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class Stage:
-    """What one stage reads. The runner checks, hashes and records it."""
-
-    files: tuple[str, ...] = ()  # config file keys the stage requires
-    optional: tuple[str, ...] = ()  # config file keys read only when set
-    reads: dict[str, str] = field(default_factory=dict)  # label -> artifact
-    constants: tuple[str, ...] = ()  # config values the outputs depend on
+# What one stage reads; the runner checks, hashes and records it. ``files``
+# are the config file keys the stage requires, ``optional`` those it reads
+# only when set, ``reads`` maps a label to an upstream artifact, and
+# ``constants`` are the config values its outputs depend on.
+Stage = namedtuple("Stage", "files optional reads constants",
+                   defaults=((), (), {}, ()))
 
 
 _ENTRIES = "lexicon/entries.jsonl"
@@ -370,6 +367,12 @@ def _entries(run: Run) -> list[ProfessionEntry]:
             for row in run.rows("entries")]
 
 
+def _bias_groups(run: Run) -> dict[str, BiasGroup]:
+    """Bias group by profession id, from ``classifications.csv``."""
+    return {pid: BiasGroup(group)
+            for pid, _text, group in run.rows("classifications")}
+
+
 def _write_dist(run: Run, dist: dict) -> None:
     """``dist_<grouping>.csv`` from an ``images.distributions`` result."""
     categories = [c.value for c in images.RESOLVED_CATEGORIES]
@@ -506,8 +509,7 @@ def stage_classify(run: Run) -> None:
 
 def stage_webhits(run: Run) -> None:
     records = webhits.load_hits(run.inputs["hits"])
-    groups = {pid: BiasGroup(group)
-              for pid, _text, group in run.rows("classifications")}
+    groups = _bias_groups(run)
     diffs, excluded = webhits.compute_differences(records)
 
     webhits.write_differences(diffs, groups,
@@ -545,7 +547,7 @@ def stage_mentions(run: Run) -> None:
 
     snapshot = run.snapshot
     all_mentions: list[mentions.PersonMention] = []
-    total = mentions.OverlapReport()
+    total = mentions.merge([], [])[1]  # every count 0
     skipped_outlinks = 0
     # article_map.csv is sorted by title
     for title, _pid, _role in run.rows("article_map"):
@@ -555,8 +557,8 @@ def stage_mentions(run: Run) -> None:
                                                  gender_lexicon)
         merged, report = mentions.merge(link_ms, text_ms)
         all_mentions.extend(merged)
-        for key, value in asdict(report).items():
-            setattr(total, key, getattr(total, key) + value)
+        for key, value in report.items():
+            total[key] += value
         skipped_outlinks += skipped
 
     mentions.annotate_birth_years(all_mentions, birth_index, snapshot)
@@ -570,14 +572,14 @@ def stage_mentions(run: Run) -> None:
     for variant, subset in (("all", all_mentions),
                             ("born_after_cutoff", filtered)):
         for stat in mentions.article_stats(subset, cfg.equality_band):
-            ratio_rows.append([variant, stat.article_title, stat.n_men,
-                               stat.n_women, stat.male_ratio,
-                               stat.bias_class.value])
+            ratio_rows.append([variant, stat["article_title"], stat["n_men"],
+                               stat["n_women"], stat["male_ratio"],
+                               stat["bias_class"].value])
     write_csv(run.out("ratios.csv"), HEADERS["mentions/ratios.csv"],
               ratio_rows)
 
     dump_json(dict(
-        asdict(total), disagreement_rate=total.disagreement_rate,
+        total, disagreement_rate=mentions.disagreement_rate(total),
         skipped_outlinks=skipped_outlinks, n_merged=len(all_mentions),
         n_men=sum(1 for m in all_mentions if m.gender is Gender.M),
         n_women=sum(1 for m in all_mentions if m.gender is Gender.F),
@@ -594,8 +596,7 @@ def stage_images(run: Run) -> None:
     cfg = run.cfg
     article_map = {title: (pid, role)
                    for title, pid, role in run.rows("article_map")}
-    groups = {pid: BiasGroup(group)
-              for pid, _text, group in run.rows("classifications")}
+    groups = _bias_groups(run)
 
     refs_of: dict[str, list[corpus.ImageRef]] = defaultdict(list)
     for title, filename, width, media_format in run.rows("image_refs"):
@@ -617,15 +618,14 @@ def stage_images(run: Run) -> None:
         responses, gold, set(eligible), threshold=cfg.worker_accuracy)
     categories = images.aggregate_all(retained, cfg.min_judgments)
     try:
-        kappa_out = asdict(images.kappa_from_responses(retained))
+        kappa_out = images.kappa_from_responses(retained)
     except ValueError as exc:
         kappa_out = {"error": str(exc)}
 
-    write_csv(run.out("workers.csv"),
-              ["worker_id", "gold_answered", "gold_correct", "accuracy",
-               "active"],
-              [[w.worker_id, w.gold_answered, w.gold_correct, w.accuracy,
-                w.active] for w in workers])
+    header = ["worker_id", "gold_answered", "gold_correct", "accuracy",
+              "active"]
+    write_csv(run.out("workers.csv"), header,
+              [[w[k] for k in header] for w in workers])
 
     category_rows = []
     for image in sorted(eligible):
@@ -773,8 +773,7 @@ MENTION_FILTER_CORRELATION_PAIRS = MENTION_CORRELATION_PAIRS[:5]
 
 def stage_report(run: Run) -> None:
     cfg = run.cfg
-    groups = {pid: BiasGroup(group)
-              for pid, _text, group in run.rows("classifications")}
+    groups = _bias_groups(run)
     # labor-market row per profession, keyed by correlation feature name
     labor_rows = {pid: {"n_men_labor": int(men), "n_women_labor": int(women),
                         "n_people_labor": int(men) + int(women),

@@ -28,7 +28,6 @@ gender, each a list of cells in the order of the columns ``TABLES`` names.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from enum import Enum
 
 from .corpus import (CorpusSnapshot, RedirectCycleError, is_profession_article,
@@ -55,27 +54,34 @@ class BiasGroup(str, Enum):
     NO_EVIDENCE = "no_evidence"
 
 
-@dataclass
 class PageState:
-    kind: PageKind
-    target: str | None = None
-    target_kind: TargetKind | None = None
-    # article is inside the profession-category closure; redirects and
-    # missing pages keep the default
-    about_profession: bool = True
-    title: str | None = None
+    __slots__ = ("kind", "target", "target_kind", "about_profession", "title")
 
-    def __post_init__(self):
-        if self.kind is PageKind.REDIRECT and self.target_kind is None:
+    def __init__(self, kind: PageKind, target: str | None = None,
+                 target_kind: TargetKind | None = None,
+                 about_profession: bool = True, title: str | None = None):
+        if kind is PageKind.REDIRECT and target_kind is None:
             raise ValueError("redirect PageState needs a target_kind")
+        self.kind = kind
+        self.target = target
+        self.target_kind = target_kind
+        # article is inside the profession-category closure; redirects and
+        # missing pages keep the default
+        self.about_profession = about_profession
+        self.title = title
 
 
-@dataclass
 class ProfessionPresence:
-    profession_id: str
-    male: PageState = field(default_factory=lambda: PageState(PageKind.MISSING))
-    female: PageState = field(default_factory=lambda: PageState(PageKind.MISSING))
-    neutral: PageState = field(default_factory=lambda: PageState(PageKind.MISSING))
+    __slots__ = ("profession_id", "male", "female", "neutral")
+
+    def __init__(self, profession_id: str, male: PageState | None = None,
+                 female: PageState | None = None,
+                 neutral: PageState | None = None):
+        self.profession_id = profession_id
+        self.male = PageState(PageKind.MISSING) if male is None else male
+        self.female = PageState(PageKind.MISSING) if female is None else female
+        self.neutral = (PageState(PageKind.MISSING) if neutral is None
+                        else neutral)
 
 
 def _is_article(state: PageState) -> bool:

@@ -23,7 +23,6 @@ import itertools
 import math
 import numbers
 from collections.abc import Iterable
-from dataclasses import dataclass
 from operator import mul
 
 # z quantile for a two-sided 95% interval
@@ -70,17 +69,21 @@ def _rows(table) -> list[list] | None:
     return rows
 
 
-@dataclass
 class TestResult:
     """Outcome of a hypothesis test, plus the metadata needed to rerun it."""
 
-    statistic: float
-    p: float
-    method: str
-    n: tuple
-    z: float | None = None
-    b: int | None = None
-    seed: int | None = None
+    __slots__ = ("statistic", "p", "method", "n", "z", "b", "seed")
+
+    def __init__(self, statistic: float, p: float, method: str, n: tuple,
+                 z: float | None = None, b: int | None = None,
+                 seed: int | None = None):
+        self.statistic = statistic
+        self.p = p
+        self.method = method
+        self.n = n
+        self.z = z
+        self.b = b
+        self.seed = seed
 
     def to_dict(self) -> dict:
         return {
@@ -93,36 +96,6 @@ class TestResult:
             "seed": self.seed,
             "B": self.b,
         }
-
-
-@dataclass
-class LogisticFit:
-    coefficients: list[float]
-    std_errors: list[float]
-    p_values: list[float]
-    ci95: list[tuple[float, float]]
-    accuracy: float
-    mcfadden_r2: float
-    converged: bool
-    iterations: int
-
-
-@dataclass
-class KappaResult:
-    kappa: float
-    p_bar: float
-    p_bar_e: float
-    n_raters: int
-    n_items: int
-    n_categories: int
-
-
-@dataclass
-class BhResult:
-    reject: list[bool]
-    adjusted_p: list[float]
-    m0_estimate: int
-    q: float
 
 
 def midranks(values) -> list[float]:
@@ -462,7 +435,7 @@ def _solve(a: list[list[float]], b: list[list[float]]) -> list[list[float]]:
     return [row[k:] for row in m]
 
 
-def logistic_fit(X, y) -> LogisticFit:
+def logistic_fit(X, y) -> dict:
     """Maximum-likelihood logistic regression via IRLS.
 
     ``X`` is the full design matrix including the intercept column; ``y``
@@ -473,6 +446,11 @@ def logistic_fit(X, y) -> LogisticFit:
     perfect separation (|beta| drifting past ``_SEPARATION_BOUND`` while
     the likelihood still improves) yields a result flagged
     converged=False rather than an exception.
+
+    Returns a dict: per coefficient, in column order, lists of
+    ``coefficients``, ``std_errors``, ``p_values`` and ``ci95`` (low, high)
+    pairs; the in-sample ``accuracy`` at a 0.5 cut, ``mcfadden_r2``,
+    ``converged`` and the number of ``iterations``.
     """
     X = _rows(X)
     if X is None:
@@ -516,24 +494,26 @@ def logistic_fit(X, y) -> LogisticFit:
     pbar = sum(y) / n
     ll_null = n * (pbar * math.log(pbar) + (1 - pbar) * math.log(1 - pbar))
     mcfadden = 1.0 - ll / ll_null if ll_null != 0 else float("nan")
-    return LogisticFit(
-        coefficients=beta,
-        std_errors=se,
-        p_values=pvals,
-        ci95=ci,
-        accuracy=accuracy,
-        mcfadden_r2=mcfadden,
-        converged=converged,
-        iterations=iterations,
-    )
+    return {
+        "coefficients": beta,
+        "std_errors": se,
+        "p_values": pvals,
+        "ci95": ci,
+        "accuracy": accuracy,
+        "mcfadden_r2": mcfadden,
+        "converged": converged,
+        "iterations": iterations,
+    }
 
 
-def fleiss_kappa(counts, n_raters: int) -> KappaResult:
+def fleiss_kappa(counts, n_raters: int) -> dict:
     """Fleiss' kappa for fixed-size multi-rater categorical agreement.
 
     ``counts`` has one row per item and one column per category; entry
     (i, j) is the number of raters who put item i in category j. Every
-    row must sum to ``n_raters``.
+    row must sum to ``n_raters``. Returns a dict of ``kappa``, the mean
+    observed and chance agreement ``p_bar`` and ``p_bar_e``, and
+    ``n_raters``, ``n_items`` and ``n_categories``.
     """
     tab = _rows(counts)
     if tab is None:
@@ -552,8 +532,8 @@ def fleiss_kappa(counts, n_raters: int) -> KappaResult:
     if p_bar_e >= 1.0 - 1e-15:
         raise ValueError("fleiss_kappa: undefined, all assignments in one category")
     kappa = (p_bar - p_bar_e) / (1.0 - p_bar_e)
-    return KappaResult(kappa=kappa, p_bar=p_bar, p_bar_e=p_bar_e,
-                       n_raters=n_raters, n_items=n_items, n_categories=n_cats)
+    return {"kappa": kappa, "p_bar": p_bar, "p_bar_e": p_bar_e,
+            "n_raters": n_raters, "n_items": n_items, "n_categories": n_cats}
 
 
 def bonferroni(alpha: float, m: int) -> float:
@@ -591,7 +571,7 @@ def bh_adjusted(pvals) -> list[float]:
     return adj
 
 
-def bh_two_stage(pvals, q: float = ALPHA) -> BhResult:
+def bh_two_stage(pvals, q: float = ALPHA) -> dict:
     """Two-stage Benjamini-Hochberg step-up correction.
 
     Stage 1 runs the step-up at q/(1+q) to estimate the number of true
@@ -600,11 +580,14 @@ def bh_two_stage(pvals, q: float = ALPHA) -> BhResult:
     rejects everything, everything stays rejected. Single-stage adjusted
     p-values are emitted alongside for comparison. A p-value outside
     [0, 1], NaN included, is a ValueError.
+
+    Returns a dict: ``reject`` and ``adjusted_p`` per p-value, in input
+    order, the estimate ``m0_estimate`` and ``q``.
     """
     p = [float(v) for v in pvals]
     m = len(p)
     if m == 0:
-        return BhResult(reject=[], adjusted_p=[], m0_estimate=0, q=q)
+        return {"reject": [], "adjusted_p": [], "m0_estimate": 0, "q": q}
     if not all(0.0 <= v <= 1.0 for v in p):
         raise ValueError("bh_two_stage: p-values must lie in [0, 1]")
     reject = _bh_reject(p, q / (1.0 + q))
@@ -612,15 +595,16 @@ def bh_two_stage(pvals, q: float = ALPHA) -> BhResult:
     m0 = m - r1
     if 0 < r1 < m:
         reject = _bh_reject(p, q * m / m0)
-    return BhResult(reject=reject, adjusted_p=bh_adjusted(p),
-                    m0_estimate=m0, q=q)
+    return {"reject": reject, "adjusted_p": bh_adjusted(p),
+            "m0_estimate": m0, "q": q}
 
 
-def mark_bh_two_stage(tests: list[dict], q: float) -> BhResult:
-    """Run ``bh_two_stage`` over the tests' ``test["p"]`` and mark each
-    test dict with ``rejected_two_stage`` and ``adjusted_p_single_stage``."""
+def mark_bh_two_stage(tests: list[dict], q: float) -> dict:
+    """Run ``bh_two_stage`` over the tests' ``test["p"]``, mark each test
+    dict with ``rejected_two_stage`` and ``adjusted_p_single_stage``, and
+    return the dict ``bh_two_stage`` returned."""
     bh = bh_two_stage([t["test"]["p"] for t in tests], q=q)
-    for t, flag, adj in zip(tests, bh.reject, bh.adjusted_p):
+    for t, flag, adj in zip(tests, bh["reject"], bh["adjusted_p"]):
         t["rejected_two_stage"] = flag
         t["adjusted_p_single_stage"] = adj
     return bh

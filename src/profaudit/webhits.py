@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import stats
 from .artifacts import check_unique, read_rows, write_csv
@@ -21,11 +21,7 @@ from .redirect_bias import BiasGroup
 log = logging.getLogger(__name__)
 
 
-@dataclass
-class HitRecord:
-    profession_id: str
-    hits_male: int
-    hits_female: int
+HitRecord = namedtuple("HitRecord", "profession_id hits_male hits_female")
 
 
 def load_hits(path) -> list[HitRecord]:
@@ -111,35 +107,36 @@ def fit_bias_models(records: list[HitRecord],
         fit = stats.logistic_fit(X, y)
         report[name] = dict(model_report(fit, positive.value,
                                          PREDICTOR_NAMES),
-                            iterations=fit.iterations)
+                            iterations=fit["iterations"])
     return report
 
 
-def model_report(fit: stats.LogisticFit, outcome: str, predictors) -> dict:
-    """Table layout: one row per coefficient, named by ``predictors``,
-    with an odds-ratio column. A one-unit predictor increase multiplies
-    the odds by exp(coef); the odds ratio is written as null for
-    |coef| >= 500, and for every coefficient of a fit that did not
-    converge (a separated design, whose coefficients drift without bound,
-    so exp(coef) would print digits of arithmetic noise)."""
+def model_report(fit: dict, outcome: str, predictors) -> dict:
+    """Table layout of a ``stats.logistic_fit`` result: one row per
+    coefficient, named by ``predictors``, with an odds-ratio column. A
+    one-unit predictor increase multiplies the odds by exp(coef); the odds
+    ratio is written as null for |coef| >= 500, and for every coefficient
+    of a fit that did not converge (a separated design, whose coefficients
+    drift without bound, so exp(coef) would print digits of arithmetic
+    noise)."""
     rows = []
     for i, name in enumerate(predictors):
-        coef = fit.coefficients[i]
+        coef = fit["coefficients"][i]
         rows.append({
             "predictor": name,
             "coef": coef,
-            "std_error": fit.std_errors[i],
-            "p": fit.p_values[i],
-            "ci95_low": fit.ci95[i][0],
-            "ci95_high": fit.ci95[i][1],
+            "std_error": fit["std_errors"][i],
+            "p": fit["p_values"][i],
+            "ci95_low": fit["ci95"][i][0],
+            "ci95_high": fit["ci95"][i][1],
             "odds_ratio": (math.exp(coef)
-                           if fit.converged and abs(coef) < 500 else None),
+                           if fit["converged"] and abs(coef) < 500 else None),
         })
     return {
         "outcome": outcome,
-        "accuracy": fit.accuracy,
-        "pseudo_r2": fit.mcfadden_r2,
-        "converged": fit.converged,
+        "accuracy": fit["accuracy"],
+        "pseudo_r2": fit["mcfadden_r2"],
+        "converged": fit["converged"],
         "coefficients": rows,
     }
 

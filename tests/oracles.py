@@ -16,7 +16,6 @@ import numpy as np
 
 from profaudit.corpus import ArticleRecord, ImageRef, build_snapshot
 from profaudit.mentions import PersonMention, Source
-from profaudit.stats import BhResult, KappaResult, LogisticFit
 
 
 @lru_cache(maxsize=None)
@@ -270,7 +269,7 @@ def _numpy_log_likelihood(X: np.ndarray, y: np.ndarray,
     return float(y @ eta - np.logaddexp(0.0, eta).sum())
 
 
-def numpy_logistic_fit(X, y) -> LogisticFit:
+def numpy_logistic_fit(X, y) -> dict:
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2:
@@ -327,19 +326,19 @@ def numpy_logistic_fit(X, y) -> LogisticFit:
     pbar = float(y.mean())
     ll_null = n * (pbar * math.log(pbar) + (1 - pbar) * math.log(1 - pbar))
     mcfadden = 1.0 - ll / ll_null if ll_null != 0 else float("nan")
-    return LogisticFit(
-        coefficients=[float(v) for v in beta],
-        std_errors=[float(v) for v in se],
-        p_values=pvals,
-        ci95=ci,
-        accuracy=accuracy,
-        mcfadden_r2=float(mcfadden),
-        converged=converged,
-        iterations=iterations,
-    )
+    return {
+        "coefficients": [float(v) for v in beta],
+        "std_errors": [float(v) for v in se],
+        "p_values": pvals,
+        "ci95": ci,
+        "accuracy": accuracy,
+        "mcfadden_r2": float(mcfadden),
+        "converged": converged,
+        "iterations": iterations,
+    }
 
 
-def numpy_fleiss_kappa(counts, n_raters: int) -> KappaResult:
+def numpy_fleiss_kappa(counts, n_raters: int) -> dict:
     tab = np.asarray(counts, dtype=float)
     if tab.ndim != 2:
         raise ValueError("fleiss_kappa: counts must be two-dimensional")
@@ -360,8 +359,8 @@ def numpy_fleiss_kappa(counts, n_raters: int) -> KappaResult:
     if p_bar_e >= 1.0 - 1e-15:
         raise ValueError("fleiss_kappa: undefined, all assignments in one category")
     kappa = (p_bar - p_bar_e) / (1.0 - p_bar_e)
-    return KappaResult(kappa=kappa, p_bar=p_bar, p_bar_e=p_bar_e,
-                       n_raters=n_raters, n_items=n_items, n_categories=n_cats)
+    return {"kappa": kappa, "p_bar": p_bar, "p_bar_e": p_bar_e,
+            "n_raters": n_raters, "n_items": n_items, "n_categories": n_cats}
 
 
 def _numpy_bh_reject(pvals: np.ndarray, level: float) -> np.ndarray:
@@ -391,11 +390,11 @@ def numpy_bh_adjusted(pvals) -> list[float]:
     return [float(v) for v in adj]
 
 
-def numpy_bh_two_stage(pvals, q: float = 0.05) -> BhResult:
+def numpy_bh_two_stage(pvals, q: float = 0.05) -> dict:
     p = np.asarray(pvals, dtype=float)
     m = len(p)
     if m == 0:
-        return BhResult(reject=[], adjusted_p=[], m0_estimate=0, q=q)
+        return {"reject": [], "adjusted_p": [], "m0_estimate": 0, "q": q}
     if ((p < 0) | (p > 1)).any():
         raise ValueError("bh_two_stage: p-values must lie in [0, 1]")
     stage1 = _numpy_bh_reject(p, q / (1.0 + q))
@@ -409,12 +408,12 @@ def numpy_bh_two_stage(pvals, q: float = 0.05) -> BhResult:
     else:
         m0 = m - r1
         reject = _numpy_bh_reject(p, q * m / m0)
-    return BhResult(
-        reject=[bool(v) for v in reject],
-        adjusted_p=numpy_bh_adjusted(p),
-        m0_estimate=m0,
-        q=q,
-    )
+    return {
+        "reject": [bool(v) for v in reject],
+        "adjusted_p": numpy_bh_adjusted(p),
+        "m0_estimate": m0,
+        "q": q,
+    }
 
 
 def naive_lev(a, b):
@@ -443,7 +442,8 @@ def lev_ratio(a: str, b: str) -> float:
 
 # Reference gazetteer: the regex scan over the whole text that
 # profaudit.mentions used before its one-pass tokenizer, kept unchanged.
-# It shares only the PersonMention record type, so results compare with ==.
+# It shares only the PersonMention record type, so results compare by
+# mention_to_dict.
 
 def nfc(s: str) -> str:
     return unicodedata.normalize("NFC", s)
@@ -520,7 +520,7 @@ def extract_text_mentions(article_title: str, plain_text: str,
 # it called json.loads on each line, with each record built straight from
 # the snapshot format. It checks none of the record invariants, so compare
 # it on valid snapshots only. It shares the record types and
-# build_snapshot, so results compare with ==.
+# build_snapshot, so results compare by ArticleRecord.to_dict().
 
 def load_snapshot_json_loads(path):
     records = {}

@@ -246,7 +246,9 @@ class TestLoadAgainstReference:
     def assert_same_as_reference(self, path):
         got = corpus.load_snapshot(path)
         want = load_snapshot_json_loads(path)
-        assert list(got.records.items()) == list(want.records.items())
+        assert ([(title, rec.to_dict()) for title, rec in got.records.items()]
+                == [(title, rec.to_dict())
+                    for title, rec in want.records.items()])
         assert got.subcategories == want.subcategories
 
     def test_fixture(self, data_dir):

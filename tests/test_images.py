@@ -88,30 +88,30 @@ class TestWorkerScoring:
     def test_all_gold_correct_stays_active(self):
         responses, gold = gold_batch_responses(10)
         records, retained = score_workers(responses, gold, set(gold))
-        assert records[0].active
-        assert records[0].accuracy == 1.0
+        assert records[0]["active"]
+        assert records[0]["accuracy"] == 1.0
         assert len(retained) == 10
 
     def test_six_of_ten_removed(self):
         responses, gold = gold_batch_responses(6)
         records, retained = score_workers(responses, gold, set(gold),
                                           threshold=0.7)
-        assert not records[0].active
-        assert records[0].accuracy == pytest.approx(0.6)
+        assert not records[0]["active"]
+        assert records[0]["accuracy"] == pytest.approx(0.6)
         assert retained == []
 
     def test_seven_of_ten_survives(self):
         responses, gold = gold_batch_responses(7)
         records, retained = score_workers(responses, gold, set(gold),
                                           threshold=0.7)
-        assert records[0].active
+        assert records[0]["active"]
         assert len(retained) == 10
 
     def test_no_gold_encountered_accuracy_one(self):
         responses = [resp("w1", "img00", 0, "one_person", "male")]
         records, retained = score_workers(responses, {}, {"img00"})
-        assert records[0].accuracy == 1.0
-        assert records[0].active
+        assert records[0]["accuracy"] == 1.0
+        assert records[0]["active"]
         assert len(retained) == 1
 
     def test_failure_in_second_batch_discards_everything(self):
@@ -122,7 +122,7 @@ class TestWorkerScoring:
             gold[image] = ImageCategory.MEN
             responses.append(resp("w1", image, i, "one_person", "female"))
         records, retained = score_workers(responses, gold, set(gold))
-        assert not records[0].active
+        assert not records[0]["active"]
         assert retained == []
 
     def test_unknown_image_is_error(self):
@@ -144,7 +144,7 @@ class TestWorkerScoring:
         for thr in (0.9, 0.7, 0.5, 0.2):
             records, _ = score_workers(responses, gold, set(gold),
                                        threshold=thr)
-            active_at[thr] = {r.worker_id for r in records if r.active}
+            active_at[thr] = {r["worker_id"] for r in records if r["active"]}
         assert active_at[0.9] <= active_at[0.7] <= active_at[0.5] <= active_at[0.2]
 
 
@@ -194,7 +194,7 @@ class TestKappa:
             for i in range(3):
                 retained.append(resp(f"w{i}", img, i, "one_person", answer))
         res = images.kappa_from_responses(retained)
-        assert res.kappa == pytest.approx(1.0, abs=1e-12)
+        assert res["kappa"] == pytest.approx(1.0, abs=1e-12)
 
     def test_downsampling_to_first_three(self):
         retained = []
@@ -205,7 +205,7 @@ class TestKappa:
         for i in range(3):
             retained.append(resp(f"w{i}", "b", i, "one_person", "female"))
         res = images.kappa_from_responses(retained)
-        assert res.kappa == pytest.approx(1.0, abs=1e-12)
+        assert res["kappa"] == pytest.approx(1.0, abs=1e-12)
 
 
 class TestDistributions:

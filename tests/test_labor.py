@@ -41,6 +41,22 @@ class TestLoadStats:
             assert pct_men + s.pct_women == pytest.approx(1.0)
 
 
+class TestLoadClassifier:
+    def test_conflicting_code_names_both_rows(self, tmp_path):
+        p = tmp_path / "classifier.csv"
+        p.write_text("name,code\nLehrer,8411\nArzt,8140\nLehrer,8412\n",
+                     encoding="utf-8")
+        with pytest.raises(ValueError, match=r"^classifier row 4: conflicting "
+                           r"code for 'Lehrer' \(first on row 2\)$"):
+            labor.load_classifier(p)
+
+    def test_identical_repeat_accepted(self, tmp_path):
+        p = tmp_path / "classifier.csv"
+        p.write_text("name,code\nLehrer,8411\nArzt,8140\nLehrer,8411\n",
+                     encoding="utf-8")
+        assert labor.load_classifier(p) == {"Lehrer": "8411", "Arzt": "8140"}
+
+
 class TestAssign:
     STATS = [LaborStat("8445", "Sprachlehrer", 100, 300),
              LaborStat("813", "Pflege", 100, 400)]

@@ -93,6 +93,27 @@ class TestConfig:
         cfg = AuditConfig.from_file(p)
         assert (cfg.r_min, cfg.worker_accuracy, cfg.hits) == (1, 0.75, None)
 
+    def test_declared_keys_round_trip_and_are_checked(self, data_dir,
+                                                      tmp_path):
+        cfg = AuditConfig.from_file(data_dir / "config.json")
+        cfg.r_min, cfg.hits, cfg.seed = 0.75, None, 7
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg.to_dict()), encoding="utf-8")
+        assert AuditConfig.from_file(p).to_dict() == cfg.to_dict()
+        assert AuditConfig._PATH_KEYS == (
+            "snapshot", "professions", "abbreviations", "manual_assignments",
+            "match_decisions", "hits", "labor_stats", "labor_classifier",
+            "gender_lexicon", "birth_years", "annotations", "gold_labels",
+            "out_dir")
+        bool_for_int = dict(cfg.to_dict(), min_judgments=True)
+        unknown_key = dict(cfg.to_dict(), no_such_key=1)
+        for data, named in ((bool_for_int, "'min_judgments' must be an "
+                                           "integer, got True"),
+                            (unknown_key, r"unknown keys \['no_such_key'\]")):
+            p.write_text(json.dumps(data), encoding="utf-8")
+            with pytest.raises(ValueError, match=named):
+                AuditConfig.from_file(p)
+
     def test_missing_file_reported(self, tmp_path):
         p = tmp_path / "cfg.json"
         p.write_text('{"professions": "fehlt.txt"}', encoding="utf-8")
@@ -148,9 +169,10 @@ class TestConfig:
 
 
 def test_audit_imports_neither_numpy_nor_fetcher(data_dir, tmp_path):
-    # a fresh process, since this one has imported numpy for the oracles
+    # a fresh process, since this one has imported numpy for the oracles;
+    # dataclasses, and the inspect it imports, cost milliseconds of start-up
     absent = ("numpy", "concurrent.futures", "urllib.request",
-              "profaudit.mediawiki")
+              "profaudit.mediawiki", "dataclasses", "inspect")
     code = ("import sys; from profaudit.cli import main; "
             f"rc = main(['report', '--all', '--config', "
             f"{str(data_dir / 'config.json')!r}, '--out-dir', "
@@ -311,7 +333,7 @@ class TestModelTables:
 
         def fit_with_huge_slope(X, y):
             fit = real_fit(X, y)
-            fit.coefficients[1] = coef
+            fit["coefficients"][1] = coef
             return fit
 
         monkeypatch.setattr(stats, "logistic_fit", fit_with_huge_slope)

@@ -261,7 +261,8 @@ class TestChi2MC:
                      np.array(table, dtype=np.float64),
                      [[np.int64(x) for x in row] for row in table],
                      [[np.float64(x) for x in row] for row in table]):
-            assert stats.chi2_mc(same, b=3000, seed=8) == want
+            assert (stats.chi2_mc(same, b=3000, seed=8).to_dict()
+                    == want.to_dict())
 
 
 # small tables whose every fixed-margin table the exact oracle enumerates
@@ -473,8 +474,8 @@ class TestLogistic:
         X = np.ones((10, 1))
         y = np.array([0, 1] * 5)
         fit = stats.logistic_fit(X, y)
-        assert abs(fit.coefficients[0]) < 1e-8
-        assert fit.converged
+        assert abs(fit["coefficients"][0]) < 1e-8
+        assert fit["converged"]
 
     def test_simulate_and_recover(self):
         rng = np.random.Generator(np.random.Philox(key=404))
@@ -485,11 +486,12 @@ class TestLogistic:
         y = (rng.random(n) < p).astype(float)
         X = np.column_stack([np.ones(n), x])
         fit = stats.logistic_fit(X, y)
-        assert fit.converged
-        for est, se, true in zip(fit.coefficients, fit.std_errors, beta_true):
+        assert fit["converged"]
+        for est, se, true in zip(fit["coefficients"], fit["std_errors"],
+                                 beta_true):
             assert abs(est - true) <= 3 * se
-        assert 0 < fit.mcfadden_r2 < 1
-        assert fit.accuracy > 0.6
+        assert 0 < fit["mcfadden_r2"] < 1
+        assert fit["accuracy"] > 0.6
 
     def test_score_at_mle_is_zero(self):
         rng = np.random.Generator(np.random.Philox(key=7))
@@ -499,7 +501,7 @@ class TestLogistic:
         y = (rng.random(n) < p).astype(float)
         X = np.column_stack([np.ones(n), x])
         fit = stats.logistic_fit(X, y)
-        score = logistic_score(X, y, fit.coefficients)
+        score = logistic_score(X, y, fit["coefficients"])
         assert float(np.abs(score).max()) < 1e-6
 
     def test_fd_gradient_matches_score(self):
@@ -520,7 +522,7 @@ class TestLogistic:
         y = (x > 0).astype(float)
         X = np.column_stack([np.ones(6), x])
         fit = stats.logistic_fit(X, y)
-        assert not fit.converged
+        assert not fit["converged"]
 
     def test_single_class_rejected(self):
         X = np.ones((5, 1))
@@ -540,17 +542,17 @@ class TestFleissKappa:
     def test_perfect_agreement(self):
         counts = [[3, 0], [0, 3], [3, 0], [0, 3]]
         res = stats.fleiss_kappa(counts, 3)
-        assert res.kappa == pytest.approx(1.0, abs=1e-12)
-        assert res.p_bar == pytest.approx(1.0)
+        assert res["kappa"] == pytest.approx(1.0, abs=1e-12)
+        assert res["p_bar"] == pytest.approx(1.0)
 
     def test_hand_matrix(self):
         # P_1 = P_2 = 1, P_3 = 1/3 -> P_bar = 7/9
         # p = (5/9, 4/9) -> P_e = 41/81 -> kappa = (63-41)/(81-41) = 0.55
         counts = [[3, 0], [0, 3], [2, 1]]
         res = stats.fleiss_kappa(counts, 3)
-        assert res.kappa == pytest.approx(0.55, abs=1e-12)
-        assert res.p_bar == pytest.approx(7 / 9, abs=1e-12)
-        assert res.p_bar_e == pytest.approx(41 / 81, abs=1e-12)
+        assert res["kappa"] == pytest.approx(0.55, abs=1e-12)
+        assert res["p_bar"] == pytest.approx(7 / 9, abs=1e-12)
+        assert res["p_bar_e"] == pytest.approx(41 / 81, abs=1e-12)
 
     def test_kappa_never_exceeds_one(self):
         rng = random.Random(31)
@@ -564,7 +566,7 @@ class TestFleissKappa:
                 res = stats.fleiss_kappa(rows, 4)
             except ValueError:
                 continue
-            assert res.kappa <= 1.0 + 1e-12
+            assert res["kappa"] <= 1.0 + 1e-12
 
     def test_single_category_rejected(self):
         with pytest.raises(ValueError):
@@ -585,17 +587,17 @@ class TestCorrections:
 
     def test_bh_all_ones(self):
         res = stats.bh_two_stage([1.0, 1.0, 1.0])
-        assert res.reject == [False, False, False]
+        assert res["reject"] == [False, False, False]
 
     def test_bh_single_small_p(self):
         res = stats.bh_two_stage([0.01], q=0.05)
-        assert res.reject == [True]
+        assert res["reject"] == [True]
 
     def test_bh_matches_direct_definition(self):
         rng = random.Random(55)
         for _ in range(100):
             ps = [round(rng.random(), 3) for _ in range(5)]
-            got = stats.bh_two_stage(ps, q=0.05).reject
+            got = stats.bh_two_stage(ps, q=0.05)["reject"]
             assert got == bh_two_stage_direct(ps, 0.05)
 
     def test_adjusted_p_monotone(self):
@@ -608,8 +610,8 @@ class TestCorrections:
 
     def test_bh_empty(self):
         res = stats.bh_two_stage([])
-        assert res.reject == []
-        assert res.adjusted_p == []
+        assert res["reject"] == []
+        assert res["adjusted_p"] == []
 
     @pytest.mark.parametrize("bad", [float("nan"), -0.1, 1.5, float("inf")])
     def test_bh_p_outside_unit_interval_rejected(self, bad):
@@ -624,9 +626,9 @@ def _close(got, want):
 
 
 def _fit_values(fit) -> list:
-    return [*fit.coefficients, *fit.std_errors, *fit.p_values,
-            *(c for ci in fit.ci95 for c in ci), fit.accuracy,
-            fit.mcfadden_r2]
+    return [*fit["coefficients"], *fit["std_errors"], *fit["p_values"],
+            *(c for ci in fit["ci95"] for c in ci), fit["accuracy"],
+            fit["mcfadden_r2"]]
 
 
 class TestAgainstNumpyOracles:
@@ -648,9 +650,9 @@ class TestAgainstNumpyOracles:
             if min(y) == max(y):
                 continue
             got, want = stats.logistic_fit(X, y), numpy_logistic_fit(X, y)
-            assert ((got.converged, got.iterations)
-                    == (want.converged, want.iterations))
-            if want.converged:  # small samples may separate
+            assert ((got["converged"], got["iterations"])
+                    == (want["converged"], want["iterations"]))
+            if want["converged"]:  # small samples may separate
                 converged += 1
                 assert _close(_fit_values(got), _fit_values(want))
         assert converged >= 10
@@ -665,12 +667,12 @@ class TestAgainstNumpyOracles:
             cut = rng.randint(1, n - 1)
             y = [float(i >= cut) for i in range(n)]
             got, want = stats.logistic_fit(X, y), numpy_logistic_fit(X, y)
-            assert (got.converged, got.iterations) == (False,
-                                                       want.iterations)
+            assert (got["converged"], got["iterations"]) == (
+                False, want["iterations"])
             # a drifting fit stops where the likelihood flattens, so its
             # digits are looser than a converged fit's
-            assert got.coefficients == pytest.approx(want.coefficients,
-                                                     rel=1e-6)
+            assert got["coefficients"] == pytest.approx(
+                want["coefficients"], rel=1e-6)
 
     @pytest.mark.parametrize("column", [
         lambda row: row[1],  # a duplicated predictor
@@ -709,10 +711,10 @@ class TestAgainstNumpyOracles:
                     stats.fleiss_kappa(rows, raters)
                 continue
             got = stats.fleiss_kappa(rows, raters)
-            assert _close([got.kappa, got.p_bar, got.p_bar_e],
-                          [want.kappa, want.p_bar, want.p_bar_e])
-            assert ((got.n_raters, got.n_items, got.n_categories)
-                    == (want.n_raters, want.n_items, want.n_categories))
+            assert _close([got["kappa"], got["p_bar"], got["p_bar_e"]],
+                          [want["kappa"], want["p_bar"], want["p_bar_e"]])
+            sizes = ("n_raters", "n_items", "n_categories")
+            assert [got[k] for k in sizes] == [want[k] for k in sizes]
 
     def test_benjamini_hochberg_with_ties(self):
         rng = random.Random(47)

@@ -154,10 +154,12 @@ class TestBiasModels:
 
 def fit_with(coefficients):
     k = len(coefficients)
-    return stats.LogisticFit(
-        coefficients=list(coefficients), std_errors=[1.0] * k,
-        p_values=[0.5] * k, ci95=[(c - 2.0, c + 2.0) for c in coefficients],
-        accuracy=1.0, mcfadden_r2=0.0, converged=True, iterations=1)
+    return {
+        "coefficients": list(coefficients), "std_errors": [1.0] * k,
+        "p_values": [0.5] * k,
+        "ci95": [(c - 2.0, c + 2.0) for c in coefficients],
+        "accuracy": 1.0, "mcfadden_r2": 0.0, "converged": True,
+        "iterations": 1}
 
 
 class TestReportIdentities:
@@ -182,10 +184,11 @@ class TestReportIdentities:
         x = [-3.0, -2.0, -1.0, 1.0, 2.0, 3.0]
         fit = stats.logistic_fit([[1.0, v] for v in x],
                                  [float(v > 0) for v in x])
-        assert not fit.converged and all(abs(c) < 500
-                                         for c in fit.coefficients)
+        assert not fit["converged"] and all(abs(c) < 500
+                                            for c in fit["coefficients"])
         table = webhits.model_report(fit, "x", ("a", "b"))
         assert table["converged"] is False
-        assert [r["coef"] for r in table["coefficients"]] == fit.coefficients
+        assert ([r["coef"] for r in table["coefficients"]]
+                == fit["coefficients"])
         assert [r["odds_ratio"] for r in table["coefficients"]] == [None,
                                                                     None]
