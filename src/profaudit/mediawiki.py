@@ -200,9 +200,9 @@ class WikiClient:
         redirect_match = _REDIRECT_RE.match(content.strip()) if content else None
         redirect_target = redirect_match.group(1).strip() if redirect_match else None
 
-        categories = {_strip_category(c["title"])
-                      for c in page.get("categories") or []}
-        outlinks = [l["title"] for l in page.get("links") or []]
+        categories = frozenset([_strip_category(c["title"])
+                                for c in page.get("categories") or []])
+        outlinks = tuple([l["title"] for l in page.get("links") or []])
         image_titles = [i["title"] for i in page.get("images") or []]
         images = self._fetch_image_sizes(image_titles, title)
         plain_text = "" if redirect_target else strip_wikitext(content)
@@ -219,7 +219,7 @@ class WikiClient:
         )
 
     def _fetch_image_sizes(self, image_titles: list[str],
-                           article: str) -> list[ImageRef]:
+                           article: str) -> tuple[ImageRef, ...]:
         refs: list[ImageRef] = []
         for start in range(0, len(image_titles), 50):
             batch = image_titles[start:start + 50]
@@ -237,7 +237,7 @@ class WikiClient:
                                      width=int(info.get("width", 0) or 0),
                                      media_format=_media_format(name)))
         refs.sort(key=lambda r: r.filename)
-        return refs
+        return tuple(refs)
 
     def fetch_many(self, titles, concurrency: int = 4) -> dict[str, ArticleRecord]:
         """Fetch several titles on a bounded pool; result keyed by title,

@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 import unicodedata
 
 import pytest
@@ -130,7 +131,8 @@ class TestLoad:
         ({"title": "A", "categories": ["Frau", 5]}, "categories"),
         ({"title": "A", "outlinks": [None]}, "outlinks"),
         ({"title": "A", "images": "a.jpg"}, "images"),
-        ({"title": "A", "images": [{"filename": "a.jpg"}]}, "images")])
+        ({"title": "A", "images": [{"filename": "a.jpg"}]}, "images"),
+        ({"title": "A", "categories": ["Frau", ["x"]]}, "categories")])
     def test_bad_field_value_names_field(self, tmp_path, record, field):
         p = tmp_path / "snap.jsonl"
         write_jsonl(p, [record])
@@ -165,8 +167,11 @@ class TestLoad:
                          "images": None, "plain_text": None,
                          "redirect_target": ""}])
         rec = corpus.load_snapshot(p).records["A"]
-        assert (rec.categories, rec.outlinks, rec.images, rec.plain_text,
-                rec.redirect_target) == (set(), [], [], "", None)
+        got = (rec.categories, rec.outlinks, rec.images, rec.plain_text,
+               rec.redirect_target)
+        assert got == (frozenset(), (), (), "", None)
+        assert ([type(value) for value in got]
+                == [frozenset, tuple, tuple, str, type(None)])
 
     def test_duplicate_title_last_wins(self, tmp_path, caplog):
         p = tmp_path / "snap.jsonl"
@@ -198,6 +203,60 @@ class TestLoad:
         corpus.save_snapshot(snap, p2)
         corpus.save_snapshot(corpus.load_snapshot(p2), p3)
         assert p2.read_bytes() == p3.read_bytes()
+
+
+def person_pages(n):
+    """Person-like snapshot lines: unique titles and texts, no outlinks or
+    images, and categories drawn from a pool of 2 + 40 names, as a person
+    page has its Frau or Mann category and a birth year."""
+    for i in range(n):
+        gender = ("Frau", "Mann")[i % 2]
+        year = 1900 + i % 40
+        yield {"title": f"Person {i}", "categories": [gender,
+                                                      f"Geboren {year}"],
+               "outlinks": [], "images": [], "page_id": i,
+               "plain_text": f"Person {i} (* {year}) ist eine Person."}
+
+
+class TestSharing:
+    """One load shares equal category sets, category names and empty
+    tuples between its records."""
+
+    def test_equal_category_lists_share_one_frozenset_and_names(
+            self, tmp_path):
+        nfd = unicodedata.normalize("NFD", "Ärztin")
+        p = tmp_path / "snap.jsonl"
+        write_jsonl(p, [
+            {"title": "A", "categories": ["Ärztin", "Frau"]},
+            {"title": "B", "categories": ["Frau", nfd, "Frau"]},
+            {"title": "C", "categories": ["Frau"], "outlinks": []},
+            {"title": "D"}])
+        records = corpus.load_snapshot(p).records
+        a, b, c, d = (records[t] for t in "ABCD")
+        assert type(a.categories) is frozenset
+        assert a.categories == {"Ärztin", "Frau"}
+        assert b.categories is a.categories
+        names = {name: name for name in a.categories}
+        assert all(names[name] is name for name in c.categories)
+        empty = tuple()
+        assert all(x.outlinks is empty and x.images is empty
+                   for x in (a, b, c, d))
+        assert d.categories == frozenset()
+
+    def test_loaded_person_pages_stay_small(self, tmp_path):
+        # Traced bytes per loaded record, measured on these 2,000 pages:
+        # 732 with a set, two empty lists and fresh names per record, 297
+        # with the sharing.
+        p = tmp_path / "snap.jsonl"
+        write_jsonl(p, person_pages(2000))
+        tracemalloc.start()
+        try:
+            snapshot = corpus.load_snapshot(p)
+            traced = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(snapshot.records) == 2000
+        assert traced / 2000 < 500
 
 
 def synthetic_snapshot_text(seed, n=400):

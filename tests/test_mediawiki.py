@@ -82,9 +82,12 @@ class TestFetch:
         client, _ = make_client(LEHRER_FIXTURE)
         rec = client.fetch_article("Lehrer")
         assert rec.exists and not rec.is_redirect
-        assert rec.categories == {"Beruf", "Pädagogik"}
-        assert rec.outlinks == ["Heinrich Heine", "Schule"]
+        assert rec.categories == frozenset({"Beruf", "Pädagogik"})
+        assert rec.outlinks == ("Heinrich Heine", "Schule")
         assert len(rec.images) == 3
+        # the types a loaded snapshot record has
+        assert ([type(f) for f in (rec.categories, rec.outlinks, rec.images)]
+                == [frozenset, tuple, tuple])
         widths = {i.filename: i.width for i in rec.images}
         assert widths == {"Klasse.jpg": 640, "Logo.svg": 512, "Klein.jpg": 80}
         formats = {i.filename: i.media_format for i in rec.images}
