@@ -118,21 +118,22 @@ class CorpusSnapshot:
         self.subcategories = subcategories
 
 
-def _validate_record(rec: ArticleRecord, where: str) -> None:
+def _validate_record(rec: ArticleRecord, line_no: int) -> None:
     for img in rec.images:
         if img.width < 0:
-            raise SnapshotError(f"{where}: negative image width for "
-                                f"{img.filename!r}")
+            raise SnapshotError(f"snapshot line {line_no}: negative image "
+                                f"width for {img.filename!r}")
         if not img.media_format:
-            raise SnapshotError(f"{where}: empty media format for "
-                                f"{img.filename!r}")
+            raise SnapshotError(f"snapshot line {line_no}: empty media "
+                                f"format for {img.filename!r}")
     if rec.is_redirect and rec.plain_text:
-        raise SnapshotError(f"{where}: redirect {rec.title!r} carries text")
+        raise SnapshotError(f"snapshot line {line_no}: redirect "
+                            f"{rec.title!r} carries text")
     if not rec.exists:
         if (rec.redirect_target or rec.categories or rec.outlinks
                 or rec.images or rec.plain_text):
-            raise SnapshotError(f"{where}: missing page {rec.title!r} has "
-                                "content fields")
+            raise SnapshotError(f"snapshot line {line_no}: missing page "
+                                f"{rec.title!r} has content fields")
 
 
 # fields a wrong type would pass through unnoticed: a string iterates as
@@ -140,9 +141,10 @@ def _validate_record(rec: ArticleRecord, where: str) -> None:
 _FIELD_TYPES = (("categories", list), ("outlinks", list), ("plain_text", str))
 
 
-def record_from_dict(data: dict, where: str = "record", *,
+def record_from_dict(data: dict, line_no: int, *,
                      shared: tuple[dict, dict]) -> ArticleRecord:
-    """An ArticleRecord from one decoded snapshot line, in NFC.
+    """An ArticleRecord from line ``line_no`` of a snapshot, decoded, in
+    NFC.
 
     ``shared`` is a pair of tables that map each category name, and each
     category frozenset, already built to itself. The record takes an equal
@@ -155,12 +157,14 @@ def record_from_dict(data: dict, where: str = "record", *,
     A line that is not a JSON object, or a field of the wrong type (a
     string where a list belongs, a number where text belongs, anything but
     true or false for ``exists``, anything but an integer or null for
-    ``page_id``), raises SnapshotError naming ``where`` and the field. A
-    missing ``exists`` means the page exists.
+    ``page_id``), raises SnapshotError naming the line and the field. A
+    missing ``exists`` means the page exists. The line's name is built
+    only for an error: a valid record, which every line of a good
+    snapshot is, never needs it.
     """
     if type(data) is not dict:
-        raise SnapshotError(f"{where}: expected a JSON object, got "
-                            f"{type(data).__name__}")
+        raise SnapshotError(f"snapshot line {line_no}: expected a JSON "
+                            f"object, got {type(data).__name__}")
     categories = data.get("categories") or []
     outlinks = data.get("outlinks") or []
     plain_text = data.get("plain_text") or ""
@@ -170,16 +174,17 @@ def record_from_dict(data: dict, where: str = "record", *,
             value = data.get(key)
             if value and not isinstance(value, kind):
                 raise SnapshotError(
-                    f"{where}: field {key!r} must be a {kind.__name__}, "
-                    f"got {type(value).__name__}")
+                    f"snapshot line {line_no}: field {key!r} must be a "
+                    f"{kind.__name__}, got {type(value).__name__}")
     exists = data.get("exists", True)
     if type(exists) is not bool:
-        raise SnapshotError(f"{where}: field 'exists' must be a bool, got "
-                            f"{type(exists).__name__}")
+        raise SnapshotError(f"snapshot line {line_no}: field 'exists' must "
+                            f"be a bool, got {type(exists).__name__}")
     page_id = data.get("page_id")
     if page_id is not None and type(page_id) is not int:
-        raise SnapshotError(f"{where}: field 'page_id' must be an int or "
-                            f"null, got {type(page_id).__name__}")
+        raise SnapshotError(f"snapshot line {line_no}: field 'page_id' must "
+                            f"be an int or null, got "
+                            f"{type(page_id).__name__}")
     names, sets = shared
     key = "images"
     try:
@@ -207,10 +212,11 @@ def record_from_dict(data: dict, where: str = "record", *,
         key = "outlinks"
         outlinks = tuple(map(nfc, outlinks)) if outlinks else ()
     except KeyError as exc:
-        raise SnapshotError(f"{where}: field {key!r}: missing key "
-                            f"{exc}") from exc
+        raise SnapshotError(f"snapshot line {line_no}: field {key!r}: "
+                            f"missing key {exc}") from exc
     except (TypeError, ValueError) as exc:
-        raise SnapshotError(f"{where}: field {key!r}: {exc}") from exc
+        raise SnapshotError(f"snapshot line {line_no}: field {key!r}: "
+                            f"{exc}") from exc
     rec = ArticleRecord(
         title=title,
         exists=exists,
@@ -221,7 +227,7 @@ def record_from_dict(data: dict, where: str = "record", *,
         plain_text=plain_text,
         page_id=page_id,
     )
-    _validate_record(rec, where)
+    _validate_record(rec, line_no)
     return rec
 
 
@@ -266,8 +272,7 @@ def load_snapshot(path) -> CorpusSnapshot:
                 except json.JSONDecodeError as exc:
                     raise SnapshotError(f"snapshot line {line_no}: invalid "
                                         f"JSON ({exc})") from exc
-            rec = record_from_dict(data, where=f"snapshot line {line_no}",
-                                   shared=shared)
+            rec = record_from_dict(data, line_no, shared=shared)
             if rec.title in records:
                 log.warning("snapshot line %d: duplicate title %r, last wins",
                             line_no, rec.title)

@@ -4,14 +4,24 @@ inference, merging, birth-year filtering, and per-article male ratios.
 Two extraction routes are combined. Link mentions come from outlinks
 whose target page sits in the "Frau" or "Mann" category; that gender is
 human-curated and therefore authoritative. Text mentions come from a
-dictionary gazetteer over first names: runs of two or more capitalized
-tokens whose first token (or two-token prefix) is a known first name.
+dictionary gazetteer over first names: in a run of two or more
+capitalized tokens, a mention runs from the first token that is a known
+first name (or starts a two-token one) to the end of the run.
 A token is a ``_WORD_RE`` match, letters joined by single hyphens; it is
 capitalized when ``str.isupper()`` holds for its first character; and the
 tokens of a run are separated only by blanks, the characters
 ``str.split()`` splits on (the same set ``str.strip()`` removes). The
 text is put in NFC once, so every name taken from it, like every outlink
 title, is NFC already and is compared as it is.
+
+The scan builds no run that cannot hold a mention. A mention starts only
+at an anchor: a capitalized token that is the first word of a lexicon
+key, ends its blank-separated chunk, and is followed by a chunk that
+starts with a capitalized token. Anchors are found by set membership over
+the chunks of ``text.split()``, and only from an anchor is a run walked
+to its end. The pipeline's ``mentions`` stage calls the extractors one
+article at a time and writes each article's mentions before it reads the
+next, so it holds one article's mentions, never the whole corpus's.
 The gazetteer is deliberately simple and auditable; an external NER's
 output can be ingested instead by feeding its names through the same
 PersonMention shape.
@@ -28,6 +38,7 @@ from __future__ import annotations
 
 import re
 from enum import Enum
+from itertools import compress, count, filterfalse
 from json.encoder import encode_basestring as _quote
 
 from .artifacts import check_unique, read_rows
@@ -172,55 +183,45 @@ def extract_link_mentions(record: ArticleRecord, snapshot: CorpusSnapshot
 _WORD_RE = re.compile(r"[^\W\d_]+(?:-[^\W\d_]+)*", re.UNICODE)
 
 
-def _capitalized_runs(text: str) -> list[list[str]]:
-    """Maximal runs of >=2 capitalized tokens separated only by blanks,
-    each run as its list of tokens.
+def first_words(lexicon: dict[str, Gender]) -> frozenset[str]:
+    """The first word of every lexicon key: the only tokens a text mention
+    can start at. Build it once per lexicon and pass it to every
+    ``extract_text_mentions`` call."""
+    return frozenset(key.split(" ", 1)[0] for key in lexicon)
 
-    A token is a ``_WORD_RE`` match: letters (word characters that are
-    neither decimal digits nor ``_``) joined by single hyphens. It is
-    capitalized when ``str.isupper()`` holds for its first character. A
-    blank is a character ``str.split()`` splits on, the same set
-    ``str.strip()`` removes, and no token contains one. So the text is
-    read one ``str.split()`` chunk at a time: a chunk for which
-    ``str.isalpha()`` holds is exactly one token, and only the other
-    chunks go through ``_WORD_RE``. Two tokens are separated only by
-    blanks when the first ends its chunk and the second starts the next.
+
+def _anchors(chunks: list[str], firsts: frozenset[str]
+             ) -> list[tuple[int, str]]:
+    """(chunk index, token) of every token that ends its ``str.split()``
+    chunk and is in ``firsts``, in text order.
+
+    A chunk of letters only is one token, so set membership finds those.
+    Any other chunk ends on a token only when its last character is a
+    token character: alphanumeric and not a decimal digit, which takes in
+    ``Ⅻ`` and ``²``, token characters that ``str.isalpha()`` rejects. Only
+    those chunks, each distinct one once, go through ``_WORD_RE``.
     """
-    runs: list[list[str]] = []
-    run: list[str] = []
-    joined = False  # the chunk before ended on a capitalized token
-    for chunk in text.split():
-        if chunk.isalpha():
-            if not chunk[0].isupper():
-                joined = False
-            elif joined:
-                run.append(chunk)
-            else:
-                if len(run) >= 2:
-                    runs.append(run)
-                run = [chunk]
-                joined = True
-            continue
-        at_start = joined
-        joined = False
-        end = len(chunk)
-        for m in _WORD_RE.finditer(chunk):
-            word = m.group()
-            if word[0].isupper():
-                if at_start and m.start() == 0:
-                    run.append(word)
-                else:
-                    if len(run) >= 2:
-                        runs.append(run)
-                    run = [word]
-                joined = m.end() == end  # then m is the chunk's last token
-    if len(run) >= 2:
-        runs.append(run)
-    return runs
+    found = [(i, chunks[i])
+             for i in compress(count(), map(firsts.__contains__, chunks))
+             if chunks[i].isalpha()]
+    tails: dict[str, str] = {}
+    for chunk in set(filterfalse(str.isalpha, chunks)):
+        last = chunk[-1]
+        if last.isalnum() and not last.isdecimal():
+            tail = _WORD_RE.findall(chunk)[-1]
+            if tail in firsts:
+                tails[chunk] = tail
+    if tails:
+        found += [(i, tails[chunks[i]])
+                  for i in compress(count(), map(tails.__contains__, chunks))]
+        found.sort()
+    return found
 
 
 def extract_text_mentions(article_title: str, plain_text: str,
-                          lexicon: dict[str, Gender]) -> list[PersonMention]:
+                          lexicon: dict[str, Gender],
+                          firsts: frozenset[str] | None = None
+                          ) -> list[PersonMention]:
     """Gazetteer pass over plain text.
 
     Within each run of capitalized tokens, the mention starts at the first
@@ -229,29 +230,61 @@ def extract_text_mentions(article_title: str, plain_text: str,
     often begin with non-name words like "Die Reporterin"). A two-token
     lexicon entry wins over the single token (compound first names).
     Identical surface names are emitted once per article.
+
+    Only an anchor can start a mention: a capitalized token in ``firsts``
+    (``first_words(lexicon)``, built here when not given) that ends its
+    ``str.split()`` chunk while the next chunk starts with a capitalized
+    token. From each anchor the run is walked right to its end; anchors
+    inside a run that already gave a mention are skipped.
     """
+    if firsts is None:
+        firsts = first_words(lexicon)
+    chunks = nfc(plain_text).split()
+    n = len(chunks)
     mentions: list[PersonMention] = []
     seen: set[str] = set()
-    for tokens in _capitalized_runs(nfc(plain_text)):
-        for i in range(len(tokens) - 1):
-            two = tokens[i] + " " + tokens[i + 1]
-            if two in lexicon:
-                first_name = two
-            elif tokens[i] in lexicon:
-                first_name = tokens[i]
+    end = 0  # chunks before this one lie in a run that gave a mention
+    for i, token in _anchors(chunks, firsts):
+        if i < end or not token[0].isupper():
+            continue
+        tokens = [token]
+        k = i + 1
+        # a run goes on while a chunk starts with a capitalized token, and
+        # past the chunk while that token is all of it
+        while k < n:
+            chunk = chunks[k]
+            if not chunk[0].isupper():
+                break
+            if chunk.isalpha():
+                tokens.append(chunk)
             else:
-                continue
-            surface = " ".join(tokens[i:])
-            if surface not in seen:
-                seen.add(surface)
-                mentions.append(PersonMention(
-                    article_title=article_title,
-                    surface_name=surface,
-                    first_name=first_name,
-                    gender=lexicon[first_name],
-                    source=Source.NAME_MATCH,
-                ))
-            break  # one person per run suffix; avoid re-matching the rest
+                m = _WORD_RE.match(chunk)
+                if m is None:
+                    break
+                tokens.append(m.group())
+                if m.end() < len(chunk):
+                    break
+            k += 1
+        if len(tokens) < 2:
+            continue
+        two = token + " " + tokens[1]
+        if two in lexicon:
+            first_name = two
+        elif token in lexicon:
+            first_name = token
+        else:
+            continue
+        end = k
+        surface = " ".join(tokens)
+        if surface not in seen:
+            seen.add(surface)
+            mentions.append(PersonMention(
+                article_title=article_title,
+                surface_name=surface,
+                first_name=first_name,
+                gender=lexicon[first_name],
+                source=Source.NAME_MATCH,
+            ))
     return mentions
 
 

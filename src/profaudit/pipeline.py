@@ -531,60 +531,70 @@ def stage_webhits(run: Run) -> None:
 def stage_mentions(run: Run) -> None:
     """Persons mentioned in each profession article.
 
+    Articles are handled one at a time, in the title order of
+    ``article_map.csv``: each article's mentions are extracted, merged,
+    given birth years and written, and only its counts and ratio rows are
+    kept, so the stage never holds every mention at once. A text mention
+    starts only at an anchor, a token that is the first word of a lexicon
+    name (see ``mentions.extract_text_mentions``).
+
     ``mentions.jsonl`` holds every merged mention, one
     ``PersonMention.json_line()`` per line: byte for byte the
     ``json.dumps(..., ensure_ascii=False, sort_keys=True)`` form, whose
-    reference is kept in ``tests/oracles.py``. ``ratios.csv`` has the
-    per-article male ratios over all mentions and over those born after
-    the cutoff; ``merge_report.json`` the overlap of the two extraction
-    routes and the birth filter's counts.
+    reference is kept in ``tests/oracles.py`` with the list-based assembly
+    of this stage. ``ratios.csv`` has the per-article male ratios over all
+    mentions, then over those born after the cutoff; ``merge_report.json``
+    the overlap of the two extraction routes and the birth filter's
+    counts.
     """
     cfg = run.cfg
     gender_lexicon = mentions.load_gender_lexicon(run.inputs["gender_lexicon"])
+    firsts = mentions.first_words(gender_lexicon)
     birth_index: dict[str, int] = {}
     if "birth_years" in run.inputs:
         birth_index = mentions.load_birth_years(run.inputs["birth_years"])
 
     snapshot = run.snapshot
-    all_mentions: list[mentions.PersonMention] = []
     total = mentions.merge([], [])[1]  # every count 0
-    skipped_outlinks = 0
-    # article_map.csv is sorted by title
-    for title, _pid, _role in run.rows("article_map"):
-        record = snapshot.records[title]
-        link_ms, skipped = mentions.extract_link_mentions(record, snapshot)
-        text_ms = mentions.extract_text_mentions(title, record.plain_text,
-                                                 gender_lexicon)
-        merged, report = mentions.merge(link_ms, text_ms)
-        all_mentions.extend(merged)
-        for key, value in report.items():
-            total[key] += value
-        skipped_outlinks += skipped
-
-    mentions.annotate_birth_years(all_mentions, birth_index, snapshot)
-    filtered, unknown, too_old = mentions.filter_by_birth(
-        all_mentions, cfg.birth_cutoff)
-
+    skipped_outlinks = n_merged = n_men = n_women = kept = unknown = 0
+    too_old = 0
+    ratio_rows: dict[str, list] = {"all": [], "born_after_cutoff": []}
     with open(run.out("mentions.jsonl"), "w", encoding="utf-8") as fh:
-        fh.writelines(m.json_line() for m in all_mentions)
+        for title, _pid, _role in run.rows("article_map"):
+            record = snapshot.records[title]
+            link_ms, skipped = mentions.extract_link_mentions(record, snapshot)
+            text_ms = mentions.extract_text_mentions(
+                title, record.plain_text, gender_lexicon, firsts)
+            merged, report = mentions.merge(link_ms, text_ms)
+            for key, value in report.items():
+                total[key] += value
+            skipped_outlinks += skipped
+            mentions.annotate_birth_years(merged, birth_index, snapshot)
+            filtered, no_year, old = mentions.filter_by_birth(
+                merged, cfg.birth_cutoff)
+            fh.writelines(m.json_line() for m in merged)
+            n_merged += len(merged)
+            n_men += sum(1 for m in merged if m.gender is Gender.M)
+            n_women += sum(1 for m in merged if m.gender is Gender.F)
+            kept += len(filtered)
+            unknown += no_year
+            too_old += old
+            for variant, subset in (("all", merged),
+                                    ("born_after_cutoff", filtered)):
+                for stat in mentions.article_stats(subset, cfg.equality_band):
+                    ratio_rows[variant].append(
+                        [variant, stat["article_title"], stat["n_men"],
+                         stat["n_women"], stat["male_ratio"],
+                         stat["bias_class"].value])
 
-    ratio_rows = []
-    for variant, subset in (("all", all_mentions),
-                            ("born_after_cutoff", filtered)):
-        for stat in mentions.article_stats(subset, cfg.equality_band):
-            ratio_rows.append([variant, stat["article_title"], stat["n_men"],
-                               stat["n_women"], stat["male_ratio"],
-                               stat["bias_class"].value])
     write_csv(run.out("ratios.csv"), HEADERS["mentions/ratios.csv"],
-              ratio_rows)
-
+              ratio_rows["all"] + ratio_rows["born_after_cutoff"])
     dump_json(dict(
         total, disagreement_rate=mentions.disagreement_rate(total),
-        skipped_outlinks=skipped_outlinks, n_merged=len(all_mentions),
-        n_men=sum(1 for m in all_mentions if m.gender is Gender.M),
-        n_women=sum(1 for m in all_mentions if m.gender is Gender.F),
+        skipped_outlinks=skipped_outlinks, n_merged=n_merged,
+        n_men=n_men, n_women=n_women,
         birth_filter={
-            "cutoff": cfg.birth_cutoff, "kept": len(filtered),
+            "cutoff": cfg.birth_cutoff, "kept": kept,
             "dropped_unknown_year": unknown,
             "dropped_at_or_before_cutoff": too_old,
         }), run.out("merge_report.json"))

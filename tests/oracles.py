@@ -14,8 +14,11 @@ from functools import lru_cache
 
 import numpy as np
 
+from profaudit import mentions
+from profaudit.artifacts import dump_json, write_csv
 from profaudit.corpus import ArticleRecord, ImageRef, build_snapshot
-from profaudit.mentions import PersonMention, Source
+from profaudit.mentions import Gender, PersonMention, Source
+from profaudit.pipeline import HEADERS
 
 
 @lru_cache(maxsize=None)
@@ -561,3 +564,61 @@ def mention_to_dict(m: PersonMention) -> dict:
         "linked_page": m.linked_page,
         "birth_year": m.birth_year,
     }
+
+
+# Reference mentions stage: profaudit.pipeline.stage_mentions as it was
+# before it handled one article at a time. It holds every merged mention
+# in one list, then gives them birth years, filters and writes them, and
+# counts ratios over the whole list. It takes the same Run and writes the
+# same three files.
+
+def stage_mentions_lists(run) -> None:
+    cfg = run.cfg
+    gender_lexicon = mentions.load_gender_lexicon(run.inputs["gender_lexicon"])
+    birth_index: dict[str, int] = {}
+    if "birth_years" in run.inputs:
+        birth_index = mentions.load_birth_years(run.inputs["birth_years"])
+
+    snapshot = run.snapshot
+    all_mentions: list[PersonMention] = []
+    total = mentions.merge([], [])[1]  # every count 0
+    skipped_outlinks = 0
+    # article_map.csv is sorted by title
+    for title, _pid, _role in run.rows("article_map"):
+        record = snapshot.records[title]
+        link_ms, skipped = mentions.extract_link_mentions(record, snapshot)
+        text_ms = mentions.extract_text_mentions(title, record.plain_text,
+                                                 gender_lexicon)
+        merged, report = mentions.merge(link_ms, text_ms)
+        all_mentions.extend(merged)
+        for key, value in report.items():
+            total[key] += value
+        skipped_outlinks += skipped
+
+    mentions.annotate_birth_years(all_mentions, birth_index, snapshot)
+    filtered, unknown, too_old = mentions.filter_by_birth(
+        all_mentions, cfg.birth_cutoff)
+
+    with open(run.out("mentions.jsonl"), "w", encoding="utf-8") as fh:
+        fh.writelines(m.json_line() for m in all_mentions)
+
+    ratio_rows = []
+    for variant, subset in (("all", all_mentions),
+                            ("born_after_cutoff", filtered)):
+        for stat in mentions.article_stats(subset, cfg.equality_band):
+            ratio_rows.append([variant, stat["article_title"], stat["n_men"],
+                               stat["n_women"], stat["male_ratio"],
+                               stat["bias_class"].value])
+    write_csv(run.out("ratios.csv"), HEADERS["mentions/ratios.csv"],
+              ratio_rows)
+
+    dump_json(dict(
+        total, disagreement_rate=mentions.disagreement_rate(total),
+        skipped_outlinks=skipped_outlinks, n_merged=len(all_mentions),
+        n_men=sum(1 for m in all_mentions if m.gender is Gender.M),
+        n_women=sum(1 for m in all_mentions if m.gender is Gender.F),
+        birth_filter={
+            "cutoff": cfg.birth_cutoff, "kept": len(filtered),
+            "dropped_unknown_year": unknown,
+            "dropped_at_or_before_cutoff": too_old,
+        }), run.out("merge_report.json"))

@@ -140,6 +140,29 @@ class TestLoad:
                            match=f"^snapshot line 1: field '{field}'"):
             corpus.load_snapshot(p)
 
+    @pytest.mark.parametrize("record, message", [
+        ({"plain_text": "x"}, "field 'title': missing key 'title'"),
+        ({"title": "A", "images": [{"filename": "a.jpg", "width": "w",
+                                    "media_format": "jpg"}]},
+         "field 'images': invalid literal for int() with base 10: 'w'"),
+        ({"title": "A", "images": [{"filename": "a.jpg", "width": -5,
+                                    "media_format": "jpg"}]},
+         "negative image width for 'a.jpg'"),
+        ({"title": "A", "images": [{"filename": "a.jpg", "width": 5,
+                                    "media_format": ""}]},
+         "empty media format for 'a.jpg'"),
+        ({"title": "A", "redirect_target": "B", "plain_text": "x"},
+         "redirect 'A' carries text"),
+        ({"title": "A", "exists": False, "outlinks": ["B"]},
+         "missing page 'A' has content fields")])
+    def test_bad_record_after_line_one_names_its_line(self, tmp_path, record,
+                                                      message):
+        p = tmp_path / "snap.jsonl"
+        write_jsonl(p, [{"title": "X"}, {"title": "Y"}, record])
+        with pytest.raises(SnapshotError) as raised:
+            corpus.load_snapshot(p)
+        assert str(raised.value) == f"snapshot line 3: {message}"
+
     @pytest.mark.parametrize("field, value, kind", [
         ("exists", "false", "str"), ("exists", 0, "int"),
         ("exists", None, "NoneType"), ("page_id", "x", "str"),

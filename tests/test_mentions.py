@@ -1,11 +1,13 @@
 import json
 import random
+import tracemalloc
 import unicodedata
 
 import pytest
 
 import oracles
-from profaudit import mentions
+from profaudit import mentions, pipeline
+from profaudit.config import AuditConfig
 from profaudit.corpus import ArticleRecord, build_snapshot
 from profaudit.mentions import (BiasClass, Gender, PersonMention, Source,
                                 extract_link_mentions, extract_text_mentions,
@@ -121,16 +123,24 @@ class TestTextMentions:
 # ß, titlecase ǅ), the non-decimal number characters ², ½ and Ⅻ that
 # _WORD_RE takes as letters, digits and _ that it does not, a combining
 # accent, CJK, punctuation, hyphens (single, double, leading, trailing)
-# and the blanks space, tab, newline and no-break space, plus names that
-# make runs hit the lexicon.
+# and blanks (space, tab, newline, no-break space, thin space, ideographic
+# space and the file separator \x1c, all split on by str.split()), plus
+# names that make runs hit the lexicon: halves that join into a
+# hyphenated name, and a run of three names.
 GAZETTEER_PIECES = (list("aAzZäÄöÖüÜßǅ²½Ⅻ_07\u0301中,.()'- \t\n\xa0")
-                    + ["-", "--", " ", " ", " ", "  ", "Anna", "Hans",
-                       "Peter", "Schmidt", "Ölz", "Anna-Lena", "ǅemal",
-                       "müller", "Kim"])
+                    + ["-", "--", " ", " ", " ", "  ", "\u2009", "\u3000",
+                       "\x1c", "Anna", "Hans", "Peter", "Schmidt", "Ölz",
+                       "Anna-Lena", "ǅemal", "müller", "Kim", "Hans-",
+                       "-Peter", "Kim Hans Peter"])
+# The last four keys: one ending in a non-letter and a lowercase one,
+# which no capitalized token equals, and a two-word key with a hyphenated
+# first word and one with two spaces, whose first words alone are no keys.
 GAZETTEER_LEXICON = {"Anna": Gender.F, "Hans": Gender.M,
                      "Hans Peter": Gender.M, "Anna-Lena": Gender.F,
                      "Kim": Gender.UNKNOWN, "Ölz Anna": Gender.F,
-                     "ǅemal": Gender.M, "Ⅻ": Gender.M}
+                     "ǅemal": Gender.M, "Ⅻ": Gender.M, "Anna.": Gender.M,
+                     "müller": Gender.M, "Hans-Peter Schmidt": Gender.M,
+                     "Schmidt  Anna": Gender.F}
 
 
 def as_dicts(ms: list[PersonMention]) -> list[dict]:
@@ -138,17 +148,14 @@ def as_dicts(ms: list[PersonMention]) -> list[dict]:
 
 
 class TestGazetteerAgainstReference:
-    """The one-pass tokenizer against the whole-text regex scan it
-    replaced (``oracles``)."""
+    """The anchor scan against the whole-text regex scan of every
+    capitalized run (``oracles``)."""
 
     def test_random_texts(self):
         rng = random.Random(9001)
         for _ in range(3000):
             text = "".join(rng.choices(GAZETTEER_PIECES,
                                        k=rng.randint(0, 40)))
-            runs = mentions._capitalized_runs(text)
-            assert [" ".join(r) for r in runs] == \
-                oracles._capitalized_runs(text), repr(text)
             got = extract_text_mentions("A", text, GAZETTEER_LEXICON)
             assert as_dicts(got) == as_dicts(oracles.extract_text_mentions(
                 "A", text, GAZETTEER_LEXICON)), repr(text)
@@ -422,3 +429,141 @@ class TestArticleStats:
         assert len(got) == 1  # article B has no gendered mention
         assert got[0]["article_title"] == "A"
         assert got[0]["bias_class"] is BiasClass.EQUAL
+
+
+# The mentions stage's inputs. The persons are the same for any number of
+# articles: first names of the lexicon and one it lacks, pages in Frau, in
+# Mann, in both, in neither, or missing, born before, at or after the
+# cutoff of 1960, by the birth-year file, by the "(* ...)" of the page
+# text, or with no year at all.
+STAGE_FIRST_NAMES = ("Anna", "Maria", "Hans", "Karl", "Kim", "Hans Peter",
+                     "Olga")
+STAGE_LEXICON = "name,gender\nAnna,f\nMaria,f\nHans,m\nKarl,m\nKim,a\n" \
+                "Hans Peter,m\n"
+
+
+def stage_persons() -> tuple[list[dict], list[str]]:
+    """Snapshot lines of 200 persons, and the rows of the birth-year
+    file."""
+    rng = random.Random(515)
+    categories = (["Frau"], ["Mann"], ["Frau", "Mann"], [], ["Koch", "Mann"])
+    years = (1930, 1960, 1961, 1990, None)
+    pages, birth_rows, titles = [], [], set()
+    for i in range(200):
+        title = ""
+        while not title or title in titles:
+            title = STAGE_FIRST_NAMES[i % 7] + " " + "".join(
+                rng.choice(("ber", "lin", "mar", "tos", "kel", "an"))
+                for _ in range(3)).capitalize()
+        titles.add(title)
+        if i % 11 == 10:
+            pages.append({"title": title, "exists": False})
+            continue
+        year, text = years[i // 5 % 5], "Lebt in Bonn."
+        if year is not None and i % 3 == 0:
+            birth_rows.append(f"{title},{year}")
+        elif year is not None and i % 3 == 1:
+            text = f"{title} (* 4. Mai {year} in Bonn) lebt in Bonn."
+        pages.append({"title": title, "categories": categories[i % 5],
+                      "plain_text": text})
+    return pages, birth_rows
+
+
+def stage_inputs(work, n_articles: int) -> dict:
+    """Input files of the mentions stage, by label, for ``n_articles``
+    articles. Each links to 120 persons, one outlink twice and a missing
+    page once, and names 40 of them in its text, beside 40 people of no
+    page; "Karl Fremd" is named in every article."""
+    persons, birth_rows = stage_persons()
+    titles = [p["title"] for p in persons]
+    rng = random.Random(n_articles)
+    articles = []
+    for j in range(n_articles):
+        linked = rng.sample(titles, 120)
+        sentences = [f"{name} arbeitet als Koch." for name in linked[:40]]
+        sentences += [f"Die Reporterin {rng.choice(STAGE_FIRST_NAMES)} "
+                      f"Gast {chr(65 + k % 26)}ei{'nm'[k // 26]} schreibt."
+                      for k in range(40)]
+        sentences.append("Karl Fremd lobt den Beruf.")
+        articles.append({"title": f"Beruf {j:03d}", "plain_text":
+                         " ".join(sentences),
+                         "outlinks": linked + linked[:1] + ["Niemand Da"]})
+    work.mkdir(parents=True, exist_ok=True)
+    inputs = {label: work / name for label, name in (
+        ("snapshot", "snapshot.jsonl"), ("gender_lexicon", "lexicon.csv"),
+        ("birth_years", "birth_years.csv"), ("article_map", "map.csv"))}
+    inputs["snapshot"].write_text("".join(
+        json.dumps(p, ensure_ascii=False) + "\n" for p in persons + articles),
+        encoding="utf-8")
+    inputs["gender_lexicon"].write_text(STAGE_LEXICON, encoding="utf-8")
+    inputs["birth_years"].write_text(
+        "page_title,year\n" + "".join(r + "\n" for r in birth_rows),
+        encoding="utf-8")
+    inputs["article_map"].write_text("article_title,profession_id,"
+                                     "title_role\n" + "".join(
+        f"{a['title']},p{j},neutral\n" for j, a in enumerate(articles)),
+        encoding="utf-8")
+    return inputs
+
+
+def run_stage(stage, inputs: dict, out_dir, traced: bool = False):
+    """Run a mentions stage function as the pipeline runs it, into
+    ``out_dir/mentions``; with ``traced``, return its peak of traced
+    memory in bytes. The snapshot is parsed before tracing starts."""
+    run = pipeline.Run(AuditConfig(out_dir=str(out_dir)))
+    run.stage, run.inputs = "mentions", inputs
+    (out_dir / "mentions").mkdir(parents=True)
+    try:
+        run.snapshot
+        if not traced:
+            stage(run)
+            return None
+        tracemalloc.start()
+        try:
+            stage(run)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    finally:
+        run.drop_snapshot()
+
+
+class TestStageAgainstReference:
+    """``pipeline.stage_mentions``, one article at a time, against the
+    list-based assembly it replaced (``oracles.stage_mentions_lists``)."""
+
+    def test_outputs_are_byte_identical(self, tmp_path):
+        inputs = stage_inputs(tmp_path / "in", 12)
+        run_stage(pipeline.stage_mentions, inputs, tmp_path / "streamed")
+        run_stage(oracles.stage_mentions_lists, inputs, tmp_path / "lists")
+        for name in ("mentions.jsonl", "ratios.csv", "merge_report.json"):
+            got = (tmp_path / "streamed" / "mentions" / name).read_bytes()
+            assert got == (tmp_path / "lists" / "mentions" / name
+                           ).read_bytes(), name
+        # the inputs reach every case the stage counts
+        report = json.loads((tmp_path / "streamed" / "mentions"
+                             / "merge_report.json").read_text())
+        ratios = (tmp_path / "streamed" / "mentions" / "ratios.csv"
+                  ).read_text().splitlines()
+        assert all(report[key] > 0 for key in (
+            "n_overlap", "gender_comparisons", "gender_disagreements",
+            "skipped_outlinks", "n_men", "n_women"))
+        assert all(value > 0 for value in report["birth_filter"].values())
+        assert {row.split(",")[0] for row in ratios[1:]} == {
+            "all", "born_after_cutoff"}
+
+    def test_peak_memory_does_not_grow_with_the_articles(self, tmp_path):
+        inputs = {n: stage_inputs(tmp_path / f"in_{n}", n) for n in (20, 80)}
+        peaks = {(stage, n): run_stage(stage, inputs[n],
+                                       tmp_path / f"{stage.__name__}_{n}",
+                                       traced=True)
+                 for stage in (pipeline.stage_mentions,
+                               oracles.stage_mentions_lists)
+                 for n in (20, 80)}
+        streamed = peaks[pipeline.stage_mentions, 80] / \
+            peaks[pipeline.stage_mentions, 20]
+        lists = peaks[oracles.stage_mentions_lists, 80] / \
+            peaks[oracles.stage_mentions_lists, 20]
+        assert streamed < 2, peaks
+        # the whole-list design, back in the stage, would fail the bound
+        assert lists >= 3, peaks
