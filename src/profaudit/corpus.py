@@ -15,6 +15,9 @@ category name is one string object, and every empty ``outlinks`` or
 ``images`` is the one empty tuple. Most person pages repeat one of a few
 category sets and link nowhere, so a snapshot made mostly of them takes
 about half the memory it would with a set and two lists per record.
+Page names are shared too: ``build_snapshot`` makes every outlink and
+redirect target that names a page of the snapshot that page's own
+``title`` object, so a page name is one string however many links name it.
 """
 
 from __future__ import annotations
@@ -143,8 +146,12 @@ _FIELD_TYPES = (("categories", list), ("outlinks", list), ("plain_text", str))
 
 def record_from_dict(data: dict, line_no: int, *,
                      shared: tuple[dict, dict]) -> ArticleRecord:
-    """An ArticleRecord from line ``line_no`` of a snapshot, decoded, in
-    NFC.
+    """An ArticleRecord from line ``line_no`` of a snapshot, decoded.
+
+    The title, the redirect target, the category names, the outlinks and
+    the image filenames are put in NFC. ``plain_text`` is stored as given:
+    only :mod:`profaudit.mentions` reads it as text, and normalizes it
+    there.
 
     ``shared`` is a pair of tables that map each category name, and each
     category frozenset, already built to itself. The record takes an equal
@@ -281,8 +288,24 @@ def load_snapshot(path) -> CorpusSnapshot:
 
 
 def build_snapshot(records: dict[str, ArticleRecord]) -> CorpusSnapshot:
+    """The snapshot of ``records`` (title -> record), with the subcategory
+    graph of its category pages.
+
+    Every outlink and redirect target that names a page of ``records``
+    becomes that page's own ``title`` object, so a snapshot holds one
+    string per page name however many links name it; a name with no page
+    keeps its own string. Only object identity changes, never a value.
+    """
     subcategories: dict[str, set[str]] = {}
+    get = records.get
     for rec in records.values():
+        if rec.outlinks:
+            rec.outlinks = tuple([page.title if (page := get(name)) else name
+                                  for name in rec.outlinks])
+        if rec.redirect_target is not None:
+            page = get(rec.redirect_target)
+            if page is not None:
+                rec.redirect_target = page.title
         if rec.title.startswith(CATEGORY_PREFIX):
             child = rec.title[len(CATEGORY_PREFIX):]
             for parent in rec.categories:

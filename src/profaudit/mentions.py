@@ -403,17 +403,30 @@ def load_birth_years(path) -> dict[str, int]:
 
 def annotate_birth_years(mentions: list[PersonMention],
                          birth_index: dict[str, int],
-                         snapshot: CorpusSnapshot | None = None) -> None:
+                         snapshot: CorpusSnapshot | None = None,
+                         parsed: dict[str, int | None] | None = None) -> None:
     """Fill birth_year from the index, falling back to parsing the linked
-    person's article text."""
+    person's article text.
+
+    ``parsed`` maps each page whose text was parsed to the year found, or
+    None; the call adds the pages it parses. A caller that passes one table
+    to several calls parses each page at most once across them.
+    """
+    if parsed is None:
+        parsed = {}
     for m in mentions:
-        if m.birth_year is not None or m.linked_page is None:
+        page = m.linked_page
+        if m.birth_year is not None or page is None:
             continue
-        year = birth_index.get(m.linked_page)
+        year = birth_index.get(page)
         if year is None and snapshot is not None:
-            rec = snapshot.records.get(m.linked_page)
-            if rec is not None and rec.exists and not rec.is_redirect:
-                year = parse_birth_year(rec.plain_text)
+            if page in parsed:
+                year = parsed[page]
+            else:
+                rec = snapshot.records.get(page)
+                if rec is not None and rec.exists and not rec.is_redirect:
+                    year = parse_birth_year(rec.plain_text)
+                parsed[page] = year
         m.birth_year = year
 
 

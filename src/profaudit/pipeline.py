@@ -15,8 +15,10 @@ the current stage's inputs by label; ``Run.rows`` reads a declared
 upstream artifact in the column order of ``HEADERS``, which the artifact's
 writer uses too, and ``Run.out`` names an output. The snapshot and its
 profession category closure are parsed lazily, at most once per
-``run_all`` or ``run_stage``, and ``run_all`` frees them after the last
-stage that declares the snapshot file.
+``run_all`` or ``run_stage``. The last stage that declares the snapshot file,
+``mentions``, keeps only the pages it reads and frees the rest itself;
+``run_all`` frees the snapshot after that stage too, for a run that skips
+it.
 
 A stage's recorded run holds when its manifest records the stage name,
 tool version, seed, constants and input digests this run would record,
@@ -166,8 +168,11 @@ class Run:
     collector paused (the enabled state is restored after), and once it
     has loaded, ``gc.freeze()`` takes it, with everything else then
     tracked, out of the collector's sweeps, unless something is frozen
-    already. ``drop_snapshot`` unfreezes; ``run_all`` and ``run_stage``
-    call it however they end, so no run leaves objects frozen."""
+    already. ``drop_snapshot`` unfreezes. ``stage_mentions`` calls it
+    before its first article, once it has taken the pages it reads;
+    ``run_all`` calls it after ``_LAST_SNAPSHOT_READER`` has run or been
+    skipped, and ``run_all`` and ``run_stage`` call it however they end, so
+    no run leaves objects frozen."""
 
     def __init__(self, cfg: AuditConfig):
         cfg.validate_thresholds()
@@ -531,6 +536,13 @@ def stage_webhits(run: Run) -> None:
 def stage_mentions(run: Run) -> None:
     """Persons mentioned in each profession article.
 
+    The stage reads only the mapped articles and the pages their outlinks
+    name. It takes those into a small ``CorpusSnapshot`` and frees the
+    run's snapshot before it loads the lexicon, so the extractors and
+    ``mentions.annotate_birth_years`` run on the small snapshot alone. One
+    table of the years parsed from linked pages' text serves every
+    article, so a person linked from several articles is parsed once.
+
     Articles are handled one at a time, in the title order of
     ``article_map.csv``: each article's mentions are extracted, merged,
     given birth years and written, and only its counts and ratio rows are
@@ -548,20 +560,30 @@ def stage_mentions(run: Run) -> None:
     counts.
     """
     cfg = run.cfg
+    articles = run.rows("article_map")
+    records = run.snapshot.records
+    pages = {}
+    for title, _pid, _role in articles:
+        record = pages[title] = records[title]
+        pages.update((name, records[name]) for name in record.outlinks
+                     if name in records)
+    snapshot = corpus.CorpusSnapshot(pages, {})
+    del records  # drop_snapshot frees the snapshot only if nothing holds it
+    run.drop_snapshot()
+
     gender_lexicon = mentions.load_gender_lexicon(run.inputs["gender_lexicon"])
     firsts = mentions.first_words(gender_lexicon)
     birth_index: dict[str, int] = {}
     if "birth_years" in run.inputs:
         birth_index = mentions.load_birth_years(run.inputs["birth_years"])
-
-    snapshot = run.snapshot
+    years: dict[str, int | None] = {}  # birth year by parsed page text
     total = mentions.merge([], [])[1]  # every count 0
     skipped_outlinks = n_merged = n_men = n_women = kept = unknown = 0
     too_old = 0
     ratio_rows: dict[str, list] = {"all": [], "born_after_cutoff": []}
     with open(run.out("mentions.jsonl"), "w", encoding="utf-8") as fh:
-        for title, _pid, _role in run.rows("article_map"):
-            record = snapshot.records[title]
+        for title, _pid, _role in articles:
+            record = pages[title]
             link_ms, skipped = mentions.extract_link_mentions(record, snapshot)
             text_ms = mentions.extract_text_mentions(
                 title, record.plain_text, gender_lexicon, firsts)
@@ -569,7 +591,8 @@ def stage_mentions(run: Run) -> None:
             for key, value in report.items():
                 total[key] += value
             skipped_outlinks += skipped
-            mentions.annotate_birth_years(merged, birth_index, snapshot)
+            mentions.annotate_birth_years(merged, birth_index, snapshot,
+                                          years)
             filtered, no_year, old = mentions.filter_by_birth(
                 merged, cfg.birth_cutoff)
             fh.writelines(m.json_line() for m in merged)

@@ -243,7 +243,8 @@ def person_pages(n):
 
 class TestSharing:
     """One load shares equal category sets, category names and empty
-    tuples between its records."""
+    tuples between its records, and each page's title with the links and
+    redirects that name it."""
 
     def test_equal_category_lists_share_one_frozenset_and_names(
             self, tmp_path):
@@ -280,6 +281,54 @@ class TestSharing:
             tracemalloc.stop()
         assert len(snapshot.records) == 2000
         assert traced / 2000 < 500
+
+    @staticmethod
+    def page(title, **fields):
+        """A snapshot line in canonical form: every field, sorted keys."""
+        line = {"title": title, "exists": True, "redirect_target": None,
+                "categories": [], "outlinks": [], "images": [],
+                "plain_text": "", "page_id": None}
+        line.update(fields)
+        return json.dumps(line, ensure_ascii=False, sort_keys=True) + "\n"
+
+    def test_links_and_redirects_share_their_page_title(self, tmp_path):
+        # A links to a later page (B), an earlier one (Ärztin, named in
+        # NFD) and one that is not in the file; B redirects to a later
+        # page, D to an earlier one
+        nfd = unicodedata.normalize("NFD", "Ärztin")
+        p = tmp_path / "snap.jsonl"
+        p.write_text("".join([
+            self.page("Ärztin", plain_text="ä"),
+            self.page("A", outlinks=["B", nfd, "Fehlt", "B"],
+                      plain_text="a"),
+            self.page("B", redirect_target="C"),
+            self.page("C", outlinks=["A"], plain_text="c"),
+            self.page("D", redirect_target="Ärztin")]), encoding="utf-8")
+        for loaded in (corpus.load_snapshot(p), load_snapshot_json_loads(p)):
+            records = loaded.records
+            a, b, c, d = (records[t] for t in "ABCD")
+            assert a.outlinks == ("B", "Ärztin", "Fehlt", "B")
+            assert a.outlinks[0] is b.title and a.outlinks[3] is b.title
+            assert a.outlinks[1] is records["Ärztin"].title
+            assert c.outlinks[0] is a.title
+            assert b.redirect_target is c.title
+            assert d.redirect_target is records["Ärztin"].title
+
+    def test_shared_names_save_as_they_load(self, tmp_path):
+        p = tmp_path / "snap.jsonl"
+        canonical = "".join([
+            self.page("A", outlinks=["B", "Fehlt", "C"], plain_text="a"),
+            self.page("B", redirect_target="C"),
+            self.page("C", categories=["Frau"], outlinks=["A"],
+                      plain_text="c")])
+        p.write_text(canonical, encoding="utf-8")
+        snapshot = corpus.load_snapshot(p)
+        saved = tmp_path / "saved.jsonl"
+        corpus.save_snapshot(snapshot, saved)
+        assert saved.read_text(encoding="utf-8") == canonical
+        assert ([rec.to_dict() for rec in snapshot.records.values()]
+                == [rec.to_dict() for rec
+                    in load_snapshot_json_loads(p).records.values()])
 
 
 def synthetic_snapshot_text(seed, n=400):

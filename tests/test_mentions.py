@@ -552,6 +552,51 @@ class TestStageAgainstReference:
         assert {row.split(",")[0] for row in ratios[1:]} == {
             "all", "born_after_cutoff"}
 
+    def test_linked_page_text_parsed_once(self, tmp_path, monkeypatch):
+        # Heine is linked from both articles and has his birth year only
+        # in his text; Fallaci's text is never read, as the index has her
+        work = tmp_path / "in"
+        work.mkdir()
+        pages = [{"title": "Heinrich Heine", "categories": ["Mann"],
+                  "plain_text": "Heinrich Heine (* 13. Dezember 1797) "
+                                "dichtete."},
+                 {"title": "Oriana Fallaci", "categories": ["Frau"],
+                  "plain_text": "Oriana Fallaci (* 29. Juni 1929)."}]
+        pages += [{"title": title, "plain_text": "Text.",
+                   "outlinks": ["Heinrich Heine", "Oriana Fallaci"]}
+                  for title in ("Dichter", "Journalist")]
+        inputs = {label: work / name for label, name in (
+            ("snapshot", "snapshot.jsonl"), ("gender_lexicon", "lexicon.csv"),
+            ("birth_years", "birth_years.csv"), ("article_map", "map.csv"))}
+        inputs["snapshot"].write_text("".join(
+            json.dumps(p, ensure_ascii=False) + "\n" for p in pages),
+            encoding="utf-8")
+        inputs["gender_lexicon"].write_text(STAGE_LEXICON, encoding="utf-8")
+        inputs["birth_years"].write_text("page_title,year\n"
+                                         "Oriana Fallaci,1929\n",
+                                         encoding="utf-8")
+        inputs["article_map"].write_text(
+            "article_title,profession_id,title_role\n"
+            "Dichter,p1,neutral\nJournalist,p2,neutral\n", encoding="utf-8")
+        parsed = []
+
+        def counted(text):
+            parsed.append(text)
+            return parse_birth_year(text)
+
+        monkeypatch.setattr(mentions, "parse_birth_year", counted)
+        run_stage(pipeline.stage_mentions, inputs, tmp_path / "streamed")
+        assert parsed == [pages[0]["plain_text"]]
+        run_stage(oracles.stage_mentions_lists, inputs, tmp_path / "lists")
+        for name in ("mentions.jsonl", "ratios.csv", "merge_report.json"):
+            got = (tmp_path / "streamed" / "mentions" / name).read_bytes()
+            assert got == (tmp_path / "lists" / "mentions" / name
+                           ).read_bytes(), name
+        lines = (tmp_path / "streamed" / "mentions" / "mentions.jsonl"
+                 ).read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line)["birth_year"] for line in lines] == [
+            1797, 1929, 1797, 1929]
+
     def test_peak_memory_does_not_grow_with_the_articles(self, tmp_path):
         inputs = {n: stage_inputs(tmp_path / f"in_{n}", n) for n in (20, 80)}
         peaks = {(stage, n): run_stage(stage, inputs[n],

@@ -391,16 +391,21 @@ class TestCollectorPolicy:
     def test_run_all(self, fixture_config, collector, seen):
         pipeline.run_all(fixture_config)
         assert seen.pop("enabled_in_load") is False
-        # frozen from the first stage that reads the snapshot to the last
+        # frozen from the first stage that reads the snapshot until the
+        # last, mentions, frees it before its first article
         assert [s for s in pipeline.STAGES if seen[s]] == [
-            "match", "classify", "webhits", "mentions"]
+            "match", "classify", "webhits"]
         assert gc.get_freeze_count() == 0 and gc.isenabled() is collector
 
     def test_run_stage(self, fixture_config, collector, seen):
         pipeline.run_all(fixture_config)
         seen.clear()
+        pipeline.run_stage("classify", fixture_config)
+        assert seen["enabled_in_load"] is False and seen["classify"] > 0
+        assert gc.get_freeze_count() == 0 and gc.isenabled() is collector
+        seen.clear()
         pipeline.run_stage("mentions", fixture_config)
-        assert seen["enabled_in_load"] is False and seen["mentions"] > 0
+        assert seen["enabled_in_load"] is False and seen["mentions"] == 0
         assert gc.get_freeze_count() == 0 and gc.isenabled() is collector
 
     def test_failed_load(self, data_dir, tmp_path, collector):
@@ -579,6 +584,55 @@ class TestRun:
                 r"^stage 'lexicon' is stale \(output entries\.jsonl "
                 r"changed\); run stage 'lexicon' first$")):
             pipeline.run_stage("labor", fixture_config)
+
+
+class TestMentionsSnapshot:
+    """The mentions stage keeps only the snapshot pages it reads, and frees
+    the rest before its first article."""
+
+    def test_snapshot_freed_before_the_first_article(self, fixture_config,
+                                                     monkeypatch):
+        # TestRun.test_snapshot_and_closure_computed_once checks that no
+        # later stage parses the snapshot again
+        runs, seen = [], []
+        stage = pipeline._STAGE_FUNCS["mentions"]
+        extract = pipeline.mentions.extract_text_mentions
+
+        def stage_mentions(run):
+            runs.append(run)
+            return stage(run)
+
+        def extract_text_mentions(*args, **kwargs):
+            if not seen:
+                seen.append((gc.get_freeze_count(), runs[-1]._snapshot))
+            return extract(*args, **kwargs)
+
+        monkeypatch.setitem(pipeline._STAGE_FUNCS, "mentions", stage_mentions)
+        monkeypatch.setattr(pipeline.mentions, "extract_text_mentions",
+                            extract_text_mentions)
+        pipeline.run_all(fixture_config)
+        assert len(runs) == 1 and seen == [(0, None)]
+
+    def test_unlinked_person_page_changes_no_mention(self, data_dir,
+                                                     tmp_path):
+        work = tmp_path / "fixture"
+        shutil.copytree(data_dir, work, ignore=shutil.ignore_patterns(
+            "golden", "out"))
+        config = work / "config.json"
+        assert run_cli("report", "--all", "--config", config, "--out-dir",
+                       tmp_path / "before") == 0
+        with open(work / "snapshot.jsonl", "a", encoding="utf-8") as fh:
+            fh.write(json.dumps({
+                "title": "Erika Ohnelink", "categories": ["Frau"],
+                "plain_text": "Erika Ohnelink (* 3. Mai 1970 in Bonn) ist "
+                              "Lehrerin."}, ensure_ascii=False) + "\n")
+        assert run_cli("report", "--all", "--config", config, "--out-dir",
+                       tmp_path / "after") == 0
+        before = _tree(tmp_path / "before" / "mentions")
+        after = _tree(tmp_path / "after" / "mentions")
+        # the manifest records the snapshot's digest, which changed
+        assert before.pop("manifest.json") != after.pop("manifest.json")
+        assert after == before
 
 
 # a value other than the fixture's for every declared constant; with
