@@ -11,6 +11,7 @@ import csv
 import hashlib
 import json
 import math
+from contextlib import contextmanager
 from pathlib import Path
 
 
@@ -77,7 +78,7 @@ def read_rows(path, what: str, header: str | None, ncols: int):
     (first cell equal to ``header``) are skipped. A row with fewer than
     ``ncols`` cells raises ``ValueError`` naming ``what`` and the row.
     """
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open_input(path, what, newline="") as fh:
         for row_no, row in enumerate(csv.reader(fh), start=1):
             if not row or row[0].startswith("#") or row[0] == header:
                 continue
@@ -85,6 +86,24 @@ def read_rows(path, what: str, header: str | None, ncols: int):
                 raise ValueError(f"{what} row {row_no}: expected {ncols} "
                                  "columns")
             yield row_no, row
+
+
+@contextmanager
+def open_input(path, what: str, error=ValueError, newline=None):
+    """``open(path)`` on UTF-8 text, whose first byte that does not decode
+    raises ``error`` naming ``what``, the line and the file."""
+    try:
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            yield fh
+    except UnicodeDecodeError:
+        data = Path(path).read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise error(f"{what} line {line}: byte 0x{data[exc.start]:02x} "
+                        f"is not UTF-8, in {path}") from None
+        raise
 
 
 def check_unique(first_rows: dict, key, row_no: int, what: str,

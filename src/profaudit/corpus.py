@@ -26,7 +26,7 @@ import json
 import logging
 from collections import deque, namedtuple
 
-from .artifacts import write_jsonl
+from .artifacts import open_input, write_jsonl
 from .text import nfc
 
 log = logging.getLogger(__name__)
@@ -241,8 +241,8 @@ def record_from_dict(data: dict, line_no: int, *,
 def load_snapshot(path) -> CorpusSnapshot:
     """Parse a JSON-lines snapshot file, validating record invariants.
 
-    Malformed lines fail with the line number; duplicate titles keep the
-    last record and log a warning.
+    Malformed lines, and bytes that are not UTF-8, fail with the line
+    number; duplicate titles keep the last record and log a warning.
 
     Two tables, kept only for this call, let every record share equal
     category frozensets and category names (see record_from_dict). They
@@ -262,7 +262,7 @@ def load_snapshot(path) -> CorpusSnapshot:
     """
     records: dict[str, ArticleRecord] = {}
     shared: tuple[dict, dict] = ({}, {})
-    with open(path, encoding="utf-8") as fh:
+    with open_input(path, "snapshot", SnapshotError) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

@@ -299,10 +299,11 @@ def distributions(items: list[tuple[str, ImageCategory]], grouping: str,
     Returns the dict that ``distributions.json`` holds for the grouping:
     ``grouping``; ``groups``, one ``{group, n, unresolved, proportions}``
     per group in sorted order, ``proportions`` keyed by the values of
-    ``RESOLVED_CATEGORIES``; ``overall_test`` (``TestResult.to_dict``, or
-    None); ``pairwise_tests`` as ``{groups, test}``; ``posthoc_tests`` as
-    ``{groups, category, test}`` marked by ``stats.mark_bh_two_stage``;
-    and ``bh_correction``, the dict that call returns, or None.
+    ``RESOLVED_CATEGORIES``; ``overall_test`` (the dict that
+    ``stats.chi2_mc`` returns, or None); ``pairwise_tests`` as ``{groups,
+    test}``; ``posthoc_tests`` as ``{groups, category, test}`` marked by
+    ``stats.mark_bh_two_stage``; and ``bh_correction``, the dict that call
+    returns, or None.
     """
     per_group: dict[str, Counter] = defaultdict(Counter)
     unresolved: Counter = Counter()
@@ -331,8 +332,7 @@ def distributions(items: list[tuple[str, ImageCategory]], grouping: str,
     def mc_test(table, test: str) -> dict:
         key = f"{seed}:images:{grouping}:{test}".encode("utf-8")
         digest = hashlib.blake2b(key, digest_size=8).digest()
-        return stats.chi2_mc(table, b=b,
-                             seed=int.from_bytes(digest, "big")).to_dict()
+        return stats.chi2_mc(table, b=b, seed=int.from_bytes(digest, "big"))
 
     overall = correction = None
     pairwise: list[dict] = []

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import namedtuple
 from enum import Enum
 
-from .artifacts import check_unique, read_rows, write_csv
+from .artifacts import check_unique, read_rows
 
 
 class MatchKind(str, Enum):
@@ -144,9 +144,8 @@ def dominated_group(pct_women: float, threshold: float = 0.7) -> DominatedGroup:
     return DominatedGroup.NONE
 
 
-JOINED_HEADER = ("profession_id", "kldb_code", "match_kind", "n_men",
-                 "n_women", "pct_women", "majority", "dominated")
-JoinedLabor = namedtuple("JoinedLabor", JOINED_HEADER)
+JoinedLabor = namedtuple("JoinedLabor", "profession_id kldb_code match_kind "
+                         "n_men n_women pct_women majority dominated")
 
 
 def join(assignments: list[CodeAssignment], stats: list[LaborStat],
@@ -168,10 +167,3 @@ def join(assignments: list[CodeAssignment], stats: list[LaborStat],
             dominated=dominated_group(pct, dominated_threshold),
         ))
     return out
-
-
-def write_joined(rows: list[JoinedLabor], path) -> None:
-    write_csv(path, JOINED_HEADER,
-              [[r.profession_id, r.kldb_code, r.match_kind.value, r.n_men,
-                r.n_women, r.pct_women, r.majority.value, r.dominated.value]
-               for r in sorted(rows, key=lambda r: r.profession_id)])

@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import namedtuple
 from enum import Enum
 
-from .artifacts import check_unique, read_rows, write_csv, write_jsonl
+from .artifacts import check_unique, open_input, read_rows
 from .text import nfc
 
 # substrings marking field/study names rather than professions
@@ -111,12 +111,6 @@ class ProfessionEntry:
             out.append(("neutral", self.neutral_title))
         return out
 
-    def to_dict(self) -> dict:
-        """One entries.jsonl record, keyed by ``ENTRY_FIELDS``."""
-        out = {name: getattr(self, name) for name in ENTRY_FIELDS}
-        out["resolution"] = self.resolution.value
-        return out
-
 
 def load_abbreviations(path=None) -> dict[str, str]:
     """Abbreviation table, default plus optional CSV (short, expansion)."""
@@ -209,7 +203,7 @@ def split(line: RawLine) -> ProfessionEntry:
 def parse_file(path, abbreviations: dict[str, str] | None = None) -> list[ProfessionEntry]:
     """Run preprocess + split over a profession list file."""
     entries = []
-    with open(path, encoding="utf-8") as fh:
+    with open_input(path, "professions") as fh:
         for line_no, raw in enumerate(fh, start=1):
             raw = raw.rstrip("\n")
             if not raw.strip():
@@ -267,17 +261,6 @@ def load_manual_assignments(path, entries: list[ProfessionEntry]) -> list[Profes
                 f"manual assignments row {row_no}: unknown group {group!r}")
         entry.resolution = Resolution.MANUAL
     return entries
-
-
-def write_entries(entries: list[ProfessionEntry], path) -> None:
-    write_jsonl(path, (e.to_dict() for e in entries))
-
-
-def write_review_file(entries: list[ProfessionEntry], path) -> None:
-    """Unresolved lines, emitted for the manual assignment round-trip."""
-    write_csv(path, ["line_no", "text"],
-              [[e.line_no, e.text] for e in entries
-               if e.resolution is Resolution.UNRESOLVED])
 
 
 def summarize(entries: list[ProfessionEntry]) -> dict:

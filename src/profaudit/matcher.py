@@ -46,7 +46,7 @@ from __future__ import annotations
 import logging
 from enum import Enum
 
-from .artifacts import check_unique, read_rows, write_csv
+from .artifacts import check_unique, read_rows
 from .text import nfc
 
 log = logging.getLogger(__name__)
@@ -307,12 +307,3 @@ def accepted(candidates: list[MatchCandidate]) -> list[MatchCandidate]:
     """Candidates usable downstream: exact plus reviewer-confirmed."""
     return [c for c in candidates
             if c.status in (MatchStatus.EXACT, MatchStatus.CONFIRMED)]
-
-
-def write_candidates(candidates: list[MatchCandidate], path) -> None:
-    write_csv(path, ["profession_id", "title_role", "profession_title",
-                     "article_title", "distance", "ratio", "status",
-                     "gender_group"],
-              [[c.profession_id, c.title_role, c.profession_title,
-                c.article_title, c.distance, c.ratio, c.status.value,
-                c.gender_group] for c in candidates])

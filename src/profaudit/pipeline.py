@@ -11,10 +11,10 @@ content hashes of every input and output; ``Run.digest`` hashes each file
 at most once per run, for every manifest and the report's bundle.
 
 A stage function takes one argument, the ``Run``. It holds the config and
-the current stage's inputs by label; ``Run.rows`` reads a declared
-upstream artifact in the column order of ``HEADERS``, which the artifact's
-writer uses too, and ``Run.out`` names an output. The snapshot and its
-profession category closure are parsed lazily, at most once per
+the current stage's inputs by label; ``Run.rows`` reads the data rows of a
+declared upstream CSV artifact, in the column order of the header at its
+one ``write_csv`` call, and ``Run.out`` names an output. The snapshot and
+its profession category closure are parsed lazily, at most once per
 ``run_all`` or ``run_stage``. The last stage that declares the snapshot file,
 ``mentions``, keeps only the pages it reads and frees the rest itself;
 ``run_all`` frees the snapshot after that stage too, for a run that skips
@@ -62,7 +62,7 @@ from pathlib import Path
 
 from . import (__version__, corpus, images, labor, lexicon, matcher, mentions,
                redirect_bias, stats, webhits)
-from .artifacts import dump_json, sha256_file, write_csv
+from .artifacts import dump_json, sha256_file, write_csv, write_jsonl
 from .config import AuditConfig
 from .images import ImageCategory
 from .lexicon import ProfessionEntry, Resolution
@@ -84,42 +84,37 @@ Stage = namedtuple("Stage", "files optional reads constants",
                    defaults=((), (), {}, ()))
 
 
-_ENTRIES = "lexicon/entries.jsonl"
-_CLASSIFICATIONS = "classify/classifications.csv"
-_ARTICLE_MAP = "classify/article_map.csv"
-_IMAGE_REFS = "classify/image_refs.csv"
-
 DECLARATIONS = {
     "lexicon": Stage(files=("professions",),
                      optional=("abbreviations", "manual_assignments")),
     "match": Stage(files=("snapshot",), optional=("match_decisions",),
-                   reads={"entries": _ENTRIES},
+                   reads={"entries": "lexicon/entries.jsonl"},
                    constants=("closure_depth", "d_max", "r_min")),
     "classify": Stage(files=("snapshot",),
-                      reads={"entries": _ENTRIES,
+                      reads={"entries": "lexicon/entries.jsonl",
                              "accepted": "match/accepted.csv"},
                       constants=("closure_depth",)),
-    "webhits": Stage(files=("hits",),
-                     reads={"classifications": _CLASSIFICATIONS}),
+    "webhits": Stage(files=("hits",), reads={
+        "classifications": "classify/classifications.csv"}),
     "mentions": Stage(files=("snapshot", "gender_lexicon"),
                       optional=("birth_years",),
-                      reads={"article_map": _ARTICLE_MAP},
+                      reads={"article_map": "classify/article_map.csv"},
                       constants=("birth_cutoff", "equality_band")),
     "images": Stage(files=("annotations", "gold_labels"),
-                    reads={"article_map": _ARTICLE_MAP,
-                           "classifications": _CLASSIFICATIONS,
-                           "image_refs": _IMAGE_REFS},
+                    reads={"article_map": "classify/article_map.csv",
+                           "classifications": "classify/classifications.csv",
+                           "image_refs": "classify/image_refs.csv"},
                     constants=("min_image_width", "worker_accuracy",
                                "min_judgments", "mc_iterations")),
     "labor": Stage(files=("labor_stats", "labor_classifier"),
-                   reads={"entries": _ENTRIES},
+                   reads={"entries": "lexicon/entries.jsonl"},
                    constants=("majority_threshold", "dominated_threshold")),
 }
 # the bundle records every file of every stage: each stage's manifest lists
 # its outputs, constants and seed, so the report reads every manifest
 DECLARATIONS["report"] = Stage(
-    reads={"classifications": _CLASSIFICATIONS,
-           "article_map": _ARTICLE_MAP,
+    reads={"classifications": "classify/classifications.csv",
+           "article_map": "classify/article_map.csv",
            "joined_labor": "labor/joined.csv",
            "ratios": "mentions/ratios.csv",
            "image_categories": "images/categories.csv",
@@ -131,22 +126,6 @@ STAGES = tuple(DECLARATIONS)
 # the snapshot is freed once this stage has run or been skipped
 _LAST_SNAPSHOT_READER = [stage for stage in STAGES
                          if "snapshot" in DECLARATIONS[stage].files][-1]
-
-# header of every artifact a later stage reads, shared by its writer and
-# by Run.rows; for JSON lines, the keys of each record
-HEADERS = {
-    _ENTRIES: lexicon.ENTRY_FIELDS,
-    "match/accepted.csv": ("profession_id", "role", "article_title"),
-    _CLASSIFICATIONS: ("profession_id", "source_text", "bias_group"),
-    _ARTICLE_MAP: ("article_title", "profession_id", "title_role"),
-    _IMAGE_REFS: ("article_title", "filename", "width", "media_format"),
-    "mentions/ratios.csv": ("variant", "article_title", "n_men", "n_women",
-                            "male_ratio", "bias_class"),
-    "images/categories.csv": ("image_id", "article_title", "profession_id",
-                              "title_role", "bias_group", "category"),
-    "labor/joined.csv": labor.JOINED_HEADER,
-}
-
 
 def source_fingerprint() -> str:
     """SHA-256 of the package source, file names included."""
@@ -242,17 +221,12 @@ class Run:
             self._digests[path] = sha256_file(path)
         return self._digests[path]
 
-    def rows(self, label: str) -> list[list]:
-        """Rows of the upstream artifact the running stage declares under
-        ``label``, as strings in ``HEADERS`` order (JSON values for JSON
-        lines). Both entry points run a stage only on fresh upstream
-        artifacts, which this code wrote, so the columns are the
-        writer's."""
-        artifact = DECLARATIONS[self.stage].reads[label]
+    def rows(self, label: str) -> list[list[str]]:
+        """Data rows of the upstream CSV artifact the running stage declares
+        under ``label``, as strings. Both entry points run a stage only on
+        fresh upstream artifacts, which this code wrote, so callers unpack
+        each row by the header at the artifact's ``write_csv`` call."""
         with open(self.inputs[label], encoding="utf-8", newline="") as fh:
-            if artifact.endswith(".jsonl"):
-                return [[record[k] for k in HEADERS[artifact]]
-                        for record in map(json.loads, fh)]
             reader = csv.reader(fh)
             next(reader)  # the header
             return list(reader)
@@ -368,8 +342,11 @@ def _read_manifest(path: Path) -> tuple[bytes, dict] | None:
 
 
 def _entries(run: Run) -> list[ProfessionEntry]:
-    return [ProfessionEntry(*row[:-1], resolution=Resolution(row[-1]))
-            for row in run.rows("entries")]
+    """The entries ``stage_lexicon`` wrote to ``entries.jsonl``."""
+    with open(run.inputs["entries"], encoding="utf-8") as fh:
+        return [ProfessionEntry(**dict(
+                    record, resolution=Resolution(record["resolution"])))
+                for record in map(json.loads, fh)]
 
 
 def _bias_groups(run: Run) -> dict[str, BiasGroup]:
@@ -396,8 +373,13 @@ def stage_lexicon(run: Run) -> None:
     if "manual_assignments" in run.inputs:
         lexicon.load_manual_assignments(run.inputs["manual_assignments"],
                                         entries)
-    lexicon.write_entries(entries, run.out("entries.jsonl"))
-    lexicon.write_review_file(entries, run.out("review.csv"))
+    write_jsonl(run.out("entries.jsonl"),
+                (dict({k: getattr(e, k) for k in lexicon.ENTRY_FIELDS},
+                      resolution=e.resolution.value) for e in entries))
+    # unresolved lines, for the manual assignment round-trip
+    write_csv(run.out("review.csv"), ["line_no", "text"],
+              [[e.line_no, e.text] for e in entries
+               if e.resolution is Resolution.UNRESOLVED])
     dump_json(lexicon.summarize(entries), run.out("summary.json"))
 
 
@@ -417,20 +399,23 @@ def stage_match(run: Run) -> None:
     if "match_decisions" in run.inputs:
         matcher.apply_decisions(candidates, run.inputs["match_decisions"])
 
-    matcher.write_candidates(candidates, run.out("candidates.csv"))
-    write_csv(run.out("accepted.csv"), HEADERS["match/accepted.csv"],
+    write_csv(run.out("candidates.csv"),
+              ["profession_id", "title_role", "profession_title",
+               "article_title", "distance", "ratio", "status", "gender_group"],
+              [[c.profession_id, c.title_role, c.profession_title,
+                c.article_title, c.distance, c.ratio, c.status.value,
+                c.gender_group] for c in candidates])
+    write_csv(run.out("accepted.csv"),
+              ["profession_id", "role", "article_title"],
               [[c.profession_id, c.gender_group or c.title_role,
                 c.article_title] for c in matcher.accepted(candidates)])
+    statuses = Counter(c.status for c in candidates)
     dump_json({
         "candidates": len(candidates),
-        "exact": sum(1 for c in candidates
-                     if c.status is matcher.MatchStatus.EXACT),
-        "confirmed": sum(1 for c in candidates
-                         if c.status is matcher.MatchStatus.CONFIRMED),
-        "rejected": sum(1 for c in candidates
-                        if c.status is matcher.MatchStatus.REJECTED),
-        "pending_fuzzy": sum(1 for c in candidates
-                             if c.status is matcher.MatchStatus.FUZZY),
+        "exact": statuses[matcher.MatchStatus.EXACT],
+        "confirmed": statuses[matcher.MatchStatus.CONFIRMED],
+        "rejected": statuses[matcher.MatchStatus.REJECTED],
+        "pending_fuzzy": statuses[matcher.MatchStatus.FUZZY],
         "closure_titles": len(titles),
     }, run.out("summary.json"))
 
@@ -469,15 +454,18 @@ def stage_classify(run: Run) -> None:
                     continue
                 article_map[state.title] = (prof_id, role)
 
-    write_csv(run.out("classifications.csv"), HEADERS[_CLASSIFICATIONS],
+    write_csv(run.out("classifications.csv"),
+              ["profession_id", "source_text", "bias_group"],
               [[pid, entries[pid].text, classifications[pid].value]
                for pid in sorted(classifications)])
-    write_csv(run.out("article_map.csv"), HEADERS[_ARTICLE_MAP],
+    write_csv(run.out("article_map.csv"),
+              ["article_title", "profession_id", "title_role"],
               [[title, pid, role]
                for title, (pid, role) in sorted(article_map.items())])
     # every image of a mapped article, unfiltered: min_image_width is a
     # constant of images
-    write_csv(run.out("image_refs.csv"), HEADERS[_IMAGE_REFS],
+    write_csv(run.out("image_refs.csv"),
+              ["article_title", "filename", "width", "media_format"],
               [[title, ref.filename, ref.width, ref.media_format]
                for title in sorted(article_map)
                for ref in snapshot.records[title].images])
@@ -517,8 +505,10 @@ def stage_webhits(run: Run) -> None:
     groups = _bias_groups(run)
     diffs, excluded = webhits.compute_differences(records)
 
-    webhits.write_differences(diffs, groups,
-                              run.out("normalized_differences.csv"))
+    write_csv(run.out("normalized_differences.csv"),
+              ["profession_id", "normalized_difference", "bias_group"],
+              [[pid, diffs[pid], groups[pid].value if pid in groups else ""]
+               for pid in sorted(diffs)])
     evidence = [r for r in records
                 if groups.get(r.profession_id) not in (None, BiasGroup.NO_EVIDENCE)
                 and r.hits_male + r.hits_female > 0]
@@ -610,7 +600,9 @@ def stage_mentions(run: Run) -> None:
                          stat["n_women"], stat["male_ratio"],
                          stat["bias_class"].value])
 
-    write_csv(run.out("ratios.csv"), HEADERS["mentions/ratios.csv"],
+    write_csv(run.out("ratios.csv"),
+              ["variant", "article_title", "n_men", "n_women", "male_ratio",
+               "bias_class"],
               ratio_rows["all"] + ratio_rows["born_after_cutoff"])
     dump_json(dict(
         total, disagreement_rate=mentions.disagreement_rate(total),
@@ -667,8 +659,9 @@ def stage_images(run: Run) -> None:
             prof_id, role = article_map[article]
             category_rows.append([image, article, prof_id, role,
                                   groups[prof_id].value, category.value])
-    write_csv(run.out("categories.csv"), HEADERS["images/categories.csv"],
-              category_rows)
+    write_csv(run.out("categories.csv"),
+              ["image_id", "article_title", "profession_id", "title_role",
+               "bias_group", "category"], category_rows)
     dump_json(kappa_out, run.out("kappa.json"))
 
     dist_report = {}
@@ -694,7 +687,12 @@ def stage_labor(run: Run) -> None:
                         majority_threshold=run.cfg.majority_threshold,
                         dominated_threshold=run.cfg.dominated_threshold)
 
-    labor.write_joined(joined, run.out("joined.csv"))
+    write_csv(run.out("joined.csv"),
+              ["profession_id", "kldb_code", "match_kind", "n_men", "n_women",
+               "pct_women", "majority", "dominated"],
+              [[r.profession_id, r.kldb_code, r.match_kind.value, r.n_men,
+                r.n_women, r.pct_women, r.majority.value, r.dominated.value]
+               for r in sorted(joined, key=lambda r: r.profession_id)])
     write_csv(run.out("unmatched.csv"), ["profession_id"],
               [[pid] for pid in sorted(unmatched)])
     dump_json({"matched": len(joined), "unmatched": len(unmatched)},
@@ -721,8 +719,8 @@ def _ranksum_pairs(samples: dict[str, list[float]], pairs,
             tests.append({"groups": [a, b], "skipped":
                           "empty group", "n": [len(xa), len(xb)]})
             continue
-        res = stats.wilcoxon_rank_sum(xa, xb)
-        tests.append({"groups": [a, b], "test": res.to_dict()})
+        tests.append({"groups": [a, b],
+                      "test": stats.wilcoxon_rank_sum(xa, xb)})
     performed = [t for t in tests if "test" in t]
     summary: dict = {"tests": tests, "correction": correction}
     if correction == "bonferroni" and performed:

@@ -69,35 +69,6 @@ def _rows(table) -> list[list] | None:
     return rows
 
 
-class TestResult:
-    """Outcome of a hypothesis test, plus the metadata needed to rerun it."""
-
-    __slots__ = ("statistic", "p", "method", "n", "z", "b", "seed")
-
-    def __init__(self, statistic: float, p: float, method: str, n: tuple,
-                 z: float | None = None, b: int | None = None,
-                 seed: int | None = None):
-        self.statistic = statistic
-        self.p = p
-        self.method = method
-        self.n = n
-        self.z = z
-        self.b = b
-        self.seed = seed
-
-    def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "statistic": self.statistic,
-            "z": self.z,
-            "p": self.p,
-            "n": list(self.n),
-            "correction": None,  # a correction is recorded beside the test
-            "seed": self.seed,
-            "B": self.b,
-        }
-
-
 def midranks(values) -> list[float]:
     """Ranks 1..n with ties replaced by the average of their positions."""
     vals = [float(v) for v in values]
@@ -118,13 +89,15 @@ def midranks(values) -> list[float]:
     return ranks
 
 
-def wilcoxon_rank_sum(x, y) -> TestResult:
+def wilcoxon_rank_sum(x, y) -> dict:
     """Two-sided Wilcoxon-Mann-Whitney rank-sum test.
 
     Uses the normal approximation with tie-corrected variance and a 0.5
     continuity correction. The statistic reported is the Mann-Whitney U of
     the first sample. When both samples are a single repeated value the
-    test is degenerate and p = 1 is returned.
+    test is degenerate and p = 1 is returned. Returns the test's record:
+    ``method``, ``statistic``, ``z``, ``p``, ``n`` (the sample sizes), and
+    ``correction`` (recorded beside the test), ``seed`` and ``B``, all None.
     """
     x = [float(v) for v in x]
     y = [float(v) for v in y]
@@ -145,18 +118,18 @@ def wilcoxon_rank_sum(x, y) -> TestResult:
 
     var = n1 * n2 / 12.0 * ((big_n + 1) - tie_term / (big_n * (big_n - 1)))
     if var <= 0:
-        return TestResult(statistic=u1, z=0.0, p=1.0,
-                          method="wilcoxon_rank_sum", n=(n1, n2))
-    mu = n1 * n2 / 2.0
-    dev = u1 - mu
-    if dev > 0:
-        dev -= 0.5
-    elif dev < 0:
-        dev += 0.5
-    z = dev / math.sqrt(var)
-    p = min(1.0, 2.0 * _norm_cdf(-abs(z)))
-    return TestResult(statistic=u1, z=z, p=p,
-                      method="wilcoxon_rank_sum", n=(n1, n2))
+        z, p = 0.0, 1.0
+    else:
+        mu = n1 * n2 / 2.0
+        dev = u1 - mu
+        if dev > 0:
+            dev -= 0.5
+        elif dev < 0:
+            dev += 0.5
+        z = dev / math.sqrt(var)
+        p = min(1.0, 2.0 * _norm_cdf(-abs(z)))
+    return {"method": "wilcoxon_rank_sum", "statistic": u1, "z": z, "p": p,
+            "n": [n1, n2], "correction": None, "seed": None, "B": None}
 
 
 def _column_moves(s: tuple, total: int, w: list[int],
@@ -274,7 +247,7 @@ def _exact_p(table: list[list[int]]) -> float:
     return hit / total
 
 
-def chi2_mc(table, b: int = 10000, seed: int = 0) -> TestResult:
+def chi2_mc(table, b: int = 10000, seed: int = 0) -> dict:
     """Pearson chi-square independence test with a fixed-margin p-value.
 
     ``table`` is nested lists or a numpy array of whole-number counts, and
@@ -282,7 +255,7 @@ def chi2_mc(table, b: int = 10000, seed: int = 0) -> TestResult:
     table whose margins bound its enumeration (``_enumeration_steps``, in
     either orientation) by ``_EXACT_STEPS``
     gets the exact conditional p-value of ``_exact_p``, recorded as method
-    ``chi2_exact`` with ``b`` and ``seed`` unused (None). That is every
+    ``chi2_exact`` with ``B`` and ``seed`` unused (None). That is every
     table of the audit's image tests. There the statistic is compared as
     the integer Q of ``_exact_p``, so exact ties need no tolerance.
 
@@ -293,7 +266,8 @@ def chi2_mc(table, b: int = 10000, seed: int = 0) -> TestResult:
     hypergeometric in what is left of its row and column totals; the last
     cell of each row and the last row follow from the margins. One Philox
     generator keyed with ``seed`` draws every table. Only this branch
-    imports numpy.
+    imports numpy. The record has the keys of ``wilcoxon_rank_sum``, with
+    ``z`` None and ``n`` the table's total.
     """
     if b < 1:
         raise ValueError("chi2_mc: b must be >= 1")
@@ -326,8 +300,9 @@ def chi2_mc(table, b: int = 10000, seed: int = 0) -> TestResult:
         # sorted row totals, so a table and its transpose run the same DP
         if (over_cols, sorted(rows)) > (over_rows, sorted(cols)):
             tab = [list(col) for col in zip(*tab)]
-        return TestResult(statistic=x2_obs, p=_exact_p(tab),
-                          method="chi2_exact", n=(total,))
+        return {"method": "chi2_exact", "statistic": x2_obs, "z": None,
+                "p": _exact_p(tab), "n": [total], "correction": None,
+                "seed": None, "B": None}
 
     import numpy as np  # only sampling a large table needs it
 
@@ -355,9 +330,9 @@ def chi2_mc(table, b: int = 10000, seed: int = 0) -> TestResult:
         ge += int((x2_sim >= x2_obs - 1e-9).sum())
         done += k
 
-    p = (1.0 + ge) / (b + 1.0)
-    return TestResult(statistic=x2_obs, p=p, method="chi2_monte_carlo",
-                      n=(total,), b=b, seed=seed)
+    return {"method": "chi2_monte_carlo", "statistic": x2_obs, "z": None,
+            "p": (1.0 + ge) / (b + 1.0), "n": [total], "correction": None,
+            "seed": seed, "B": b}
 
 
 def pearson(x, y) -> float:

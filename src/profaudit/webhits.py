@@ -15,7 +15,7 @@ import math
 from collections import namedtuple
 
 from . import stats
-from .artifacts import check_unique, read_rows, write_csv
+from .artifacts import check_unique, read_rows
 from .redirect_bias import BiasGroup
 
 log = logging.getLogger(__name__)
@@ -139,11 +139,3 @@ def model_report(fit: dict, outcome: str, predictors) -> dict:
         "converged": fit["converged"],
         "coefficients": rows,
     }
-
-
-def write_differences(diffs: dict[str, float],
-                      groups: dict[str, BiasGroup], path) -> None:
-    """Figure data: per-profession normalized difference with bias group."""
-    write_csv(path, ["profession_id", "normalized_difference", "bias_group"],
-              [[pid, diffs[pid], groups[pid].value if pid in groups else ""]
-               for pid in sorted(diffs)])

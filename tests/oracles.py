@@ -18,7 +18,6 @@ from profaudit import mentions
 from profaudit.artifacts import dump_json, write_csv
 from profaudit.corpus import ArticleRecord, ImageRef, build_snapshot
 from profaudit.mentions import Gender, PersonMention, Source
-from profaudit.pipeline import HEADERS
 
 
 @lru_cache(maxsize=None)
@@ -609,8 +608,9 @@ def stage_mentions_lists(run) -> None:
             ratio_rows.append([variant, stat["article_title"], stat["n_men"],
                                stat["n_women"], stat["male_ratio"],
                                stat["bias_class"].value])
-    write_csv(run.out("ratios.csv"), HEADERS["mentions/ratios.csv"],
-              ratio_rows)
+    write_csv(run.out("ratios.csv"),
+              ["variant", "article_title", "n_men", "n_women", "male_ratio",
+               "bias_class"], ratio_rows)
 
     dump_json(dict(
         total, disagreement_rate=mentions.disagreement_rate(total),

@@ -50,6 +50,14 @@ class TestLoad:
         with pytest.raises(SnapshotError, match="line 1"):
             corpus.load_snapshot(p)
 
+    def test_non_utf8_line_names_line_and_file(self, tmp_path):
+        p = tmp_path / "snap.jsonl"
+        p.write_bytes('{"title": "A"}\n{"title": "Bär"}\n'.encode("latin-1"))
+        with pytest.raises(SnapshotError) as info:
+            corpus.load_snapshot(p)
+        assert str(info.value) == (f"snapshot line 2: byte 0xe4 is not "
+                                   f"UTF-8, in {p}")
+
     def test_malformed_line_names_line_number(self, tmp_path):
         p = tmp_path / "snap.jsonl"
         p.write_text('{"title": "A"}\n{broken\n', encoding="utf-8")

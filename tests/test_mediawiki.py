@@ -164,7 +164,9 @@ def local_api(monkeypatch):
     server = http.server.HTTPServer(("127.0.0.1", 0), _ScriptedHandler)
     server.seen, server.statuses = [], []
     server.payload = page_payload({"title": "Nix", "missing": True})
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # shutdown() waits up to one poll interval; the default is 0.5 s
+    thread = threading.Thread(target=server.serve_forever,
+                              kwargs={"poll_interval": 0.01}, daemon=True)
     thread.start()
     try:
         yield server

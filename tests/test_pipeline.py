@@ -476,6 +476,28 @@ class TestCliErrors:
         assert rc == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("name, message", [
+        ("professions.txt", "professions line 1: byte 0xe4"),
+        ("hits.csv", "hits line 3: byte 0xff")])
+    def test_non_utf8_input_names_the_file(self, data_dir, tmp_path, capsys,
+                                           name, message):
+        work = tmp_path / "fixture"
+        shutil.copytree(data_dir, work, ignore=shutil.ignore_patterns(
+            "golden", "out"))
+        path = work / name
+        if name == "professions.txt":  # re-encoded as Latin-1
+            path.write_bytes(path.read_text(encoding="utf-8")
+                             .encode("latin-1"))
+        else:  # one stray byte
+            lines = path.read_bytes().splitlines(keepends=True)
+            lines[2] = b"\xff" + lines[2]
+            path.write_bytes(b"".join(lines))
+        rc = run_cli("report", "--all", "--config", work / "config.json",
+                     "--out-dir", tmp_path / "out")
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {message} is not UTF-8, in {work.resolve() / name}\n")
+
     @pytest.mark.parametrize("stage", ["mentions"])
     def test_stale_snapshot_names_match(self, data_dir, tmp_path, capsys,
                                         stage):

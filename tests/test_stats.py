@@ -47,12 +47,12 @@ class TestWilcoxon:
     def test_identical_samples(self):
         x = list(range(50))
         res = stats.wilcoxon_rank_sum(x, x)
-        assert abs(res.z) < 1e-12
-        assert res.p == pytest.approx(1.0)
+        assert abs(res["z"]) < 1e-12
+        assert res["p"] == pytest.approx(1.0)
 
     def test_degenerate_constant(self):
         res = stats.wilcoxon_rank_sum([3, 3, 3], [3, 3])
-        assert res.p == 1.0
+        assert res["p"] == 1.0
 
     def test_antisymmetry(self):
         rng = random.Random(7)
@@ -60,8 +60,8 @@ class TestWilcoxon:
         y = [rng.gauss(1, 1) for _ in range(9)]
         a = stats.wilcoxon_rank_sum(x, y)
         b = stats.wilcoxon_rank_sum(y, x)
-        assert a.z == pytest.approx(-b.z, abs=1e-12)
-        assert a.p == pytest.approx(b.p, abs=1e-12)
+        assert a["z"] == pytest.approx(-b["z"], abs=1e-12)
+        assert a["p"] == pytest.approx(b["p"], abs=1e-12)
 
     def test_scale_invariance(self):
         rng = random.Random(11)
@@ -69,8 +69,8 @@ class TestWilcoxon:
         y = [rng.gauss(0.5, 1) for _ in range(10)]
         a = stats.wilcoxon_rank_sum(x, y)
         b = stats.wilcoxon_rank_sum([7.5 * v for v in x], [7.5 * v for v in y])
-        assert a.z == b.z
-        assert a.p == b.p
+        assert a["z"] == b["z"]
+        assert a["p"] == b["p"]
 
     def test_oracle_dp_matches_bruteforce(self):
         rng = random.Random(3)
@@ -117,7 +117,7 @@ class TestWilcoxon:
             x = [rng.gauss(0, 1) for _ in range(n)]
             y = [rng.gauss(0.3, 1) for _ in range(m)]
             res = stats.wilcoxon_rank_sum(x, y)
-            assert abs(res.p - exact_wilcoxon_p(x, y)) <= 0.02
+            assert abs(res["p"] - exact_wilcoxon_p(x, y)) <= 0.02
 
     def test_small_sample_deviation_documented(self):
         # For n=1, m=2 at u=0 the exact two-sided p is 2/3 while the
@@ -126,7 +126,7 @@ class TestWilcoxon:
         res = stats.wilcoxon_rank_sum([0.0], [1.0, 2.0])
         exact = exact_wilcoxon_p([0.0], [1.0, 2.0])
         assert exact == pytest.approx(2.0 / 3.0)
-        assert 0.02 < abs(res.p - exact) < 0.13
+        assert 0.02 < abs(res["p"] - exact) < 0.13
 
 
 @pytest.fixture()
@@ -142,31 +142,32 @@ class TestChi2MC:
         p_exact = exact_chi2_perm_p(table)
         assert p_exact == pytest.approx(1 / 210)
         res = stats.chi2_mc(table, b=20000, seed=99)
-        assert res.method == "chi2_monte_carlo"
-        assert abs(res.p - p_exact) <= 0.01
+        assert res["method"] == "chi2_monte_carlo"
+        assert abs(res["p"] - p_exact) <= 0.01
 
     @pytest.mark.usefixtures("sampled")
     def test_identical_rows_p_near_one(self):
         res = stats.chi2_mc([[10, 10, 10], [10, 10, 10]], b=2000, seed=5)
-        assert res.method == "chi2_monte_carlo"
-        assert res.p > 0.9
+        assert res["method"] == "chi2_monte_carlo"
+        assert res["p"] > 0.9
 
     @pytest.mark.usefixtures("sampled")
     def test_determinism(self):
         table = [[8, 2, 4], [3, 7, 5]]
         a = stats.chi2_mc(table, b=5000, seed=123)
         b = stats.chi2_mc(table, b=5000, seed=123)
-        assert a.method == "chi2_monte_carlo"
-        assert a.p == b.p
+        assert a["method"] == "chi2_monte_carlo"
+        assert a["p"] == b["p"]
         c = stats.chi2_mc(table, b=5000, seed=124)
-        assert c.p != a.p or c.seed != a.seed
+        assert c["p"] != a["p"] or c["seed"] != a["seed"]
 
     @pytest.mark.usefixtures("sampled")
     def test_consistency_with_growing_b(self):
         table = [[6, 1, 2], [2, 5, 1]]
         p_exact = exact_chi2_perm_p(table)
-        err_small = abs(stats.chi2_mc(table, b=1000, seed=1).p - p_exact)
-        err_large = abs(stats.chi2_mc(table, b=100000, seed=1).p - p_exact)
+        err_small = abs(stats.chi2_mc(table, b=1000, seed=1)["p"] - p_exact)
+        err_large = abs(stats.chi2_mc(table, b=100000, seed=1)["p"]
+                        - p_exact)
         assert err_large <= max(err_small, 0.01)
 
     @pytest.mark.usefixtures("sampled")
@@ -178,9 +179,10 @@ class TestChi2MC:
                  [[3, 2, 1], [1, 4, 2]])]:
             padded = stats.chi2_mc(padded, b=3000, seed=8)
             reduced = stats.chi2_mc(reduced, b=3000, seed=8)
-            assert padded.method == reduced.method == "chi2_monte_carlo"
-            assert padded.p == reduced.p
-            assert padded.statistic == pytest.approx(reduced.statistic)
+            assert padded["method"] == reduced["method"] == "chi2_monte_carlo"
+            assert padded["p"] == reduced["p"]
+            assert (padded["statistic"]
+                    == pytest.approx(reduced["statistic"]))
 
     @pytest.mark.usefixtures("sampled")
     def test_seeds_do_not_alias(self):
@@ -189,8 +191,8 @@ class TestChi2MC:
         table = [[8, 5, 3], [4, 7, 6]]
         p0 = stats.chi2_mc(table, b=2 * stats._MC_CHUNK, seed=0)
         p1 = stats.chi2_mc(table, b=2 * stats._MC_CHUNK, seed=1)
-        assert p0.method == "chi2_monte_carlo"
-        assert p0.p != p1.p
+        assert p0["method"] == "chi2_monte_carlo"
+        assert p0["p"] != p1["p"]
 
     def test_memory_does_not_grow_with_n(self):
         table = [[100, 120, 90, 110, 150],
@@ -206,8 +208,9 @@ class TestChi2MC:
         assert peak <= 16 * 2**20
         # a paper-scale table is far above the enumeration bound, so it is
         # sampled: 10 of the 10000 tables drawn at seed 3 reach X2_obs
-        assert (res.method, res.b, res.seed) == ("chi2_monte_carlo", 10000, 3)
-        assert res.p == 11 / 10001
+        assert ((res["method"], res["B"], res["seed"])
+                == ("chi2_monte_carlo", 10000, 3))
+        assert res["p"] == 11 / 10001
 
     def test_degenerate_table_rejected(self):
         with pytest.raises(ValueError):
@@ -248,8 +251,8 @@ class TestChi2MC:
             stats.chi2_mc(table)
 
     def test_whole_float_counts_accepted(self):
-        assert (stats.chi2_mc([[8.0, 2.0], [3.0, 7.0]]).p
-                == stats.chi2_mc([[8, 2], [3, 7]]).p)
+        assert (stats.chi2_mc([[8.0, 2.0], [3.0, 7.0]])["p"]
+                == stats.chi2_mc([[8, 2], [3, 7]])["p"])
 
     @pytest.mark.parametrize("sample", [False, True])
     def test_numpy_tables_match_lists(self, monkeypatch, sample):
@@ -261,8 +264,7 @@ class TestChi2MC:
                      np.array(table, dtype=np.float64),
                      [[np.int64(x) for x in row] for row in table],
                      [[np.float64(x) for x in row] for row in table]):
-            assert (stats.chi2_mc(same, b=3000, seed=8).to_dict()
-                    == want.to_dict())
+            assert stats.chi2_mc(same, b=3000, seed=8) == want
 
 
 # small tables whose every fixed-margin table the exact oracle enumerates
@@ -285,15 +287,16 @@ class TestChi2AgainstExact:
                                        if len(t) == len(t[0]) == 2])
     def test_2x2_is_exact(self, table):
         res = stats.chi2_mc(table, b=20000, seed=1)
-        assert res.method == "chi2_exact"
-        assert abs(res.p - exact_chi2_table_p(table)) <= 1e-12
+        assert res["method"] == "chi2_exact"
+        assert abs(res["p"] - exact_chi2_table_p(table)) <= 1e-12
 
     @pytest.mark.parametrize("table", [t for t in _CHI2_GRID
                                        if len(t) * len(t[0]) > 4])
     def test_larger_small_table_is_exact(self, table):
         res = stats.chi2_mc(table, b=20000, seed=1)
-        assert (res.method, res.b, res.seed) == ("chi2_exact", None, None)
-        assert abs(res.p - exact_chi2_table_p(table)) <= 1e-12
+        assert ((res["method"], res["B"], res["seed"])
+                == ("chi2_exact", None, None))
+        assert abs(res["p"] - exact_chi2_table_p(table)) <= 1e-12
 
     @pytest.mark.usefixtures("sampled")
     @pytest.mark.parametrize("index", range(len(_CHI2_GRID)))
@@ -301,8 +304,9 @@ class TestChi2AgainstExact:
         table, b = _CHI2_GRID[index], 20000
         p = exact_chi2_table_p(table)
         res = stats.chi2_mc(table, b=b, seed=1000 + index)
-        assert res.method == "chi2_monte_carlo"
-        assert abs(res.p - p) <= 4 * math.sqrt(p * (1 - p) / b) + 1 / (b + 1)
+        assert res["method"] == "chi2_monte_carlo"
+        assert (abs(res["p"] - p)
+                <= 4 * math.sqrt(p * (1 - p) / b) + 1 / (b + 1))
 
 
 def _exact_2x2_p_fraction(table) -> Fraction:
@@ -332,10 +336,10 @@ class TestChi2Exact:
         # column-swapped mirror tie on X2
         mirrored = [row[::-1] for row in table]
         res = stats.chi2_mc(table)
-        assert res.p == stats.chi2_mc(mirrored).p
-        assert res.p == pytest.approx(float(_exact_2x2_p_fraction(table)),
+        assert res["p"] == stats.chi2_mc(mirrored)["p"]
+        assert res["p"] == pytest.approx(float(_exact_2x2_p_fraction(table)),
                                       abs=1e-12)
-        assert res.p == pytest.approx(exact_chi2_table_p(table), abs=1e-12)
+        assert res["p"] == pytest.approx(exact_chi2_table_p(table), abs=1e-12)
 
     def test_large_n_does_not_underflow(self):
         table = [[2000, 1500], [1400, 2100]]
@@ -344,8 +348,8 @@ class TestChi2Exact:
         assert float(lo_weight) == 0.0
         want = _exact_2x2_p_fraction(table)
         res = stats.chi2_mc(table)
-        assert 0.0 < res.p
-        assert res.p == pytest.approx(float(want), rel=1e-9)
+        assert 0.0 < res["p"]
+        assert res["p"] == pytest.approx(float(want), rel=1e-9)
 
     def test_random_tables_match_oracle(self):
         # a few hundred seeded tables, 2..4 rows and columns, some with an
@@ -363,8 +367,8 @@ class TestChi2Exact:
             if len(reduced) < 2 or len(keep) < 2:
                 continue
             res = stats.chi2_mc(table)
-            assert res.method == "chi2_exact", table
-            assert abs(res.p - exact_chi2_table_p(reduced)) <= 1e-12, table
+            assert res["method"] == "chi2_exact", table
+            assert abs(res["p"] - exact_chi2_table_p(reduced)) <= 1e-12, table
             checked += 1
 
     def test_fixture_run_tables_match_oracle(self, data_dir, tmp_path,
@@ -385,8 +389,9 @@ class TestChi2Exact:
         for table, res in seen:
             reduced = [row for row in table if sum(row)]
             reduced = [list(col) for col in zip(*reduced) if sum(col)]
-            assert (res.method, res.b, res.seed) == ("chi2_exact", None, None)
-            assert abs(res.p - exact_chi2_table_p(reduced)) <= 1e-12, table
+            assert ((res["method"], res["B"], res["seed"])
+                    == ("chi2_exact", None, None))
+            assert abs(res["p"] - exact_chi2_table_p(reduced)) <= 1e-12, table
 
     @pytest.mark.parametrize("table", [[[10, 10, 10], [10, 10, 10]],
                                        [[3, 3], [3, 3]],
@@ -395,8 +400,8 @@ class TestChi2Exact:
     def test_minimum_statistic_gives_exactly_one(self, table):
         # proportional rows: every table with these margins has X2 >= 0
         res = stats.chi2_mc(table)
-        assert res.statistic == pytest.approx(0.0, abs=1e-12)
-        assert res.p == 1.0
+        assert res["statistic"] == pytest.approx(0.0, abs=1e-12)
+        assert res["p"] == 1.0
 
     def test_permuted_and_transposed_tables_give_equal_p(self):
         rng = random.Random(77)
@@ -405,11 +410,12 @@ class TestChi2Exact:
             if min(map(sum, table)) == 0 or min(map(sum, zip(*table))) == 0:
                 continue
             res = stats.chi2_mc(table)
-            assert res.method == "chi2_exact"
-            p = res.p
-            assert stats.chi2_mc(table[::-1]).p == p
-            assert stats.chi2_mc([row[::-1] for row in table]).p == p
-            assert stats.chi2_mc([list(col) for col in zip(*table)]).p == p
+            assert res["method"] == "chi2_exact"
+            p = res["p"]
+            assert stats.chi2_mc(table[::-1])["p"] == p
+            assert stats.chi2_mc([row[::-1] for row in table])["p"] == p
+            assert (stats.chi2_mc([list(col) for col in zip(*table)])["p"]
+                    == p)
 
     def test_paper_scale_table_is_sampled(self):
         rows = [570, 550, 580]
@@ -417,9 +423,25 @@ class TestChi2Exact:
         assert min(stats._enumeration_steps(rows, cols),
                    stats._enumeration_steps(cols, rows)) > stats._EXACT_STEPS
 
-    def test_metadata_records_no_budget(self):
-        d = stats.chi2_mc([[8, 2], [3, 7]], b=5000, seed=123).to_dict()
-        assert (d["method"], d["B"], d["seed"]) == ("chi2_exact", None, None)
+    def test_metadata_records_no_budget(self, request):
+        keys = {"method", "statistic", "z", "p", "n", "correction", "seed",
+                "B"}
+        d = stats.chi2_mc([[8, 2], [3, 7]], b=5000, seed=123)
+        assert set(d) == keys
+        assert ((d["method"], d["z"], d["n"], d["correction"], d["B"],
+                 d["seed"]) == ("chi2_exact", None, [20], None, None, None))
+        w = stats.wilcoxon_rank_sum([1.0, 2.0], [3.0, 4.0, 5.0])
+        assert set(w) == keys
+        assert ((w["method"], w["statistic"], w["n"], w["correction"],
+                 w["B"], w["seed"])
+                == ("wilcoxon_rank_sum", 0.0, [2, 3], None, None, None))
+        # a sampled test records its budget and seed
+        request.getfixturevalue("sampled")
+        s = stats.chi2_mc([[8, 2], [3, 7]], b=500, seed=123)
+        assert set(s) == keys
+        assert ((s["method"], s["z"], s["n"], s["correction"], s["B"],
+                 s["seed"]) == ("chi2_monte_carlo", None, [20], None, 500,
+                                123))
 
 
 class TestCorrelations:

@@ -62,6 +62,18 @@ class TestLoadHits:
         with pytest.raises(ValueError, match="row 1"):
             webhits.load_hits(p)
 
+    def test_non_utf8_byte_names_its_line_and_file(self, tmp_path):
+        # far past the first chunk the text layer decodes, so the line
+        # comes from the file, not from the rows read so far
+        rows = "".join(f"p{i},1,1\n" for i in range(2000)).encode()
+        p = tmp_path / "hits.csv"
+        p.write_bytes(b"profession_id,hits_male,hits_female\n" + rows
+                      + b"p\xff,1,1\n")
+        with pytest.raises(ValueError) as info:
+            webhits.load_hits(p)
+        assert str(info.value) == (f"hits line 2002: byte 0xff is not "
+                                   f"UTF-8, in {p}")
+
     def test_duplicate_profession_names_both_rows(self, tmp_path):
         # a repeated id used to give two normalized differences
         p = tmp_path / "hits.csv"
