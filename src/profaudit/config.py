@@ -7,6 +7,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from .artifacts import open_input
+
 # every key with its default, in order; the type of the default says which
 # JSON values the key accepts
 _DEFAULTS = {
@@ -62,9 +64,17 @@ class AuditConfig:
 
     @classmethod
     def from_file(cls, path) -> "AuditConfig":
+        """The config of a JSON file. A file that cannot be read, is not
+        UTF-8 or is not JSON raises ValueError naming it."""
         path = Path(path)
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+        try:
+            with open_input(path, "config") as fh:
+                data = json.load(fh)
+        except OSError as exc:
+            raise ValueError(f"config: cannot read {path}: "
+                             f"{exc.strerror}") from None
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"config: {path} is not JSON: {exc}") from None
         if not isinstance(data, dict):
             raise ValueError(f"config: {path} must hold a JSON object, "
                              f"got {type(data).__name__}")

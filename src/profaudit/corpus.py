@@ -18,15 +18,28 @@ about half the memory it would with a set and two lists per record.
 Page names are shared too: ``build_snapshot`` makes every outlink and
 redirect target that names a page of the snapshot that page's own
 ``title`` object, so a page name is one string however many links name it.
+
+Page text stays in the file. A loaded record holds, in place of its text,
+the byte offset of its line, and ``CorpusSnapshot.texts`` reads the texts
+of given records back, in file order through one open file. Only the
+mentions stage reads text, and only for the pages it reaches, so on a
+snapshot made mostly of long person pages the text never read is never
+held. The snapshot records its file's size, modification time and inode
+at the load; a file changed since then is refused, with a SnapshotError
+naming it, rather than read at stale offsets. This module is the only one
+that knows the file format. Records built in memory, by the MediaWiki
+populator or a test, hold their text.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import os
 from collections import deque, namedtuple
+from operator import attrgetter
 
-from .artifacts import open_input, write_jsonl
+from .artifacts import write_jsonl
 from .text import nfc
 
 log = logging.getLogger(__name__)
@@ -71,6 +84,10 @@ class ArticleRecord:
     ``categories`` is a frozenset of names, ``outlinks`` a tuple of titles
     and ``images`` a tuple of ImageRefs. They are immutable because a
     loaded snapshot shares them between records (see load_snapshot).
+
+    ``plain_text`` is the page's text, or "" when it has none. A record
+    loaded from a file holds the byte offset of its line there instead of
+    a text; read texts through CorpusSnapshot.texts, which takes either.
     """
     __slots__ = ("title", "exists", "redirect_target", "categories",
                  "outlinks", "images", "plain_text", "page_id")
@@ -84,7 +101,8 @@ class ArticleRecord:
         self.title = title
         self.exists = exists
         self.redirect_target = redirect_target
-        self.categories = categories
+        # frozenset() of a frozenset is that same object
+        self.categories = frozenset(categories)
         self.outlinks = outlinks
         self.images = images
         self.plain_text = plain_text
@@ -95,6 +113,7 @@ class ArticleRecord:
         return self.redirect_target is not None
 
     def to_dict(self) -> dict:
+        """The record's fields; ``plain_text`` as it is held (see above)."""
         return {
             "title": self.title,
             "exists": self.exists,
@@ -111,32 +130,59 @@ class ArticleRecord:
 ResolvedPage = namedtuple("ResolvedPage",
                           "final_title hops chain exists record")
 
+# the file a snapshot was loaded from, and its os.stat fields at the load
+_Source = namedtuple("_Source", "path size mtime_ns inode")
+
 
 class CorpusSnapshot:
-    __slots__ = ("records", "subcategories")
+    """The pages of a snapshot by title, and the subcategory graph of its
+    category pages. ``source`` names the file a loaded snapshot's texts
+    are read back from; it is None for a snapshot built in memory."""
+    __slots__ = ("records", "subcategories", "source")
 
     def __init__(self, records: dict[str, ArticleRecord],
-                 subcategories: dict[str, set[str]]):
+                 subcategories: dict[str, set[str]],
+                 source: _Source | None = None):
         self.records = records
         self.subcategories = subcategories
+        self.source = source
 
+    def texts(self, records):
+        """``(record, text)`` for each of ``records``, pages of this
+        snapshot: first those that hold their text, in the order given,
+        then those loaded from the file, in file order, read through one
+        open file and decoded a line at a time. Texts are not kept, so a
+        caller that drops each one holds one at a time.
 
-def _validate_record(rec: ArticleRecord, line_no: int) -> None:
-    for img in rec.images:
-        if img.width < 0:
-            raise SnapshotError(f"snapshot line {line_no}: negative image "
-                                f"width for {img.filename!r}")
-        if not img.media_format:
-            raise SnapshotError(f"snapshot line {line_no}: empty media "
-                                f"format for {img.filename!r}")
-    if rec.is_redirect and rec.plain_text:
-        raise SnapshotError(f"snapshot line {line_no}: redirect "
-                            f"{rec.title!r} carries text")
-    if not rec.exists:
-        if (rec.redirect_target or rec.categories or rec.outlinks
-                or rec.images or rec.plain_text):
-            raise SnapshotError(f"snapshot line {line_no}: missing page "
-                                f"{rec.title!r} has content fields")
+        The file must be as it was at the load: a changed size,
+        modification time or inode, or a file that cannot be opened,
+        raises SnapshotError naming it.
+        """
+        pending = []
+        for rec in records:
+            if type(rec.plain_text) is str:
+                yield rec, rec.plain_text
+            else:
+                pending.append(rec)
+        if not pending:
+            return
+        pending.sort(key=attrgetter("plain_text"))
+        path = self.source.path
+        try:
+            fh = open(path, "rb")
+        except OSError as exc:
+            raise SnapshotError(f"snapshot {path} cannot be read again for "
+                                f"its texts: {exc.strerror}") from None
+        with fh:
+            stat = os.fstat(fh.fileno())
+            if (path, stat.st_size, stat.st_mtime_ns,
+                    stat.st_ino) != self.source:
+                raise SnapshotError(f"snapshot {path} changed after it was "
+                                    f"loaded; run again")
+            for rec in pending:
+                fh.seek(rec.plain_text)
+                yield rec, _DECODER.raw_decode(
+                    fh.readline().decode().strip())[0]["plain_text"]
 
 
 # fields a wrong type would pass through unnoticed: a string iterates as
@@ -144,13 +190,33 @@ def _validate_record(rec: ArticleRecord, line_no: int) -> None:
 _FIELD_TYPES = (("categories", list), ("outlinks", list), ("plain_text", str))
 
 
-def record_from_dict(data: dict, line_no: int, *,
+def _field_type_error(data: dict, line_no: int) -> SnapshotError:
+    """The error for the first field of ``data`` whose type is wrong."""
+    for key, kind in _FIELD_TYPES:
+        value = data.get(key)
+        if value and type(value) is not kind:
+            return SnapshotError(
+                f"snapshot line {line_no}: field {key!r} must be a "
+                f"{kind.__name__}, got {type(value).__name__}")
+    exists = data.get("exists", True)
+    if type(exists) is not bool:
+        return SnapshotError(f"snapshot line {line_no}: field 'exists' must "
+                             f"be a bool, got {type(exists).__name__}")
+    return SnapshotError(f"snapshot line {line_no}: field 'page_id' must be "
+                         f"an int or null, got "
+                         f"{type(data['page_id']).__name__}")
+
+
+def record_from_dict(data: dict, line_no: int, *, at: int,
                      shared: tuple[dict, dict]) -> ArticleRecord:
-    """An ArticleRecord from line ``line_no`` of a snapshot, decoded.
+    """An ArticleRecord from line ``line_no`` of a snapshot, decoded; ``at``
+    is the line's byte offset in the file.
 
     The title, the redirect target, the category names, the outlinks and
-    the image filenames are put in NFC. ``plain_text`` is stored as given:
-    only :mod:`profaudit.mentions` reads it as text, and normalizes it
+    the image filenames are put in NFC. A page's text is not kept: a page
+    with text stores ``at`` in ``plain_text`` instead, and
+    CorpusSnapshot.texts reads the text back from the line when it is
+    needed. Only :mod:`profaudit.mentions` reads text, and normalizes it
     there.
 
     ``shared`` is a pair of tables that map each category name, and each
@@ -161,37 +227,29 @@ def record_from_dict(data: dict, line_no: int, *,
     rejects anything but a string, before it is hashed, so an unhashable
     category fails like any other bad value.
 
-    A line that is not a JSON object, or a field of the wrong type (a
-    string where a list belongs, a number where text belongs, anything but
-    true or false for ``exists``, anything but an integer or null for
-    ``page_id``), raises SnapshotError naming the line and the field. A
-    missing ``exists`` means the page exists. The line's name is built
-    only for an error: a valid record, which every line of a good
-    snapshot is, never needs it.
+    A line that is not a JSON object, a field of the wrong type (a string
+    where a list belongs, a number where text belongs, anything but true
+    or false for ``exists``, anything but an integer or null for
+    ``page_id``), or a record that breaks an invariant (an image of
+    negative width or no media format, a redirect with text, a missing
+    page with content) raises SnapshotError naming the line and the
+    field. A missing ``exists`` means the page exists. Every type is
+    tested at once, and an error's message is built only when a test
+    fails: a valid record, which every line of a good snapshot is, never
+    needs one.
     """
     if type(data) is not dict:
         raise SnapshotError(f"snapshot line {line_no}: expected a JSON "
                             f"object, got {type(data).__name__}")
     categories = data.get("categories") or []
     outlinks = data.get("outlinks") or []
-    plain_text = data.get("plain_text") or ""
-    if (type(categories) is not list or type(outlinks) is not list
-            or type(plain_text) is not str):
-        for key, kind in _FIELD_TYPES:
-            value = data.get(key)
-            if value and not isinstance(value, kind):
-                raise SnapshotError(
-                    f"snapshot line {line_no}: field {key!r} must be a "
-                    f"{kind.__name__}, got {type(value).__name__}")
+    text = data.get("plain_text") or ""
     exists = data.get("exists", True)
-    if type(exists) is not bool:
-        raise SnapshotError(f"snapshot line {line_no}: field 'exists' must "
-                            f"be a bool, got {type(exists).__name__}")
     page_id = data.get("page_id")
-    if page_id is not None and type(page_id) is not int:
-        raise SnapshotError(f"snapshot line {line_no}: field 'page_id' must "
-                            f"be an int or null, got "
-                            f"{type(page_id).__name__}")
+    if (type(categories) is not list or type(outlinks) is not list
+            or type(text) is not str or type(exists) is not bool
+            or (page_id is not None and type(page_id) is not int)):
+        raise _field_type_error(data, line_no)
     names, sets = shared
     key = "images"
     try:
@@ -205,8 +263,7 @@ def record_from_dict(data: dict, line_no: int, *,
         title = nfc(data["title"])
         key = "redirect_target"
         redirect_target = data.get("redirect_target")
-        if redirect_target:
-            redirect_target = nfc(redirect_target)
+        redirect_target = nfc(redirect_target) if redirect_target else None
         key = "categories"
         if categories:
             found = frozenset(map(nfc, categories))
@@ -224,25 +281,44 @@ def record_from_dict(data: dict, line_no: int, *,
     except (TypeError, ValueError) as exc:
         raise SnapshotError(f"snapshot line {line_no}: field {key!r}: "
                             f"{exc}") from exc
-    rec = ArticleRecord(
-        title=title,
-        exists=exists,
-        redirect_target=redirect_target or None,
-        categories=categories,
-        outlinks=outlinks,
-        images=images,
-        plain_text=plain_text,
-        page_id=page_id,
-    )
-    _validate_record(rec, line_no)
+    for img in images:
+        if img.width < 0:
+            raise SnapshotError(f"snapshot line {line_no}: negative image "
+                                f"width for {img.filename!r}")
+        if not img.media_format:
+            raise SnapshotError(f"snapshot line {line_no}: empty media "
+                                f"format for {img.filename!r}")
+    if text and redirect_target is not None:
+        raise SnapshotError(f"snapshot line {line_no}: redirect "
+                            f"{title!r} carries text")
+    if not exists and (redirect_target is not None or categories or outlinks
+                       or images or text):
+        raise SnapshotError(f"snapshot line {line_no}: missing page "
+                            f"{title!r} has content fields")
+    rec = object.__new__(ArticleRecord)  # every slot is set below
+    rec.title = title
+    rec.exists = exists
+    rec.redirect_target = redirect_target
+    rec.categories = categories
+    rec.outlinks = outlinks
+    rec.images = images
+    rec.plain_text = at if text else ""
+    rec.page_id = page_id
     return rec
 
 
 def load_snapshot(path) -> CorpusSnapshot:
     """Parse a JSON-lines snapshot file, validating record invariants.
 
-    Malformed lines, and bytes that are not UTF-8, fail with the line
-    number; duplicate titles keep the last record and log a warning.
+    Lines end at a line feed; whitespace around a line, a carriage return
+    included, is ignored. Malformed lines, and bytes that are not UTF-8,
+    fail with the line number; duplicate titles keep the last record and
+    log a warning.
+
+    Page texts stay in the file: each page with text keeps its line's byte
+    offset, and the snapshot keeps the file's path, size, modification
+    time and inode, so CorpusSnapshot.texts can read the texts back, and
+    refuse to once the file has changed.
 
     Two tables, kept only for this call, let every record share equal
     category frozensets and category names (see record_from_dict). They
@@ -262,9 +338,17 @@ def load_snapshot(path) -> CorpusSnapshot:
     """
     records: dict[str, ArticleRecord] = {}
     shared: tuple[dict, dict] = ({}, {})
-    with open_input(path, "snapshot", SnapshotError) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
+    end_at = 0  # byte offset of the end of the lines read so far
+    with open(path, "rb") as fh:
+        stat = os.fstat(fh.fileno())
+        for line_no, raw in enumerate(fh, start=1):
+            at, end_at = end_at, end_at + len(raw)
+            try:
+                line = raw.decode().strip()
+            except UnicodeDecodeError as exc:
+                raise SnapshotError(
+                    f"snapshot line {line_no}: byte 0x{raw[exc.start]:02x} "
+                    f"is not UTF-8, in {path}") from None
             if not line:
                 continue
             try:
@@ -279,17 +363,20 @@ def load_snapshot(path) -> CorpusSnapshot:
                 except json.JSONDecodeError as exc:
                     raise SnapshotError(f"snapshot line {line_no}: invalid "
                                         f"JSON ({exc})") from exc
-            rec = record_from_dict(data, line_no, shared=shared)
+            rec = record_from_dict(data, line_no, at=at, shared=shared)
             if rec.title in records:
                 log.warning("snapshot line %d: duplicate title %r, last wins",
                             line_no, rec.title)
             records[rec.title] = rec
-    return build_snapshot(records)
+    return build_snapshot(records, _Source(path, stat.st_size,
+                                           stat.st_mtime_ns, stat.st_ino))
 
 
-def build_snapshot(records: dict[str, ArticleRecord]) -> CorpusSnapshot:
+def build_snapshot(records: dict[str, ArticleRecord],
+                   source: _Source | None = None) -> CorpusSnapshot:
     """The snapshot of ``records`` (title -> record), with the subcategory
-    graph of its category pages.
+    graph of its category pages; ``source`` is the file that
+    load_snapshot read them from.
 
     Every outlink and redirect target that names a page of ``records``
     becomes that page's own ``title`` object, so a snapshot holds one
@@ -310,13 +397,16 @@ def build_snapshot(records: dict[str, ArticleRecord]) -> CorpusSnapshot:
             child = rec.title[len(CATEGORY_PREFIX):]
             for parent in rec.categories:
                 subcategories.setdefault(parent, set()).add(child)
-    return CorpusSnapshot(records=records, subcategories=subcategories)
+    return CorpusSnapshot(records, subcategories, source)
 
 
 def save_snapshot(snapshot: CorpusSnapshot, path) -> None:
-    """Canonical JSON-lines form: sorted titles, sorted keys, NFC text."""
-    write_jsonl(path, (snapshot.records[title].to_dict()
-                       for title in sorted(snapshot.records)))
+    """Canonical JSON-lines form: sorted titles, sorted keys, NFC text.
+    A loaded snapshot's texts are read back from its file first."""
+    records = snapshot.records
+    texts = dict(snapshot.texts(records.values()))
+    write_jsonl(path, (dict(rec.to_dict(), plain_text=texts[rec])
+                       for rec in map(records.__getitem__, sorted(records))))
 
 
 def resolve(title: str, snapshot: CorpusSnapshot) -> ResolvedPage:
@@ -354,8 +444,7 @@ def category_closure(roots, depth: int, snapshot: CorpusSnapshot) -> set[str]:
     if depth < 0:
         raise ValueError("category_closure: depth must be >= 0")
     # every category some page is in, and every category page with a parent
-    known = set().union(*(rec.categories
-                          for rec in snapshot.records.values()),
+    known = set().union(*_category_sets(snapshot),
                         *snapshot.subcategories.values())
     closure: set[str] = set()
     queue: deque[tuple[str, int]] = deque()
@@ -378,5 +467,22 @@ def category_closure(roots, depth: int, snapshot: CorpusSnapshot) -> set[str]:
     return closure
 
 
+def _category_sets(snapshot: CorpusSnapshot) -> set[frozenset[str]]:
+    """The distinct category sets of the pages: a few hundred where the
+    pages number tens of thousands, as a load shares equal sets."""
+    return set(map(attrgetter("categories"), snapshot.records.values()))
+
+
 def is_profession_article(record: ArticleRecord, closure: set[str]) -> bool:
     return not record.categories.isdisjoint(closure)
+
+
+def profession_articles(snapshot: CorpusSnapshot, closure: set[str]
+                        ) -> list[str]:
+    """Sorted titles of the existing, non-redirect pages in a category of
+    ``closure``; membership is decided once per distinct category set."""
+    inside = {categories for categories in _category_sets(snapshot)
+              if not categories.isdisjoint(closure)}
+    return sorted(rec.title for rec in snapshot.records.values()
+                  if rec.categories in inside and rec.exists
+                  and not rec.is_redirect)

@@ -401,33 +401,42 @@ def load_birth_years(path) -> dict[str, int]:
     return table
 
 
-def annotate_birth_years(mentions: list[PersonMention],
-                         birth_index: dict[str, int],
-                         snapshot: CorpusSnapshot | None = None,
-                         parsed: dict[str, int | None] | None = None) -> None:
-    """Fill birth_year from the index, falling back to parsing the linked
-    person's article text.
+def linked_birth_years(articles, snapshot: CorpusSnapshot,
+                       birth_index: dict[str, int]) -> dict[str, int]:
+    """``birth_index`` (page title -> year), plus the year parsed from the
+    text of each page a link mention of ``articles`` can name that the
+    index lacks: an existing, non-redirect page in exactly one of the
+    Frau and Mann categories, whose text has a year (see
+    parse_birth_year).
 
-    ``parsed`` maps each page whose text was parsed to the year found, or
-    None; the call adds the pages it parses. A caller that passes one table
-    to several calls parses each page at most once across them.
+    The texts are read in one pass, in file order
+    (``CorpusSnapshot.texts``), and each is dropped once parsed, so each
+    page is parsed once however many articles link it.
     """
-    if parsed is None:
-        parsed = {}
+    years = dict(birth_index)
+    persons: dict[str, ArticleRecord] = {}
+    for record in articles:
+        for title in record.outlinks:
+            page = snapshot.records.get(title)
+            if (title not in years and page is not None and page.exists
+                    and not page.is_redirect
+                    and (FEMALE_CATEGORY in page.categories)
+                    != (MALE_CATEGORY in page.categories)):
+                persons[title] = page
+    for page, text in snapshot.texts(persons.values()):
+        year = parse_birth_year(text)
+        if year is not None:
+            years[page.title] = year
+    return years
+
+
+def annotate_birth_years(mentions: list[PersonMention],
+                         birth_years: dict[str, int]) -> None:
+    """Fill the birth_year of each linked mention that has none from
+    ``birth_years`` (page title -> year; see linked_birth_years)."""
     for m in mentions:
-        page = m.linked_page
-        if m.birth_year is not None or page is None:
-            continue
-        year = birth_index.get(page)
-        if year is None and snapshot is not None:
-            if page in parsed:
-                year = parsed[page]
-            else:
-                rec = snapshot.records.get(page)
-                if rec is not None and rec.exists and not rec.is_redirect:
-                    year = parse_birth_year(rec.plain_text)
-                parsed[page] = year
-        m.birth_year = year
+        if m.birth_year is None and m.linked_page is not None:
+            m.birth_year = birth_years.get(m.linked_page)
 
 
 def filter_by_birth(mentions: list[PersonMention], cutoff: int = BIRTH_CUTOFF

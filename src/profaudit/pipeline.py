@@ -389,11 +389,7 @@ def stage_match(run: Run) -> None:
     professions = [(e.id, role, title) for e in _entries(run)
                    for role, title in e.titles()]
     # validated profession articles: non-redirect pages inside the closure
-    closure = run.closure
-    titles = sorted(
-        rec.title for rec in run.snapshot.records.values()
-        if rec.exists and not rec.is_redirect
-        and corpus.is_profession_article(rec, closure))
+    titles = corpus.profession_articles(run.snapshot, run.closure)
     candidates = matcher.match(professions, titles, d_max=run.cfg.d_max,
                                r_min=run.cfg.r_min)
     if "match_decisions" in run.inputs:
@@ -528,10 +524,10 @@ def stage_mentions(run: Run) -> None:
 
     The stage reads only the mapped articles and the pages their outlinks
     name. It takes those into a small ``CorpusSnapshot`` and frees the
-    run's snapshot before it loads the lexicon, so the extractors and
-    ``mentions.annotate_birth_years`` run on the small snapshot alone. One
-    table of the years parsed from linked pages' text serves every
-    article, so a person linked from several articles is parsed once.
+    run's snapshot before it loads the lexicon. Texts are read from the
+    file (``CorpusSnapshot.texts``): first, in one pass, those of linked
+    persons the birth-year index lacks, each dropped once parsed
+    (``mentions.linked_birth_years``); then each article's, in its turn.
 
     Articles are handled one at a time, in the title order of
     ``article_map.csv``: each article's mentions are extracted, merged,
@@ -557,32 +553,31 @@ def stage_mentions(run: Run) -> None:
         record = pages[title] = records[title]
         pages.update((name, records[name]) for name in record.outlinks
                      if name in records)
-    snapshot = corpus.CorpusSnapshot(pages, {})
+    snapshot = corpus.CorpusSnapshot(pages, {}, run.snapshot.source)
     del records  # drop_snapshot frees the snapshot only if nothing holds it
     run.drop_snapshot()
 
     gender_lexicon = mentions.load_gender_lexicon(run.inputs["gender_lexicon"])
     firsts = mentions.first_words(gender_lexicon)
-    birth_index: dict[str, int] = {}
-    if "birth_years" in run.inputs:
-        birth_index = mentions.load_birth_years(run.inputs["birth_years"])
-    years: dict[str, int | None] = {}  # birth year by parsed page text
+    years = mentions.linked_birth_years(
+        (pages[title] for title, _pid, _role in articles), snapshot,
+        mentions.load_birth_years(run.inputs["birth_years"])
+        if "birth_years" in run.inputs else {})
     total = mentions.merge([], [])[1]  # every count 0
     skipped_outlinks = n_merged = n_men = n_women = kept = unknown = 0
     too_old = 0
     ratio_rows: dict[str, list] = {"all": [], "born_after_cutoff": []}
     with open(run.out("mentions.jsonl"), "w", encoding="utf-8") as fh:
         for title, _pid, _role in articles:
-            record = pages[title]
+            [(record, text)] = snapshot.texts([pages[title]])
             link_ms, skipped = mentions.extract_link_mentions(record, snapshot)
             text_ms = mentions.extract_text_mentions(
-                title, record.plain_text, gender_lexicon, firsts)
+                title, text, gender_lexicon, firsts)
             merged, report = mentions.merge(link_ms, text_ms)
             for key, value in report.items():
                 total[key] += value
             skipped_outlinks += skipped
-            mentions.annotate_birth_years(merged, birth_index, snapshot,
-                                          years)
+            mentions.annotate_birth_years(merged, years)
             filtered, no_year, old = mentions.filter_by_birth(
                 merged, cfg.birth_cutoff)
             fh.writelines(m.json_line() for m in merged)

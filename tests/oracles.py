@@ -568,8 +568,11 @@ def mention_to_dict(m: PersonMention) -> dict:
 # Reference mentions stage: profaudit.pipeline.stage_mentions as it was
 # before it handled one article at a time. It holds every merged mention
 # in one list, then gives them birth years, filters and writes them, and
-# counts ratios over the whole list. It takes the same Run and writes the
-# same three files.
+# counts ratios over the whole list. Each text it reads, an article's or a
+# linked page's, it reads on its own through CorpusSnapshot.texts, as the
+# stage reads texts, and it parses a linked page's text for every mention
+# of the page the index has no year for. It takes the same Run and writes
+# the same three files.
 
 def stage_mentions_lists(run) -> None:
     cfg = run.cfg
@@ -584,17 +587,24 @@ def stage_mentions_lists(run) -> None:
     skipped_outlinks = 0
     # article_map.csv is sorted by title
     for title, _pid, _role in run.rows("article_map"):
-        record = snapshot.records[title]
+        [(record, text)] = snapshot.texts([snapshot.records[title]])
         link_ms, skipped = mentions.extract_link_mentions(record, snapshot)
-        text_ms = mentions.extract_text_mentions(title, record.plain_text,
-                                                 gender_lexicon)
+        text_ms = mentions.extract_text_mentions(title, text, gender_lexicon)
         merged, report = mentions.merge(link_ms, text_ms)
         all_mentions.extend(merged)
         for key, value in report.items():
             total[key] += value
         skipped_outlinks += skipped
 
-    mentions.annotate_birth_years(all_mentions, birth_index, snapshot)
+    for m in all_mentions:
+        if m.linked_page is None:
+            continue
+        m.birth_year = birth_index.get(m.linked_page)
+        page = snapshot.records.get(m.linked_page)
+        if (m.birth_year is None and page is not None and page.exists
+                and not page.is_redirect):
+            [(_, text)] = snapshot.texts([page])
+            m.birth_year = mentions.parse_birth_year(text)
     filtered, unknown, too_old = mentions.filter_by_birth(
         all_mentions, cfg.birth_cutoff)
 

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import tracemalloc
 import unicodedata
 
@@ -17,6 +18,20 @@ def rec(title, **kw):
 
 def make_snapshot(records):
     return build_snapshot({r.title: r for r in records})
+
+
+def text(snapshot, title):
+    """The text of a page, read through CorpusSnapshot.texts."""
+    [(_, got)] = snapshot.texts([snapshot.records[title]])
+    return got
+
+
+def with_texts(snapshot):
+    """(title, to_dict()) of every page, with its text read through
+    CorpusSnapshot.texts."""
+    texts = dict(snapshot.texts(snapshot.records.values()))
+    return [(title, dict(rec.to_dict(), plain_text=texts[rec]))
+            for title, rec in snapshot.records.items()]
 
 
 def write_jsonl(path, dicts):
@@ -108,9 +123,10 @@ class TestLoad:
         p = tmp_path / "snap.jsonl"
         p.write_bytes(b'{"title": "A", "plain_text": "a"}\r\n\r\n'
                       b'{"title": "B", "redirect_target": "A"}\r\n')
-        records = corpus.load_snapshot(p).records
+        snapshot = corpus.load_snapshot(p)
+        records = snapshot.records
         assert list(records) == ["A", "B"]
-        assert records["A"].plain_text == "a"
+        assert text(snapshot, "A") == "a"
         assert records["B"].redirect_target == "A"
 
     @pytest.mark.parametrize("line", ["[1, 2]", '"Anna"', "5", "null"])
@@ -197,8 +213,9 @@ class TestLoad:
         write_jsonl(p, [{"title": "A", "categories": None, "outlinks": [],
                          "images": None, "plain_text": None,
                          "redirect_target": ""}])
-        rec = corpus.load_snapshot(p).records["A"]
-        got = (rec.categories, rec.outlinks, rec.images, rec.plain_text,
+        snapshot = corpus.load_snapshot(p)
+        rec = snapshot.records["A"]
+        got = (rec.categories, rec.outlinks, rec.images, text(snapshot, "A"),
                rec.redirect_target)
         assert got == (frozenset(), (), (), "", None)
         assert ([type(value) for value in got]
@@ -212,7 +229,7 @@ class TestLoad:
         ])
         with caplog.at_level("WARNING"):
             snap = corpus.load_snapshot(p)
-        assert snap.records["A"].plain_text == "second"
+        assert text(snap, "A") == "second"
         assert any("duplicate" in m for m in caplog.messages)
 
     def test_redirect_with_text_rejected(self, tmp_path):
@@ -290,6 +307,26 @@ class TestSharing:
         assert len(snapshot.records) == 2000
         assert traced / 2000 < 500
 
+    def test_loaded_size_does_not_grow_with_the_texts(self, tmp_path):
+        # a loaded page keeps its line's offset, not its text: the longer
+        # texts add 666,000 characters, and less than a byte per page may
+        # differ
+        traced = []
+        for times in (1, 10):
+            p = tmp_path / f"snap_{times}.jsonl"
+            write_jsonl(p, (dict(page, plain_text=page["plain_text"] * times)
+                            for page in person_pages(2000)))
+            tracemalloc.start()
+            try:
+                snapshot = corpus.load_snapshot(p)
+                traced.append(tracemalloc.get_traced_memory()[0])
+            finally:
+                tracemalloc.stop()
+            assert text(snapshot, "Person 1999") == (
+                "Person 1999 (* 1939) ist eine Person." * times)
+            del snapshot
+        assert traced[1] - traced[0] < 2000, traced
+
     @staticmethod
     def page(title, **fields):
         """A snapshot line in canonical form: every field, sorted keys."""
@@ -334,9 +371,7 @@ class TestSharing:
         saved = tmp_path / "saved.jsonl"
         corpus.save_snapshot(snapshot, saved)
         assert saved.read_text(encoding="utf-8") == canonical
-        assert ([rec.to_dict() for rec in snapshot.records.values()]
-                == [rec.to_dict() for rec
-                    in load_snapshot_json_loads(p).records.values()])
+        assert with_texts(snapshot) == with_texts(load_snapshot_json_loads(p))
 
 
 def synthetic_snapshot_text(seed, n=400):
@@ -385,9 +420,7 @@ class TestLoadAgainstReference:
     def assert_same_as_reference(self, path):
         got = corpus.load_snapshot(path)
         want = load_snapshot_json_loads(path)
-        assert ([(title, rec.to_dict()) for title, rec in got.records.items()]
-                == [(title, rec.to_dict())
-                    for title, rec in want.records.items()])
+        assert with_texts(got) == with_texts(want)
         assert got.subcategories == want.subcategories
 
     def test_fixture(self, data_dir):
@@ -402,6 +435,44 @@ class TestLoadAgainstReference:
         assert len(records) < text.count("{\"title\"")  # duplicates
         assert any("\U0001F600" in t for t in records)
         self.assert_same_as_reference(p)
+
+
+class TestTexts:
+    """CorpusSnapshot.texts reads a loaded snapshot's texts back from its
+    file, in file order, and only from the file the snapshot loaded."""
+
+    @pytest.fixture()
+    def loaded(self, tmp_path):
+        p = tmp_path / "snap.jsonl"
+        write_jsonl(p, [{"title": "A", "plain_text": "ä\u2028a"},
+                        {"title": "B"},
+                        {"title": "C", "plain_text": "c"}])
+        return p, corpus.load_snapshot(p)
+
+    def test_in_memory_texts_first_then_file_order(self, loaded):
+        _, snapshot = loaded
+        a, b, c = (snapshot.records[t] for t in "ABC")
+        memory = rec("M", plain_text="m")
+        assert list(snapshot.texts([c, memory, b, a])) == [
+            (memory, "m"), (b, ""), (a, "ä\u2028a"), (c, "c")]
+
+    def test_a_changed_file_is_refused(self, loaded):
+        p, snapshot = loaded
+        p.write_text(p.read_text(encoding="utf-8") + "\n", encoding="utf-8")
+        with pytest.raises(SnapshotError, match=(
+                f"^snapshot {re.escape(str(p))} changed after it was "
+                f"loaded; run again$")):
+            list(snapshot.texts([snapshot.records["A"]]))
+
+    def test_a_missing_file_is_refused_only_for_a_text(self, loaded):
+        p, snapshot = loaded
+        p.unlink()
+        assert list(snapshot.texts([snapshot.records["B"]])) == [
+            (snapshot.records["B"], "")]
+        with pytest.raises(SnapshotError, match=(
+                f"^snapshot {re.escape(str(p))} cannot be read again for "
+                f"its texts: ")):
+            list(snapshot.texts([snapshot.records["C"]]))
 
 
 class TestResolve:
@@ -533,6 +604,21 @@ class TestValidation:
         closure = corpus.category_closure(["Beruf", "Amt"], 5, snap)
         assert corpus.is_profession_article(snap.records["Pflegehelfer"], closure)
         assert corpus.is_profession_article(snap.records["Amtsseite"], closure)
+
+    def test_profession_articles_decide_per_record(self, tmp_path):
+        # one decision per distinct category set gives the titles a test
+        # of every record gives
+        p = tmp_path / "snap.jsonl"
+        p.write_text(synthetic_snapshot_text(seed=1703), encoding="utf-8")
+        snap = corpus.load_snapshot(p)
+        names = sorted(set().union(*(r.categories
+                                     for r in snap.records.values())))
+        closure = set(names[::3])
+        want = sorted(r.title for r in snap.records.values()
+                      if r.exists and not r.is_redirect
+                      and corpus.is_profession_article(r, closure))
+        assert want
+        assert corpus.profession_articles(snap, closure) == want
 
     def test_image_ref_defaults(self):
         r = ImageRef("a.jpg", 120, "jpg")

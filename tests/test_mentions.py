@@ -381,10 +381,17 @@ class TestBirthFilter:
 
     def test_annotate_from_index_and_fallback(self):
         snap = snapshot_with_persons()
+        # only linked pages of one gender are parsed, and only those the
+        # index lacks
+        article = ArticleRecord("A", outlinks=(
+            "Heinrich Heine", "Max Mustermann", "Schule", "Zwitterwesen"))
+        years = mentions.linked_birth_years([article], snap,
+                                            {"Max Mustermann": 1975})
+        assert years == {"Heinrich Heine": 1797, "Max Mustermann": 1975}
         ms = [pm("A", "Heinrich Heine", Gender.M, linked="Heinrich Heine"),
               pm("A", "Max Mustermann", Gender.M, linked="Max Mustermann"),
               pm("A", "Anna Schmidt", Gender.F)]
-        mentions.annotate_birth_years(ms, {"Max Mustermann": 1975}, snap)
+        mentions.annotate_birth_years(ms, years)
         years = {m.surface_name: m.birth_year for m in ms}
         assert years == {"Heinrich Heine": 1797, "Max Mustermann": 1975,
                          "Anna Schmidt": None}

@@ -476,6 +476,49 @@ class TestCliErrors:
         assert rc == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("content, message", [
+        (None, "config: cannot read {path}: No such file or directory"),
+        (b'{"seed": 2,', "config: {path} is not JSON: Expecting property "
+                         "name enclosed in double quotes: line 1 column 12 "
+                         "(char 11)"),
+        ('{"snapshot": "Bär"}'.encode("latin-1"),
+         "config line 1: byte 0xe4 is not UTF-8, in {path}")],
+        ids=["missing", "malformed", "latin1"])
+    def test_unreadable_config_names_the_file(self, tmp_path, capsys,
+                                              content, message):
+        path = tmp_path / "audit.json"
+        if content is not None:
+            path.write_bytes(content)
+        rc = run_cli("lexicon", "--config", path)
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {message.format(path=path)}\n")
+
+    def test_snapshot_changed_before_mentions(self, data_dir, tmp_path,
+                                              capsys, monkeypatch):
+        # the snapshot is rewritten, one blank line longer, right after
+        # match loads it; mentions must not read texts at stale offsets
+        work = tmp_path / "fixture"
+        shutil.copytree(data_dir, work, ignore=shutil.ignore_patterns(
+            "golden", "out"))
+        load = pipeline.corpus.load_snapshot
+
+        def load_then_rewrite(path):
+            snapshot = load(path)
+            path.write_bytes(b"\n" + path.read_bytes())
+            return snapshot
+
+        monkeypatch.setattr(pipeline.corpus, "load_snapshot",
+                            load_then_rewrite)
+        rc = run_cli("report", "--all", "--config", work / "config.json",
+                     "--out-dir", tmp_path / "out")
+        assert rc == 1
+        snapshot = work.resolve() / "snapshot.jsonl"
+        assert capsys.readouterr().err == (
+            f"error: snapshot {snapshot} changed after it was loaded; "
+            f"run again\n")
+        assert not (tmp_path / "out" / "mentions" / "manifest.json").exists()
+
     @pytest.mark.parametrize("name, message", [
         ("professions.txt", "professions line 1: byte 0xe4"),
         ("hits.csv", "hits line 3: byte 0xff")])
