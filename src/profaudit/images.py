@@ -26,9 +26,8 @@ log = logging.getLogger(__name__)
 
 EXCLUDED_FORMATS = frozenset({"svg", "ogg", "ogv"})
 
-WORKER_ACCURACY_THRESHOLD = 0.7
+# fixed by the crowd task, not a config key
 ACCURACY_BATCH = 10
-MIN_JUDGMENTS = 3
 
 
 class CountAnswer(str, Enum):
@@ -164,8 +163,7 @@ def load_gold_labels(path) -> dict[str, ImageCategory]:
 
 def score_workers(responses: list[AnnotationResponse],
                   gold_labels: dict[str, ImageCategory],
-                  known_images: set[str],
-                  threshold: float = WORKER_ACCURACY_THRESHOLD
+                  known_images: set[str], threshold: float
                   ) -> tuple[list[dict], list[AnnotationResponse]]:
     """Gold-question quality control.
 
@@ -215,7 +213,7 @@ def score_workers(responses: list[AnnotationResponse],
 
 
 def aggregate(responses: list[AnnotationResponse],
-              min_judgments: int = MIN_JUDGMENTS) -> ImageCategory:
+              min_judgments: int) -> ImageCategory:
     """Strict-majority vote over one image's mapped responses.
 
     Fewer than ``min_judgments`` mapped responses, or no category holding
@@ -231,8 +229,7 @@ def aggregate(responses: list[AnnotationResponse],
     return ImageCategory.UNRESOLVED
 
 
-def aggregate_all(retained: list[AnnotationResponse],
-                  min_judgments: int = MIN_JUDGMENTS
+def aggregate_all(retained: list[AnnotationResponse], min_judgments: int
                   ) -> dict[str, ImageCategory]:
     by_image: dict[str, list[AnnotationResponse]] = defaultdict(list)
     for resp in retained:
@@ -279,7 +276,7 @@ def kappa_from_responses(retained: list[AnnotationResponse]) -> dict:
 
 
 def distributions(items: list[tuple[str, ImageCategory]], grouping: str,
-                  b: int = 10000, seed: int = 0) -> dict:
+                  b: int, seed: int) -> dict:
     """Per-group category proportions plus independence tests.
 
     ``items`` pairs a group label with an aggregated image category.

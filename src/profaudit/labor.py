@@ -125,7 +125,7 @@ def assign(professions, classifier: dict[str, str],
     return assignments, unmatched
 
 
-def majority_group(pct_women: float, threshold: float = 0.5) -> MajorityGroup:
+def majority_group(pct_women: float, threshold: float) -> MajorityGroup:
     """Strictly more than the threshold on either side; the exact boundary
     stays unassigned."""
     if pct_women > threshold:
@@ -135,7 +135,7 @@ def majority_group(pct_women: float, threshold: float = 0.5) -> MajorityGroup:
     return MajorityGroup.UNASSIGNED
 
 
-def dominated_group(pct_women: float, threshold: float = 0.7) -> DominatedGroup:
+def dominated_group(pct_women: float, threshold: float) -> DominatedGroup:
     """At least ``threshold`` of one gender (inclusive bound)."""
     if pct_women >= threshold:
         return DominatedGroup.FEMALE
@@ -149,8 +149,8 @@ JoinedLabor = namedtuple("JoinedLabor", "profession_id kldb_code match_kind "
 
 
 def join(assignments: list[CodeAssignment], stats: list[LaborStat],
-         majority_threshold: float = 0.5,
-         dominated_threshold: float = 0.7) -> list[JoinedLabor]:
+         majority_threshold: float,
+         dominated_threshold: float) -> list[JoinedLabor]:
     by_code = {s.kldb_code: s for s in stats}
     out = []
     for a in assignments:

@@ -113,15 +113,22 @@ class ProfessionEntry:
 
 
 def load_abbreviations(path=None) -> dict[str, str]:
-    """Abbreviation table, default plus optional CSV (short, expansion)."""
+    """Abbreviation table, default plus optional CSV (short, expansion)
+    whose short forms are non-empty and unique in NFC."""
     table = dict(DEFAULT_ABBREVIATIONS)
     if path is not None:
-        for _, row in read_rows(path, "abbreviations", None, 2):
-            table[nfc(row[0].strip())] = nfc(row[1].strip())
+        rows: dict[str, int] = {}
+        for row_no, row in read_rows(path, "abbreviations", None, 2):
+            short = nfc(row[0].strip())
+            if not short:
+                raise ValueError(f"abbreviations row {row_no}: empty short "
+                                 "form")
+            check_unique(rows, short, row_no, "abbreviations", "short form")
+            table[short] = nfc(row[1].strip())
     return table
 
 
-def preprocess(line: RawLine, abbreviations: dict[str, str] | None = None):
+def preprocess(line: RawLine, abbreviations: dict[str, str]):
     """Exclusion filter plus punctuation/abbreviation cleanup.
 
     Returns None when the line names a study field or activity field
@@ -138,7 +145,7 @@ def preprocess(line: RawLine, abbreviations: dict[str, str] | None = None):
     text = text.replace(" ", " ")
     text = " ".join(text.split())
     text = text.replace(" /", "/").replace("/ ", "/")
-    for short, full in (abbreviations or DEFAULT_ABBREVIATIONS).items():
+    for short, full in abbreviations.items():
         if short in text:
             text = text.replace(short, full)
     return RawLine(text=text, line_no=line.line_no)
@@ -200,7 +207,7 @@ def split(line: RawLine) -> ProfessionEntry:
                            Resolution.UNRESOLVED)
 
 
-def parse_file(path, abbreviations: dict[str, str] | None = None) -> list[ProfessionEntry]:
+def parse_file(path, abbreviations: dict[str, str]) -> list[ProfessionEntry]:
     """Run preprocess + split over a profession list file."""
     entries = []
     with open_input(path, "professions") as fh:

@@ -13,7 +13,7 @@ decision ingested from a CSV file.
   ``k(L)`` is found by evaluating that float expression itself for each
   ``d``, once per ``L``, so rounding decides as it would per pair; a closed
   form such as ``floor(L * (1 - r_min))`` gives 2 at ``L = 15`` and the
-  default ``r_min = 0.8``, where the predicate accepts 3.
+  config's default ``r_min`` of 0.8, where the predicate accepts 3.
 - **Length buckets.** Article titles are normalised once and grouped by
   length. A whole bucket is skipped when the length gap, a lower bound on
   the distance, exceeds ``k(L)``.
@@ -212,8 +212,8 @@ def _filtered(ptitle: str, bucket: list[str], k: int, indexes: dict):
     return [bucket[rank] for rank in sorted(hits)]
 
 
-def match(professions, titles, d_max: int = 2,
-          r_min: float = 0.8) -> list[MatchCandidate]:
+def match(professions, titles, d_max: int, r_min: float
+          ) -> list[MatchCandidate]:
     """All-pairs match of profession titles against article titles.
 
     ``professions`` yields (profession_id, role, title) triples where role
@@ -269,11 +269,12 @@ def apply_decisions(candidates: list[MatchCandidate], path) -> list[MatchCandida
     """Flip fuzzy candidates to confirmed/rejected from a reviewer CSV.
 
     Rows are (profession_id, article_title, verdict, gender_group) with
-    verdict in {confirm, reject}. Only fuzzy candidates are reviewable;
-    exact matches are confirmed by construction and stay untouched even
-    when they share a key with a reviewed pair. A row referencing a pair
-    that has no reviewable candidate is an error, and so is a pair that
-    repeats (article titles compared after NFC).
+    verdict in {confirm, reject} and gender_group blank or a title role.
+    Only fuzzy candidates are reviewable; exact matches are confirmed by
+    construction and stay untouched even when they share a key with a
+    reviewed pair. A row referencing a pair that has no reviewable
+    candidate is an error, and so is a pair that repeats (article titles
+    compared after NFC).
     """
     index: dict[tuple[str, str], list[MatchCandidate]] = {}
     for cand in candidates:
@@ -286,6 +287,9 @@ def apply_decisions(candidates: list[MatchCandidate], path) -> list[MatchCandida
         key = (prof_id, nfc(atitle))
         check_unique(rows, key, row_no, "decisions",
                      "(profession_id, article_title)")
+        if group not in ("", "male", "female", "neutral"):
+            raise ValueError(
+                f"decisions row {row_no}: unknown gender_group {group!r}")
         if key not in index:
             raise ValueError(
                 f"decisions row {row_no}: no candidate for "

@@ -48,8 +48,6 @@ from .text import nfc
 FEMALE_CATEGORY = "Frau"
 MALE_CATEGORY = "Mann"
 
-BIRTH_CUTOFF = 1960
-EQUALITY_BAND = 0.05
 SMALL_SAMPLE_LIMIT = 10  # below this, only exact equality counts as equal
 
 
@@ -220,8 +218,7 @@ def _anchors(chunks: list[str], firsts: frozenset[str]
 
 def extract_text_mentions(article_title: str, plain_text: str,
                           lexicon: dict[str, Gender],
-                          firsts: frozenset[str] | None = None
-                          ) -> list[PersonMention]:
+                          firsts: frozenset[str]) -> list[PersonMention]:
     """Gazetteer pass over plain text.
 
     Within each run of capitalized tokens, the mention starts at the first
@@ -232,13 +229,10 @@ def extract_text_mentions(article_title: str, plain_text: str,
     Identical surface names are emitted once per article.
 
     Only an anchor can start a mention: a capitalized token in ``firsts``
-    (``first_words(lexicon)``, built here when not given) that ends its
-    ``str.split()`` chunk while the next chunk starts with a capitalized
-    token. From each anchor the run is walked right to its end; anchors
-    inside a run that already gave a mention are skipped.
+    that ends its ``str.split()`` chunk while the next chunk starts with a
+    capitalized token. From each anchor the run is walked right to its
+    end; anchors inside a run that already gave a mention are skipped.
     """
-    if firsts is None:
-        firsts = first_words(lexicon)
     chunks = nfc(plain_text).split()
     n = len(chunks)
     mentions: list[PersonMention] = []
@@ -343,7 +337,7 @@ def disagreement_rate(report: dict) -> float:
 
 
 def male_ratio_and_class(article_title: str, n_men: int, n_women: int,
-                         band: float = EQUALITY_BAND) -> dict:
+                         band: float) -> dict:
     """Equality band 0.5 +/- band for n >= SMALL_SAMPLE_LIMIT, strict
     equality below.
 
@@ -439,7 +433,7 @@ def annotate_birth_years(mentions: list[PersonMention],
             m.birth_year = birth_years.get(m.linked_page)
 
 
-def filter_by_birth(mentions: list[PersonMention], cutoff: int = BIRTH_CUTOFF
+def filter_by_birth(mentions: list[PersonMention], cutoff: int
                     ) -> tuple[list[PersonMention], int, int]:
     """Keep mentions born strictly after the cutoff.
 
@@ -458,8 +452,7 @@ def filter_by_birth(mentions: list[PersonMention], cutoff: int = BIRTH_CUTOFF
     return kept, unknown, too_old
 
 
-def article_stats(mentions: list[PersonMention],
-                  band: float = EQUALITY_BAND) -> list[dict]:
+def article_stats(mentions: list[PersonMention], band: float) -> list[dict]:
     """Per-article counts and bias class over gendered mentions, one
     ``male_ratio_and_class`` dict per article, by title.
 

@@ -390,8 +390,8 @@ def stage_match(run: Run) -> None:
                    for role, title in e.titles()]
     # validated profession articles: non-redirect pages inside the closure
     titles = corpus.profession_articles(run.snapshot, run.closure)
-    candidates = matcher.match(professions, titles, d_max=run.cfg.d_max,
-                               r_min=run.cfg.r_min)
+    candidates = matcher.match(professions, titles, run.cfg.d_max,
+                               run.cfg.r_min)
     if "match_decisions" in run.inputs:
         matcher.apply_decisions(candidates, run.inputs["match_decisions"])
 
@@ -635,7 +635,7 @@ def stage_images(run: Run) -> None:
                  if r.image_id in eligible or r.image_id not in shown]
     gold = images.load_gold_labels(run.inputs["gold_labels"])
     workers, retained = images.score_workers(
-        responses, gold, set(eligible), threshold=cfg.worker_accuracy)
+        responses, gold, set(eligible), cfg.worker_accuracy)
     categories = images.aggregate_all(retained, cfg.min_judgments)
     try:
         kappa_out = images.kappa_from_responses(retained)
@@ -665,7 +665,7 @@ def stage_images(run: Run) -> None:
         items = [("all" if key_index is None else row[key_index],
                   ImageCategory(row[5])) for row in category_rows]
         dist_report[grouping] = dist = images.distributions(
-            items, grouping, b=cfg.mc_iterations, seed=cfg.seed)
+            items, grouping, cfg.mc_iterations, cfg.seed)
         _write_dist(run, dist)
     dump_json(dist_report, run.out("distributions.json"))
 
@@ -678,9 +678,8 @@ def stage_labor(run: Run) -> None:
     professions = [(e.id, [t for _, t in e.titles()]) for e in _entries(run)
                    if e.titles()]
     assignments, unmatched = labor.assign(professions, classifier, labor_stats)
-    joined = labor.join(assignments, labor_stats,
-                        majority_threshold=run.cfg.majority_threshold,
-                        dominated_threshold=run.cfg.dominated_threshold)
+    joined = labor.join(assignments, labor_stats, run.cfg.majority_threshold,
+                        run.cfg.dominated_threshold)
 
     write_csv(run.out("joined.csv"),
               ["profession_id", "kldb_code", "match_kind", "n_men", "n_women",
@@ -873,7 +872,7 @@ def stage_report(run: Run) -> None:
             image_labor_report[grouping] = {"skipped": "no joined images"}
             continue
         image_labor_report[grouping] = dist = images.distributions(
-            items, grouping, b=cfg.mc_iterations, seed=cfg.seed)
+            items, grouping, cfg.mc_iterations, cfg.seed)
         _write_dist(run, dist)
     dump_json(image_labor_report, run.out("image_labor_distributions.json"))
 

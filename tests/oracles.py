@@ -581,6 +581,7 @@ def stage_mentions_lists(run) -> None:
     if "birth_years" in run.inputs:
         birth_index = mentions.load_birth_years(run.inputs["birth_years"])
 
+    firsts = mentions.first_words(gender_lexicon)
     snapshot = run.snapshot
     all_mentions: list[PersonMention] = []
     total = mentions.merge([], [])[1]  # every count 0
@@ -589,7 +590,8 @@ def stage_mentions_lists(run) -> None:
     for title, _pid, _role in run.rows("article_map"):
         [(record, text)] = snapshot.texts([snapshot.records[title]])
         link_ms, skipped = mentions.extract_link_mentions(record, snapshot)
-        text_ms = mentions.extract_text_mentions(title, text, gender_lexicon)
+        text_ms = mentions.extract_text_mentions(title, text, gender_lexicon,
+                                                 firsts)
         merged, report = mentions.merge(link_ms, text_ms)
         all_mentions.extend(merged)
         for key, value in report.items():

@@ -3,10 +3,13 @@ import itertools
 import pytest
 
 from profaudit import images, stats
+from profaudit.config import AuditConfig
 from profaudit.corpus import ImageRef
 from profaudit.images import (AnnotationResponse, CountAnswer, GenderAnswer,
                               ImageCategory, aggregate, filter_images,
                               map_response, score_workers)
+
+CFG = AuditConfig()
 
 
 def resp(worker, image, ts, count, gender):
@@ -87,7 +90,8 @@ def gold_batch_responses(correct_n, total=10):
 class TestWorkerScoring:
     def test_all_gold_correct_stays_active(self):
         responses, gold = gold_batch_responses(10)
-        records, retained = score_workers(responses, gold, set(gold))
+        records, retained = score_workers(responses, gold, set(gold),
+                                          CFG.worker_accuracy)
         assert records[0]["active"]
         assert records[0]["accuracy"] == 1.0
         assert len(retained) == 10
@@ -109,7 +113,8 @@ class TestWorkerScoring:
 
     def test_no_gold_encountered_accuracy_one(self):
         responses = [resp("w1", "img00", 0, "one_person", "male")]
-        records, retained = score_workers(responses, {}, {"img00"})
+        records, retained = score_workers(responses, {}, {"img00"},
+                                          CFG.worker_accuracy)
         assert records[0]["accuracy"] == 1.0
         assert records[0]["active"]
         assert len(retained) == 1
@@ -121,14 +126,15 @@ class TestWorkerScoring:
             image = f"img{i:02d}"
             gold[image] = ImageCategory.MEN
             responses.append(resp("w1", image, i, "one_person", "female"))
-        records, retained = score_workers(responses, gold, set(gold))
+        records, retained = score_workers(responses, gold, set(gold),
+                                          CFG.worker_accuracy)
         assert not records[0]["active"]
         assert retained == []
 
     def test_unknown_image_is_error(self):
         responses = [resp("w1", "geist", 0, "one_person", "male")]
         with pytest.raises(ValueError, match="geist"):
-            score_workers(responses, {}, {"img00"})
+            score_workers(responses, {}, {"img00"}, CFG.worker_accuracy)
 
     def test_threshold_monotonicity(self):
         # lowering the threshold never discards more workers
@@ -151,32 +157,33 @@ class TestWorkerScoring:
 class TestAggregate:
     def test_unanimous_men(self):
         rs = [resp(f"w{i}", "img", i, "one_person", "male") for i in range(3)]
-        assert aggregate(rs) is ImageCategory.MEN
+        assert aggregate(rs, CFG.min_judgments) is ImageCategory.MEN
 
     def test_mapped_before_majority(self):
         rs = [resp("w1", "img", 0, "several_one_dominant", "female"),
               resp("w2", "img", 1, "several_no_dominant", "mixed_mostly_female"),
               resp("w3", "img", 2, "one_person", "female")]
-        assert aggregate(rs) is ImageCategory.WOMEN
+        assert aggregate(rs, CFG.min_judgments) is ImageCategory.WOMEN
 
     def test_no_majority_unresolved(self):
         rs = [resp("w1", "img", 0, "one_person", "male"),
               resp("w2", "img", 1, "one_person", "female"),
               resp("w3", "img", 2, "several_no_dominant", "mixed_equal")]
-        assert aggregate(rs) is ImageCategory.UNRESOLVED
+        assert aggregate(rs, CFG.min_judgments) is ImageCategory.UNRESOLVED
 
     def test_two_two_tie_unresolved(self):
         rs = [resp("w1", "img", 0, "one_person", "male"),
               resp("w2", "img", 1, "one_person", "male"),
               resp("w3", "img", 2, "one_person", "female"),
               resp("w4", "img", 3, "one_person", "female")]
-        assert aggregate(rs) is ImageCategory.UNRESOLVED
+        assert aggregate(rs, CFG.min_judgments) is ImageCategory.UNRESOLVED
 
     def test_not_shown_dropped_before_quorum(self):
         rs = [resp("w1", "img", 0, "not_shown", "none"),
               resp("w2", "img", 1, "one_person", "male"),
               resp("w3", "img", 2, "one_person", "male")]
-        assert aggregate(rs) is ImageCategory.UNRESOLVED  # two mapped < 3
+        # two mapped < 3
+        assert aggregate(rs, CFG.min_judgments) is ImageCategory.UNRESOLVED
 
     def test_plurality_without_majority_unresolved(self):
         rs = [resp("w1", "img", 0, "one_person", "male"),
@@ -184,7 +191,7 @@ class TestAggregate:
               resp("w3", "img", 2, "one_person", "female"),
               resp("w4", "img", 3, "no_person", "none"),
               resp("w5", "img", 4, "several_no_dominant", "mixed_equal")]
-        assert aggregate(rs) is ImageCategory.UNRESOLVED
+        assert aggregate(rs, CFG.min_judgments) is ImageCategory.UNRESOLVED
 
 
 class TestKappa:

@@ -1,8 +1,19 @@
 import pytest
 
 from profaudit import labor
+from profaudit.config import AuditConfig
 from profaudit.labor import (DominatedGroup, LaborStat, MajorityGroup,
                              MatchKind, dominated_group, majority_group)
+
+CFG = AuditConfig()
+
+
+def majority(pct_women):
+    return majority_group(pct_women, CFG.majority_threshold)
+
+
+def dominated(pct_women):
+    return dominated_group(pct_women, CFG.dominated_threshold)
 
 
 class TestLoadStats:
@@ -111,22 +122,22 @@ class TestAssign:
 
 class TestGrouping:
     def test_female_majority_and_dominated(self):
-        assert majority_group(0.85) is MajorityGroup.FEMALE
-        assert dominated_group(0.85) is DominatedGroup.FEMALE
+        assert majority(0.85) is MajorityGroup.FEMALE
+        assert dominated(0.85) is DominatedGroup.FEMALE
 
     def test_exact_half_unassigned(self):
-        assert majority_group(0.5) is MajorityGroup.UNASSIGNED
+        assert majority(0.5) is MajorityGroup.UNASSIGNED
 
     def test_dominated_boundary_inclusive(self):
-        assert dominated_group(0.70) is DominatedGroup.FEMALE
-        assert dominated_group(0.30) is DominatedGroup.MALE
-        assert dominated_group(0.69) is DominatedGroup.NONE
-        assert dominated_group(0.31) is DominatedGroup.NONE
+        assert dominated(0.70) is DominatedGroup.FEMALE
+        assert dominated(0.30) is DominatedGroup.MALE
+        assert dominated(0.69) is DominatedGroup.NONE
+        assert dominated(0.31) is DominatedGroup.NONE
 
     def test_dominated_subset_of_majority(self):
         for pct in [i / 100 for i in range(101)]:
-            dom = dominated_group(pct)
-            maj = majority_group(pct)
+            dom = dominated(pct)
+            maj = majority(pct)
             if dom is DominatedGroup.FEMALE:
                 assert maj is MajorityGroup.FEMALE
             if dom is DominatedGroup.MALE:
@@ -135,7 +146,8 @@ class TestGrouping:
     def test_join_rows(self):
         stats = [LaborStat("1", "A", 30, 70)]
         assignments, _ = labor.assign([("p1", ["T"])], {"T": "1"}, stats)
-        rows = labor.join(assignments, stats)
+        rows = labor.join(assignments, stats, CFG.majority_threshold,
+                          CFG.dominated_threshold)
         assert rows[0].pct_women == pytest.approx(0.7)
         assert rows[0].majority is MajorityGroup.FEMALE
         assert rows[0].dominated is DominatedGroup.FEMALE

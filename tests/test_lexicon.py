@@ -4,9 +4,11 @@ from profaudit import lexicon, pipeline
 from profaudit.config import AuditConfig
 from profaudit.lexicon import RawLine, Resolution
 
+ABBREVIATIONS = lexicon.load_abbreviations()
+
 
 def run_split(text, line_no=1):
-    cleaned = lexicon.preprocess(RawLine(text, line_no))
+    cleaned = lexicon.preprocess(RawLine(text, line_no), ABBREVIATIONS)
     assert cleaned is not None
     return lexicon.split(cleaned)
 
@@ -19,15 +21,16 @@ class TestPreprocess:
         "Medizin (Staatsexamen)",
     ])
     def test_field_names_excluded(self, text):
-        assert lexicon.preprocess(RawLine(text, 1)) is None
+        assert lexicon.preprocess(RawLine(text, 1), ABBREVIATIONS) is None
 
     def test_plain_line_unchanged(self):
-        got = lexicon.preprocess(RawLine("Lehrer/in", 3))
+        got = lexicon.preprocess(RawLine("Lehrer/in", 3), ABBREVIATIONS)
         assert got.text == "Lehrer/in"
         assert got.line_no == 3
 
     def test_abbreviation_expanded(self):
-        got = lexicon.preprocess(RawLine("Fachkraft - med. Dokumentation", 1))
+        got = lexicon.preprocess(RawLine("Fachkraft - med. Dokumentation", 1),
+                                 ABBREVIATIONS)
         assert got.text == "Fachkraft - medizinische Dokumentation"
 
     def test_custom_abbreviation_table(self):
@@ -36,11 +39,38 @@ class TestPreprocess:
         assert got.text == "technischer Assistent"
 
     def test_whitespace_fixes(self):
-        got = lexicon.preprocess(RawLine("  Lehrer / in ", 1))
+        got = lexicon.preprocess(RawLine("  Lehrer / in ", 1), ABBREVIATIONS)
         assert got.text == "Lehrer/in"
 
     def test_blank_line_dropped(self):
-        assert lexicon.preprocess(RawLine("   ", 1)) is None
+        assert lexicon.preprocess(RawLine("   ", 1), ABBREVIATIONS) is None
+
+
+class TestLoadAbbreviations:
+    def test_abbreviation_file_extends_default(self, tmp_path):
+        path = tmp_path / "abbreviations.csv"
+        path.write_text("techn.,technischer\nmed.,medizinischer\n",
+                        encoding="utf-8")
+        assert lexicon.load_abbreviations(path) == {
+            "med.": "medizinischer", "techn.": "technischer"}
+
+    def test_empty_short_form_names_row(self, tmp_path):
+        # "" is in every text, so the expansion would land between letters
+        path = tmp_path / "abbreviations.csv"
+        path.write_text("techn.,technischer\n,medizinische\n",
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match=r"^abbreviations row 2: empty "
+                           r"short form$"):
+            lexicon.load_abbreviations(path)
+
+    def test_repeated_short_form_names_both_rows(self, tmp_path):
+        path = tmp_path / "abbreviations.csv"
+        path.write_text("techn.,technischer\n# note\ntechn.,technische\n",
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match=r"^abbreviations row 3: "
+                           r"duplicate short form 'techn\.' \(first on row "
+                           r"1\)$"):
+            lexicon.load_abbreviations(path)
 
 
 class TestSplit:
@@ -172,7 +202,8 @@ class TestManualAssignments:
 
 class TestFixtureFile:
     def test_partition_and_counts(self, data_dir):
-        entries = lexicon.parse_file(data_dir / "professions.txt")
+        entries = lexicon.parse_file(data_dir / "professions.txt",
+                                     ABBREVIATIONS)
         # 4 of the 40 lines are excluded field names
         assert len(entries) == 36
         summary = lexicon.summarize(entries)
@@ -191,7 +222,7 @@ class TestFixtureFile:
         path = tmp_path / "professions.txt"
         path.write_bytes("Lehrer/in\nKoch/Köchin\n".encode("latin-1"))
         with pytest.raises(ValueError) as info:
-            lexicon.parse_file(path)
+            lexicon.parse_file(path, ABBREVIATIONS)
         assert str(info.value) == (f"professions line 2: byte 0xf6 is not "
                                    f"UTF-8, in {path}")
 

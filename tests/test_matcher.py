@@ -6,7 +6,10 @@ import pytest
 from oracles import lev_ratio, naive_lev
 
 from profaudit import matcher
+from profaudit.config import AuditConfig
 from profaudit.matcher import MatchStatus
+
+CFG = AuditConfig()
 
 
 ALPHABET = "abcdefäöüß"
@@ -171,7 +174,8 @@ class TestLevRatio:
 
 class TestMatch:
     def test_exact_auto_confirmed(self):
-        cands = matcher.match([("p1", "male", "Lehrer")], ["Lehrer"])
+        cands = matcher.match([("p1", "male", "Lehrer")], ["Lehrer"],
+                              CFG.d_max, CFG.r_min)
         assert len(cands) == 1
         assert cands[0].status is MatchStatus.EXACT
         assert cands[0].distance == 0
@@ -179,7 +183,8 @@ class TestMatch:
         assert cands[0].gender_group == "male"
 
     def test_fuzzy_candidate_emitted(self):
-        cands = matcher.match([("p1", "male", "Richter")], ["Gichter"])
+        cands = matcher.match([("p1", "male", "Richter")], ["Gichter"],
+                              CFG.d_max, CFG.r_min)
         assert len(cands) == 1
         assert cands[0].status is MatchStatus.FUZZY
         assert cands[0].distance == 1
@@ -187,31 +192,34 @@ class TestMatch:
     def test_below_both_thresholds_dropped(self):
         # distance 3 and ratio 0.5 must not appear
         assert matcher.lev_distance("abcdef", "abcxyz") == 3
-        cands = matcher.match([("p1", "male", "abcdef")], ["abcxyz"])
+        cands = matcher.match([("p1", "male", "abcdef")], ["abcxyz"],
+                              CFG.d_max, CFG.r_min)
         assert cands == []
 
     def test_threshold_completeness(self):
         # every pair meeting either threshold appears exactly once
         professions = [("p1", "male", "Lehrer"), ("p2", "female", "Hebamme")]
         titles = ["Lehrer", "Lehrerin", "Hebammen", "Amme", "Koch"]
-        cands = matcher.match(professions, titles)
+        cands = matcher.match(professions, titles, CFG.d_max, CFG.r_min)
         seen = {(c.profession_title, c.article_title) for c in cands}
         assert len(seen) == len(cands)
         for _, _, p in professions:
             for t in titles:
                 d = matcher.lev_distance(p, t)
                 r = lev_ratio(p, t)
-                assert ((p, t) in seen) == (d <= 2 or r >= 0.8)
+                assert ((p, t) in seen) == (d <= CFG.d_max or r >= CFG.r_min)
 
     def test_sorted_by_ratio_descending(self):
         cands = matcher.match([("p1", "male", "Lehrer")],
-                              ["Lehrer", "Lehrerin", "Lehre"])
+                              ["Lehrer", "Lehrerin", "Lehre"],
+                              CFG.d_max, CFG.r_min)
         assert [c.article_title for c in cands[:2]] == ["Lehrer", "Lehre"]
         ratios = [c.ratio for c in cands]
         assert ratios == sorted(ratios, reverse=True)
 
     def test_case_sensitivity_default_and_fold(self):
-        cands = matcher.match([("p1", "male", "koch")], ["KOCH"])
+        cands = matcher.match([("p1", "male", "koch")], ["KOCH"],
+                              CFG.d_max, CFG.r_min)
         assert all(c.distance > 0 for c in cands)
 
 
@@ -249,7 +257,8 @@ class TestSegmentFilter:
         for _, _, p in professions:
             for alen, count in lengths.items():
                 longest = max(len(p), alen)
-                if abs(len(p) - alen) <= matcher._cutoff(longest, 2, 0.8):
+                if abs(len(p) - alen) <= matcher._cutoff(longest, CFG.d_max,
+                                                          CFG.r_min):
                     admitted += count
         calls = 0
         kernel = matcher._bounded_distance
@@ -260,14 +269,15 @@ class TestSegmentFilter:
             return kernel(*args)
 
         monkeypatch.setattr(matcher, "_bounded_distance", counting)
-        cands = matcher.match(professions, titles)
+        cands = matcher.match(professions, titles, CFG.d_max, CFG.r_min)
         assert cands and admitted > 100_000
         assert calls < 0.10 * admitted, (calls, admitted)
 
     def test_logs_admitted_verified_and_candidates(self, caplog):
         with caplog.at_level("INFO", logger="profaudit.matcher"):
             cands = matcher.match([("p1", "male", "Lehrer")],
-                                  ["Lehrer", "Lehrerin", "Koch", "Abt"])
+                                  ["Lehrer", "Lehrerin", "Koch", "Abt"],
+                                  CFG.d_max, CFG.r_min)
         assert len(cands) == 2
         # "Abt" is three letters shorter, past k(6) = 2; "Koch" shares no
         # segment with "Lehrer" near its own position
@@ -336,16 +346,17 @@ class TestMatchAgainstBruteForce:
     def test_length_15_at_distance_3_emitted_by_default(self):
         p, a = "Zahntechnikerin", "Zahntechnikxyzn"
         assert len(p) == len(a) == 15 and naive_lev(p, a) == 3
-        cands = matcher.match([("p1", "female", p)], [a])
+        cands = matcher.match([("p1", "female", p)], [a], CFG.d_max, CFG.r_min)
         assert [(c.article_title, c.distance) for c in cands] == [(a, 3)]
         assert cands[0].ratio == 1.0 - 3 / 15
 
     def test_ratio_just_below_r_min_not_emitted(self):
         p, a = "abcdefghij", "aklmnopqrs"
         assert naive_lev(p, a) == 9
-        assert matcher.match([("p1", "male", p)], [a], r_min=0.1) == []
+        assert matcher.match([("p1", "male", p)], [a], CFG.d_max, 0.1) == []
         # one edit fewer clears the threshold
-        cands = matcher.match([("p1", "male", p)], ["abklmnopqr"], r_min=0.1)
+        cands = matcher.match([("p1", "male", p)], ["abklmnopqr"], CFG.d_max,
+                              0.1)
         assert [c.distance for c in cands] == [8]
 
 
@@ -353,7 +364,7 @@ class TestDecisions:
     def _candidates(self):
         return matcher.match(
             [("p1", "male", "Chiefsteward"), ("p2", "male", "Richter")],
-            ["Chefsteward", "Gichter"])
+            ["Chefsteward", "Gichter"], CFG.d_max, CFG.r_min)
 
     def test_confirm_and_reject(self, tmp_path):
         cands = self._candidates()
@@ -391,7 +402,8 @@ class TestDecisions:
             "('p1', 'Chefsteward') (first on row 1)")
 
     def test_repeated_pair_compared_after_nfc(self, tmp_path):
-        cands = matcher.match([("p1", "male", "Bäcker")], ["Bäckerin"])
+        cands = matcher.match([("p1", "male", "Bäcker")], ["Bäckerin"],
+                              CFG.d_max, CFG.r_min)
         path = tmp_path / "decisions.csv"
         path.write_text("p1,B\u00e4ckerin,confirm,male\n"
                         "p1,Ba\u0308ckerin,reject,\n", encoding="utf-8")
@@ -404,3 +416,23 @@ class TestDecisions:
         path.write_text("p1,Chefsteward,maybe,male\n", encoding="utf-8")
         with pytest.raises(ValueError, match="maybe"):
             matcher.apply_decisions(cands, path)
+
+    @pytest.mark.parametrize("verdict", ["confirm", "reject"])
+    def test_unknown_gender_group_names_row(self, tmp_path, verdict):
+        # a typo must not drop the confirmed title downstream
+        cands = self._candidates()
+        path = tmp_path / "decisions.csv"
+        path.write_text("profession_id,article_title,verdict,gender_group\n"
+                        "p2,Gichter,reject,\n"
+                        f"p1,Chefsteward,{verdict},mael\n", encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            matcher.apply_decisions(cands, path)
+        assert str(err.value) == "decisions row 3: unknown gender_group 'mael'"
+
+    @pytest.mark.parametrize("group", ["", "male", "female", "neutral"])
+    def test_known_gender_groups_accepted(self, tmp_path, group):
+        cands = self._candidates()
+        path = tmp_path / "decisions.csv"
+        path.write_text(f"p1,Chefsteward,confirm,{group}\n", encoding="utf-8")
+        matcher.apply_decisions(cands, path)
+        assert matcher.accepted(cands)[0].gender_group == (group or "male")

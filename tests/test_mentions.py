@@ -36,6 +36,8 @@ def snapshot_with_persons():
 LEXICON = {"Heinrich": Gender.M, "Oriana": Gender.F, "Anna": Gender.F,
            "Max": Gender.M, "Kim": Gender.UNKNOWN, "Hans Peter": Gender.M,
            "Hans": Gender.M}
+FIRSTS = mentions.first_words(LEXICON)
+CFG = AuditConfig()
 
 
 class TestLinkMentions:
@@ -76,7 +78,7 @@ class TestLinkMentions:
 class TestTextMentions:
     def test_simple_match(self):
         got = extract_text_mentions("A", "Heinrich Heine schrieb Gedichte.",
-                                    LEXICON)
+                                    LEXICON, FIRSTS)
         assert len(got) == 1
         assert got[0].surface_name == "Heinrich Heine"
         assert got[0].gender is Gender.M
@@ -84,38 +86,40 @@ class TestTextMentions:
 
     def test_lowercase_text_empty(self):
         assert extract_text_mentions("A", "alles klein geschrieben hier",
-                                     LEXICON) == []
+                                     LEXICON, FIRSTS) == []
 
     def test_female_name(self):
         got = extract_text_mentions("A", "Die Reporterin Oriana Fallaci kam.",
-                                    LEXICON)
+                                    LEXICON, FIRSTS)
         assert [m.gender for m in got] == [Gender.F]
 
     def test_run_must_have_two_tokens(self):
-        assert extract_text_mentions("A", "Heinrich schrieb.", LEXICON) == []
+        assert extract_text_mentions("A", "Heinrich schrieb.", LEXICON,
+                                     FIRSTS) == []
 
     def test_unknown_first_name_ignored(self):
         assert extract_text_mentions("A", "Wilhelmine Unbekannt kam.",
-                                     LEXICON) == []
+                                     LEXICON, FIRSTS) == []
 
     def test_ambiguous_maps_to_unknown(self):
-        got = extract_text_mentions("A", "Kim Schmidt kam.", LEXICON)
+        got = extract_text_mentions("A", "Kim Schmidt kam.", LEXICON, FIRSTS)
         assert [m.gender for m in got] == [Gender.UNKNOWN]
 
     def test_compound_first_name_longest_match(self):
-        got = extract_text_mentions("A", "Hans Peter Müller sprach.", LEXICON)
+        got = extract_text_mentions("A", "Hans Peter Müller sprach.", LEXICON,
+                                    FIRSTS)
         assert len(got) == 1
         assert got[0].first_name == "Hans Peter"
 
     def test_punctuation_breaks_runs(self):
         got = extract_text_mentions(
-            "A", "Heine, Anna Schmidt und Oriana Fallaci.", LEXICON)
+            "A", "Heine, Anna Schmidt und Oriana Fallaci.", LEXICON, FIRSTS)
         names = {m.surface_name for m in got}
         assert names == {"Anna Schmidt", "Oriana Fallaci"}
 
     def test_deduplicated_per_article(self):
         got = extract_text_mentions(
-            "A", "Heinrich Heine kam. Heinrich Heine ging.", LEXICON)
+            "A", "Heinrich Heine kam. Heinrich Heine ging.", LEXICON, FIRSTS)
         assert len(got) == 1
 
 
@@ -141,6 +145,7 @@ GAZETTEER_LEXICON = {"Anna": Gender.F, "Hans": Gender.M,
                      "ǅemal": Gender.M, "Ⅻ": Gender.M, "Anna.": Gender.M,
                      "müller": Gender.M, "Hans-Peter Schmidt": Gender.M,
                      "Schmidt  Anna": Gender.F}
+GAZETTEER_FIRSTS = mentions.first_words(GAZETTEER_LEXICON)
 
 
 def as_dicts(ms: list[PersonMention]) -> list[dict]:
@@ -156,7 +161,8 @@ class TestGazetteerAgainstReference:
         for _ in range(3000):
             text = "".join(rng.choices(GAZETTEER_PIECES,
                                        k=rng.randint(0, 40)))
-            got = extract_text_mentions("A", text, GAZETTEER_LEXICON)
+            got = extract_text_mentions("A", text, GAZETTEER_LEXICON,
+                                        GAZETTEER_FIRSTS)
             assert as_dicts(got) == as_dicts(oracles.extract_text_mentions(
                 "A", text, GAZETTEER_LEXICON)), repr(text)
             for m in got:  # merge compares surface names without nfc()
@@ -165,12 +171,14 @@ class TestGazetteerAgainstReference:
 
     def test_fixture_snapshot_texts(self, data_dir):
         lexicon = mentions.load_gender_lexicon(data_dir / "gender_lexicon.csv")
+        firsts = mentions.first_words(lexicon)
         n_mentions = 0
         with open(data_dir / "snapshot.jsonl", encoding="utf-8") as fh:
             for line in fh:
                 record = json.loads(line)
                 text = record.get("plain_text") or ""
-                got = extract_text_mentions(record["title"], text, lexicon)
+                got = extract_text_mentions(record["title"], text, lexicon,
+                                            firsts)
                 assert as_dicts(got) == as_dicts(oracles.extract_text_mentions(
                     record["title"], text, lexicon))
                 n_mentions += len(got)
@@ -313,21 +321,22 @@ class TestMerge:
 
 class TestRatioClass:
     def test_all_men(self):
-        got = male_ratio_and_class("Konstrukteur", 30, 0)
+        got = male_ratio_and_class("Konstrukteur", 30, 0, CFG.equality_band)
         assert got["male_ratio"] == 1.0
         assert got["bias_class"] is BiasClass.MALE_BIASED
 
     def test_six_men_five_women_equal(self):
-        got = male_ratio_and_class("A", 6, 5)
+        got = male_ratio_and_class("A", 6, 5, CFG.equality_band)
         assert got["bias_class"] is BiasClass.EQUAL
 
     def test_five_men_four_women_small_sample(self):
-        got = male_ratio_and_class("A", 5, 4)
+        got = male_ratio_and_class("A", 5, 4, CFG.equality_band)
         assert got["bias_class"] is BiasClass.MALE_BIASED
 
     def test_band_boundaries_inclusive(self):
         def cls(men, women):
-            return male_ratio_and_class("A", men, women)["bias_class"]
+            return male_ratio_and_class("A", men, women,
+                                        CFG.equality_band)["bias_class"]
 
         assert cls(9, 11) is BiasClass.EQUAL
         assert cls(11, 9) is BiasClass.EQUAL
@@ -335,25 +344,26 @@ class TestRatioClass:
         assert cls(8, 12) is BiasClass.FEMALE_BIASED
 
     def test_small_sample_strict_equality(self):
-        equal = male_ratio_and_class("A", 2, 2)
-        more_men = male_ratio_and_class("A", 3, 2)
+        equal = male_ratio_and_class("A", 2, 2, CFG.equality_band)
+        more_men = male_ratio_and_class("A", 3, 2, CFG.equality_band)
         assert equal["bias_class"] is BiasClass.EQUAL
         assert more_men["bias_class"] is BiasClass.MALE_BIASED
 
     def test_ratio_complement(self):
-        got = male_ratio_and_class("A", 7, 13)
+        got = male_ratio_and_class("A", 7, 13, CFG.equality_band)
         assert got["male_ratio"] + 13 / 20 == pytest.approx(1.0)
 
     def test_zero_total_rejected(self):
         with pytest.raises(ValueError):
-            male_ratio_and_class("A", 0, 0)
+            male_ratio_and_class("A", 0, 0, CFG.equality_band)
 
     def test_partition_over_grid(self):
         for men in range(0, 25):
             for women in range(0, 25):
                 if men + women == 0:
                     continue
-                got = male_ratio_and_class("A", men, women)
+                got = male_ratio_and_class("A", men, women,
+                                           CFG.equality_band)
                 assert got["bias_class"] in (BiasClass.MALE_BIASED,
                                           BiasClass.FEMALE_BIASED,
                                           BiasClass.EQUAL)
@@ -365,7 +375,7 @@ class TestBirthFilter:
             pm("A", "Jung Mensch", Gender.M, year=1961),
             pm("A", "Grenze Mensch", Gender.M, year=1960),
             pm("A", "Ohne Jahr", Gender.F),
-        ], cutoff=1960)
+        ], CFG.birth_cutoff)
         assert [m.surface_name for m in kept] == ["Jung Mensch"]
         assert unknown == 1
         assert old == 1
@@ -432,7 +442,7 @@ class TestArticleStats:
     def test_counts_and_exclusion(self):
         ms = [pm("A", "M Eins", Gender.M), pm("A", "F Eins", Gender.F),
               pm("B", "Wer Weiss", Gender.UNKNOWN)]
-        got = mentions.article_stats(ms)
+        got = mentions.article_stats(ms, CFG.equality_band)
         assert len(got) == 1  # article B has no gendered mention
         assert got[0]["article_title"] == "A"
         assert got[0]["bias_class"] is BiasClass.EQUAL

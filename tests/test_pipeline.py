@@ -1053,13 +1053,18 @@ class TestBenchmarkHooks:
         assert len(seen) == 2
         assert set(pipeline._STAGE_FUNCS) == set(pipeline.STAGES)
 
-    def test_tracer_names_resolve(self):
-        # read perfbench/tracer.py as it is, without installing its wrappers
+    @staticmethod
+    def _tracer():
+        """perfbench/tracer.py as it is, its wrappers not installed."""
         path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
         spec = importlib.util.spec_from_file_location("perfbench_tracer",
                                                       path)
         tracer = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(tracer)
+        return tracer
+
+    def test_tracer_names_resolve(self):
+        tracer = self._tracer()
         for module_name, attr, _ in tracer.SPANS + tracer.COUNTED:
             module = importlib.import_module("profaudit." + module_name)
             assert callable(getattr(module, attr, None)), \
@@ -1068,6 +1073,30 @@ class TestBenchmarkHooks:
             assert callable(getattr(pipeline, attr, None)), attr
         assert callable(pipeline._STAGE_FUNCS[pipeline.STAGES[0]])
         assert tracer.STAGES == pipeline.STAGES
+
+    def test_tracer_reads_arguments_by_position(self, data_dir,
+                                                fixture_config, monkeypatch):
+        # the tracer's observers read a[0] and a[1] of matcher.match, a[0]
+        # of images.score_workers and a[1] of
+        # mentions.extract_text_mentions
+        tracer = self._tracer()
+        for module_name, attr, *_ in tracer.SPANS + tracer.COUNTED:
+            module = importlib.import_module("profaudit." + module_name)
+            monkeypatch.setattr(module, attr, getattr(module, attr))
+        for attr, _ in tracer.ARTIFACT_SPANS:
+            monkeypatch.setattr(pipeline, attr, getattr(pipeline, attr))
+        for stage, fn in list(pipeline._STAGE_FUNCS.items()):
+            monkeypatch.setitem(pipeline._STAGE_FUNCS, stage, fn)
+        traced = tracer.Tracer()
+        traced.install()
+        pipeline.run_all(fixture_config)
+        assert _tree(Path(fixture_config.out_dir)) == _tree(
+            data_dir / "golden")
+        # matcher.dp_calls is left out: nothing calls lev_distance
+        for key in ("matcher.pairs", "matcher.candidates",
+                    "mentions.text_chars", "images.responses",
+                    "corpus.load_snapshot.records"):
+            assert traced.counts[key] > 0, key
 
     def test_each_file_hashed_once_per_run(self, fixture_config,
                                            monkeypatch):
