@@ -15,9 +15,10 @@ category name is one string object, and every empty ``outlinks`` or
 ``images`` is the one empty tuple. Most person pages repeat one of a few
 category sets and link nowhere, so a snapshot made mostly of them takes
 about half the memory it would with a set and two lists per record.
-Page names are shared too: ``build_snapshot`` makes every outlink and
-redirect target that names a page of the snapshot that page's own
-``title`` object, so a page name is one string however many links name it.
+Page names are shared too: every outlink and redirect target that names a
+page of the snapshot is that page's own ``title`` object, so a page name is
+one string however many links name it. A load shares each line's names as
+it parses the line, so no link holds a string of its own until the end.
 
 Page text stays in the file. A loaded record holds, in place of its text,
 the byte offset of its line, and ``CorpusSnapshot.texts`` reads the texts
@@ -166,6 +167,9 @@ class CorpusSnapshot:
                 pending.append(rec)
         if not pending:
             return
+        if self.source is None:
+            raise SnapshotError(f"page {pending[0].title!r} was loaded from a "
+                                f"file, and this snapshot names none")
         pending.sort(key=attrgetter("plain_text"))
         path = self.source.path
         try:
@@ -320,13 +324,18 @@ def load_snapshot(path) -> CorpusSnapshot:
     time and inode, so CorpusSnapshot.texts can read the texts back, and
     refuse to once the file has changed.
 
-    Two tables, kept only for this call, let every record share equal
-    category frozensets and category names (see record_from_dict). They
-    cost most on a snapshot whose sets and names are all different, so
-    they are kept small: a set is its own key, where a key made from the
-    raw list would be one more object per set, and names have a table of
-    their own, because a dict whose keys are all strings stores an entry
-    in 16 bytes instead of 24.
+    Page names are shared as each record is read: an outlink or redirect
+    target that names a page already read becomes that page's ``title``,
+    and any other name goes into a table of pending names (name -> itself),
+    whose string a page read later takes as its ``title``. A repeated title
+    keeps the first record's ``title`` object, which is the key, and only
+    the last record's parent categories enter the subcategory graph.
+
+    Two more tables, kept only for this call, share equal category
+    frozensets and category names (see record_from_dict). A set is its own
+    key, where a key made from the raw list would be one more object per
+    set, and names have a table of their own, because a dict whose keys
+    are all strings stores an entry in 16 bytes instead of 24.
 
     Each stripped line is decoded on its own, by one ``raw_decode`` call
     without the whitespace scans of ``json.loads``. A line that call does
@@ -337,7 +346,10 @@ def load_snapshot(path) -> CorpusSnapshot:
     by line.
     """
     records: dict[str, ArticleRecord] = {}
+    get = records.get
     shared: tuple[dict, dict] = ({}, {})
+    pending: dict[str, str] = {}
+    category_pages: dict[str, ArticleRecord] = {}
     end_at = 0  # byte offset of the end of the lines read so far
     with open(path, "rb") as fh:
         stat = os.fstat(fh.fileno())
@@ -364,40 +376,54 @@ def load_snapshot(path) -> CorpusSnapshot:
                     raise SnapshotError(f"snapshot line {line_no}: invalid "
                                         f"JSON ({exc})") from exc
             rec = record_from_dict(data, line_no, at=at, shared=shared)
-            if rec.title in records:
+            page = get(rec.title)
+            if page is None:
+                rec.title = pending.pop(rec.title, rec.title)
+            else:
                 log.warning("snapshot line %d: duplicate title %r, last wins",
                             line_no, rec.title)
+                rec.title = page.title
             records[rec.title] = rec
-    return build_snapshot(records, _Source(path, stat.st_size,
-                                           stat.st_mtime_ns, stat.st_ino))
+            _share_names(rec, get, pending)
+            if rec.title.startswith(CATEGORY_PREFIX):
+                category_pages[rec.title] = rec
+    return CorpusSnapshot(records, _subcategories(category_pages.values()),
+                          _Source(path, stat.st_size, stat.st_mtime_ns,
+                                  stat.st_ino))
 
 
-def build_snapshot(records: dict[str, ArticleRecord],
-                   source: _Source | None = None) -> CorpusSnapshot:
-    """The snapshot of ``records`` (title -> record), with the subcategory
-    graph of its category pages; ``source`` is the file that
-    load_snapshot read them from.
-
-    Every outlink and redirect target that names a page of ``records``
-    becomes that page's own ``title`` object, so a snapshot holds one
-    string per page name however many links name it; a name with no page
-    keeps its own string. Only object identity changes, never a value.
-    """
-    subcategories: dict[str, set[str]] = {}
-    get = records.get
+def build_snapshot(records: dict[str, ArticleRecord]) -> CorpusSnapshot:
+    """The snapshot of ``records`` (title -> record) built in memory, with
+    its page names shared as a load shares them; only object identity
+    changes, never a value."""
+    get, names = records.get, {}
     for rec in records.values():
-        if rec.outlinks:
-            rec.outlinks = tuple([page.title if (page := get(name)) else name
-                                  for name in rec.outlinks])
-        if rec.redirect_target is not None:
-            page = get(rec.redirect_target)
-            if page is not None:
-                rec.redirect_target = page.title
+        _share_names(rec, get, names)
+    return CorpusSnapshot(records, _subcategories(records.values()))
+
+
+def _share_names(rec: ArticleRecord, get, pending: dict[str, str]) -> None:
+    """Make each outlink and the redirect target of ``rec`` the ``title`` of
+    the page ``get`` finds for it, or else the string ``pending`` holds."""
+    if rec.outlinks:
+        rec.outlinks = tuple([page.title if (page := get(name))
+                              else pending.setdefault(name, name)
+                              for name in rec.outlinks])
+    if (target := rec.redirect_target) is not None:
+        page = get(target)
+        rec.redirect_target = (page.title if page
+                               else pending.setdefault(target, target))
+
+
+def _subcategories(pages) -> dict[str, set[str]]:
+    """Parent -> children: the subcategory graph of the category pages."""
+    graph: dict[str, set[str]] = {}
+    for rec in pages:
         if rec.title.startswith(CATEGORY_PREFIX):
             child = rec.title[len(CATEGORY_PREFIX):]
             for parent in rec.categories:
-                subcategories.setdefault(parent, set()).add(child)
-    return CorpusSnapshot(records, subcategories, source)
+                graph.setdefault(parent, set()).add(child)
+    return graph
 
 
 def save_snapshot(snapshot: CorpusSnapshot, path) -> None:

@@ -35,3 +35,17 @@ def test_result_lines(path):
         assert type(result["seed"]) is int
         for metric in METRICS:
             assert type(result[metric]) in (int, float), (metric, result)
+
+
+@pytest.mark.parametrize("path", BENCH_FILES, ids=lambda p: p.name)
+def test_after_lines_follow_their_before_lines(path):
+    # each after line measures the child of the commit the line before it
+    # measured, on the same workload, seed and run length
+    results = json.loads(path.read_text(encoding="utf-8"))
+    for before, after in zip([None, *results], results):
+        if after["side"] != "after":
+            continue
+        assert before is not None and before["side"] == "before", after
+        for key in ("workload", "seed", "seconds"):
+            assert before[key] == after[key], (key, before, after)
+        assert before["commit"] == after["parent"], (before, after)

@@ -327,6 +327,34 @@ class TestSharing:
             del snapshot
         assert traced[1] - traced[0] < 2000, traced
 
+    def test_load_peak_stays_near_the_loaded_size(self, tmp_path):
+        # 40 articles of 180 links each, read between two halves of 2,000
+        # person pages, and redirects read before and after their targets.
+        # Traced peak above the loaded snapshot, measured: 60 bytes per
+        # link while each link kept its own string until the load's end,
+        # under 5 once names are shared as each line is parsed.
+        rng = random.Random(23)
+        persons = list(person_pages(2000))
+        articles = [{"title": f"Artikel {i}", "categories": ["Beruf"],
+                     "outlinks": [f"Person {rng.randrange(2000)}"
+                                  for _ in range(180)], "plain_text": "a"}
+                    for i in range(40)]
+        redirects = [{"title": f"Umleitung {i}",
+                      "redirect_target": f"Person {(i + 1000) % 2000}"}
+                     for i in range(200)]
+        p = tmp_path / "snap.jsonl"
+        write_jsonl(p, redirects[:100] + persons[:1000] + articles
+                    + persons[1000:] + redirects[100:])
+        tracemalloc.start()
+        try:
+            snapshot = corpus.load_snapshot(p)
+            loaded, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        links = 40 * 180 + 200
+        assert len(snapshot.records) == 2240
+        assert (peak - loaded) / links < 8, (peak, loaded)
+
     @staticmethod
     def page(title, **fields):
         """A snapshot line in canonical form: every field, sorted keys."""
@@ -337,22 +365,23 @@ class TestSharing:
         return json.dumps(line, ensure_ascii=False, sort_keys=True) + "\n"
 
     def test_links_and_redirects_share_their_page_title(self, tmp_path):
-        # A links to a later page (B), an earlier one (Ärztin, named in
-        # NFD) and one that is not in the file; B redirects to a later
-        # page, D to an earlier one
+        # A1 links to a later page (B1), an earlier one (Ärztin, named in
+        # NFD) and one that is not in the file; B1 redirects to a later
+        # page, D1 to an earlier one (titles of one character would be
+        # cached strings, shared whatever the load does)
         nfd = unicodedata.normalize("NFD", "Ärztin")
         p = tmp_path / "snap.jsonl"
         p.write_text("".join([
             self.page("Ärztin", plain_text="ä"),
-            self.page("A", outlinks=["B", nfd, "Fehlt", "B"],
+            self.page("A1", outlinks=["B1", nfd, "Fehlt", "B1"],
                       plain_text="a"),
-            self.page("B", redirect_target="C"),
-            self.page("C", outlinks=["A"], plain_text="c"),
-            self.page("D", redirect_target="Ärztin")]), encoding="utf-8")
+            self.page("B1", redirect_target="C1"),
+            self.page("C1", outlinks=["A1"], plain_text="c"),
+            self.page("D1", redirect_target="Ärztin")]), encoding="utf-8")
         for loaded in (corpus.load_snapshot(p), load_snapshot_json_loads(p)):
             records = loaded.records
-            a, b, c, d = (records[t] for t in "ABCD")
-            assert a.outlinks == ("B", "Ärztin", "Fehlt", "B")
+            a, b, c, d = (records[t] for t in ("A1", "B1", "C1", "D1"))
+            assert a.outlinks == ("B1", "Ärztin", "Fehlt", "B1")
             assert a.outlinks[0] is b.title and a.outlinks[3] is b.title
             assert a.outlinks[1] is records["Ärztin"].title
             assert c.outlinks[0] is a.title
@@ -372,6 +401,42 @@ class TestSharing:
         corpus.save_snapshot(snapshot, saved)
         assert saved.read_text(encoding="utf-8") == canonical
         assert with_texts(snapshot) == with_texts(load_snapshot_json_loads(p))
+
+    def test_a_repeated_title_is_one_string_with_its_links(self, tmp_path,
+                                                           caplog):
+        # A1 links to Bäcker before it is read, C1 between its two lines,
+        # D1 and E1 after them (titles of one character are cached strings)
+        p = tmp_path / "snap.jsonl"
+        p.write_text("".join([
+            self.page("A1", outlinks=["Bäcker"], plain_text="a"),
+            self.page("Bäcker", plain_text="first"),
+            self.page("C1", outlinks=["Bäcker", "C1"], plain_text="c"),
+            self.page("Bäcker", outlinks=["Bäcker"], plain_text="second"),
+            self.page("D1", outlinks=["Bäcker"], plain_text="d"),
+            self.page("E1", redirect_target="Bäcker")]), encoding="utf-8")
+        with caplog.at_level("WARNING"):
+            snapshot = corpus.load_snapshot(p)
+        assert any("duplicate title 'Bäcker'" in m for m in caplog.messages)
+        records = snapshot.records
+        [key] = [title for title in records if title == "Bäcker"]
+        baker = records[key]
+        assert text(snapshot, key) == "second"
+        assert baker.title is key and baker.outlinks[0] is key
+        assert all(records[t].outlinks[0] is key for t in ("A1", "C1", "D1"))
+        assert records["E1"].redirect_target is key
+
+    def test_a_repeated_category_page_keeps_its_last_parents(self, tmp_path):
+        p = tmp_path / "snap.jsonl"
+        p.write_text("".join([
+            self.page("Kategorie:Arzt", categories=["Beruf", "Medizin"]),
+            self.page("Kategorie:Medizin", categories=["Wissenschaft"]),
+            self.page("Kategorie:Arzt", categories=["Beruf", "Person"])]),
+            encoding="utf-8")
+        snapshot = corpus.load_snapshot(p)
+        assert snapshot.subcategories == {
+            "Beruf": {"Arzt"}, "Person": {"Arzt"}, "Wissenschaft": {"Medizin"}}
+        assert (snapshot.subcategories
+                == load_snapshot_json_loads(p).subcategories)
 
 
 def synthetic_snapshot_text(seed, n=400):
@@ -473,6 +538,14 @@ class TestTexts:
                 f"^snapshot {re.escape(str(p))} cannot be read again for "
                 f"its texts: ")):
             list(snapshot.texts([snapshot.records["C"]]))
+
+    def test_a_loaded_page_without_its_file_names_the_page(self, loaded):
+        _, snapshot = loaded
+        records = snapshot.records
+        detached = corpus.CorpusSnapshot(records, {})
+        assert list(detached.texts([records["B"]])) == [(records["B"], "")]
+        with pytest.raises(SnapshotError, match="^page 'C' was loaded from "):
+            list(detached.texts([records["B"], records["C"]]))
 
 
 class TestResolve:
