@@ -91,9 +91,10 @@ def read_rows(path, what: str, header: str | None, ncols: int):
 @contextmanager
 def open_input(path, what: str, error=ValueError, newline=None):
     """``open(path)`` on UTF-8 text, whose first byte that does not decode
-    raises ``error`` naming ``what``, the line and the file."""
+    raises ``error`` naming ``what``, the line and the file. A leading
+    byte-order mark, which spreadsheet exports add, is skipped."""
     try:
-        with open(path, encoding="utf-8", newline=newline) as fh:
+        with open(path, encoding="utf-8-sig", newline=newline) as fh:
             yield fh
     except UnicodeDecodeError:
         data = Path(path).read_bytes()

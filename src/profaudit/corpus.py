@@ -427,8 +427,10 @@ def _subcategories(pages) -> dict[str, set[str]]:
 
 
 def save_snapshot(snapshot: CorpusSnapshot, path) -> None:
-    """Canonical JSON-lines form: sorted titles, sorted keys, NFC text.
-    A loaded snapshot's texts are read back from its file first."""
+    """Canonical JSON-lines form: titles sorted, keys sorted. Texts are
+    written as they are held, a loaded snapshot's read back from its file;
+    nothing here puts them in NFC (``load_snapshot`` does for names, and
+    ``mentions`` for the text it scans)."""
     records = snapshot.records
     texts = dict(snapshot.texts(records.values()))
     write_jsonl(path, (dict(rec.to_dict(), plain_text=texts[rec])

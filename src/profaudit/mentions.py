@@ -1,5 +1,5 @@
 """Persons mentioned in profession articles: extraction, gender
-inference, merging, birth-year filtering, and per-article male ratios.
+inference, merging, birth-year filtering and male ratios.
 
 Two extraction routes are combined. Link mentions come from outlinks
 whose target page sits in the "Frau" or "Mann" category; that gender is
@@ -19,12 +19,14 @@ at an anchor: a capitalized token that is the first word of a lexicon
 key, ends its blank-separated chunk, and is followed by a chunk that
 starts with a capitalized token. Anchors are found by set membership over
 the chunks of ``text.split()``, and only from an anchor is a run walked
-to its end. The pipeline's ``mentions`` stage calls the extractors one
-article at a time and writes each article's mentions before it reads the
-next, so it holds one article's mentions, never the whole corpus's.
-The gazetteer is deliberately simple and auditable; an external NER's
-output can be ingested instead by feeding its names through the same
-PersonMention shape.
+to its end. The gazetteer is deliberately simple and auditable; an
+external NER's output can be ingested instead by feeding its names
+through the same PersonMention shape.
+
+The extractors, ``merge`` and ``filter_by_birth`` take one article's
+mentions, as the pipeline's ``mentions`` stage handles one article at a
+time: it writes each article's mentions before it reads the next, and
+keeps only their counts, which ``male_ratio_and_class`` classes.
 
 Each line of the ``mentions.jsonl`` artifact is one mention's
 ``PersonMention.json_line()``: byte for byte what ``json.dumps`` gives for
@@ -285,48 +287,36 @@ def extract_text_mentions(article_title: str, plain_text: str,
 def merge(link_mentions: list[PersonMention],
           text_mentions: list[PersonMention]
           ) -> tuple[list[PersonMention], dict]:
-    """Union the two routes per (article, surface name).
+    """Union one article's two routes by surface name, in the order of
+    the surface names.
 
-    Pairs present in both become source=both with the link gender
+    A name in both becomes source=both with the link gender
     authoritative. Surface names are compared as they are: a link
     mention's is an NFC outlink title, a text mention's is made of tokens
     of NFC text. The report is a dict of counts, which add up key by key
     over several merges: link and text mentions (``n_link``, ``n_text``),
-    pairs in both (``n_overlap``), those of them the lexicon gave a gender
+    names in both (``n_overlap``), those of them the lexicon gave a gender
     (``gender_comparisons``) and those where that gender disagreed with
     the link gender (``gender_disagreements``).
     """
-    merged: dict[tuple[str, str], PersonMention] = {}
-    for m in link_mentions:
-        merged[(m.article_title, m.surface_name)] = m
-
-    comparisons = 0
-    disagreements = 0
-    overlap = 0
+    merged = {m.surface_name: m for m in link_mentions}
+    comparisons = disagreements = overlap = 0
     for m in text_mentions:
-        key = (m.article_title, m.surface_name)
-        if key in merged:
-            base = merged[key]
-            if base.source is Source.LINK:
-                overlap += 1
-                if m.gender is not Gender.UNKNOWN:
-                    comparisons += 1
-                    if m.gender is not base.gender:
-                        disagreements += 1
-                base.source = Source.BOTH
-        else:
-            merged[key] = m
+        base = merged.setdefault(m.surface_name, m)
+        if base is m:
+            continue
+        if base.source is Source.LINK:
+            overlap += 1
+            if m.gender is not Gender.UNKNOWN:
+                comparisons += 1
+                if m.gender is not base.gender:
+                    disagreements += 1
+        base.source = Source.BOTH
 
-    out = sorted(merged.values(),
-                 key=lambda m: (m.article_title, m.surface_name))
-    report = {
-        "n_link": len(link_mentions),
-        "n_text": len(text_mentions),
-        "n_overlap": overlap,
-        "gender_comparisons": comparisons,
-        "gender_disagreements": disagreements,
-    }
-    return out, report
+    report = {"n_link": len(link_mentions), "n_text": len(text_mentions),
+              "n_overlap": overlap, "gender_comparisons": comparisons,
+              "gender_disagreements": disagreements}
+    return [merged[name] for name in sorted(merged)], report
 
 
 def disagreement_rate(report: dict) -> float:
@@ -336,32 +326,28 @@ def disagreement_rate(report: dict) -> float:
     return report["gender_disagreements"] / comparisons if comparisons else 0.0
 
 
-def male_ratio_and_class(article_title: str, n_men: int, n_women: int,
-                         band: float) -> dict:
-    """Equality band 0.5 +/- band for n >= SMALL_SAMPLE_LIMIT, strict
-    equality below.
+def male_ratio_and_class(n_men: int, n_women: int, band: float
+                         ) -> tuple[float, BiasClass]:
+    """The male ratio of ``n_men`` men and ``n_women`` women, and its
+    class: equal within 0.5 +/- band from SMALL_SAMPLE_LIMIT persons up,
+    and only at equal counts below; else male- or female-biased.
 
-    Above the band is male-biased, below is female-biased; articles
-    without any mentioned person are the caller's job to exclude. Returns
-    a dict of ``article_title``, ``n_men``, ``n_women``, ``male_ratio``
-    and ``bias_class`` (a ``BiasClass``).
+    A zero total raises ValueError; articles without any mentioned person
+    are the caller's job to exclude.
     """
     total = n_men + n_women
     if total <= 0:
-        raise ValueError(f"{article_title}: no mentioned persons")
+        raise ValueError("no mentioned persons")
     ratio = n_men / total
     if total >= SMALL_SAMPLE_LIMIT:
         equal = (0.5 - band) <= ratio <= (0.5 + band)
     else:
         equal = n_men == n_women
     if equal:
-        cls = BiasClass.EQUAL
-    elif ratio > 0.5:
-        cls = BiasClass.MALE_BIASED
-    else:
-        cls = BiasClass.FEMALE_BIASED
-    return {"article_title": article_title, "n_men": n_men,
-            "n_women": n_women, "male_ratio": ratio, "bias_class": cls}
+        return ratio, BiasClass.EQUAL
+    if ratio > 0.5:
+        return ratio, BiasClass.MALE_BIASED
+    return ratio, BiasClass.FEMALE_BIASED
 
 
 _MONTHS = ("Januar|Februar|März|April|Mai|Juni|Juli|August|September"
@@ -450,26 +436,3 @@ def filter_by_birth(mentions: list[PersonMention], cutoff: int
         else:
             too_old += 1
     return kept, unknown, too_old
-
-
-def article_stats(mentions: list[PersonMention], band: float) -> list[dict]:
-    """Per-article counts and bias class over gendered mentions, one
-    ``male_ratio_and_class`` dict per article, by title.
-
-    Unknown-gender mentions do not enter the counts; articles left with
-    no gendered mention are excluded.
-    """
-    counts: dict[str, list[int]] = {}
-    for m in mentions:
-        men_women = counts.setdefault(m.article_title, [0, 0])
-        if m.gender is Gender.M:
-            men_women[0] += 1
-        elif m.gender is Gender.F:
-            men_women[1] += 1
-    out = []
-    for title in sorted(counts):
-        men, women = counts[title]
-        if men + women == 0:
-            continue
-        out.append(male_ratio_and_class(title, men, women, band))
-    return out

@@ -564,9 +564,8 @@ def stage_mentions(run: Run) -> None:
         mentions.load_birth_years(run.inputs["birth_years"])
         if "birth_years" in run.inputs else {})
     total = mentions.merge([], [])[1]  # every count 0
-    skipped_outlinks = n_merged = n_men = n_women = kept = unknown = 0
-    too_old = 0
-    ratio_rows: dict[str, list] = {"all": [], "born_after_cutoff": []}
+    skipped_outlinks = n_merged = kept = unknown = too_old = 0
+    ratio_rows = {"all": [], "born_after_cutoff": []}
     with open(run.out("mentions.jsonl"), "w", encoding="utf-8") as fh:
         for title, _pid, _role in articles:
             [(record, text)] = snapshot.texts([pages[title]])
@@ -582,18 +581,18 @@ def stage_mentions(run: Run) -> None:
                 merged, cfg.birth_cutoff)
             fh.writelines(m.json_line() for m in merged)
             n_merged += len(merged)
-            n_men += sum(1 for m in merged if m.gender is Gender.M)
-            n_women += sum(1 for m in merged if m.gender is Gender.F)
             kept += len(filtered)
             unknown += no_year
             too_old += old
             for variant, subset in (("all", merged),
                                     ("born_after_cutoff", filtered)):
-                for stat in mentions.article_stats(subset, cfg.equality_band):
+                genders = [m.gender for m in subset]
+                men, women = genders.count(Gender.M), genders.count(Gender.F)
+                if men + women:
+                    ratio, cls = mentions.male_ratio_and_class(
+                        men, women, cfg.equality_band)
                     ratio_rows[variant].append(
-                        [variant, stat["article_title"], stat["n_men"],
-                         stat["n_women"], stat["male_ratio"],
-                         stat["bias_class"].value])
+                        [variant, title, men, women, ratio, cls.value])
 
     write_csv(run.out("ratios.csv"),
               ["variant", "article_title", "n_men", "n_women", "male_ratio",
@@ -602,7 +601,8 @@ def stage_mentions(run: Run) -> None:
     dump_json(dict(
         total, disagreement_rate=mentions.disagreement_rate(total),
         skipped_outlinks=skipped_outlinks, n_merged=n_merged,
-        n_men=n_men, n_women=n_women,
+        n_men=sum(row[2] for row in ratio_rows["all"]),
+        n_women=sum(row[3] for row in ratio_rows["all"]),
         birth_filter={
             "cutoff": cfg.birth_cutoff, "kept": kept,
             "dropped_unknown_year": unknown,

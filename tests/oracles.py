@@ -613,13 +613,25 @@ def stage_mentions_lists(run) -> None:
     with open(run.out("mentions.jsonl"), "w", encoding="utf-8") as fh:
         fh.writelines(m.json_line() for m in all_mentions)
 
+    # per article, by title, the counts over gendered mentions; an article
+    # with none gets no row
     ratio_rows = []
     for variant, subset in (("all", all_mentions),
                             ("born_after_cutoff", filtered)):
-        for stat in mentions.article_stats(subset, cfg.equality_band):
-            ratio_rows.append([variant, stat["article_title"], stat["n_men"],
-                               stat["n_women"], stat["male_ratio"],
-                               stat["bias_class"].value])
+        counts: dict[str, list[int]] = {}
+        for m in subset:
+            men_women = counts.setdefault(m.article_title, [0, 0])
+            if m.gender is Gender.M:
+                men_women[0] += 1
+            elif m.gender is Gender.F:
+                men_women[1] += 1
+        for title in sorted(counts):
+            men, women = counts[title]
+            if men + women:
+                ratio, cls = mentions.male_ratio_and_class(
+                    men, women, cfg.equality_band)
+                ratio_rows.append([variant, title, men, women, ratio,
+                                   cls.value])
     write_csv(run.out("ratios.csv"),
               ["variant", "article_title", "n_men", "n_women", "male_ratio",
                "bias_class"], ratio_rows)

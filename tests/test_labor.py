@@ -67,6 +67,12 @@ class TestLoadClassifier:
                      encoding="utf-8")
         assert labor.load_classifier(p) == {"Lehrer": "8411", "Arzt": "8140"}
 
+    def test_byte_order_mark_skipped(self, tmp_path):
+        # with the mark, the header was read as a name, "\ufeffname"
+        p = tmp_path / "classifier.csv"
+        p.write_text("\ufeffname,code\nLehrer,8411\n", encoding="utf-8")
+        assert labor.load_classifier(p) == {"Lehrer": "8411"}
+
 
 class TestAssign:
     STATS = [LaborStat("8445", "Sprachlehrer", 100, 300),

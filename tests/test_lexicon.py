@@ -226,6 +226,14 @@ class TestFixtureFile:
         assert str(info.value) == (f"professions line 2: byte 0xf6 is not "
                                    f"UTF-8, in {path}")
 
+    def test_byte_order_mark_skipped(self, tmp_path):
+        # with the mark, the first title was "\ufeffLehrer"
+        path = tmp_path / "professions.txt"
+        path.write_text("\ufeffLehrer/in\n", encoding="utf-8")
+        [entry] = lexicon.parse_file(path, ABBREVIATIONS)
+        assert (entry.male_title, entry.female_title) == ("Lehrer",
+                                                          "Lehrerin")
+
     def test_round_trip_files(self, data_dir, tmp_path):
         # without manual assignments, the unresolved lines go to review
         cfg = AuditConfig(professions=str(data_dir / "professions.txt"),

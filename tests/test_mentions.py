@@ -270,7 +270,8 @@ class TestMerge:
         links = [pm("A", "Heinrich Heine", Gender.M)]
         texts = [pm("A", "Anna Schmidt", Gender.F, Source.NAME_MATCH)]
         got, report = merge(links, texts)
-        assert len(got) == 2
+        assert [m.surface_name for m in got] == ["Anna Schmidt",
+                                                 "Heinrich Heine"]
         assert report["n_overlap"] == 0
         assert mentions.disagreement_rate(report) == 0.0
 
@@ -288,13 +289,6 @@ class TestMerge:
         texts = [pm("A", "Heinrich Heine", Gender.M, Source.NAME_MATCH)]
         got, _ = merge(links, texts)
         assert len(got) == 1
-
-    def test_same_surface_different_articles_kept_apart(self):
-        links = [pm("A", "Heinrich Heine", Gender.M)]
-        texts = [pm("B", "Heinrich Heine", Gender.M, Source.NAME_MATCH)]
-        got, report = merge(links, texts)
-        assert len(got) == 2
-        assert report["n_overlap"] == 0
 
     def test_ten_person_overlap_disagreement_rate(self):
         # ten overlapping persons, the lexicon wrong on exactly one and
@@ -321,22 +315,21 @@ class TestMerge:
 
 class TestRatioClass:
     def test_all_men(self):
-        got = male_ratio_and_class("Konstrukteur", 30, 0, CFG.equality_band)
-        assert got["male_ratio"] == 1.0
-        assert got["bias_class"] is BiasClass.MALE_BIASED
+        ratio, cls = male_ratio_and_class(30, 0, CFG.equality_band)
+        assert ratio == 1.0
+        assert cls is BiasClass.MALE_BIASED
 
     def test_six_men_five_women_equal(self):
-        got = male_ratio_and_class("A", 6, 5, CFG.equality_band)
-        assert got["bias_class"] is BiasClass.EQUAL
+        _, cls = male_ratio_and_class(6, 5, CFG.equality_band)
+        assert cls is BiasClass.EQUAL
 
     def test_five_men_four_women_small_sample(self):
-        got = male_ratio_and_class("A", 5, 4, CFG.equality_band)
-        assert got["bias_class"] is BiasClass.MALE_BIASED
+        _, cls = male_ratio_and_class(5, 4, CFG.equality_band)
+        assert cls is BiasClass.MALE_BIASED
 
     def test_band_boundaries_inclusive(self):
         def cls(men, women):
-            return male_ratio_and_class("A", men, women,
-                                        CFG.equality_band)["bias_class"]
+            return male_ratio_and_class(men, women, CFG.equality_band)[1]
 
         assert cls(9, 11) is BiasClass.EQUAL
         assert cls(11, 9) is BiasClass.EQUAL
@@ -344,29 +337,27 @@ class TestRatioClass:
         assert cls(8, 12) is BiasClass.FEMALE_BIASED
 
     def test_small_sample_strict_equality(self):
-        equal = male_ratio_and_class("A", 2, 2, CFG.equality_band)
-        more_men = male_ratio_and_class("A", 3, 2, CFG.equality_band)
-        assert equal["bias_class"] is BiasClass.EQUAL
-        assert more_men["bias_class"] is BiasClass.MALE_BIASED
+        _, equal = male_ratio_and_class(2, 2, CFG.equality_band)
+        _, more_men = male_ratio_and_class(3, 2, CFG.equality_band)
+        assert equal is BiasClass.EQUAL
+        assert more_men is BiasClass.MALE_BIASED
 
     def test_ratio_complement(self):
-        got = male_ratio_and_class("A", 7, 13, CFG.equality_band)
-        assert got["male_ratio"] + 13 / 20 == pytest.approx(1.0)
+        ratio, _ = male_ratio_and_class(7, 13, CFG.equality_band)
+        assert ratio + 13 / 20 == pytest.approx(1.0)
 
     def test_zero_total_rejected(self):
         with pytest.raises(ValueError):
-            male_ratio_and_class("A", 0, 0, CFG.equality_band)
+            male_ratio_and_class(0, 0, CFG.equality_band)
 
     def test_partition_over_grid(self):
         for men in range(0, 25):
             for women in range(0, 25):
                 if men + women == 0:
                     continue
-                got = male_ratio_and_class("A", men, women,
-                                           CFG.equality_band)
-                assert got["bias_class"] in (BiasClass.MALE_BIASED,
-                                          BiasClass.FEMALE_BIASED,
-                                          BiasClass.EQUAL)
+                _, cls = male_ratio_and_class(men, women, CFG.equality_band)
+                assert cls in (BiasClass.MALE_BIASED,
+                               BiasClass.FEMALE_BIASED, BiasClass.EQUAL)
 
 
 class TestBirthFilter:
@@ -436,16 +427,6 @@ class TestGenderLexicon:
         p.write_text("Zo\u00eb,f\n Zoe\u0308 ,m\n", encoding="utf-8")
         with pytest.raises(ValueError, match="row 2: duplicate name"):
             mentions.load_gender_lexicon(p)
-
-
-class TestArticleStats:
-    def test_counts_and_exclusion(self):
-        ms = [pm("A", "M Eins", Gender.M), pm("A", "F Eins", Gender.F),
-              pm("B", "Wer Weiss", Gender.UNKNOWN)]
-        got = mentions.article_stats(ms, CFG.equality_band)
-        assert len(got) == 1  # article B has no gendered mention
-        assert got[0]["article_title"] == "A"
-        assert got[0]["bias_class"] is BiasClass.EQUAL
 
 
 # The mentions stage's inputs. The persons are the same for any number of
@@ -566,6 +547,44 @@ class TestStageAgainstReference:
             "n_overlap", "gender_comparisons", "gender_disagreements",
             "skipped_outlinks", "n_men", "n_women"))
         assert all(value > 0 for value in report["birth_filter"].values())
+        assert {row.split(",")[0] for row in ratios[1:]} == {
+            "all", "born_after_cutoff"}
+
+    def test_articles_without_gendered_mentions(self, tmp_path):
+        # "Beruf 900" names only a person of unknown gender, so it gets no
+        # ratio row; every gendered person of "Beruf 901" is born at or
+        # before the cutoff or has no year, so it gets only an "all" row
+        inputs = stage_inputs(tmp_path / "in", 3)
+        pages = [{"title": "Otto Alt", "categories": ["Mann"],
+                  "plain_text": "Otto Alt (* 4. Mai 1930) lebt in Bonn."},
+                 {"title": "Anna Grenz", "categories": ["Frau"],
+                  "plain_text": "Lebt in Bonn."},
+                 {"title": "Beruf 900", "outlinks": ["Niemand Da"],
+                  "plain_text": "Die Reporterin Kim Sonder schreibt."},
+                 {"title": "Beruf 901", "outlinks": ["Otto Alt", "Anna Grenz"],
+                  "plain_text": "Karl Ohnejahr lobt Otto Alt sehr."}]
+        with open(inputs["snapshot"], "a", encoding="utf-8") as fh:
+            fh.writelines(json.dumps(p, ensure_ascii=False) + "\n"
+                          for p in pages)
+        with open(inputs["birth_years"], "a", encoding="utf-8") as fh:
+            fh.write("Anna Grenz,1960\n")
+        with open(inputs["article_map"], "a", encoding="utf-8") as fh:
+            fh.write("Beruf 900,p900,neutral\nBeruf 901,p901,neutral\n")
+        run_stage(pipeline.stage_mentions, inputs, tmp_path / "streamed")
+        run_stage(oracles.stage_mentions_lists, inputs, tmp_path / "lists")
+        out = tmp_path / "streamed" / "mentions"
+        for name in ("mentions.jsonl", "ratios.csv", "merge_report.json"):
+            assert (out / name).read_bytes() == (
+                tmp_path / "lists" / "mentions" / name).read_bytes(), name
+        lines = [json.loads(line) for line in
+                 (out / "mentions.jsonl").read_text().splitlines()]
+        assert {(m["surface_name"], m["gender"], m["birth_year"])
+                for m in lines if m["article_title"] >= "Beruf 900"} == {
+            ("Kim Sonder", "unknown", None), ("Karl Ohnejahr", "m", None),
+            ("Otto Alt", "m", 1930), ("Anna Grenz", "f", 1960)}
+        ratios = (out / "ratios.csv").read_text().splitlines()
+        assert [row for row in ratios if ",Beruf 90" in row] == [
+            "all,Beruf 901,2,1,0.666667,male_biased"]
         assert {row.split(",")[0] for row in ratios[1:]} == {
             "all", "born_after_cutoff"}
 

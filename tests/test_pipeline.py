@@ -230,6 +230,26 @@ class TestGoldenRun:
                                 for p in out_dir.rglob("*") if p.is_file())
         assert produced_files == golden_files
 
+    def test_inputs_with_a_byte_order_mark(self, data_dir, tmp_path):
+        # a mark, as spreadsheet exports write, on the config, the
+        # profession list and two CSV inputs changes no artifact
+        work = tmp_path / "fixture"
+        shutil.copytree(data_dir, work, ignore=shutil.ignore_patterns(
+            "golden", "out"))
+        for name in ("config.json", "professions.txt", "gender_lexicon.csv",
+                     "labor_classifier.csv"):
+            (work / name).write_bytes(b"\xef\xbb\xbf"
+                                      + (work / name).read_bytes())
+        out_dir = tmp_path / "out"
+        rc = run_cli("report", "--all", "--config", work / "config.json",
+                     "--out-dir", out_dir)
+        assert rc == 0
+        golden_root = data_dir / "golden"
+        for path in golden_root.rglob("*.*"):
+            if "manifest" not in path.name:  # manifests hash the inputs
+                rel = path.relative_to(golden_root)
+                assert (out_dir / rel).read_bytes() == path.read_bytes(), rel
+
     def test_rerun_is_byte_identical(self, data_dir, tmp_path):
         out_dir = tmp_path / "out"
         run_cli("report", "--all", "--config", data_dir / "config.json",
