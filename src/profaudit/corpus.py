@@ -62,10 +62,6 @@ class SnapshotError(ValueError):
     pass
 
 
-class RedirectCycleError(ValueError):
-    pass
-
-
 class ImageRef:
     __slots__ = ("filename", "width", "media_format")
 
@@ -126,10 +122,6 @@ class ArticleRecord:
             "page_id": self.page_id,
         }
 
-
-# where a redirect chain ends (see resolve); record is None for a missing page
-ResolvedPage = namedtuple("ResolvedPage",
-                          "final_title hops chain exists record")
 
 # the file a snapshot was loaded from, and its os.stat fields at the load
 _Source = namedtuple("_Source", "path size mtime_ns inode")
@@ -437,32 +429,20 @@ def save_snapshot(snapshot: CorpusSnapshot, path) -> None:
                        for rec in map(records.__getitem__, sorted(records))))
 
 
-def resolve(title: str, snapshot: CorpusSnapshot) -> ResolvedPage:
-    """Follow the redirect chain from a title to its final page.
-
-    hops = 0 for direct articles and missing pages; a cycle raises
-    RedirectCycleError listing the chain.
-    """
-    current = nfc(title)
-    chain = [current]
-    seen = {current}
-    hops = 0
+def resolve(title: str, snapshot: CorpusSnapshot) -> str | None:
+    """The title a redirect chain from ``title`` ends at: the first title
+    that is an article or no page of the snapshot, or None for a chain that
+    runs in a cycle. ``title`` must be in NFC, as the snapshot's titles
+    are; it is not normalized here."""
+    seen = set()
     while True:
-        rec = snapshot.records.get(current)
-        if rec is None or not rec.exists:
-            return ResolvedPage(final_title=current, hops=hops, chain=chain,
-                                exists=False, record=None)
-        if not rec.is_redirect:
-            return ResolvedPage(final_title=current, hops=hops, chain=chain,
-                                exists=True, record=rec)
-        target = rec.redirect_target
-        if target in seen:
-            raise RedirectCycleError(
-                "redirect cycle: " + " -> ".join(chain + [target]))
-        chain.append(target)
-        seen.add(target)
-        current = target
-        hops += 1
+        rec = snapshot.records.get(title)
+        if rec is None or not rec.exists or not rec.is_redirect:
+            return title
+        if title in seen:
+            return None
+        seen.add(title)
+        title = rec.redirect_target
 
 
 def category_closure(roots, depth: int, snapshot: CorpusSnapshot) -> set[str]:

@@ -96,8 +96,8 @@ def _strip_category(name: str) -> str:
 
 
 def _media_format(filename: str) -> str:
-    _, _, ext = filename.rpartition(".")
-    return ext.lower() if ext else "unknown"
+    _, dot, ext = filename.rpartition(".")
+    return ext.lower() if dot and ext else "unknown"
 
 
 class _Response:
@@ -191,6 +191,13 @@ class WikiClient:
         page = pages[0]
         if page.get("missing") or page.get("invalid"):
             return ArticleRecord(title=title, exists=False)
+        # a list cut at its limit goes on in further responses, each with
+        # the next part of every list still cut
+        while "continue" in data:
+            data = self._get(dict(params, **data["continue"]), title)
+            for more in data.get("query", {}).get("pages", [])[:1]:
+                for key in ("links", "categories", "images"):
+                    page[key] = (page.get(key) or []) + (more.get(key) or [])
 
         content = ""
         revisions = page.get("revisions") or []

@@ -431,18 +431,16 @@ def stage_classify(run: Run) -> None:
             roles[prof_id][role].append(article_title)
 
     snapshot, closure = run.snapshot, run.closure
-    presences = []
+    presences: dict[str, dict[str, redirect_bias.PageState]] = {}
     classifications: dict[str, BiasGroup] = {}
     article_map: dict[str, tuple[str, str]] = {}
     for prof_id in sorted(roles):
-        presence = redirect_bias.build_presence(prof_id, roles[prof_id],
-                                                snapshot, closure)
-        presences.append(presence)
-        classifications[prof_id] = redirect_bias.classify(presence)
-        for role in redirect_bias.ROLES:
-            state = getattr(presence, role)
-            if (state.kind is redirect_bias.PageKind.ARTICLE
-                    and state.about_profession and state.title):
+        states = redirect_bias.build_presence(roles[prof_id], snapshot,
+                                              closure)
+        presences[prof_id] = states
+        classifications[prof_id] = redirect_bias.classify(states)
+        for role, state in states.items():
+            if redirect_bias.is_article(state):
                 if state.title in article_map:
                     log.warning("article %r claimed by %s and %s, keeping "
                                 "the first", state.title,
@@ -452,8 +450,8 @@ def stage_classify(run: Run) -> None:
 
     write_csv(run.out("classifications.csv"),
               ["profession_id", "source_text", "bias_group"],
-              [[pid, entries[pid].text, classifications[pid].value]
-               for pid in sorted(classifications)])
+              [[pid, entries[pid].text, group.value]
+               for pid, group in classifications.items()])
     write_csv(run.out("article_map.csv"),
               ["article_title", "profession_id", "title_role"],
               [[title, pid, role]
@@ -466,24 +464,17 @@ def stage_classify(run: Run) -> None:
                for title in sorted(article_map)
                for ref in snapshot.records[title].images])
 
-    presence_rows = []
-    for presence in presences:
-        for role in redirect_bias.ROLES:
-            state = getattr(presence, role)
-            if state.title is None and state.kind is redirect_bias.PageKind.MISSING:
-                continue
-            presence_rows.append([
-                presence.profession_id, role, state.title or "",
-                state.kind.value, state.target or "",
-                state.target_kind.value if state.target_kind else "",
-                state.about_profession,
-            ])
     write_csv(run.out("presence.csv"),
               ["profession_id", "title_role", "title", "kind", "target",
-               "target_kind", "about_profession"], presence_rows)
+               "target_kind", "about_profession"],
+              [[pid, role, state.title, state.kind.value, state.target,
+                state.target_kind and state.target_kind.value,
+                state.about_profession]
+               for pid, states in presences.items()
+               for role, state in states.items()])
 
     summary = {}
-    for name, rows in redirect_bias.tally(presences).items():
+    for name, rows in redirect_bias.tally(presences.values()).items():
         columns = redirect_bias.TABLES[name]
         write_csv(run.out(f"{name}.csv"), columns, rows)
         if name.startswith("table_"):
@@ -505,15 +496,13 @@ def stage_webhits(run: Run) -> None:
               ["profession_id", "normalized_difference", "bias_group"],
               [[pid, diffs[pid], groups[pid].value if pid in groups else ""]
                for pid in sorted(diffs)])
-    evidence = [r for r in records
-                if groups.get(r.profession_id) not in (None, BiasGroup.NO_EVIDENCE)
-                and r.hits_male + r.hits_female > 0]
+    models = webhits.fit_bias_models(records, groups)
     report: dict = {"excluded_zero_total": excluded,
                     "n_input": len(records)}
-    if evidence:
-        report.update(webhits.fit_bias_models(evidence, groups))
-    else:
+    if models is None:
         report["skipped"] = "no profession with both hits and bias evidence"
+    else:
+        report.update(models)
     dump_json(report, run.out("models.json"))
 
 

@@ -1,7 +1,10 @@
 """Classify professions into redirect-bias groups from the page states of
 their male, female, and neutral titles.
 
-The classifier is a pure precedence ladder over three PageStates:
+``build_presence`` gives a profession one PageState per role it has a title
+for, in ``ROLES`` order; a role without a title has no state, and no row in
+``presence.csv``. ``classify`` reads such a role as missing. It is a pure
+precedence ladder over the three roles:
 
 1. both gendered titles are (validated) articles        -> neutral
 2. a gendered title redirects to the opposite title     -> bias of target
@@ -16,22 +19,23 @@ Redirect evidence is inspected before absence evidence, so a female title
 redirecting to the male article yields male bias even though "only a male
 article exists" would also hold. Redirect targets outside the
 profession's own confirmed titles count as neutral-or-other; multi-hop
-redirects classify by their final resolved target. Articles outside the
-profession-category closure are treated as absent by the classifier but
-still show up in the tally as "other pages".
+redirects classify by their final resolved target. A redirect whose chain
+runs in a cycle keeps its first hop as the target and counts as
+neutral-or-other. Articles outside the profession-category closure are
+treated as absent by the classifier but still show up in the tally as
+"other pages".
 
-``tally`` counts the presences into the paper's Tables 1a-1c and Figures
+``tally`` counts the states into the paper's Tables 1a-1c and Figures
 4-5: a dict from table name to a list of rows, at most one per title
 gender, each a list of cells in the order of the columns ``TABLES`` names.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from enum import Enum
 
-from .corpus import (CorpusSnapshot, RedirectCycleError, is_profession_article,
-                     resolve)
+from .corpus import CorpusSnapshot, is_profession_article, resolve
 from .text import nfc
 
 
@@ -54,37 +58,22 @@ class BiasGroup(str, Enum):
     NO_EVIDENCE = "no_evidence"
 
 
-class PageState:
-    __slots__ = ("kind", "target", "target_kind", "about_profession", "title")
+# the redirect evidence of one title: the cells of its presence.csv row.
+# A redirect has a target and its kind; ``about_profession`` tells whether
+# an article is inside the profession-category closure, and stays True for
+# redirects and missing pages.
+PageState = namedtuple("PageState",
+                       "title kind target target_kind about_profession",
+                       defaults=(None, None, True))
 
-    def __init__(self, kind: PageKind, target: str | None = None,
-                 target_kind: TargetKind | None = None,
-                 about_profession: bool = True, title: str | None = None):
-        if kind is PageKind.REDIRECT and target_kind is None:
-            raise ValueError("redirect PageState needs a target_kind")
-        self.kind = kind
-        self.target = target
-        self.target_kind = target_kind
-        # article is inside the profession-category closure; redirects and
-        # missing pages keep the default
-        self.about_profession = about_profession
-        self.title = title
+ROLES = ("male", "female", "neutral")
+
+# the state classify reads for a role without a title
+_NO_TITLE = PageState(None, PageKind.MISSING)
 
 
-class ProfessionPresence:
-    __slots__ = ("profession_id", "male", "female", "neutral")
-
-    def __init__(self, profession_id: str, male: PageState | None = None,
-                 female: PageState | None = None,
-                 neutral: PageState | None = None):
-        self.profession_id = profession_id
-        self.male = PageState(PageKind.MISSING) if male is None else male
-        self.female = PageState(PageKind.MISSING) if female is None else female
-        self.neutral = (PageState(PageKind.MISSING) if neutral is None
-                        else neutral)
-
-
-def _is_article(state: PageState) -> bool:
+def is_article(state: PageState) -> bool:
+    """Whether ``state`` is a validated article: one about the profession."""
     return state.kind is PageKind.ARTICLE and state.about_profession
 
 
@@ -92,12 +81,13 @@ def _redirects_to(state: PageState, target_kind: TargetKind) -> bool:
     return state.kind is PageKind.REDIRECT and state.target_kind is target_kind
 
 
-def classify(presence: ProfessionPresence) -> BiasGroup:
-    """Total, deterministic precedence ladder; see the module docstring."""
-    male, female, neutral = presence.male, presence.female, presence.neutral
+def classify(states: dict[str, PageState]) -> BiasGroup:
+    """Total, deterministic precedence ladder over ``{role: PageState}``;
+    see the module docstring."""
+    male, female, neutral = (states.get(role, _NO_TITLE) for role in ROLES)
 
     # (1) both gendered articles exist
-    if _is_article(male) and _is_article(female):
+    if is_article(male) and is_article(female):
         return BiasGroup.NEUTRAL
 
     # (2) redirect to the opposite gendered title wins over absence;
@@ -109,20 +99,20 @@ def classify(presence: ProfessionPresence) -> BiasGroup:
 
     # (3) one gendered article and the opposite title redirects somewhere
     # that is neither gendered title
-    if _is_article(male) and _redirects_to(female, TargetKind.NEUTRAL_OR_OTHER):
+    if is_article(male) and _redirects_to(female, TargetKind.NEUTRAL_OR_OTHER):
         return BiasGroup.NEUTRAL
-    if _is_article(female) and _redirects_to(male, TargetKind.NEUTRAL_OR_OTHER):
+    if is_article(female) and _redirects_to(male, TargetKind.NEUTRAL_OR_OTHER):
         return BiasGroup.NEUTRAL
 
     # (4) / (5) a single gendered article
-    if _is_article(male):
+    if is_article(male):
         return BiasGroup.MALE_BIAS
-    if _is_article(female):
+    if is_article(female):
         return BiasGroup.FEMALE_BIAS
 
     # (6) neutral representation: a neutral article, or a gendered title
     # redirecting to a neutral/other target
-    if _is_article(neutral):
+    if is_article(neutral):
         return BiasGroup.NEUTRAL
     if (_redirects_to(male, TargetKind.NEUTRAL_OR_OTHER)
             or _redirects_to(female, TargetKind.NEUTRAL_OR_OTHER)):
@@ -131,13 +121,15 @@ def classify(presence: ProfessionPresence) -> BiasGroup:
     return BiasGroup.NO_EVIDENCE
 
 
-def build_presence(profession_id: str, titles_by_role: dict[str, list[str]],
-                   snapshot: CorpusSnapshot, closure: set[str]) -> ProfessionPresence:
+def build_presence(titles_by_role: dict[str, list[str]],
+                   snapshot: CorpusSnapshot, closure: set[str]
+                   ) -> dict[str, PageState]:
     """Resolve every confirmed title of a profession against the snapshot.
 
     ``titles_by_role`` maps "male"/"female"/"neutral" to the confirmed
     titles of that role (original plus reviewer-confirmed alternates).
-    When a role has several titles, the strongest evidence wins:
+    The result maps each role with a title, in ``ROLES`` order, to its
+    state. When a role has several titles, the strongest evidence wins:
     validated article > redirect to opposite title > redirect elsewhere >
     non-profession article > missing.
     """
@@ -148,28 +140,24 @@ def build_presence(profession_id: str, titles_by_role: dict[str, list[str]],
         title = nfc(title)
         rec = snapshot.records.get(title)
         if rec is None or not rec.exists:
-            return PageState(PageKind.MISSING, title=title)
+            return PageState(title, PageKind.MISSING)
         if rec.is_redirect:
-            try:
-                final = resolve(title, snapshot)
-            except RedirectCycleError:
-                return PageState(PageKind.REDIRECT, target=rec.redirect_target,
-                                 target_kind=TargetKind.NEUTRAL_OR_OTHER,
-                                 title=title)
-            if final.final_title in male_titles:
+            # a cycle resolves to None, which is in neither title set
+            final = resolve(title, snapshot)
+            if final in male_titles:
                 kind = TargetKind.MALE_TITLE
-            elif final.final_title in female_titles:
+            elif final in female_titles:
                 kind = TargetKind.FEMALE_TITLE
             else:
                 kind = TargetKind.NEUTRAL_OR_OTHER
-            return PageState(PageKind.REDIRECT, target=final.final_title,
-                             target_kind=kind, title=title)
-        return PageState(PageKind.ARTICLE,
-                         about_profession=is_profession_article(rec, closure),
-                         title=title)
+            return PageState(title, PageKind.REDIRECT,
+                             rec.redirect_target if final is None else final,
+                             kind)
+        return PageState(title, PageKind.ARTICLE,
+                         about_profession=is_profession_article(rec, closure))
 
     def strength(state: PageState) -> int:
-        if _is_article(state):
+        if is_article(state):
             return 4
         if state.kind is PageKind.REDIRECT:
             return 3 if state.target_kind is not TargetKind.NEUTRAL_OR_OTHER else 2
@@ -177,21 +165,10 @@ def build_presence(profession_id: str, titles_by_role: dict[str, list[str]],
             return 1
         return 0
 
-    def best_state(role: str) -> PageState:
-        states = [state_for(t) for t in titles_by_role.get(role, [])]
-        if not states:
-            return PageState(PageKind.MISSING)
-        return max(states, key=lambda s: (strength(s), s.title or ""))
+    return {role: max(map(state_for, titles),
+                      key=lambda s: (strength(s), s.title))
+            for role in ROLES if (titles := titles_by_role.get(role))}
 
-    return ProfessionPresence(
-        profession_id=profession_id,
-        male=best_state("male"),
-        female=best_state("female"),
-        neutral=best_state("neutral"),
-    )
-
-
-ROLES = ("male", "female", "neutral")
 
 # the columns of each table ``tally`` returns, one CSV of the classify stage
 # each; the first names the title gender of the row
@@ -208,8 +185,9 @@ TABLES = {
 }
 
 
-def tally(presences: list[ProfessionPresence]) -> dict[str, list[list]]:
-    """The rows of Tables 1a-1c and Figures 4-5, by table name.
+def tally(presences) -> dict[str, list[list]]:
+    """The rows of Tables 1a-1c and Figures 4-5, by table name, from the
+    ``build_presence`` results of the professions.
 
     A profession counts towards a role's row when it has a title of that
     role. Each of Tables 1a-1c has one row per role, in ``ROLES`` order,
@@ -220,11 +198,8 @@ def tally(presences: list[ProfessionPresence]) -> dict[str, list[list]]:
     elsewhere. Row cells follow the columns named in ``TABLES``.
     """
     counts = {role: Counter() for role in ROLES}
-    for presence in presences:
-        for role in ROLES:
-            state: PageState = getattr(presence, role)
-            if state.kind is PageKind.MISSING and state.title is None:
-                continue  # profession has no title for this role
+    for states in presences:
+        for role, state in states.items():
             c = counts[role]
             c["all"] += 1
             if state.kind is PageKind.ARTICLE:

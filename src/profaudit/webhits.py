@@ -71,27 +71,22 @@ PREDICTOR_NAMES = ("intercept", "normalized_difference", "hits_male")
 
 
 def fit_bias_models(records: list[HitRecord],
-                    groups: dict[str, BiasGroup]) -> dict:
-    """Fit the female-bias and male-bias logistic models.
+                    groups: dict[str, BiasGroup]) -> dict | None:
+    """Fit the female-bias and male-bias logistic models, or return None
+    when no record can enter them.
 
-    Every profession must appear in ``groups`` with one of the three
-    evidence-bearing bias groups; no-evidence professions must be filtered
-    out by the caller. Predictors keep raw units.
+    Only records with hits and with an evidence-bearing bias group in
+    ``groups`` enter the models; ``n`` counts them. Predictors keep raw
+    units.
     """
     usable = []
     for rec in records:
         group = groups.get(rec.profession_id)
-        if group is None:
-            raise ValueError(f"no bias group for {rec.profession_id}")
-        if group is BiasGroup.NO_EVIDENCE:
-            raise ValueError(
-                f"{rec.profession_id}: no-evidence professions cannot enter "
-                "the bias models")
-        if rec.hits_male + rec.hits_female == 0:
-            continue
-        usable.append((rec, group))
+        if (group not in (None, BiasGroup.NO_EVIDENCE)
+                and rec.hits_male + rec.hits_female > 0):
+            usable.append((rec, group))
     if not usable:
-        raise ValueError("fit_bias_models: no usable records")
+        return None
 
     X = [[1.0, normalized_difference(r), float(r.hits_male)]
          for r, _ in usable]

@@ -8,8 +8,8 @@ import pytest
 from oracles import load_snapshot_json_loads
 
 from profaudit import corpus
-from profaudit.corpus import (ArticleRecord, ImageRef, RedirectCycleError,
-                              SnapshotError, build_snapshot)
+from profaudit.corpus import (ArticleRecord, ImageRef, SnapshotError,
+                              build_snapshot)
 
 
 def rec(title, **kw):
@@ -54,9 +54,7 @@ class TestLoad:
             {"title": "Lehrerin", "exists": True, "redirect_target": "Lehrer"},
         ])
         snap = corpus.load_snapshot(p)
-        res = corpus.resolve("Lehrerin", snap)
-        assert res.final_title == "Lehrer"
-        assert res.hops == 1
+        assert corpus.resolve("Lehrerin", snap) == "Lehrer"
 
     def test_negative_width_rejected(self, tmp_path):
         p = tmp_path / "snap.jsonl"
@@ -549,18 +547,13 @@ class TestTexts:
 
 
 class TestResolve:
-    def test_direct_article_zero_hops(self):
+    def test_direct_article_is_final(self):
         snap = make_snapshot([rec("Koch", plain_text="k")])
-        res = corpus.resolve("Koch", snap)
-        assert res.final_title == "Koch"
-        assert res.hops == 0
-        assert res.exists
+        assert corpus.resolve("Koch", snap) == "Koch"
 
     def test_missing_page(self):
         snap = make_snapshot([])
-        res = corpus.resolve("Nix", snap)
-        assert not res.exists
-        assert res.hops == 0
+        assert corpus.resolve("Nix", snap) == "Nix"
 
     def test_multi_hop(self):
         snap = make_snapshot([
@@ -568,33 +561,28 @@ class TestResolve:
             rec("B", redirect_target="C"),
             rec("C", plain_text="end"),
         ])
-        res = corpus.resolve("A", snap)
-        assert res.final_title == "C"
-        assert res.hops == 2
-        assert res.chain == ["A", "B", "C"]
+        assert corpus.resolve("A", snap) == "C"
 
-    def test_cycle_raises(self):
+    def test_cycle_gives_none(self):
         snap = make_snapshot([
             rec("A", redirect_target="B"),
             rec("B", redirect_target="A"),
+            rec("C", redirect_target="C"),
         ])
-        with pytest.raises(RedirectCycleError, match="A -> B -> A"):
-            corpus.resolve("A", snap)
+        assert corpus.resolve("A", snap) is None
+        assert corpus.resolve("C", snap) is None
 
     def test_idempotent_on_result(self):
         snap = make_snapshot([
             rec("A", redirect_target="B"),
             rec("B", plain_text="b"),
         ])
-        final = corpus.resolve("A", snap).final_title
-        assert corpus.resolve(final, snap).hops == 0
+        final = corpus.resolve("A", snap)
+        assert corpus.resolve(final, snap) == final == "B"
 
     def test_broken_redirect_ends_missing(self):
         snap = make_snapshot([rec("A", redirect_target="Gone")])
-        res = corpus.resolve("A", snap)
-        assert res.final_title == "Gone"
-        assert not res.exists
-        assert res.hops == 1
+        assert corpus.resolve("A", snap) == "Gone"
 
 
 def chain_snapshot(n):

@@ -24,7 +24,8 @@ class FakeResponse:
 
 
 class FakeSession:
-    """Recorded-fixture transport keyed on (titles, prop)."""
+    """Recorded-fixture transport keyed on (titles, prop). A list of
+    payloads answers successive requests for one key, in order."""
 
     def __init__(self, fixtures, failures=0):
         self.fixtures = fixtures
@@ -36,8 +37,10 @@ class FakeSession:
         if self.failures > 0:
             self.failures -= 1
             return FakeResponse({}, status_code=503)
-        key = (params["titles"], params["prop"])
-        return FakeResponse(self.fixtures[key])
+        payload = self.fixtures[(params["titles"], params["prop"])]
+        if isinstance(payload, list):
+            payload = payload.pop(0)
+        return FakeResponse(payload)
 
 
 def page_payload(page):
@@ -113,6 +116,45 @@ class TestFetch:
         rec = client.fetch_article("Lehrerin")
         assert rec.redirect_target == "Lehrer"
         assert rec.plain_text == ""
+
+    def test_continued_lists_joined(self):
+        # a response cut at the list limits, then the rest of the lists
+        first = {"continue": {"plcontinue": "42|0|Schule",
+                              "clcontinue": "42|Pädagogik", "continue": "||"},
+                 "query": {"pages": [{
+                     "pageid": 42, "title": "Lehrer",
+                     "categories": [{"title": "Kategorie:Beruf"}],
+                     "links": [{"title": "Heinrich Heine"}],
+                     "images": [{"title": "Datei:Klasse.jpg"}],
+                     "revisions": [{"slots": {"main": {"content": "Text."}}}],
+                 }]}}
+        second = {"query": {"pages": [{
+            "pageid": 42, "title": "Lehrer",
+            "categories": [{"title": "Kategorie:Pädagogik"}],
+            "links": [{"title": "Schule"}],
+            "images": [{"title": "Datei:Logo.svg"}],
+        }]}}
+        fixtures = {
+            ("Lehrer", ARTICLE_PROPS): [first, second],
+            ("Datei:Klasse.jpg|Datei:Logo.svg", "imageinfo"): {
+                "query": {"pages": [
+                    {"title": "Datei:Klasse.jpg",
+                     "imageinfo": [{"width": 640}]},
+                    {"title": "Datei:Logo.svg",
+                     "imageinfo": [{"width": 512}]},
+                ]}},
+        }
+        client, session = make_client(fixtures)
+        rec = client.fetch_article("Lehrer")
+        assert rec.outlinks == ("Heinrich Heine", "Schule")
+        assert rec.categories == frozenset({"Beruf", "Pädagogik"})
+        assert [i.filename for i in rec.images] == ["Klasse.jpg", "Logo.svg"]
+        assert rec.plain_text == "Text."
+        assert "plcontinue" not in session.calls[0]
+        assert session.calls[1]["plcontinue"] == "42|0|Schule"
+        assert session.calls[1]["clcontinue"] == "42|Pädagogik"
+        assert session.calls[1]["titles"] == "Lehrer"
+        assert len(session.calls) == 3  # two parts, then the image sizes
 
     def test_transient_failures_retried(self):
         client, session = make_client(LEHRER_FIXTURE, failures=2)
@@ -264,6 +306,13 @@ class TestFetchCommand:
         assert rc == 1
         assert flag in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("filename,expected", [
+    ("Foto.jpg", "jpg"), ("Foto.JPG", "jpg"), ("Karte.v2.PNG", "png"),
+    ("Foto", "unknown"), ("Foto.", "unknown")])
+def test_media_format_from_extension(filename, expected):
+    assert mediawiki._media_format(filename) == expected
 
 
 class TestStripWikitext:

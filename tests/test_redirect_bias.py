@@ -6,24 +6,27 @@ import pytest
 from profaudit import redirect_bias as rb
 from profaudit.corpus import ArticleRecord, build_snapshot, category_closure
 from profaudit.redirect_bias import (BiasGroup, PageKind, PageState,
-                                     ProfessionPresence, TargetKind, classify)
+                                     TargetKind, classify)
 
 
 def st_missing():
-    return PageState(PageKind.MISSING)
+    return PageState("T", PageKind.MISSING)
 
 
 def st_article(valid=True):
-    return PageState(PageKind.ARTICLE, about_profession=valid)
+    return PageState("T", PageKind.ARTICLE, about_profession=valid)
 
 
 def st_redirect(kind):
-    return PageState(PageKind.REDIRECT, target="X", target_kind=kind)
+    return PageState("T", PageKind.REDIRECT, "X", kind)
 
 
 def presence(male, female, neutral=None):
-    return ProfessionPresence("p", male=male, female=female,
-                              neutral=neutral or st_missing())
+    """The states of a profession by role; None stands for a role the
+    profession has no title for."""
+    return {role: state
+            for role, state in zip(rb.ROLES, (male, female, neutral))
+            if state is not None}
 
 
 # hand-derived rule table over the 16 core (male, female) combinations,
@@ -106,16 +109,24 @@ class TestClassify:
         p = presence(st_article(valid=False), st_article())
         assert classify(p) is BiasGroup.FEMALE_BIAS
 
+    def test_no_title_reads_as_missing(self):
+        # every hand-table row again, each missing title left out instead
+        for (male, female), group in HAND_TABLE.items():
+            m = None if male == "missing" else male_state(male)
+            f = None if female == "missing" else female_state(female)
+            assert classify(presence(m, f)) is group
+
     def test_totality_over_full_enumeration(self):
-        male_states = [st_missing(), st_article(), st_article(False),
+        # None: the profession has no title for the role
+        male_states = [None, st_missing(), st_article(), st_article(False),
                        st_redirect(TargetKind.FEMALE_TITLE),
                        st_redirect(TargetKind.NEUTRAL_OR_OTHER),
                        st_redirect(TargetKind.MALE_TITLE)]
-        female_states = [st_missing(), st_article(), st_article(False),
+        female_states = [None, st_missing(), st_article(), st_article(False),
                          st_redirect(TargetKind.MALE_TITLE),
                          st_redirect(TargetKind.NEUTRAL_OR_OTHER),
                          st_redirect(TargetKind.FEMALE_TITLE)]
-        neutral_states = [st_missing(), st_article(), st_article(False),
+        neutral_states = [None, st_missing(), st_article(), st_article(False),
                           st_redirect(TargetKind.MALE_TITLE),
                           st_redirect(TargetKind.FEMALE_TITLE),
                           st_redirect(TargetKind.NEUTRAL_OR_OTHER)]
@@ -140,6 +151,9 @@ def fixture_snapshot():
         ArticleRecord("Beamter", categories={"Recht"}, plain_text="B"),
         ArticleRecord("Alt", redirect_target="Mittel"),
         ArticleRecord("Mittel", redirect_target="Lehrer"),
+        ArticleRecord("A", redirect_target="B"),
+        ArticleRecord("B", redirect_target="A"),
+        ArticleRecord("Ehemals", redirect_target="Verschwunden"),
     ]
     return build_snapshot({r.title: r for r in records})
 
@@ -150,45 +164,66 @@ class TestBuildPresence:
         self.closure = category_closure(["Beruf"], 5, self.snap)
 
     def test_article_and_opposite_redirect(self):
-        p = rb.build_presence("p1", {"male": ["Lehrer"], "female": ["Lehrerin"]},
+        p = rb.build_presence({"male": ["Lehrer"], "female": ["Lehrerin"]},
                               self.snap, self.closure)
-        assert p.male.kind is PageKind.ARTICLE and p.male.about_profession
-        assert p.female.kind is PageKind.REDIRECT
-        assert p.female.target_kind is TargetKind.MALE_TITLE
+        assert p["male"].kind is PageKind.ARTICLE
+        assert p["male"].about_profession
+        assert p["female"].kind is PageKind.REDIRECT
+        assert p["female"].target_kind is TargetKind.MALE_TITLE
         assert classify(p) is BiasGroup.MALE_BIAS
 
     def test_male_redirect_to_female(self):
-        p = rb.build_presence("p2", {"male": ["Entbindungspfleger"],
-                                     "female": ["Hebamme"]},
+        p = rb.build_presence({"male": ["Entbindungspfleger"],
+                               "female": ["Hebamme"]},
                               self.snap, self.closure)
-        assert p.male.target_kind is TargetKind.FEMALE_TITLE
+        assert p["male"].target_kind is TargetKind.FEMALE_TITLE
         assert classify(p) is BiasGroup.FEMALE_BIAS
 
     def test_redirect_to_foreign_neutral(self):
-        p = rb.build_presence("p3", {"male": ["Dressman"]},
+        p = rb.build_presence({"male": ["Dressman"]},
                               self.snap, self.closure)
-        assert p.male.target_kind is TargetKind.NEUTRAL_OR_OTHER
-        assert p.male.target == "Model"
+        assert p["male"].target_kind is TargetKind.NEUTRAL_OR_OTHER
+        assert p["male"].target == "Model"
         assert classify(p) is BiasGroup.NEUTRAL
 
     def test_multi_hop_classified_by_final_target(self):
-        p = rb.build_presence("p4", {"male": ["Lehrer"], "female": ["Alt"]},
+        p = rb.build_presence({"male": ["Lehrer"], "female": ["Alt"]},
                               self.snap, self.closure)
-        assert p.female.target == "Lehrer"
-        assert p.female.target_kind is TargetKind.MALE_TITLE
+        assert p["female"].target == "Lehrer"
+        assert p["female"].target_kind is TargetKind.MALE_TITLE
+
+    def test_redirect_cycle_keeps_first_hop(self):
+        p = rb.build_presence({"male": ["A"]}, self.snap, self.closure)
+        assert p == {"male": PageState("A", PageKind.REDIRECT, "B",
+                                       TargetKind.NEUTRAL_OR_OTHER)}
+        assert classify(p) is BiasGroup.NEUTRAL
+
+    def test_redirect_to_missing_page(self):
+        p = rb.build_presence({"female": ["Ehemals"]}, self.snap,
+                              self.closure)
+        assert p == {"female": PageState("Ehemals", PageKind.REDIRECT,
+                                         "Verschwunden",
+                                         TargetKind.NEUTRAL_OR_OTHER)}
+        assert classify(p) is BiasGroup.NEUTRAL
+
+    def test_only_roles_with_a_title_in_role_order(self):
+        p = rb.build_presence({"neutral": ["Model"], "female": ["Beamtin"],
+                               "male": []}, self.snap, self.closure)
+        assert list(p) == ["female", "neutral"]
+        assert p["female"] == PageState("Beamtin", PageKind.MISSING)
 
     def test_unvalidated_article_flagged(self):
-        p = rb.build_presence("p5", {"male": ["Beamter"]},
+        p = rb.build_presence({"male": ["Beamter"]},
                               self.snap, self.closure)
-        assert p.male.kind is PageKind.ARTICLE
-        assert not p.male.about_profession
+        assert p["male"].kind is PageKind.ARTICLE
+        assert not p["male"].about_profession
         assert classify(p) is BiasGroup.NO_EVIDENCE
 
     def test_alternate_titles_strongest_evidence_wins(self):
-        p = rb.build_presence("p6", {"male": ["Chiefsteward", "Lehrer"]},
+        p = rb.build_presence({"male": ["Chiefsteward", "Lehrer"]},
                               self.snap, self.closure)
-        assert p.male.kind is PageKind.ARTICLE
-        assert p.male.title == "Lehrer"
+        assert p["male"].kind is PageKind.ARTICLE
+        assert p["male"].title == "Lehrer"
 
 
 def by_role(rows, table):
@@ -216,7 +251,7 @@ class TestTally:
             "p4": {"neutral": ["Model"]},
             "p5": {"male": ["Beamter"], "female": ["Beamtin"]},
         }
-        presences = [rb.build_presence(pid, roles, snap, closure)
+        presences = [rb.build_presence(roles, snap, closure)
                      for pid, roles in profs.items()]
         tables = rb.tally(presences)
         t1a, t1b, t1c = (by_role(tables, name)
@@ -260,7 +295,7 @@ class TestTally:
     def test_figure_rows(self):
         snap = fixture_snapshot()
         closure = category_closure(["Beruf"], 5, snap)
-        presences = [rb.build_presence("p1", {"male": ["Lehrer"],
+        presences = [rb.build_presence({"male": ["Lehrer"],
                                               "female": ["Lehrerin"]},
                                        snap, closure)]
         tables = rb.tally(presences)

@@ -158,10 +158,22 @@ class TestBiasModels:
         report = webhits.fit_bias_models(records, groups)
         assert "skipped" in report["model_female_bias"]
 
-    def test_no_evidence_group_rejected(self):
-        with pytest.raises(ValueError, match="no-evidence"):
-            webhits.fit_bias_models([HitRecord("a", 1, 1)],
-                                    {"a": BiasGroup.NO_EVIDENCE})
+    def test_records_without_evidence_left_out(self):
+        records = [HitRecord("a", 10, 1), HitRecord("b", 1, 10),
+                   HitRecord("c", 5, 5), HitRecord("d", 7, 3),
+                   HitRecord("none", 4, 4), HitRecord("ungrouped", 3, 1),
+                   HitRecord("zero", 0, 0)]
+        groups = {"a": BiasGroup.MALE_BIAS, "b": BiasGroup.FEMALE_BIAS,
+                  "c": BiasGroup.NEUTRAL, "d": BiasGroup.MALE_BIAS,
+                  "none": BiasGroup.NO_EVIDENCE, "zero": BiasGroup.NEUTRAL}
+        report = webhits.fit_bias_models(records, groups)
+        assert report["n"] == 4
+        assert report == webhits.fit_bias_models(records[:4], groups)
+
+    def test_no_usable_record_gives_none(self):
+        assert webhits.fit_bias_models(
+            [HitRecord("a", 1, 1), HitRecord("b", 0, 0), HitRecord("c", 2, 1)],
+            {"a": BiasGroup.NO_EVIDENCE, "b": BiasGroup.MALE_BIAS}) is None
 
 
 def fit_with(coefficients):
