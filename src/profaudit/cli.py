@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 from . import pipeline
+from .artifacts import open_input
 from .config import AuditConfig
 from .pipeline import STAGES, PipelineError
 
@@ -98,7 +99,7 @@ def _cmd_fetch(args) -> int:
         raise ValueError("--concurrency must be at least 1")
     if args.rate <= 0:
         raise ValueError("--rate must be positive")
-    with open(args.titles_file, encoding="utf-8") as fh:
+    with open_input(args.titles_file, "titles file") as fh:
         titles = [line.strip() for line in fh if line.strip()]
     client = mediawiki.WikiClient(
         endpoint=args.endpoint or mediawiki.DEFAULT_ENDPOINT,

@@ -29,7 +29,8 @@ held. The snapshot records its file's size, modification time and inode
 at the load; a file changed since then is refused, with a SnapshotError
 naming it, rather than read at stale offsets. This module is the only one
 that knows the file format. Records built in memory, by the MediaWiki
-populator or a test, hold their text.
+populator or a test, hold their text. A line's ``page_id`` is type-checked
+and dropped: no stage reads it, and ``save_snapshot`` writes none.
 """
 
 from __future__ import annotations
@@ -85,16 +86,17 @@ class ArticleRecord:
     ``plain_text`` is the page's text, or "" when it has none. A record
     loaded from a file holds the byte offset of its line there instead of
     a text; read texts through CorpusSnapshot.texts, which takes either.
+    A record has no ``page_id``; a snapshot line's is checked, not kept.
     """
     __slots__ = ("title", "exists", "redirect_target", "categories",
-                 "outlinks", "images", "plain_text", "page_id")
+                 "outlinks", "images", "plain_text")
 
     def __init__(self, title: str, exists: bool = True,
                  redirect_target: str | None = None,
                  categories: frozenset[str] = _NO_CATEGORIES,
                  outlinks: tuple[str, ...] = (),
                  images: tuple[ImageRef, ...] = (),
-                 plain_text: str = "", page_id: int | None = None):
+                 plain_text: str = ""):
         self.title = title
         self.exists = exists
         self.redirect_target = redirect_target
@@ -103,7 +105,6 @@ class ArticleRecord:
         self.outlinks = outlinks
         self.images = images
         self.plain_text = plain_text
-        self.page_id = page_id
 
     @property
     def is_redirect(self) -> bool:
@@ -119,7 +120,6 @@ class ArticleRecord:
             "outlinks": list(self.outlinks),
             "images": [i.to_dict() for i in self.images],
             "plain_text": self.plain_text,
-            "page_id": self.page_id,
         }
 
 
@@ -229,10 +229,10 @@ def record_from_dict(data: dict, line_no: int, *, at: int,
     ``page_id``), or a record that breaks an invariant (an image of
     negative width or no media format, a redirect with text, a missing
     page with content) raises SnapshotError naming the line and the
-    field. A missing ``exists`` means the page exists. Every type is
-    tested at once, and an error's message is built only when a test
-    fails: a valid record, which every line of a good snapshot is, never
-    needs one.
+    field. A missing ``exists`` means the page exists, and a valid
+    ``page_id`` is dropped. Every type is tested at once, and an error's
+    message is built only when a test fails: a valid record, which every
+    line of a good snapshot is, never needs one.
     """
     if type(data) is not dict:
         raise SnapshotError(f"snapshot line {line_no}: expected a JSON "
@@ -299,7 +299,6 @@ def record_from_dict(data: dict, line_no: int, *, at: int,
     rec.outlinks = outlinks
     rec.images = images
     rec.plain_text = at if text else ""
-    rec.page_id = page_id
     return rec
 
 
@@ -419,10 +418,10 @@ def _subcategories(pages) -> dict[str, set[str]]:
 
 
 def save_snapshot(snapshot: CorpusSnapshot, path) -> None:
-    """Canonical JSON-lines form: titles sorted, keys sorted. Texts are
-    written as they are held, a loaded snapshot's read back from its file;
-    nothing here puts them in NFC (``load_snapshot`` does for names, and
-    ``mentions`` for the text it scans)."""
+    """Canonical JSON-lines form: titles sorted, keys sorted, no page_id.
+    Texts are written as they are held, a loaded snapshot's read back from
+    its file; nothing here puts them in NFC (``load_snapshot`` does for
+    names, and ``mentions`` for the text it scans)."""
     records = snapshot.records
     texts = dict(snapshot.texts(records.values()))
     write_jsonl(path, (dict(rec.to_dict(), plain_text=texts[rec])

@@ -135,11 +135,16 @@ def majority_group(pct_women: float, threshold: float) -> MajorityGroup:
     return MajorityGroup.UNASSIGNED
 
 
-def dominated_group(pct_women: float, threshold: float) -> DominatedGroup:
-    """At least ``threshold`` of one gender (inclusive bound)."""
-    if pct_women >= threshold:
+def dominated_group(n_men: int, n_women: int,
+                    threshold: float) -> DominatedGroup:
+    """At least ``threshold`` of one gender (inclusive bound). Each share
+    is taken from the counts, not bounded by 1.0 - threshold, which rounds
+    (1.0 - 0.8 is 0.19999999999999996), so swapping the counts swaps the
+    group."""
+    total = n_men + n_women
+    if n_women / total >= threshold:
         return DominatedGroup.FEMALE
-    if pct_women <= 1.0 - threshold:
+    if n_men / total >= threshold:
         return DominatedGroup.MALE
     return DominatedGroup.NONE
 
@@ -155,15 +160,9 @@ def join(assignments: list[CodeAssignment], stats: list[LaborStat],
     out = []
     for a in assignments:
         stat = by_code[a.kldb_code]
-        pct = stat.pct_women
+        men, women, pct = stat.n_men, stat.n_women, stat.pct_women
         out.append(JoinedLabor(
-            profession_id=a.profession_id,
-            kldb_code=a.kldb_code,
-            match_kind=a.match_kind,
-            n_men=stat.n_men,
-            n_women=stat.n_women,
-            pct_women=pct,
-            majority=majority_group(pct, majority_threshold),
-            dominated=dominated_group(pct, dominated_threshold),
-        ))
+            a.profession_id, a.kldb_code, a.match_kind, men, women, pct,
+            majority_group(pct, majority_threshold),
+            dominated_group(men, women, dominated_threshold)))
     return out

@@ -222,7 +222,6 @@ class WikiClient:
             outlinks=outlinks,
             images=images,
             plain_text=plain_text,
-            page_id=page.get("pageid"),
         )
 
     def _fetch_image_sizes(self, image_titles: list[str],

@@ -330,7 +330,9 @@ def male_ratio_and_class(n_men: int, n_women: int, band: float
                          ) -> tuple[float, BiasClass]:
     """The male ratio of ``n_men`` men and ``n_women`` women, and its
     class: equal within 0.5 +/- band from SMALL_SAMPLE_LIMIT persons up,
-    and only at equal counts below; else male- or female-biased.
+    and only at equal counts below; else male- or female-biased. The band
+    is tested on the counts, not on the ratio (0.5 - 0.35 is
+    0.15000000000000002), so swapping the counts swaps the class.
 
     A zero total raises ValueError; articles without any mentioned person
     are the caller's job to exclude.
@@ -340,12 +342,12 @@ def male_ratio_and_class(n_men: int, n_women: int, band: float
         raise ValueError("no mentioned persons")
     ratio = n_men / total
     if total >= SMALL_SAMPLE_LIMIT:
-        equal = (0.5 - band) <= ratio <= (0.5 + band)
+        equal = abs(n_men - n_women) <= 2 * band * total
     else:
         equal = n_men == n_women
     if equal:
         return ratio, BiasClass.EQUAL
-    if ratio > 0.5:
+    if n_men > n_women:
         return ratio, BiasClass.MALE_BIASED
     return ratio, BiasClass.FEMALE_BIASED
 

@@ -542,8 +542,7 @@ def load_snapshot_json_loads(path):
                 images=[ImageRef(nfc(i["filename"]), int(i["width"]),
                                  str(i["media_format"]).lower())
                         for i in data.get("images") or []],
-                plain_text=data.get("plain_text") or "",
-                page_id=data.get("page_id"))
+                plain_text=data.get("plain_text") or "")
             records[rec.title] = rec
     return build_snapshot(records)
 

@@ -12,8 +12,8 @@ def majority(pct_women):
     return majority_group(pct_women, CFG.majority_threshold)
 
 
-def dominated(pct_women):
-    return dominated_group(pct_women, CFG.dominated_threshold)
+def dominated(n_men, n_women):
+    return dominated_group(n_men, n_women, CFG.dominated_threshold)
 
 
 class TestLoadStats:
@@ -129,21 +129,36 @@ class TestAssign:
 class TestGrouping:
     def test_female_majority_and_dominated(self):
         assert majority(0.85) is MajorityGroup.FEMALE
-        assert dominated(0.85) is DominatedGroup.FEMALE
+        assert dominated(15, 85) is DominatedGroup.FEMALE
 
     def test_exact_half_unassigned(self):
         assert majority(0.5) is MajorityGroup.UNASSIGNED
 
     def test_dominated_boundary_inclusive(self):
-        assert dominated(0.70) is DominatedGroup.FEMALE
-        assert dominated(0.30) is DominatedGroup.MALE
-        assert dominated(0.69) is DominatedGroup.NONE
-        assert dominated(0.31) is DominatedGroup.NONE
+        assert dominated(30, 70) is DominatedGroup.FEMALE
+        assert dominated(70, 30) is DominatedGroup.MALE
+        assert dominated(31, 69) is DominatedGroup.NONE
+        assert dominated(69, 31) is DominatedGroup.NONE
+
+    @pytest.mark.parametrize("threshold", [0.7, 0.8, 0.9])
+    def test_dominated_mirrors_when_genders_swap(self, threshold):
+        # at 0.8 the women's share was once tested against 1.0 - 0.8, which
+        # is 0.19999999999999996: 1 man and 4 women were female-dominated,
+        # 4 men and 1 woman not dominated
+        mirror = {DominatedGroup.FEMALE: DominatedGroup.MALE,
+                  DominatedGroup.MALE: DominatedGroup.FEMALE,
+                  DominatedGroup.NONE: DominatedGroup.NONE}
+        for men in range(60):
+            for women in range(60):
+                if men + women:
+                    assert (dominated_group(women, men, threshold)
+                            is mirror[dominated_group(men, women, threshold)]
+                            ), (men, women)
 
     def test_dominated_subset_of_majority(self):
-        for pct in [i / 100 for i in range(101)]:
-            dom = dominated(pct)
-            maj = majority(pct)
+        for women in range(101):
+            dom = dominated(100 - women, women)
+            maj = majority(women / 100)
             if dom is DominatedGroup.FEMALE:
                 assert maj is MajorityGroup.FEMALE
             if dom is DominatedGroup.MALE:

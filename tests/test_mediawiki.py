@@ -307,6 +307,22 @@ class TestFetchCommand:
         assert flag in capsys.readouterr().err
         assert not out.exists()
 
+    def test_titles_file_not_utf8_names_file_and_line(self, tmp_path, capsys,
+                                                      monkeypatch):
+        def no_client(*args, **kwargs):
+            raise AssertionError("a client was built")
+
+        monkeypatch.setattr(mediawiki, "WikiClient", no_client)
+        titles = tmp_path / "titles.txt"
+        titles.write_bytes("Lehrer\nSchüler\n".encode("latin-1"))
+        out = tmp_path / "snapshot.jsonl"
+        rc = main(["fetch", "--titles-file", str(titles), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: titles file line 2: byte 0xfc is not UTF-8, in "
+            f"{titles}\n")
+        assert not out.exists()
+
 
 @pytest.mark.parametrize("filename,expected", [
     ("Foto.jpg", "jpg"), ("Foto.JPG", "jpg"), ("Karte.v2.PNG", "png"),

@@ -350,6 +350,21 @@ class TestRatioClass:
         with pytest.raises(ValueError):
             male_ratio_and_class(0, 0, CFG.equality_band)
 
+    @pytest.mark.parametrize("band", [0.05, 0.2, 0.35])
+    def test_class_mirrors_when_genders_swap(self, band):
+        # at 0.35 the ratio was once tested against 0.5 - 0.35, which is
+        # 0.15000000000000002, and 0.5 + 0.35: 3 men and 17 women were
+        # female-biased, 17 men and 3 women equal
+        mirror = {BiasClass.MALE_BIASED: BiasClass.FEMALE_BIASED,
+                  BiasClass.FEMALE_BIASED: BiasClass.MALE_BIASED,
+                  BiasClass.EQUAL: BiasClass.EQUAL}
+        for men in range(60):
+            for women in range(60):
+                if men + women:
+                    _, cls = male_ratio_and_class(men, women, band)
+                    _, swapped = male_ratio_and_class(women, men, band)
+                    assert swapped is mirror[cls], (men, women)
+
     def test_partition_over_grid(self):
         for men in range(0, 25):
             for women in range(0, 25):
