@@ -119,7 +119,8 @@ class AuditConfig:
             (self.d_max >= 0, "d_max >= 0"),
             (0 <= self.worker_accuracy <= 1, "worker_accuracy in [0, 1]"),
             (0 <= self.equality_band < 0.5, "equality_band in [0, 0.5)"),
-            (0 <= self.majority_threshold <= 1, "majority_threshold in [0, 1]"),
+            (0.5 <= self.majority_threshold <= 1,
+             "majority_threshold in [0.5, 1]"),
             (0.5 <= self.dominated_threshold <= 1,
              "dominated_threshold in [0.5, 1]"),
             (self.min_judgments >= 1, "min_judgments >= 1"),

@@ -13,13 +13,12 @@ threshold is removed with all responses discarded.
 
 from __future__ import annotations
 
-import hashlib
 import logging
 from collections import Counter, defaultdict
 from enum import Enum
 
 from . import stats
-from .artifacts import check_unique, read_rows
+from .artifacts import blake2b, check_unique, read_rows
 from .corpus import ImageRef
 
 log = logging.getLogger(__name__)
@@ -328,7 +327,7 @@ def distributions(items: list[tuple[str, ImageCategory]], grouping: str,
 
     def mc_test(table, test: str) -> dict:
         key = f"{seed}:images:{grouping}:{test}".encode("utf-8")
-        digest = hashlib.blake2b(key, digest_size=8).digest()
+        digest = blake2b(key, digest_size=8).digest()
         return stats.chi2_mc(table, b=b, seed=int.from_bytes(digest, "big"))
 
     overall = correction = None

@@ -24,7 +24,7 @@ class MatchKind(str, Enum):
 class MajorityGroup(str, Enum):
     FEMALE = "female_majority"
     MALE = "male_majority"
-    UNASSIGNED = "unassigned"
+    NONE = "unassigned"
 
 
 class DominatedGroup(str, Enum):
@@ -125,28 +125,22 @@ def assign(professions, classifier: dict[str, str],
     return assignments, unmatched
 
 
-def majority_group(pct_women: float, threshold: float) -> MajorityGroup:
-    """Strictly more than the threshold on either side; the exact boundary
-    stays unassigned."""
-    if pct_women > threshold:
-        return MajorityGroup.FEMALE
-    if pct_women < threshold:
-        return MajorityGroup.MALE
-    return MajorityGroup.UNASSIGNED
-
-
-def dominated_group(n_men: int, n_women: int,
-                    threshold: float) -> DominatedGroup:
-    """At least ``threshold`` of one gender (inclusive bound). Each share
-    is taken from the counts, not bounded by 1.0 - threshold, which rounds
-    (1.0 - 0.8 is 0.19999999999999996), so swapping the counts swaps the
-    group."""
+def gender_group(groups, n_men: int, n_women: int, threshold: float, *,
+                 strict: bool):
+    """``groups.FEMALE`` or ``groups.MALE`` for the gender whose own share
+    of the counts reaches ``threshold`` (exceeds it if ``strict``) and
+    exceeds the other gender's share, else ``groups.NONE``. A majority is
+    strict, a dominated group inclusive. No share is bounded by 1.0 -
+    threshold, which rounds (1.0 - 0.8 is 0.19999999999999996), and an
+    even split is no group, so swapping the counts swaps the group."""
     total = n_men + n_women
-    if n_women / total >= threshold:
-        return DominatedGroup.FEMALE
-    if n_men / total >= threshold:
-        return DominatedGroup.MALE
-    return DominatedGroup.NONE
+    for group, own, other in ((groups.FEMALE, n_women, n_men),
+                              (groups.MALE, n_men, n_women)):
+        share = own / total
+        if own > other and (share > threshold if strict
+                            else share >= threshold):
+            return group
+    return groups.NONE
 
 
 JoinedLabor = namedtuple("JoinedLabor", "profession_id kldb_code match_kind "
@@ -163,6 +157,8 @@ def join(assignments: list[CodeAssignment], stats: list[LaborStat],
         men, women, pct = stat.n_men, stat.n_women, stat.pct_women
         out.append(JoinedLabor(
             a.profession_id, a.kldb_code, a.match_kind, men, women, pct,
-            majority_group(pct, majority_threshold),
-            dominated_group(men, women, dominated_threshold)))
+            gender_group(MajorityGroup, men, women, majority_threshold,
+                         strict=True),
+            gender_group(DominatedGroup, men, women, dominated_threshold,
+                         strict=False)))
     return out

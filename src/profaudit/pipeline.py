@@ -54,7 +54,6 @@ from __future__ import annotations
 
 import csv
 import gc
-import hashlib
 import json
 import logging
 from collections import Counter, defaultdict, namedtuple
@@ -62,7 +61,7 @@ from pathlib import Path
 
 from . import (__version__, corpus, images, labor, lexicon, matcher, mentions,
                redirect_bias, stats, webhits)
-from .artifacts import dump_json, sha256_file, write_csv, write_jsonl
+from .artifacts import dump_json, sha256, sha256_file, write_csv, write_jsonl
 from .config import AuditConfig
 from .images import ImageCategory
 from .lexicon import ProfessionEntry, Resolution
@@ -129,7 +128,7 @@ _LAST_SNAPSHOT_READER = [stage for stage in STAGES
 
 def source_fingerprint() -> str:
     """SHA-256 of the package source, file names included."""
-    digest = hashlib.sha256()
+    digest = sha256()
     for path in sorted(Path(__file__).parent.glob("*.py")):
         digest.update(path.name.encode() + b"\0" + path.read_bytes())
     return digest.hexdigest()
@@ -315,7 +314,7 @@ class Run:
 
     def _stamp(self, manifest: bytes) -> str:
         """Code stamp of a manifest's bytes."""
-        return hashlib.sha256(self._fingerprint.encode() + manifest).hexdigest()
+        return sha256(self._fingerprint.encode() + manifest).hexdigest()
 
 
 def _same(recorded, value) -> bool:

@@ -7,7 +7,9 @@ for, in ``ROLES`` order; a role without a title has no state, and no row in
 precedence ladder over the three roles:
 
 1. both gendered titles are (validated) articles        -> neutral
-2. a gendered title redirects to the opposite title     -> bias of target
+2. one gendered title redirects to the opposite title   -> bias of target
+   (both redirecting to each other is evidence of neither bias: the
+   ladder goes on, to neutral with a neutral article, else no evidence)
 3. one gendered article, opposite redirects elsewhere   -> neutral
 4. only the male article exists                         -> male bias
 5. only the female article exists                       -> female bias
@@ -90,12 +92,11 @@ def classify(states: dict[str, PageState]) -> BiasGroup:
     if is_article(male) and is_article(female):
         return BiasGroup.NEUTRAL
 
-    # (2) redirect to the opposite gendered title wins over absence;
-    # female -> male checked first for determinism on contradictory data
-    if _redirects_to(female, TargetKind.MALE_TITLE):
-        return BiasGroup.MALE_BIAS
-    if _redirects_to(male, TargetKind.FEMALE_TITLE):
-        return BiasGroup.FEMALE_BIAS
+    # (2) redirect to the opposite gendered title wins over absence; two
+    # contradictory redirects, each title to the other, fall through
+    to_male = _redirects_to(female, TargetKind.MALE_TITLE)
+    if to_male != _redirects_to(male, TargetKind.FEMALE_TITLE):
+        return BiasGroup.MALE_BIAS if to_male else BiasGroup.FEMALE_BIAS
 
     # (3) one gendered article and the opposite title redirects somewhere
     # that is neither gendered title

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -268,6 +269,17 @@ class TestDistributions:
                    for t in tests)
         seeds = [t["seed"] for t in tests]
         assert len(set(seeds)) == len(seeds)
+
+    def test_seed_is_blake2b_of_the_label(self, monkeypatch):
+        # the seed that hashlib.blake2b gave before the audit stopped
+        # importing hashlib, so sampled p-values stay the same
+        monkeypatch.setattr(stats, "_EXACT_STEPS", 0)
+        items = [("a", ImageCategory.MEN)] * 5 + \
+                [("b", ImageCategory.WOMEN)] * 4
+        dist = images.distributions(items, "t", b=200, seed=42)
+        digest = hashlib.blake2b(b"42:images:t:overall",
+                                 digest_size=8).digest()
+        assert dist["overall_test"]["seed"] == int.from_bytes(digest, "big")
 
     def test_small_tables_are_exact_and_record_no_seed(self):
         items = [("a", ImageCategory.MEN)] * 5 + \

@@ -3,17 +3,32 @@ import pytest
 from profaudit import labor
 from profaudit.config import AuditConfig
 from profaudit.labor import (DominatedGroup, LaborStat, MajorityGroup,
-                             MatchKind, dominated_group, majority_group)
+                             MatchKind, gender_group)
 
 CFG = AuditConfig()
 
 
-def majority(pct_women):
-    return majority_group(pct_women, CFG.majority_threshold)
+def majority(n_men, n_women, threshold=CFG.majority_threshold):
+    return gender_group(MajorityGroup, n_men, n_women, threshold,
+                        strict=True)
 
 
-def dominated(n_men, n_women):
-    return dominated_group(n_men, n_women, CFG.dominated_threshold)
+def dominated(n_men, n_women, threshold=CFG.dominated_threshold):
+    return gender_group(DominatedGroup, n_men, n_women, threshold,
+                        strict=False)
+
+
+SWAPPED = {"FEMALE": "MALE", "MALE": "FEMALE", "NONE": "NONE"}
+
+
+def assert_mirrors(group, threshold):
+    """Swapping the counts swaps FEMALE and MALE, over a 60x60 grid."""
+    for men in range(60):
+        for women in range(60):
+            if men + women:
+                got = group(men, women, threshold)
+                assert (group(women, men, threshold).name
+                        == SWAPPED[got.name]), (men, women)
 
 
 class TestLoadStats:
@@ -128,11 +143,12 @@ class TestAssign:
 
 class TestGrouping:
     def test_female_majority_and_dominated(self):
-        assert majority(0.85) is MajorityGroup.FEMALE
+        assert majority(15, 85) is MajorityGroup.FEMALE
         assert dominated(15, 85) is DominatedGroup.FEMALE
 
     def test_exact_half_unassigned(self):
-        assert majority(0.5) is MajorityGroup.UNASSIGNED
+        assert majority(5, 5) is MajorityGroup.NONE
+        assert MajorityGroup.NONE.value == "unassigned"
 
     def test_dominated_boundary_inclusive(self):
         assert dominated(30, 70) is DominatedGroup.FEMALE
@@ -140,25 +156,39 @@ class TestGrouping:
         assert dominated(31, 69) is DominatedGroup.NONE
         assert dominated(69, 31) is DominatedGroup.NONE
 
-    @pytest.mark.parametrize("threshold", [0.7, 0.8, 0.9])
+    @pytest.mark.parametrize("threshold", [0.5, 0.7, 0.8, 0.9])
     def test_dominated_mirrors_when_genders_swap(self, threshold):
         # at 0.8 the women's share was once tested against 1.0 - 0.8, which
         # is 0.19999999999999996: 1 man and 4 women were female-dominated,
-        # 4 men and 1 woman not dominated
-        mirror = {DominatedGroup.FEMALE: DominatedGroup.MALE,
-                  DominatedGroup.MALE: DominatedGroup.FEMALE,
-                  DominatedGroup.NONE: DominatedGroup.NONE}
-        for men in range(60):
-            for women in range(60):
+        # 4 men and 1 woman not dominated; at 0.5 an even split was
+        # female-dominated both ways round
+        assert_mirrors(dominated, threshold)
+
+    @pytest.mark.parametrize("threshold", [0.5, 0.6, 0.7])
+    def test_majority_mirrors_when_genders_swap(self, threshold):
+        # the women's share was once cut at the threshold: at 0.7, 60%
+        # women was a male majority
+        assert_mirrors(majority, threshold)
+
+    def test_half_majority_is_the_larger_count(self):
+        for men in range(200):
+            for women in range(200):
                 if men + women:
-                    assert (dominated_group(women, men, threshold)
-                            is mirror[dominated_group(men, women, threshold)]
-                            ), (men, women)
+                    want = (MajorityGroup.FEMALE if women > men else
+                            MajorityGroup.MALE if men > women else
+                            MajorityGroup.NONE)
+                    assert majority(men, women, 0.5) is want, (men, women)
+
+    def test_even_split_is_no_group_at_half(self):
+        assert dominated(5, 5, 0.5) is DominatedGroup.NONE
+        assert majority(5, 5, 0.5) is MajorityGroup.NONE
+        assert dominated(4, 5, 0.5) is DominatedGroup.FEMALE
+        assert majority(5, 4, 0.5) is MajorityGroup.MALE
 
     def test_dominated_subset_of_majority(self):
         for women in range(101):
             dom = dominated(100 - women, women)
-            maj = majority(women / 100)
+            maj = majority(100 - women, women)
             if dom is DominatedGroup.FEMALE:
                 assert maj is MajorityGroup.FEMALE
             if dom is DominatedGroup.MALE:

@@ -127,6 +127,13 @@ class TestConfig:
         with pytest.raises(ValueError, match="r_min"):
             cfg.validate_thresholds()
 
+    def test_majority_threshold_below_half_rejected(self, data_dir):
+        # below 0.5 both genders could reach the threshold
+        cfg = AuditConfig.from_file(data_dir / "config.json")
+        cfg.majority_threshold = 0.4
+        with pytest.raises(ValueError, match=r"majority_threshold in \[0\.5"):
+            cfg.validate_thresholds()
+
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_out_of_range_rejected(self, data_dir, seed):
         cfg = AuditConfig.from_file(data_dir / "config.json")
@@ -169,10 +176,14 @@ class TestConfig:
 
 
 def test_audit_imports_neither_numpy_nor_fetcher(data_dir, tmp_path):
-    # a fresh process, since this one has imported numpy for the oracles;
-    # dataclasses, and the inspect it imports, cost milliseconds of start-up
+    # a fresh process, since this one has imported numpy for the oracles,
+    # and pytest has imported hashlib; dataclasses, and the inspect it
+    # imports, cost milliseconds of start-up, and hashlib loads OpenSSL's
+    # libcrypto, about 3.5 MB, which a run whose files are all small does
+    # not need
     absent = ("numpy", "concurrent.futures", "urllib.request",
-              "profaudit.mediawiki", "dataclasses", "inspect")
+              "profaudit.mediawiki", "dataclasses", "inspect", "hashlib",
+              "_hashlib")
     code = ("import sys; from profaudit.cli import main; "
             f"rc = main(['report', '--all', '--config', "
             f"{str(data_dir / 'config.json')!r}, '--out-dir', "

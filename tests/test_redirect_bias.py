@@ -29,6 +29,20 @@ def presence(male, female, neutral=None):
             if state is not None}
 
 
+# every state a role can be in; None: the profession has no title for it
+ALL_STATES = [None, st_missing(), st_article(), st_article(False),
+              *(st_redirect(kind) for kind in TargetKind)]
+_SWAPPED_TARGET = {TargetKind.MALE_TITLE: TargetKind.FEMALE_TITLE,
+                   TargetKind.FEMALE_TITLE: TargetKind.MALE_TITLE}
+
+
+def swap(state):
+    """``state`` with a redirect to one gendered title sent to the other."""
+    if state is None or state.target_kind not in _SWAPPED_TARGET:
+        return state
+    return state._replace(target_kind=_SWAPPED_TARGET[state.target_kind])
+
+
 # hand-derived rule table over the 16 core (male, female) combinations,
 # neutral title absent; keys are (male state, female state)
 HAND_TABLE = {
@@ -42,7 +56,7 @@ HAND_TABLE = {
     ("article", "r_other"): BiasGroup.NEUTRAL,
     ("r_female", "missing"): BiasGroup.FEMALE_BIAS,
     ("r_female", "article"): BiasGroup.FEMALE_BIAS,
-    ("r_female", "r_male"): BiasGroup.MALE_BIAS,
+    ("r_female", "r_male"): BiasGroup.NO_EVIDENCE,
     ("r_female", "r_other"): BiasGroup.FEMALE_BIAS,
     ("r_other", "missing"): BiasGroup.NEUTRAL,
     ("r_other", "article"): BiasGroup.NEUTRAL,
@@ -117,26 +131,34 @@ class TestClassify:
             assert classify(presence(m, f)) is group
 
     def test_totality_over_full_enumeration(self):
-        # None: the profession has no title for the role
-        male_states = [None, st_missing(), st_article(), st_article(False),
-                       st_redirect(TargetKind.FEMALE_TITLE),
-                       st_redirect(TargetKind.NEUTRAL_OR_OTHER),
-                       st_redirect(TargetKind.MALE_TITLE)]
-        female_states = [None, st_missing(), st_article(), st_article(False),
-                         st_redirect(TargetKind.MALE_TITLE),
-                         st_redirect(TargetKind.NEUTRAL_OR_OTHER),
-                         st_redirect(TargetKind.FEMALE_TITLE)]
-        neutral_states = [None, st_missing(), st_article(), st_article(False),
-                          st_redirect(TargetKind.MALE_TITLE),
-                          st_redirect(TargetKind.FEMALE_TITLE),
-                          st_redirect(TargetKind.NEUTRAL_OR_OTHER)]
         seen = set()
-        for m, f, n in itertools.product(male_states, female_states,
-                                         neutral_states):
+        for m, f, n in itertools.product(ALL_STATES, repeat=3):
             got = classify(presence(m, f, n))
             assert isinstance(got, BiasGroup)
             seen.add(got)
         assert seen == set(BiasGroup)
+
+    def test_contradictory_redirects_are_no_bias(self):
+        # each gendered title redirects to the other: the female -> male
+        # redirect was once checked first, so this was male_bias, and so
+        # was its gender swap
+        male = st_redirect(TargetKind.FEMALE_TITLE)
+        female = st_redirect(TargetKind.MALE_TITLE)
+        assert classify(presence(male, female)) is BiasGroup.NO_EVIDENCE
+        assert classify(presence(male, female, st_article())) is \
+            BiasGroup.NEUTRAL
+
+    def test_mirrors_when_genders_swap(self):
+        # swapping the male and female states, and the male and female
+        # title targets, swaps male and female bias
+        mirror = {BiasGroup.MALE_BIAS: BiasGroup.FEMALE_BIAS,
+                  BiasGroup.FEMALE_BIAS: BiasGroup.MALE_BIAS,
+                  BiasGroup.NEUTRAL: BiasGroup.NEUTRAL,
+                  BiasGroup.NO_EVIDENCE: BiasGroup.NO_EVIDENCE}
+        for m, f, n in itertools.product(ALL_STATES, repeat=3):
+            got = classify(presence(m, f, n))
+            swapped = classify(presence(swap(f), swap(m), swap(n)))
+            assert swapped is mirror[got], (m, f, n)
 
 
 def fixture_snapshot():
