@@ -113,9 +113,9 @@ def read_rows(path, what: str, header: str | None, ncols: int):
 
 
 @contextmanager
-def open_input(path, what: str, error=ValueError, newline=None):
+def open_input(path, what: str, newline=None):
     """``open(path)`` on UTF-8 text, whose first byte that does not decode
-    raises ``error`` naming ``what``, the line and the file. A leading
+    raises ValueError naming ``what``, the line and the file. A leading
     byte-order mark, which spreadsheet exports add, is skipped."""
     try:
         with open(path, encoding="utf-8-sig", newline=newline) as fh:
@@ -126,8 +126,9 @@ def open_input(path, what: str, error=ValueError, newline=None):
             data.decode("utf-8")
         except UnicodeDecodeError as exc:
             line = data.count(b"\n", 0, exc.start) + 1
-            raise error(f"{what} line {line}: byte 0x{data[exc.start]:02x} "
-                        f"is not UTF-8, in {path}") from None
+            raise ValueError(f"{what} line {line}: byte "
+                             f"0x{data[exc.start]:02x} is not UTF-8, in "
+                             f"{path}") from None
         raise
 
 

@@ -58,7 +58,7 @@ class AuditConfig:
     def __init__(self, **values):
         unknown = set(values) - set(_DEFAULTS)
         if unknown:
-            raise TypeError(f"AuditConfig: unknown keys {sorted(unknown)}")
+            raise ValueError(f"config: unknown keys {sorted(unknown)}")
         self.__dict__.update(_DEFAULTS, **values)
         self.base_dir = Path()
 
@@ -78,9 +78,7 @@ class AuditConfig:
         if not isinstance(data, dict):
             raise ValueError(f"config: {path} must hold a JSON object, "
                              f"got {type(data).__name__}")
-        unknown = set(data) - set(_DEFAULTS)
-        if unknown:
-            raise ValueError(f"config: unknown keys {sorted(unknown)}")
+        cfg = cls(**data)
         for key, default in _DEFAULTS.items():
             if key not in data:
                 continue
@@ -89,7 +87,6 @@ class AuditConfig:
             if type(data[key]) not in types:
                 raise ValueError(f"config: {key!r} must be {kind}, "
                                  f"got {data[key]!r}")
-        cfg = cls(**data)
         cfg.base_dir = path.parent.resolve()
         return cfg
 

@@ -280,12 +280,16 @@ def distributions(items: list[tuple[str, ImageCategory]], grouping: str,
 
     ``items`` pairs a group label with an aggregated image category.
     Unresolved images are excluded from proportions but reported per
-    group. With at least two groups, an overall chi-square test runs on
-    the group-by-category table, followed by pairwise group tests and
-    per-category post-hoc 2x2 tests whose p-values get the two-stage
-    step-up correction. ``stats.chi2_mc`` gives every table small enough
-    to enumerate an exact p-value, and samples ``b`` tables for larger
-    ones; at the audit's sizes every table is enumerated.
+    group. An overall chi-square test runs on the group-by-category
+    table, followed by pairwise group tests and per-category post-hoc 2x2
+    tests whose p-values get the two-stage step-up correction.
+    ``stats.chi2_mc`` alone decides which tables can be tested: a table it
+    rejects (after dropping empty rows and columns, fewer than two of
+    either, as with a single group) is omitted, so ``overall_test`` is
+    None and that pair or category has no entry. ``stats.chi2_mc`` gives
+    every table small enough to enumerate an exact p-value, and samples
+    ``b`` tables for larger ones; at the audit's sizes every table is
+    enumerated.
 
     Only a sampled test records a seed (and ``B``): its own 64-bit seed,
     hashed from ``seed`` and the label ``images:{grouping}:{test}`` (test
@@ -320,47 +324,34 @@ def distributions(items: list[tuple[str, ImageCategory]], grouping: str,
     for g in unresolved:
         if g not in per_group:
             log.warning("group %r has only unresolved images, omitted", g)
+    # each group's counts in RESOLVED_CATEGORIES order; chi2_mc drops the
+    # empty columns
+    rows = {g: [per_group[g][c] for c in RESOLVED_CATEGORIES] for g in groups}
 
-    def table_for(selected: list[str], categories) -> list[list[int]]:
-        return [[per_group[g].get(c, 0) for c in categories]
-                for g in selected]
-
-    def mc_test(table, test: str) -> dict:
-        key = f"{seed}:images:{grouping}:{test}".encode("utf-8")
+    def test(table, label: str) -> dict | None:
+        key = f"{seed}:images:{grouping}:{label}".encode("utf-8")
         digest = blake2b(key, digest_size=8).digest()
-        return stats.chi2_mc(table, b=b, seed=int.from_bytes(digest, "big"))
+        try:
+            return stats.chi2_mc(table, b=b,
+                                 seed=int.from_bytes(digest, "big"))
+        except ValueError:  # fewer than two nonempty rows or columns
+            return None
 
-    overall = correction = None
+    overall = test(list(rows.values()), "overall")
     pairwise: list[dict] = []
     posthoc: list[dict] = []
-    if len(groups) >= 2:
-        used = [c for c in RESOLVED_CATEGORIES
-                if any(per_group[g].get(c, 0) for g in groups)]
-        if len(used) >= 2:
-            overall = mc_test(table_for(groups, used), "overall")
-        for i in range(len(groups)):
-            for j in range(i + 1, len(groups)):
-                pair = [groups[i], groups[j]]
-                name = f"{groups[i]}|{groups[j]}"
-                pair_used = [c for c in RESOLVED_CATEGORIES
-                             if any(per_group[g].get(c, 0) for g in pair)]
-                if len(pair_used) >= 2:
-                    pairwise.append({"groups": pair, "test": mc_test(
-                        table_for(pair, pair_used), name)})
-                for c in RESOLVED_CATEGORIES:
-                    t = []
-                    for g in pair:
-                        in_c = per_group[g].get(c, 0)
-                        rest = sum(per_group[g].values()) - in_c
-                        t.append([in_c, rest])
-                    if min(r[0] + r[1] for r in t) == 0:
-                        continue
-                    if sum(r[0] for r in t) == 0 or sum(r[1] for r in t) == 0:
-                        continue
+    for i, g in enumerate(groups):
+        for h in groups[i + 1:]:
+            pair, name = [g, h], f"{g}|{h}"
+            if (result := test([rows[g], rows[h]], name)) is not None:
+                pairwise.append({"groups": pair, "test": result})
+            for k, c in enumerate(RESOLVED_CATEGORIES):
+                table = [[rows[x][k], sum(rows[x]) - rows[x][k]] for x in pair]
+                if (result := test(table, f"{name}:{c.value}")) is not None:
                     posthoc.append({"groups": pair, "category": c.value,
-                                    "test": mc_test(t, f"{name}:{c.value}")})
-        if posthoc:
-            correction = stats.mark_bh_two_stage(posthoc, q=stats.ALPHA)
+                                    "test": result})
+    correction = (stats.mark_bh_two_stage(posthoc, q=stats.ALPHA)
+                  if posthoc else None)
 
     return {"grouping": grouping, "groups": dists, "overall_test": overall,
             "pairwise_tests": pairwise, "posthoc_tests": posthoc,

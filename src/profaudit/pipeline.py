@@ -839,13 +839,14 @@ def stage_report(run: Run) -> None:
             for _pid, group, pct in fig8_rows
             if group != BiasGroup.NO_EVIDENCE.value]
     model_out: dict = {"n": len(rows)}
-    if len(rows) >= 3 and 0 < sum(y for _, y in rows) < len(rows):
+    try:
         fit = stats.logistic_fit([[1.0, x] for x, _ in rows],
                                  [y for _, y in rows])
+    except ValueError as exc:  # no or too few rows, one class, singular
+        model_out["skipped"] = str(exc)
+    else:
         model_out.update(webhits.model_report(
             fit, "female_bias", ("intercept", "pct_women")))
-    else:
-        model_out["skipped"] = "needs both classes and at least 3 professions"
     dump_json({"rank_sum": labor_tests, "regression": model_out},
               run.out("labor_tests.json"))
 
@@ -854,7 +855,8 @@ def stage_report(run: Run) -> None:
     for grouping in ("labor_majority", "labor_dominated"):
         items = [(row[grouping], ImageCategory(c))
                  for row, cats in labor_images
-                 if row[grouping] not in ("unassigned", "not_dominated")
+                 if row[grouping] not in (labor.MajorityGroup.NONE,
+                                          labor.DominatedGroup.NONE)
                  for c in cats]
         if not items:
             image_labor_report[grouping] = {"skipped": "no joined images"}

@@ -429,7 +429,7 @@ def logistic_fit(X, y) -> dict:
     """
     X = _rows(X)
     if X is None:
-        raise ValueError("logistic_fit: X must be a 2-d design matrix")
+        raise ValueError("logistic_fit: X must be a non-empty 2-d design matrix")
     X = [[float(v) for v in row] for row in X]
     y = [float(v) for v in y]
     n, k = len(X), len(X[0])

@@ -77,7 +77,8 @@ def fit_bias_models(records: list[HitRecord],
 
     Only records with hits and with an evidence-bearing bias group in
     ``groups`` enter the models; ``n`` counts them. Predictors keep raw
-    units.
+    units. A model that ``stats.logistic_fit`` rejects is written as
+    ``{"skipped": reason}`` with that function's message.
     """
     usable = []
     for rec in records:
@@ -95,11 +96,11 @@ def fit_bias_models(records: list[HitRecord],
     for name, positive in (("model_female_bias", BiasGroup.FEMALE_BIAS),
                            ("model_male_bias", BiasGroup.MALE_BIAS)):
         y = [1.0 if g is positive else 0.0 for _, g in usable]
-        if min(y) == max(y):
-            report[name] = {"skipped": f"outcome {positive.value} has a "
-                                       "single class"}
+        try:
+            fit = stats.logistic_fit(X, y)
+        except ValueError as exc:  # too few rows, one class, or singular
+            report[name] = {"skipped": str(exc)}
             continue
-        fit = stats.logistic_fit(X, y)
         report[name] = dict(model_report(fit, positive.value,
                                          PREDICTOR_NAMES),
                             iterations=fit["iterations"])

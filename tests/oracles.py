@@ -275,7 +275,7 @@ def numpy_logistic_fit(X, y) -> dict:
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2:
-        raise ValueError("logistic_fit: X must be a 2-d design matrix")
+        raise ValueError("logistic_fit: X must be a non-empty 2-d design matrix")
     n, k = X.shape
     if len(y) != n:
         raise ValueError("logistic_fit: X and y lengths differ")

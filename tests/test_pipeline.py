@@ -1,3 +1,5 @@
+import ast
+import csv
 import gc
 import importlib.util
 import json
@@ -197,6 +199,20 @@ def test_audit_imports_neither_numpy_nor_fetcher(data_dir, tmp_path):
     assert (tmp_path / "out" / "report" / "bundle_manifest.json").exists()
 
 
+def test_source_parses_as_python_3_10():
+    """Every package module is Python 3.10 syntax, as ``requires-python``
+    declares. This checks syntax only: a call to a library function that
+    3.10 lacks still passes."""
+    with pytest.raises(SyntaxError):  # the check itself: 3.11 syntax fails
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n",
+                  feature_version=(3, 10))
+    sources = sorted(Path(pipeline.__file__).parent.glob("*.py"))
+    assert len(sources) > 10
+    for path in sources:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path),
+                  feature_version=(3, 10))
+
+
 class TestStageOrdering:
     def test_missing_upstream_names_stage(self, fixture_config):
         with pytest.raises(PipelineError, match="run stage 'lexicon' first"):
@@ -381,6 +397,150 @@ class TestModelTables:
             assert slope["coef"] == coef and slope["odds_ratio"] is None
             assert intercept["odds_ratio"] == pytest.approx(
                 math.exp(intercept["coef"]), rel=1e-5, abs=1e-5)
+
+
+def _fixture_copy(data_dir: Path, root: Path) -> Path:
+    work = root / "fixture"
+    shutil.copytree(data_dir, work, ignore=shutil.ignore_patterns(
+        "golden", "out"))
+    return work
+
+
+def _edit_csv(path: Path, edit) -> None:
+    """Rewrite the data rows of a CSV file through ``edit(rows)``."""
+    header, *rows = csv.reader(path.read_text(encoding="utf-8")
+                               .splitlines())
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header] + edit(rows))
+
+
+class TestModelsThatCannotBeFitted:
+    """A design that ``stats.logistic_fit`` rejects is recorded as skipped
+    with its reason, and the audit goes on."""
+
+    @pytest.mark.parametrize("name, edit, artifact, models", [
+        ("hits.csv", lambda rows: [[pid, male, "0"] for pid, male, _ in rows],
+         "webhits/models.json", ("model_female_bias", "model_male_bias")),
+        ("hits.csv", lambda rows: [r for r in rows
+                                   if r[0] in ("L0005", "L0023", "L0031")],
+         "webhits/models.json", ("model_female_bias", "model_male_bias")),
+        ("labor_stats.csv",
+         lambda rows: [[code, label, "100", "300"]
+                       for code, label, _men, _women in rows],
+         "report/labor_tests.json", ("regression",)),
+        ("labor_stats.csv", lambda rows: [], "report/labor_tests.json",
+         ("regression",)),
+    ], ids=["no_female_hits", "three_hit_rows", "one_labor_share",
+            "no_labor_rows"])
+    def test_audit_completes(self, data_dir, tmp_path, capsys, name, edit,
+                             artifact, models):
+        work = _fixture_copy(data_dir, tmp_path)
+        _edit_csv(work / name, edit)
+        out_dir = tmp_path / "out"
+        rc = run_cli("report", "--all", "--config", work / "config.json",
+                     "--out-dir", out_dir)
+        assert rc == 0, capsys.readouterr().err
+        report = json.loads((out_dir / artifact).read_text(encoding="utf-8"))
+        for model in models:
+            assert report[model]["skipped"].startswith("logistic_fit:")
+
+
+def _swap(pairs):
+    """The function that exchanges the two values of each pair."""
+    table = dict(pairs + [(b, a) for a, b in pairs])
+    return lambda value: table.get(value, value)
+
+
+def _p_values(obj) -> list:
+    """Every value of a ``p`` key under ``obj``."""
+    if isinstance(obj, list):
+        return [p for v in obj for p in _p_values(v)]
+    if isinstance(obj, dict):
+        return [p for key, v in obj.items()
+                for p in ([v] if key == "p" else _p_values(v))]
+    return []
+
+
+class TestGenderSwap:
+    """Swapping every gender label of the fixture's inputs mirrors the
+    outputs: counts swap, shares become 1 - r, classes and groups flip, and
+    the two-sided p-values stay the same. The swapped run is compared with
+    the golden tree."""
+
+    @pytest.fixture(scope="class")
+    def swapped(self, data_dir, tmp_path_factory) -> Path:
+        work = _fixture_copy(data_dir, tmp_path_factory.mktemp("swap"))
+        _edit_csv(work / "gender_lexicon.csv", lambda rows: [
+            [name, _swap([("m", "f")])(g)] for name, g in rows])
+        answer = _swap([("male", "female"), ("only_male", "only_female"),
+                        ("mixed_mostly_male", "mixed_mostly_female")])
+        _edit_csv(work / "annotations.csv",
+                  lambda rows: [r[:4] + [answer(r[4])] for r in rows])
+        _edit_csv(work / "gold_labels.csv", lambda rows: [
+            [image, _swap([("men", "women")])(c)] for image, c in rows])
+        _edit_csv(work / "labor_stats.csv", lambda rows: [
+            [code, label, women, men] for code, label, men, women in rows])
+        category = _swap([("Frau", "Mann")])
+        lines = []
+        for line in (work / "snapshot.jsonl").read_text(
+                encoding="utf-8").splitlines():
+            record = json.loads(line)
+            record["categories"] = list(map(category, record["categories"]))
+            lines.append(json.dumps(record, ensure_ascii=False) + "\n")
+        (work / "snapshot.jsonl").write_text("".join(lines), encoding="utf-8")
+        out_dir = work.parent / "out"
+        assert run_cli("report", "--all", "--config", work / "config.json",
+                       "--out-dir", out_dir) == 0
+        return out_dir
+
+    @staticmethod
+    def _rows(root: Path, name: str) -> list[list[str]]:
+        with open(root / name, encoding="utf-8", newline="") as fh:
+            return list(csv.reader(fh))[1:]
+
+    def test_mention_ratios_mirror(self, data_dir, swapped):
+        cls = _swap([("male_biased", "female_biased")])
+        golden = self._rows(data_dir / "golden", "mentions/ratios.csv")
+        rows = self._rows(swapped, "mentions/ratios.csv")
+        assert len(rows) == len(golden)
+        for (variant, title, men, women, ratio, bias), row in zip(golden,
+                                                                   rows):
+            assert row[:4] == [variant, title, women, men]
+            assert float(row[4]) == pytest.approx(1 - float(ratio), abs=1e-6)
+            assert row[5] == cls(bias)
+
+    def test_image_categories_mirror(self, data_dir, swapped):
+        category = _swap([("men", "women")])
+        assert self._rows(swapped, "images/categories.csv") == [
+            row[:5] + [category(row[5])] for row in
+            self._rows(data_dir / "golden", "images/categories.csv")]
+
+    def test_labor_groups_mirror(self, data_dir, swapped):
+        group = _swap([("female_majority", "male_majority"),
+                       ("female_dominated", "male_dominated")])
+        golden = self._rows(data_dir / "golden", "labor/joined.csv")
+        rows = self._rows(swapped, "labor/joined.csv")
+        assert len(rows) == len(golden)
+        for (pid, code, kind, men, women, pct, majority, dominated), row \
+                in zip(golden, rows):
+            assert row[:5] == [pid, code, kind, women, men]
+            assert float(row[5]) == pytest.approx(1 - float(pct), abs=1e-6)
+            assert row[6:] == [group(majority), group(dominated)]
+
+    @pytest.mark.parametrize("name", [
+        "report/mention_tests.json", "report/labor_tests.json",
+        "images/distributions.json",
+        "report/image_labor_distributions.json"])
+    def test_p_values_equal(self, data_dir, swapped, name):
+        golden, report = (json.loads((root / name).read_text(
+            encoding="utf-8")) for root in (data_dir / "golden", swapped))
+        if name == "report/labor_tests.json":
+            # the labor model's predictor becomes 100 - x, which moves its
+            # intercept; only the slope's test is a mirror quantity
+            for tree in (golden, report):
+                del tree["regression"]["coefficients"][0]
+        assert sorted(_p_values(report)) == sorted(_p_values(golden))
+        assert _p_values(golden)
 
 
 @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])

@@ -156,7 +156,26 @@ class TestBiasModels:
         groups = {"a": BiasGroup.MALE_BIAS, "b": BiasGroup.NEUTRAL,
                   "c": BiasGroup.NEUTRAL, "d": BiasGroup.MALE_BIAS}
         report = webhits.fit_bias_models(records, groups)
-        assert "skipped" in report["model_female_bias"]
+        assert report["model_female_bias"] == {
+            "skipped": "logistic_fit: y contains a single class"}
+
+    @pytest.mark.parametrize("hits, reason", [
+        # three rows cannot fit three parameters
+        ([(10, 1), (1, 10), (5, 5)], "need more observations than parameters"),
+        # every normalized difference is 1, the intercept's twin
+        ([(10, 0), (3, 0), (7, 0), (5, 0), (2, 0)], "singular design matrix"),
+    ], ids=["three_records", "no_female_hits"])
+    def test_models_logistic_fit_rejects_are_skipped(self, hits, reason):
+        records = [HitRecord(pid, male, female)
+                   for pid, (male, female) in zip("abcde", hits)]
+        groups = dict(zip("abcde", (BiasGroup.MALE_BIAS,
+                                    BiasGroup.FEMALE_BIAS, BiasGroup.NEUTRAL,
+                                    BiasGroup.MALE_BIAS,
+                                    BiasGroup.FEMALE_BIAS)))
+        report = webhits.fit_bias_models(records, groups)
+        assert report["n"] == len(records)
+        for name in ("model_female_bias", "model_male_bias"):
+            assert report[name] == {"skipped": f"logistic_fit: {reason}"}
 
     def test_records_without_evidence_left_out(self):
         records = [HitRecord("a", 10, 1), HitRecord("b", 1, 10),
