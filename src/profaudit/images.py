@@ -3,9 +3,11 @@ ingestion with gold-question worker scoring, majority-vote aggregation
 into image categories, and grouped category distributions with
 chi-square tests.
 
-Annotation responses pair a person-count answer with a gender answer;
-the legal pairings mirror the three crowd questionnaire variants (single
-person, dominant person, several persons). Workers start at 100%
+``ANSWERS`` is the crowd questionnaire. It has three variants: single
+person, dominant person and several persons. The table maps each legal
+pair of a person-count answer and a gender answer to its image category,
+and "image not shown" to None; ``load_responses`` maps each response once,
+as it reads it, and rejects any other pair. Workers start at 100%
 accuracy; after every batch of ten responses their accuracy on
 gold-labeled images is recomputed, and a worker who falls below the
 threshold is removed with all responses discarded.
@@ -14,12 +16,13 @@ threshold is removed with all responses discarded.
 from __future__ import annotations
 
 import logging
-from collections import Counter, defaultdict
+from collections import Counter, defaultdict, namedtuple
 from enum import Enum
 
 from . import stats
 from .artifacts import blake2b, check_unique, read_rows
 from .corpus import ImageRef
+from .text import nfc
 
 log = logging.getLogger(__name__)
 
@@ -27,26 +30,6 @@ EXCLUDED_FORMATS = frozenset({"svg", "ogg", "ogv"})
 
 # fixed by the crowd task, not a config key
 ACCURACY_BATCH = 10
-
-
-class CountAnswer(str, Enum):
-    NOT_SHOWN = "not_shown"
-    NO_PERSON = "no_person"
-    ONE_PERSON = "one_person"
-    SEVERAL_ONE_DOMINANT = "several_one_dominant"
-    SEVERAL_NO_DOMINANT = "several_no_dominant"
-
-
-class GenderAnswer(str, Enum):
-    FEMALE = "female"
-    MALE = "male"
-    ONLY_FEMALE = "only_female"
-    ONLY_MALE = "only_male"
-    MIXED_MOSTLY_MALE = "mixed_mostly_male"
-    MIXED_MOSTLY_FEMALE = "mixed_mostly_female"
-    MIXED_EQUAL = "mixed_equal"
-    NOT_RECOGNIZABLE = "not_recognizable"
-    NONE = "none"
 
 
 class ImageCategory(str, Enum):
@@ -58,44 +41,39 @@ class ImageCategory(str, Enum):
     UNRESOLVED = "unresolved"
 
 
-# gender answers legal for single/dominant-person questions vs the
-# several-persons question
-_SINGLE_GENDERS = {GenderAnswer.FEMALE, GenderAnswer.MALE,
-                   GenderAnswer.NOT_RECOGNIZABLE}
-_MULTI_GENDERS = {GenderAnswer.ONLY_FEMALE, GenderAnswer.ONLY_MALE,
-                  GenderAnswer.MIXED_MOSTLY_MALE, GenderAnswer.MIXED_MOSTLY_FEMALE,
-                  GenderAnswer.MIXED_EQUAL, GenderAnswer.NOT_RECOGNIZABLE}
+# the categories an image can resolve to: the columns of the kappa rating
+# table and of every distribution
+RESOLVED_CATEGORIES = (ImageCategory.MEN, ImageCategory.WOMEN,
+                       ImageCategory.MIXED_EQUAL,
+                       ImageCategory.NOT_RECOGNIZABLE, ImageCategory.NO_PERSON)
 
+# (count_answer, gender_answer) -> category. The single- and
+# dominant-person variants ask for one gender, the several-persons variant
+# for the mix; one male, one dominant male and a male majority all land in
+# "men", and the female side mirrors that
+ANSWERS = {
+    ("not_shown", "none"): None,
+    ("no_person", "none"): ImageCategory.NO_PERSON,
+    ("one_person", "male"): ImageCategory.MEN,
+    ("one_person", "female"): ImageCategory.WOMEN,
+    ("one_person", "not_recognizable"): ImageCategory.NOT_RECOGNIZABLE,
+    ("several_one_dominant", "male"): ImageCategory.MEN,
+    ("several_one_dominant", "female"): ImageCategory.WOMEN,
+    ("several_one_dominant", "not_recognizable"):
+        ImageCategory.NOT_RECOGNIZABLE,
+    ("several_no_dominant", "only_male"): ImageCategory.MEN,
+    ("several_no_dominant", "mixed_mostly_male"): ImageCategory.MEN,
+    ("several_no_dominant", "only_female"): ImageCategory.WOMEN,
+    ("several_no_dominant", "mixed_mostly_female"): ImageCategory.WOMEN,
+    ("several_no_dominant", "mixed_equal"): ImageCategory.MIXED_EQUAL,
+    ("several_no_dominant", "not_recognizable"):
+        ImageCategory.NOT_RECOGNIZABLE,
+}
 
-class AnnotationResponse:
-    __slots__ = ("worker_id", "image_id", "timestamp", "count_answer",
-                 "gender_answer")
-
-    def __init__(self, worker_id: str, image_id: str, timestamp: int,
-                 count_answer: CountAnswer, gender_answer: GenderAnswer):
-        no_person = count_answer in (CountAnswer.NOT_SHOWN,
-                                     CountAnswer.NO_PERSON)
-        if no_person != (gender_answer is GenderAnswer.NONE):
-            raise ValueError(
-                f"response {worker_id}/{image_id}: gender answer "
-                f"{gender_answer.value!r} illegal for count "
-                f"{count_answer.value!r}")
-        if count_answer in (CountAnswer.ONE_PERSON,
-                            CountAnswer.SEVERAL_ONE_DOMINANT):
-            if gender_answer not in _SINGLE_GENDERS:
-                raise ValueError(
-                    f"response {worker_id}/{image_id}: "
-                    f"{gender_answer.value!r} not a single-person answer")
-        if count_answer is CountAnswer.SEVERAL_NO_DOMINANT:
-            if gender_answer not in _MULTI_GENDERS:
-                raise ValueError(
-                    f"response {worker_id}/{image_id}: "
-                    f"{gender_answer.value!r} not a several-persons answer")
-        self.worker_id = worker_id
-        self.image_id = image_id
-        self.timestamp = timestamp
-        self.count_answer = count_answer
-        self.gender_answer = gender_answer
+# one crowd response; ``category`` is its ANSWERS value, None for "image
+# not shown"
+AnnotationResponse = namedtuple("AnnotationResponse",
+                                "worker_id image_id timestamp category")
 
 
 def filter_images(refs: list[ImageRef], min_width: int) -> list[ImageRef]:
@@ -105,58 +83,37 @@ def filter_images(refs: list[ImageRef], min_width: int) -> list[ImageRef]:
             if r.width > min_width and r.media_format not in EXCLUDED_FORMATS]
 
 
-def map_response(response: AnnotationResponse) -> ImageCategory | None:
-    """Collapse a (count, gender) answer pair onto the category space.
-
-    One male, one dominant male, and male-majority all land in "men";
-    the female side mirrors that. "Image not shown" responses map to
-    None and are dropped before aggregation.
-    """
-    count, gender = response.count_answer, response.gender_answer
-    if count is CountAnswer.NOT_SHOWN:
-        return None
-    if count is CountAnswer.NO_PERSON:
-        return ImageCategory.NO_PERSON
-    if gender in (GenderAnswer.MALE, GenderAnswer.ONLY_MALE,
-                  GenderAnswer.MIXED_MOSTLY_MALE):
-        return ImageCategory.MEN
-    if gender in (GenderAnswer.FEMALE, GenderAnswer.ONLY_FEMALE,
-                  GenderAnswer.MIXED_MOSTLY_FEMALE):
-        return ImageCategory.WOMEN
-    if gender is GenderAnswer.MIXED_EQUAL:
-        return ImageCategory.MIXED_EQUAL
-    return ImageCategory.NOT_RECOGNIZABLE
-
-
 def load_responses(path) -> list[AnnotationResponse]:
-    """CSV: worker_id, image_id, timestamp, count_answer, gender_answer."""
+    """CSV: worker_id, image_id, timestamp, count_answer, gender_answer.
+    An answer pair outside ``ANSWERS`` is an error naming the row."""
     out = []
     for row_no, row in read_rows(path, "responses", "worker_id", 5):
+        pair = (row[3].strip(), row[4].strip())
         try:
-            out.append(AnnotationResponse(
-                worker_id=row[0].strip(),
-                image_id=row[1].strip(),
-                timestamp=int(row[2]),
-                count_answer=CountAnswer(row[3].strip()),
-                gender_answer=GenderAnswer(row[4].strip()),
-            ))
+            if pair not in ANSWERS:
+                raise ValueError(f"illegal answer pair {pair}")
+            out.append(AnnotationResponse(row[0].strip(),
+                                          nfc(row[1].strip()), int(row[2]),
+                                          ANSWERS[pair]))
         except ValueError as exc:
             raise ValueError(f"responses row {row_no}: {exc}") from exc
     return out
 
 
 def load_gold_labels(path) -> dict[str, ImageCategory]:
-    """CSV: image_id, category. A repeated image id is an error naming
-    both rows."""
+    """CSV: image_id, category, the category one of
+    ``RESOLVED_CATEGORIES``, the only ones a response maps to. A repeated
+    image id is an error naming both rows."""
     out: dict[str, ImageCategory] = {}
     rows: dict[str, int] = {}
     for row_no, row in read_rows(path, "gold labels", "image_id", 2):
-        image_id = row[0].strip()
+        image_id = nfc(row[0].strip())
         check_unique(rows, image_id, row_no, "gold labels", "image_id")
-        try:
-            out[image_id] = ImageCategory(row[1].strip())
-        except ValueError as exc:
-            raise ValueError(f"gold labels row {row_no}: {exc}") from exc
+        value = row[1].strip()
+        if value not in RESOLVED_CATEGORIES:  # members equal their values
+            raise ValueError(f"gold labels row {row_no}: category {value!r} "
+                             "is not a resolved category")
+        out[image_id] = ImageCategory(value)
     return out
 
 
@@ -197,7 +154,7 @@ def score_workers(responses: list[AnnotationResponse],
                 if gold is None:
                     continue
                 answered += 1
-                if map_response(resp) is gold:
+                if resp.category is gold:
                     correct += 1
             accuracy = correct / answered if answered else 1.0
             if accuracy < threshold:
@@ -218,7 +175,7 @@ def aggregate(responses: list[AnnotationResponse],
     Fewer than ``min_judgments`` mapped responses, or no category holding
     more than half of them, yields the unresolved marker.
     """
-    mapped = [c for c in (map_response(r) for r in responses) if c is not None]
+    mapped = [r.category for r in responses if r.category is not None]
     if len(mapped) < min_judgments:
         return ImageCategory.UNRESOLVED
     counts = Counter(mapped)
@@ -237,13 +194,6 @@ def aggregate_all(retained: list[AnnotationResponse], min_judgments: int
             for image, resps in sorted(by_image.items())}
 
 
-# the categories an image can resolve to: the columns of the kappa rating
-# table and of every distribution
-RESOLVED_CATEGORIES = (ImageCategory.MEN, ImageCategory.WOMEN,
-                       ImageCategory.MIXED_EQUAL,
-                       ImageCategory.NOT_RECOGNIZABLE, ImageCategory.NO_PERSON)
-
-
 def kappa_from_responses(retained: list[AnnotationResponse]) -> dict:
     """Fleiss' kappa over the mapped category space, as the dict
     ``stats.fleiss_kappa`` returns.
@@ -260,8 +210,7 @@ def kappa_from_responses(retained: list[AnnotationResponse]) -> dict:
     for image in sorted(by_image):
         ordered = sorted(by_image[image],
                          key=lambda r: (r.timestamp, r.worker_id))
-        mapped = [c for c in (map_response(r) for r in ordered)
-                  if c is not None]
+        mapped = [r.category for r in ordered if r.category is not None]
         if len(mapped) < 3:
             continue
         row = [0] * len(RESOLVED_CATEGORIES)

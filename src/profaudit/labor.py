@@ -14,6 +14,7 @@ from collections import namedtuple
 from enum import Enum
 
 from .artifacts import check_unique, read_rows
+from .text import nfc
 
 
 class MatchKind(str, Enum):
@@ -67,13 +68,13 @@ def load_stats(path) -> list[LaborStat]:
 
 
 def load_classifier(path) -> dict[str, str]:
-    """Profession-name to code index, CSV columns (name, code). A name
-    repeated with the same code is accepted; with another code it is an
-    error naming both rows."""
+    """Profession-name to code index, CSV columns (name, code), names in
+    NFC. A name repeated with the same code is accepted; with another
+    code it is an error naming both rows."""
     index: dict[str, str] = {}
     rows: dict[str, int] = {}
     for row_no, row in read_rows(path, "classifier", "name", 2):
-        name = row[0].strip()
+        name = nfc(row[0].strip())
         code = row[1].strip()
         first = rows.setdefault(name, row_no)
         if index.setdefault(name, code) != code:

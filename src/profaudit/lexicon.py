@@ -11,7 +11,6 @@ and ß are never folded.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from enum import Enum
 
 from .artifacts import check_unique, open_input, read_rows
@@ -75,8 +74,6 @@ class Resolution(str, Enum):
     UNRESOLVED = "unresolved"
 
 
-RawLine = namedtuple("RawLine", "text line_no")
-
 # the attributes of a ProfessionEntry, and the keys of its entries.jsonl record
 ENTRY_FIELDS = ("id", "line_no", "text", "male_title", "female_title",
                 "neutral_title", "resolution")
@@ -128,15 +125,15 @@ def load_abbreviations(path=None) -> dict[str, str]:
     return table
 
 
-def preprocess(line: RawLine, abbreviations: dict[str, str]):
-    """Exclusion filter plus punctuation/abbreviation cleanup.
+def preprocess(text: str, abbreviations: dict[str, str]) -> str | None:
+    """Exclusion filter plus punctuation/abbreviation cleanup of one line.
 
-    Returns None when the line names a study field or activity field
-    rather than a profession; otherwise the cleaned line. Punctuation
+    Returns None when the line is blank or names a study field or activity
+    field rather than a profession; otherwise the cleaned text. Punctuation
     fixes cover whitespace normalization (NBSP, runs of blanks, blanks
     hugging a slash); the abbreviation table is applied afterwards.
     """
-    text = nfc(line.text).strip()
+    text = nfc(text).strip()
     if not text:
         return None
     for marker in EXCLUSION_MARKERS:
@@ -148,7 +145,7 @@ def preprocess(line: RawLine, abbreviations: dict[str, str]):
     for short, full in abbreviations.items():
         if short in text:
             text = text.replace(short, full)
-    return RawLine(text=text, line_no=line.line_no)
+    return text
 
 
 def _apply_pair(text: str, male_suffix: str, female_suffix: str):
@@ -168,42 +165,42 @@ def _apply_pair(text: str, male_suffix: str, female_suffix: str):
     return left, female
 
 
-def split(line: RawLine) -> ProfessionEntry:
-    """Derive a ProfessionEntry from one preprocessed line.
+def split(text: str, line_no: int) -> ProfessionEntry:
+    """Derive a ProfessionEntry from one preprocessed line and its number
+    in the source file.
 
     Rule precedence: suffix rules, paired substrings, reversed pairs,
     neutral suffixes, otherwise unresolved. The function is pure; the same
     line always yields the same entry.
     """
-    text = line.text
-    entry_id = f"L{line.line_no:04d}"
+    entry_id = f"L{line_no:04d}"
 
     for pattern, male_rep, female_rep in SUFFIX_RULES:
         if pattern in text:
             male = text.replace(pattern, male_rep, 1)
             female = text.replace(pattern, female_rep, 1)
-            return ProfessionEntry(entry_id, line.line_no, text, male, female,
+            return ProfessionEntry(entry_id, line_no, text, male, female,
                                    None, Resolution.AUTO_SPLIT)
 
     for male_suffix, female_suffix in PAIR_RULES:
         got = _apply_pair(text, male_suffix, female_suffix)
         if got:
             male, female = got
-            return ProfessionEntry(entry_id, line.line_no, text, male, female,
+            return ProfessionEntry(entry_id, line_no, text, male, female,
                                    None, Resolution.AUTO_SPLIT)
 
     for female_suffix, male_suffix in REVERSED_RULES:
         got = _apply_pair(text, female_suffix, male_suffix)
         if got:
             female, male = got
-            return ProfessionEntry(entry_id, line.line_no, text, male, female,
+            return ProfessionEntry(entry_id, line_no, text, male, female,
                                    None, Resolution.AUTO_SPLIT)
 
     if text.lower().endswith(NEUTRAL_SUFFIXES):
-        return ProfessionEntry(entry_id, line.line_no, text, None, None, text,
+        return ProfessionEntry(entry_id, line_no, text, None, None, text,
                                Resolution.AUTO_NEUTRAL)
 
-    return ProfessionEntry(entry_id, line.line_no, text, None, None, None,
+    return ProfessionEntry(entry_id, line_no, text, None, None, None,
                            Resolution.UNRESOLVED)
 
 
@@ -212,13 +209,9 @@ def parse_file(path, abbreviations: dict[str, str]) -> list[ProfessionEntry]:
     entries = []
     with open_input(path, "professions") as fh:
         for line_no, raw in enumerate(fh, start=1):
-            raw = raw.rstrip("\n")
-            if not raw.strip():
-                continue
-            cleaned = preprocess(RawLine(raw, line_no), abbreviations)
-            if cleaned is None:
-                continue
-            entries.append(split(cleaned))
+            cleaned = preprocess(raw, abbreviations)
+            if cleaned is not None:
+                entries.append(split(cleaned, line_no))
     return entries
 
 

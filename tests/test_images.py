@@ -1,21 +1,28 @@
 import hashlib
 import itertools
+import unicodedata
 
 import pytest
 
 from profaudit import images, stats
 from profaudit.config import AuditConfig
 from profaudit.corpus import ImageRef
-from profaudit.images import (AnnotationResponse, CountAnswer, GenderAnswer,
-                              ImageCategory, aggregate, filter_images,
-                              map_response, score_workers)
+from profaudit.images import (AnnotationResponse, ImageCategory, aggregate,
+                              filter_images, score_workers)
 
 CFG = AuditConfig()
 
 
 def resp(worker, image, ts, count, gender):
-    return AnnotationResponse(worker, image, ts, CountAnswer(count),
-                              GenderAnswer(gender))
+    return AnnotationResponse(worker, image, ts,
+                              images.ANSWERS[count, gender])
+
+
+def load_one(tmp_path, count, gender):
+    """``load_responses`` over a file holding one response."""
+    p = tmp_path / "responses.csv"
+    p.write_text(f"w,i,0,{count},{gender}\n", encoding="utf-8")
+    return images.load_responses(p)
 
 
 class TestFilterImages:
@@ -34,46 +41,50 @@ class TestFilterImages:
 
 
 LEGAL_PAIRS = {
-    (CountAnswer.NOT_SHOWN, GenderAnswer.NONE): None,
-    (CountAnswer.NO_PERSON, GenderAnswer.NONE): ImageCategory.NO_PERSON,
-    (CountAnswer.ONE_PERSON, GenderAnswer.MALE): ImageCategory.MEN,
-    (CountAnswer.ONE_PERSON, GenderAnswer.FEMALE): ImageCategory.WOMEN,
-    (CountAnswer.ONE_PERSON, GenderAnswer.NOT_RECOGNIZABLE):
+    ("not_shown", "none"): None,
+    ("no_person", "none"): ImageCategory.NO_PERSON,
+    ("one_person", "male"): ImageCategory.MEN,
+    ("one_person", "female"): ImageCategory.WOMEN,
+    ("one_person", "not_recognizable"): ImageCategory.NOT_RECOGNIZABLE,
+    ("several_one_dominant", "male"): ImageCategory.MEN,
+    ("several_one_dominant", "female"): ImageCategory.WOMEN,
+    ("several_one_dominant", "not_recognizable"):
         ImageCategory.NOT_RECOGNIZABLE,
-    (CountAnswer.SEVERAL_ONE_DOMINANT, GenderAnswer.MALE): ImageCategory.MEN,
-    (CountAnswer.SEVERAL_ONE_DOMINANT, GenderAnswer.FEMALE):
-        ImageCategory.WOMEN,
-    (CountAnswer.SEVERAL_ONE_DOMINANT, GenderAnswer.NOT_RECOGNIZABLE):
-        ImageCategory.NOT_RECOGNIZABLE,
-    (CountAnswer.SEVERAL_NO_DOMINANT, GenderAnswer.ONLY_MALE):
-        ImageCategory.MEN,
-    (CountAnswer.SEVERAL_NO_DOMINANT, GenderAnswer.ONLY_FEMALE):
-        ImageCategory.WOMEN,
-    (CountAnswer.SEVERAL_NO_DOMINANT, GenderAnswer.MIXED_MOSTLY_MALE):
-        ImageCategory.MEN,
-    (CountAnswer.SEVERAL_NO_DOMINANT, GenderAnswer.MIXED_MOSTLY_FEMALE):
-        ImageCategory.WOMEN,
-    (CountAnswer.SEVERAL_NO_DOMINANT, GenderAnswer.MIXED_EQUAL):
-        ImageCategory.MIXED_EQUAL,
-    (CountAnswer.SEVERAL_NO_DOMINANT, GenderAnswer.NOT_RECOGNIZABLE):
+    ("several_no_dominant", "only_male"): ImageCategory.MEN,
+    ("several_no_dominant", "only_female"): ImageCategory.WOMEN,
+    ("several_no_dominant", "mixed_mostly_male"): ImageCategory.MEN,
+    ("several_no_dominant", "mixed_mostly_female"): ImageCategory.WOMEN,
+    ("several_no_dominant", "mixed_equal"): ImageCategory.MIXED_EQUAL,
+    ("several_no_dominant", "not_recognizable"):
         ImageCategory.NOT_RECOGNIZABLE,
 }
+
+# every value of the two questionnaire columns
+COUNT_ANSWERS = ("not_shown", "no_person", "one_person",
+                 "several_one_dominant", "several_no_dominant")
+GENDER_ANSWERS = ("female", "male", "only_female", "only_male",
+                  "mixed_mostly_male", "mixed_mostly_female", "mixed_equal",
+                  "not_recognizable", "none")
 
 
 class TestMapping:
     @pytest.mark.parametrize("pair,expected", list(LEGAL_PAIRS.items()))
-    def test_every_legal_pair(self, pair, expected):
-        count, gender = pair
-        r = AnnotationResponse("w", "i", 0, count, gender)
-        assert map_response(r) is expected
+    def test_every_legal_pair(self, tmp_path, pair, expected):
+        assert load_one(tmp_path, *pair)[0].category is expected
 
-    def test_illegal_pairs_rejected(self):
-        legal = set(LEGAL_PAIRS)
-        for count, gender in itertools.product(CountAnswer, GenderAnswer):
-            if (count, gender) in legal:
-                continue
-            with pytest.raises(ValueError):
-                AnnotationResponse("w", "i", 0, count, gender)
+    def test_answers_are_the_legal_pairs(self):
+        assert images.ANSWERS == LEGAL_PAIRS
+
+    def test_illegal_pairs_rejected(self, tmp_path):
+        illegal = [pair for pair in itertools.product(COUNT_ANSWERS,
+                                                      GENDER_ANSWERS)
+                   if pair not in LEGAL_PAIRS]
+        assert len(illegal) == 31
+        for count, gender in illegal:
+            with pytest.raises(ValueError, match=(
+                    rf"^responses row 1: illegal answer pair "
+                    rf"\('{count}', '{gender}'\)$")):
+                load_one(tmp_path, count, gender)
 
 
 def gold_batch_responses(correct_n, total=10):
@@ -143,9 +154,7 @@ class TestWorkerScoring:
         gold = {}
         for w, correct in (("w1", 10), ("w2", 8), ("w3", 6), ("w4", 3)):
             rs, g = gold_batch_responses(correct)
-            responses.extend(r.__class__(w, r.image_id, r.timestamp,
-                                         r.count_answer, r.gender_answer)
-                             for r in rs)
+            responses.extend(r._replace(worker_id=w) for r in rs)
             gold.update(g)
         active_at = {}
         for thr in (0.9, 0.7, 0.5, 0.2):
@@ -311,8 +320,7 @@ class TestLoadFiles:
             "worker_id,image_id,timestamp,count_answer,gender_answer\n"
             "w1,img1,5,one_person,male\n", encoding="utf-8")
         got = images.load_responses(p)
-        assert got[0].worker_id == "w1"
-        assert got[0].count_answer is CountAnswer.ONE_PERSON
+        assert got == [("w1", "img1", 5, ImageCategory.MEN)]
 
     def test_illegal_pair_names_row(self, tmp_path):
         p = tmp_path / "responses.csv"
@@ -333,3 +341,32 @@ class TestLoadFiles:
         with pytest.raises(ValueError, match=r"^gold labels row 4: duplicate "
                            r"image_id 'img1' \(first on row 2\)$"):
             images.load_gold_labels(p)
+
+    def test_gold_label_must_be_a_resolved_category(self, tmp_path):
+        # no response maps to "unresolved", so every worker who answered
+        # such a gold image was scored wrong on it
+        p = tmp_path / "gold.csv"
+        p.write_text("image_id,category\nimg1,men\nimg2,unresolved\n",
+                     encoding="utf-8")
+        with pytest.raises(ValueError, match=r"^gold labels row 3: category "
+                           r"'unresolved' is not a resolved category$"):
+            images.load_gold_labels(p)
+
+    def test_gold_image_ids_are_nfc(self, tmp_path):
+        # an NFD id was never counted as gold, since image ids are NFC
+        nfd = unicodedata.normalize("NFD", "Ärztin.jpg")
+        p = tmp_path / "gold.csv"
+        p.write_text(f"image_id,category\n{nfd},women\nÄrztin.jpg,men\n",
+                     encoding="utf-8")
+        with pytest.raises(ValueError, match=r"^gold labels row 3: duplicate "
+                           r"image_id 'Ärztin.jpg' \(first on row 2\)$"):
+            images.load_gold_labels(p)
+        p.write_text(f"{nfd},women\n", encoding="utf-8")
+        assert images.load_gold_labels(p) == {"Ärztin.jpg":
+                                              ImageCategory.WOMEN}
+
+    def test_response_image_ids_are_nfc(self, tmp_path):
+        nfd = unicodedata.normalize("NFD", "Ärztin.jpg")
+        p = tmp_path / "responses.csv"
+        p.write_text(f"w1,{nfd},5,one_person,female\n", encoding="utf-8")
+        assert images.load_responses(p)[0].image_id == "Ärztin.jpg"

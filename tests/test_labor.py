@@ -1,3 +1,5 @@
+import unicodedata
+
 import pytest
 
 from profaudit import labor
@@ -87,6 +89,23 @@ class TestLoadClassifier:
         p = tmp_path / "classifier.csv"
         p.write_text("\ufeffname,code\nLehrer,8411\n", encoding="utf-8")
         assert labor.load_classifier(p) == {"Lehrer": "8411"}
+
+    def test_names_are_nfc(self, tmp_path):
+        # profession titles are NFC, so an NFD name left its profession
+        # unmatched without a word
+        nfd = unicodedata.normalize("NFD", "Ärztin")
+        p = tmp_path / "classifier.csv"
+        p.write_text(f"name,code\n{nfd},8140\nÄrztin,8141\n",
+                     encoding="utf-8")
+        with pytest.raises(ValueError, match=r"^classifier row 3: conflicting "
+                           r"code for 'Ärztin' \(first on row 2\)$"):
+            labor.load_classifier(p)
+        p.write_text(f"{nfd},8140\n", encoding="utf-8")
+        classifier = labor.load_classifier(p)
+        assignments, unmatched = labor.assign(
+            [("p1", ["Ärztin"])], classifier, [LaborStat("8140", "A", 1, 3)])
+        assert unmatched == []
+        assert assignments[0].kldb_code == "8140"
 
 
 class TestAssign:

@@ -2,15 +2,15 @@ import pytest
 
 from profaudit import lexicon, pipeline
 from profaudit.config import AuditConfig
-from profaudit.lexicon import RawLine, Resolution
+from profaudit.lexicon import Resolution
 
 ABBREVIATIONS = lexicon.load_abbreviations()
 
 
 def run_split(text, line_no=1):
-    cleaned = lexicon.preprocess(RawLine(text, line_no), ABBREVIATIONS)
+    cleaned = lexicon.preprocess(text, ABBREVIATIONS)
     assert cleaned is not None
-    return lexicon.split(cleaned)
+    return lexicon.split(cleaned, line_no)
 
 
 class TestPreprocess:
@@ -21,29 +21,29 @@ class TestPreprocess:
         "Medizin (Staatsexamen)",
     ])
     def test_field_names_excluded(self, text):
-        assert lexicon.preprocess(RawLine(text, 1), ABBREVIATIONS) is None
+        assert lexicon.preprocess(text, ABBREVIATIONS) is None
 
     def test_plain_line_unchanged(self):
-        got = lexicon.preprocess(RawLine("Lehrer/in", 3), ABBREVIATIONS)
-        assert got.text == "Lehrer/in"
-        assert got.line_no == 3
+        got = lexicon.preprocess("Lehrer/in", ABBREVIATIONS)
+        assert got == "Lehrer/in"
+        assert lexicon.split(got, 3).line_no == 3
 
     def test_abbreviation_expanded(self):
-        got = lexicon.preprocess(RawLine("Fachkraft - med. Dokumentation", 1),
+        got = lexicon.preprocess("Fachkraft - med. Dokumentation",
                                  ABBREVIATIONS)
-        assert got.text == "Fachkraft - medizinische Dokumentation"
+        assert got == "Fachkraft - medizinische Dokumentation"
 
     def test_custom_abbreviation_table(self):
-        got = lexicon.preprocess(RawLine("techn. Assistent", 1),
+        got = lexicon.preprocess("techn. Assistent",
                                  {"techn.": "technischer"})
-        assert got.text == "technischer Assistent"
+        assert got == "technischer Assistent"
 
     def test_whitespace_fixes(self):
-        got = lexicon.preprocess(RawLine("  Lehrer / in ", 1), ABBREVIATIONS)
-        assert got.text == "Lehrer/in"
+        got = lexicon.preprocess("  Lehrer / in ", ABBREVIATIONS)
+        assert got == "Lehrer/in"
 
     def test_blank_line_dropped(self):
-        assert lexicon.preprocess(RawLine("   ", 1), ABBREVIATIONS) is None
+        assert lexicon.preprocess("   ", ABBREVIATIONS) is None
 
 
 class TestLoadAbbreviations:
@@ -152,14 +152,14 @@ class TestSplit:
 
 class TestManualAssignments:
     def test_empty_file_is_noop(self, tmp_path):
-        entries = [lexicon.split(RawLine("Model", 1))]
+        entries = [lexicon.split("Model", 1)]
         path = tmp_path / "manual.csv"
         path.write_text("line_no,group,male,female,neutral\n", encoding="utf-8")
         lexicon.load_manual_assignments(path, entries)
         assert entries[0].resolution is Resolution.UNRESOLVED
 
     def test_neutral_override(self, tmp_path):
-        entries = [lexicon.split(RawLine("Model", 4))]
+        entries = [lexicon.split("Model", 4)]
         path = tmp_path / "manual.csv"
         path.write_text("4,neutral,,,Model\n", encoding="utf-8")
         lexicon.load_manual_assignments(path, entries)
@@ -167,7 +167,7 @@ class TestManualAssignments:
         assert entries[0].neutral_title == "Model"
 
     def test_pair_override(self, tmp_path):
-        entries = [lexicon.split(RawLine("Hebamme", 2))]
+        entries = [lexicon.split("Hebamme", 2)]
         path = tmp_path / "manual.csv"
         path.write_text("2,pair,Entbindungspfleger,Hebamme,\n", encoding="utf-8")
         lexicon.load_manual_assignments(path, entries)
@@ -175,14 +175,14 @@ class TestManualAssignments:
         assert entries[0].female_title == "Hebamme"
 
     def test_unknown_line_no_is_error(self, tmp_path):
-        entries = [lexicon.split(RawLine("Model", 1))]
+        entries = [lexicon.split("Model", 1)]
         path = tmp_path / "manual.csv"
         path.write_text("999999,neutral,,,X\n", encoding="utf-8")
         with pytest.raises(ValueError, match="999999"):
             lexicon.load_manual_assignments(path, entries)
 
     def test_equal_titles_rejected(self, tmp_path):
-        entries = [lexicon.split(RawLine("Model", 1))]
+        entries = [lexicon.split("Model", 1)]
         path = tmp_path / "manual.csv"
         path.write_text("1,pair,Model,Model,\n", encoding="utf-8")
         with pytest.raises(ValueError):
@@ -190,7 +190,7 @@ class TestManualAssignments:
 
     def test_repeated_line_no_names_both_rows(self, tmp_path):
         # the later row used to win without a word
-        entries = [lexicon.split(RawLine("Fookraft", 2))]
+        entries = [lexicon.split("Fookraft", 2)]
         path = tmp_path / "manual.csv"
         path.write_text("line_no,group,male,female,neutral\n"
                         "2,neutral,,,Fookraft\n# note\n"

@@ -13,10 +13,11 @@ from pathlib import Path
 
 import pytest
 
-from profaudit import pipeline, redirect_bias, stats
+from profaudit import images, pipeline, redirect_bias, stats
 from profaudit.artifacts import sha256_file, write_jsonl
 from profaudit.cli import main
 from profaudit.config import AuditConfig
+from profaudit.images import ImageCategory
 from profaudit.pipeline import PipelineError
 
 
@@ -1245,17 +1246,23 @@ class TestBenchmarkHooks:
         assert set(pipeline._STAGE_FUNCS) == set(pipeline.STAGES)
 
     @staticmethod
-    def _tracer():
-        """perfbench/tracer.py as it is, its wrappers not installed."""
-        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-        spec = importlib.util.spec_from_file_location("perfbench_tracer",
+    def _perfbench(name):
+        """perfbench/<name>.py as it is, loaded by path; the tracer's
+        wrappers are not installed."""
+        path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+        spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
                                                       path)
-        tracer = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tracer)
-        return tracer
+        module = importlib.util.module_from_spec(spec)
+        # a dataclass looks its module up while the module runs
+        sys.modules[spec.name] = module
+        try:
+            spec.loader.exec_module(module)
+        finally:
+            del sys.modules[spec.name]
+        return module
 
     def test_tracer_names_resolve(self):
-        tracer = self._tracer()
+        tracer = self._perfbench("tracer")
         for module_name, attr, _ in tracer.SPANS + tracer.COUNTED:
             module = importlib.import_module("profaudit." + module_name)
             assert callable(getattr(module, attr, None)), \
@@ -1265,12 +1272,19 @@ class TestBenchmarkHooks:
         assert callable(pipeline._STAGE_FUNCS[pipeline.STAGES[0]])
         assert tracer.STAGES == pipeline.STAGES
 
+    def test_planted_answers_are_questionnaire_answers(self):
+        # the workloads' crowd answers come from the one answer table
+        gen = self._perfbench("gen")
+        for category, pairs in gen._ANSWERS.items():
+            for pair in pairs:
+                assert images.ANSWERS[pair] is ImageCategory(category), pair
+
     def test_tracer_reads_arguments_by_position(self, data_dir,
                                                 fixture_config, monkeypatch):
         # the tracer's observers read a[0] and a[1] of matcher.match, a[0]
         # of images.score_workers and a[1] of
         # mentions.extract_text_mentions
-        tracer = self._tracer()
+        tracer = self._perfbench("tracer")
         for module_name, attr, *_ in tracer.SPANS + tracer.COUNTED:
             module = importlib.import_module("profaudit." + module_name)
             monkeypatch.setattr(module, attr, getattr(module, attr))

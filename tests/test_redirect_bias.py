@@ -36,6 +36,12 @@ _SWAPPED_TARGET = {TargetKind.MALE_TITLE: TargetKind.FEMALE_TITLE,
                    TargetKind.FEMALE_TITLE: TargetKind.MALE_TITLE}
 
 
+MIRRORED_GROUP = {BiasGroup.MALE_BIAS: BiasGroup.FEMALE_BIAS,
+                  BiasGroup.FEMALE_BIAS: BiasGroup.MALE_BIAS,
+                  BiasGroup.NEUTRAL: BiasGroup.NEUTRAL,
+                  BiasGroup.NO_EVIDENCE: BiasGroup.NO_EVIDENCE}
+
+
 def swap(state):
     """``state`` with a redirect to one gendered title sent to the other."""
     if state is None or state.target_kind not in _SWAPPED_TARGET:
@@ -151,18 +157,15 @@ class TestClassify:
     def test_mirrors_when_genders_swap(self):
         # swapping the male and female states, and the male and female
         # title targets, swaps male and female bias
-        mirror = {BiasGroup.MALE_BIAS: BiasGroup.FEMALE_BIAS,
-                  BiasGroup.FEMALE_BIAS: BiasGroup.MALE_BIAS,
-                  BiasGroup.NEUTRAL: BiasGroup.NEUTRAL,
-                  BiasGroup.NO_EVIDENCE: BiasGroup.NO_EVIDENCE}
         for m, f, n in itertools.product(ALL_STATES, repeat=3):
             got = classify(presence(m, f, n))
             swapped = classify(presence(swap(f), swap(m), swap(n)))
-            assert swapped is mirror[got], (m, f, n)
+            assert swapped is MIRRORED_GROUP[got], (m, f, n)
 
 
-def fixture_snapshot():
+def fixture_snapshot(*extra):
     records = [
+        *extra,
         ArticleRecord("Kategorie:Heilberuf", categories={"Beruf"}),
         ArticleRecord("Lehrer", categories={"Beruf"}, plain_text="L"),
         ArticleRecord("Lehrerin", redirect_target="Lehrer"),
@@ -246,6 +249,71 @@ class TestBuildPresence:
                               self.snap, self.closure)
         assert p["male"].kind is PageKind.ARTICLE
         assert p["male"].title == "Lehrer"
+
+
+# male title <-> female title, for the snapshot below with genders swapped
+MIRRORED_TITLE = {"Lehrer": "Lehrerin", "Entbindungspfleger": "Hebamme",
+                  "Beamter": "Beamtin", "Chiefsteward": "Chiefstewardess",
+                  "Pfleger": "Pflegerin", "Pfleger2": "Pflegerin2"}
+MIRRORED_TITLE.update({f: m for m, f in MIRRORED_TITLE.items()})
+OPPOSITE_ROLE = {"male": "female", "female": "male", "neutral": "neutral"}
+
+
+def mirrored(title):
+    return MIRRORED_TITLE.get(title, title)
+
+
+def mirrored_state(state):
+    """``state`` with its titles mirrored and its target kind swapped."""
+    return swap(state._replace(
+        title=mirrored(state.title),
+        target=state.target and mirrored(state.target)))
+
+
+class TestBuildPresenceGenderSwap:
+    """Swapping the male and female titles of a snapshot, redirects
+    included, mirrors each role's PageState and the group."""
+
+    PROFESSIONS = [
+        {"male": ["Lehrer"], "female": ["Lehrerin"]},
+        {"male": ["Entbindungspfleger"], "female": ["Hebamme"]},
+        {"male": ["Dressman"], "neutral": ["Model"]},
+        {"male": ["Lehrer"], "female": ["Alt"]},
+        {"male": ["A"], "female": ["Ehemals"]},
+        {"male": ["Beamter"], "female": ["Beamtin"]},
+        {"male": ["Chiefsteward", "Lehrer"], "female": ["Lehrerin"]},
+        # contradictory redirects, each to the other role's missing title
+        {"male": ["Pfleger", "Pfleger2"], "female": ["Pflegerin",
+                                                     "Pflegerin2"]},
+    ]
+
+    def test_mirrors(self):
+        snap = fixture_snapshot(
+            ArticleRecord("Pfleger", redirect_target="Pflegerin2"),
+            ArticleRecord("Pflegerin", redirect_target="Pfleger2"))
+        swapped = build_snapshot({
+            mirrored(r.title): ArticleRecord(
+                mirrored(r.title), r.exists,
+                r.redirect_target and mirrored(r.redirect_target),
+                r.categories, plain_text=r.plain_text)
+            for r in snap.records.values()})
+        groups = set()
+        for titles in self.PROFESSIONS:
+            got = rb.build_presence(titles, snap,
+                                    category_closure(["Beruf"], 5, snap))
+            swapped_titles = {role: [mirrored(t) for t in titles[other]]
+                              for role, other in OPPOSITE_ROLE.items()
+                              if other in titles}
+            mirror = rb.build_presence(
+                swapped_titles, swapped,
+                category_closure(["Beruf"], 5, swapped))
+            assert mirror == {role: mirrored_state(got[other])
+                              for role, other in OPPOSITE_ROLE.items()
+                              if other in got}
+            group = classify(got)
+            assert classify(mirror) is MIRRORED_GROUP[group], titles
+            groups.add(group)
+        assert groups == set(BiasGroup)
 
 
 def by_role(rows, table):
