@@ -63,17 +63,8 @@ class SnapshotError(ValueError):
     pass
 
 
-class ImageRef:
-    __slots__ = ("filename", "width", "media_format")
-
-    def __init__(self, filename: str, width: int, media_format: str):
-        self.filename = filename
-        self.width = width
-        self.media_format = media_format
-
-    def to_dict(self) -> dict:
-        return {"filename": self.filename, "width": self.width,
-                "media_format": self.media_format}
+# one image of a page; ``media_format`` is lower case
+ImageRef = namedtuple("ImageRef", "filename width media_format")
 
 
 class ArticleRecord:
@@ -118,7 +109,7 @@ class ArticleRecord:
             "redirect_target": self.redirect_target,
             "categories": sorted(self.categories),
             "outlinks": list(self.outlinks),
-            "images": [i.to_dict() for i in self.images],
+            "images": [i._asdict() for i in self.images],
             "plain_text": self.plain_text,
         }
 
@@ -251,9 +242,8 @@ def record_from_dict(data: dict, line_no: int, *, at: int,
     try:
         # most pages have no images and no outlinks: skip building those
         images = data.get("images")
-        images = tuple([ImageRef(filename=nfc(i["filename"]),
-                                 width=int(i["width"]),
-                                 media_format=str(i["media_format"]).lower())
+        images = tuple([ImageRef(nfc(i["filename"]), int(i["width"]),
+                                 str(i["media_format"]).lower())
                         for i in images]) if images else ()
         key = "title"
         title = nfc(data["title"])

@@ -21,7 +21,6 @@ from enum import Enum
 
 from . import stats
 from .artifacts import blake2b, check_unique, read_rows
-from .corpus import ImageRef
 from .text import nfc
 
 log = logging.getLogger(__name__)
@@ -76,11 +75,10 @@ AnnotationResponse = namedtuple("AnnotationResponse",
                                 "worker_id image_id timestamp category")
 
 
-def filter_images(refs: list[ImageRef], min_width: int) -> list[ImageRef]:
-    """Images strictly wider than ``min_width`` pixels and in a depictable
-    format."""
-    return [r for r in refs
-            if r.width > min_width and r.media_format not in EXCLUDED_FORMATS]
+def eligible(width: int, media_format: str, min_width: int) -> bool:
+    """Whether an image is strictly wider than ``min_width`` pixels and in
+    a depictable format."""
+    return width > min_width and media_format not in EXCLUDED_FORMATS
 
 
 def load_responses(path) -> list[AnnotationResponse]:

@@ -495,13 +495,9 @@ def stage_webhits(run: Run) -> None:
               ["profession_id", "normalized_difference", "bias_group"],
               [[pid, diffs[pid], groups[pid].value if pid in groups else ""]
                for pid in sorted(diffs)])
-    models = webhits.fit_bias_models(records, groups)
     report: dict = {"excluded_zero_total": excluded,
                     "n_input": len(records)}
-    if models is None:
-        report["skipped"] = "no profession with both hits and bias evidence"
-    else:
-        report.update(models)
+    report.update(webhits.fit_bias_models(records, groups))
     dump_json(report, run.out("models.json"))
 
 
@@ -606,16 +602,12 @@ def stage_images(run: Run) -> None:
                    for title, pid, role in run.rows("article_map")}
     groups = _bias_groups(run)
 
-    refs_of: dict[str, list[corpus.ImageRef]] = defaultdict(list)
-    for title, filename, width, media_format in run.rows("image_refs"):
-        refs_of[title].append(corpus.ImageRef(filename, int(width),
-                                              media_format))
     eligible: dict[str, list[str]] = defaultdict(list)  # image -> articles
     shown: set[str] = set()  # every image on a mapped article
-    for title, refs in refs_of.items():
-        shown.update(ref.filename for ref in refs)
-        for ref in images.filter_images(refs, cfg.min_image_width):
-            eligible[ref.filename].append(title)
+    for title, filename, width, media_format in run.rows("image_refs"):
+        shown.add(filename)
+        if images.eligible(int(width), media_format, cfg.min_image_width):
+            eligible[filename].append(title)
 
     # responses to images the width/format filter excluded leave the
     # analysis; responses to images on no mapped article stay an error

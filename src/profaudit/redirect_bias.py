@@ -196,7 +196,10 @@ def tally(presences) -> dict[str, list[list]]:
     pages. Figure 4 gives, per role with a title, the shares of pages,
     redirects and absent titles; Figure 5, per role with a redirect, the
     shares of its redirects that land on the opposite gendered title and
-    elsewhere. Row cells follow the columns named in ``TABLES``.
+    elsewhere. A gendered role's opposite is the other gender's title, the
+    neutral role's either gendered title; a redirect to a title of the
+    row's own gender counts as elsewhere. Row cells follow the columns
+    named in ``TABLES``.
     """
     counts = {role: Counter() for role in ROLES}
     for states in presences:
@@ -217,16 +220,17 @@ def tally(presences) -> dict[str, list[list]]:
         no_page = total - pages - redirects
         to_male = c[TargetKind.MALE_TITLE]
         to_female = c[TargetKind.FEMALE_TITLE]
-        other = c[TargetKind.NEUTRAL_OR_OTHER]
+        opposite = {"male": to_female, "female": to_male}.get(
+            role, to_male + to_female)
+        other = redirects - opposite
         tables["table_1a"].append([role, total, pages, redirects, no_page])
         tables["table_1b"].append([role, pages, c["validated"], c["other"]])
         tables["table_1c"].append([role, redirects, to_male, to_female,
-                                   to_male + to_female, other])
+                                   opposite, other])
         if total:
             tables["figure4"].append([role, total, pages / total,
                                       redirects / total, no_page / total])
         if redirects:
-            tables["figure5"].append([role, redirects,
-                                      (to_male + to_female) / redirects,
+            tables["figure5"].append([role, redirects, opposite / redirects,
                                       other / redirects])
     return tables

@@ -71,9 +71,9 @@ PREDICTOR_NAMES = ("intercept", "normalized_difference", "hits_male")
 
 
 def fit_bias_models(records: list[HitRecord],
-                    groups: dict[str, BiasGroup]) -> dict | None:
-    """Fit the female-bias and male-bias logistic models, or return None
-    when no record can enter them.
+                    groups: dict[str, BiasGroup]) -> dict:
+    """Fit the female-bias and male-bias logistic models, or return
+    ``{"skipped": reason}`` when no record can enter them.
 
     Only records with hits and with an evidence-bearing bias group in
     ``groups`` enter the models; ``n`` counts them. Predictors keep raw
@@ -87,7 +87,7 @@ def fit_bias_models(records: list[HitRecord],
                 and rec.hits_male + rec.hits_female > 0):
             usable.append((rec, group))
     if not usable:
-        return None
+        return {"skipped": "no profession with both hits and bias evidence"}
 
     X = [[1.0, normalized_difference(r), float(r.hits_male)]
          for r, _ in usable]

@@ -698,5 +698,5 @@ class TestValidation:
 
     def test_image_ref_defaults(self):
         r = ImageRef("a.jpg", 120, "jpg")
-        assert r.to_dict() == {"filename": "a.jpg", "width": 120,
+        assert r._asdict() == {"filename": "a.jpg", "width": 120,
                                "media_format": "jpg"}

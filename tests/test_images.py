@@ -6,9 +6,8 @@ import pytest
 
 from profaudit import images, stats
 from profaudit.config import AuditConfig
-from profaudit.corpus import ImageRef
 from profaudit.images import (AnnotationResponse, ImageCategory, aggregate,
-                              filter_images, score_workers)
+                              eligible, score_workers)
 
 CFG = AuditConfig()
 
@@ -25,19 +24,15 @@ def load_one(tmp_path, count, gender):
     return images.load_responses(p)
 
 
-class TestFilterImages:
+class TestEligible:
     def test_width_boundary_strict(self):
-        refs = [ImageRef("a.jpg", 100, "jpg"), ImageRef("b.jpg", 101, "jpg")]
-        kept = filter_images(refs, 100)
-        assert [r.filename for r in kept] == ["b.jpg"]
+        assert not eligible(100, "jpg", 100)
+        assert eligible(101, "jpg", 100)
 
     def test_vector_and_media_formats_excluded(self):
-        refs = [ImageRef("logo.svg", 500, "svg"),
-                ImageRef("ton.ogg", 500, "ogg"),
-                ImageRef("film.ogv", 500, "ogv"),
-                ImageRef("foto.jpg", 500, "jpg")]
-        kept = filter_images(refs, 100)
-        assert [r.filename for r in kept] == ["foto.jpg"]
+        for media_format in ("svg", "ogg", "ogv"):
+            assert not eligible(500, media_format, 100)
+        assert eligible(500, "jpg", 100)
 
 
 LEGAL_PAIRS = {

@@ -254,7 +254,8 @@ class TestBuildPresence:
 # male title <-> female title, for the snapshot below with genders swapped
 MIRRORED_TITLE = {"Lehrer": "Lehrerin", "Entbindungspfleger": "Hebamme",
                   "Beamter": "Beamtin", "Chiefsteward": "Chiefstewardess",
-                  "Pfleger": "Pflegerin", "Pfleger2": "Pflegerin2"}
+                  "Pfleger": "Pflegerin", "Pfleger2": "Pflegerin2",
+                  "Beamter (Beruf)": "Beamtin (Beruf)"}
 MIRRORED_TITLE.update({f: m for m, f in MIRRORED_TITLE.items()})
 OPPOSITE_ROLE = {"male": "female", "female": "male", "neutral": "neutral"}
 
@@ -268,6 +269,20 @@ def mirrored_state(state):
     return swap(state._replace(
         title=mirrored(state.title),
         target=state.target and mirrored(state.target)))
+
+
+def mirrored_tables(tables):
+    """``tally`` tables with the male and female rows, and the to_male and
+    to_female cells, swapped."""
+    out = {}
+    for name, rows in tables.items():
+        mirror = []
+        for role, *cells in rows:
+            if name == "table_1c":
+                cells[1], cells[2] = cells[2], cells[1]
+            mirror.append([OPPOSITE_ROLE[role], *cells])
+        out[name] = sorted(mirror, key=lambda row: rb.ROLES.index(row[0]))
+    return out
 
 
 class TestBuildPresenceGenderSwap:
@@ -285,12 +300,15 @@ class TestBuildPresenceGenderSwap:
         # contradictory redirects, each to the other role's missing title
         {"male": ["Pfleger", "Pfleger2"], "female": ["Pflegerin",
                                                      "Pflegerin2"]},
+        # the only male evidence: a redirect to another male title
+        {"male": ["Beamter", "Beamter (Beruf)"]},
     ]
 
     def test_mirrors(self):
         snap = fixture_snapshot(
             ArticleRecord("Pfleger", redirect_target="Pflegerin2"),
-            ArticleRecord("Pflegerin", redirect_target="Pfleger2"))
+            ArticleRecord("Pflegerin", redirect_target="Pfleger2"),
+            ArticleRecord("Beamter (Beruf)", redirect_target="Beamter"))
         swapped = build_snapshot({
             mirrored(r.title): ArticleRecord(
                 mirrored(r.title), r.exists,
@@ -298,6 +316,7 @@ class TestBuildPresenceGenderSwap:
                 r.categories, plain_text=r.plain_text)
             for r in snap.records.values()})
         groups = set()
+        gots, mirrors = [], []
         for titles in self.PROFESSIONS:
             got = rb.build_presence(titles, snap,
                                     category_closure(["Beruf"], 5, snap))
@@ -313,13 +332,21 @@ class TestBuildPresenceGenderSwap:
             group = classify(got)
             assert classify(mirror) is MIRRORED_GROUP[group], titles
             groups.add(group)
+            gots.append(got)
+            mirrors.append(mirror)
         assert groups == set(BiasGroup)
+        assert rb.tally(mirrors) == mirrored_tables(rb.tally(gots))
 
 
 def by_role(rows, table):
     """Each role's row of one table as {column: value}."""
     columns = rb.TABLES[table]
     return {row[0]: dict(zip(columns[1:], row[1:])) for row in rows[table]}
+
+
+# the table_1c cells a role's to_opposite counts
+OPPOSITE_CELLS = {"male": ("to_female",), "female": ("to_male",),
+                  "neutral": ("to_male", "to_female")}
 
 
 class TestTally:
@@ -378,7 +405,7 @@ class TestTally:
             assert b["validated"] + b["other_pages"] == b["all_wiki_pages"]
             assert b["all_wiki_pages"] == a["wiki_pages"]
             assert c["all_redirects"] == a["redirects"]
-            assert c["to_male"] + c["to_female"] == c["to_opposite"]
+            assert c["to_opposite"] == sum(c[k] for k in OPPOSITE_CELLS[role])
             assert c["to_opposite"] + c["other_redirects"] == \
                 c["all_redirects"]
 
@@ -396,3 +423,16 @@ class TestTally:
         fig5 = by_role(tables, "figure5")
         assert fig5["female"]["to_opposite_share"] == 1.0
         assert set(fig5) == {"female"}  # the only role with a redirect
+
+    def test_redirect_to_own_gender_is_not_opposite(self):
+        # Lehrer is an article outside the (empty) closure, so the male
+        # role's strongest evidence is the redirect to it, another male title
+        snap = build_snapshot({r.title: r for r in (
+            ArticleRecord("Lehrer", categories={"Schule"}, plain_text="L"),
+            ArticleRecord("Lehrer (Beruf)", redirect_target="Lehrer"))})
+        p = rb.build_presence({"male": ["Lehrer", "Lehrer (Beruf)"]}, snap,
+                              set())
+        assert p["male"].target_kind is TargetKind.MALE_TITLE
+        tables = rb.tally([p])
+        assert tables["table_1c"][0] == ["male", 1, 1, 0, 0, 1]
+        assert tables["figure5"] == [["male", 1, 0.0, 1.0]]

@@ -189,10 +189,11 @@ class TestBiasModels:
         assert report["n"] == 4
         assert report == webhits.fit_bias_models(records[:4], groups)
 
-    def test_no_usable_record_gives_none(self):
+    def test_no_usable_record_gives_skip_record(self):
         assert webhits.fit_bias_models(
             [HitRecord("a", 1, 1), HitRecord("b", 0, 0), HitRecord("c", 2, 1)],
-            {"a": BiasGroup.NO_EVIDENCE, "b": BiasGroup.MALE_BIAS}) is None
+            {"a": BiasGroup.NO_EVIDENCE, "b": BiasGroup.MALE_BIAS}) == {
+                "skipped": "no profession with both hits and bias evidence"}
 
 
 def fit_with(coefficients):
