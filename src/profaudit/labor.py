@@ -14,24 +14,13 @@ from collections import namedtuple
 from enum import Enum
 
 from .artifacts import check_unique, read_rows
+from .labels import DominatedGroup, MajorityGroup
 from .text import nfc
 
 
 class MatchKind(str, Enum):
     EXACT = "exact"
     PREFIX = "prefix"
-
-
-class MajorityGroup(str, Enum):
-    FEMALE = "female_majority"
-    MALE = "male_majority"
-    NONE = "unassigned"
-
-
-class DominatedGroup(str, Enum):
-    FEMALE = "female_dominated"
-    MALE = "male_dominated"
-    NONE = "not_dominated"
 
 
 class LaborStat(namedtuple("LaborStat", "kldb_code label n_men n_women")):

@@ -45,6 +45,7 @@ from json.encoder import encode_basestring as _quote
 
 from .artifacts import check_unique, read_rows
 from .corpus import ArticleRecord, CorpusSnapshot
+from .labels import BiasClass
 from .text import nfc
 
 FEMALE_CATEGORY = "Frau"
@@ -63,12 +64,6 @@ class Source(str, Enum):
     LINK = "link"
     NAME_MATCH = "name_match"
     BOTH = "both"
-
-
-class BiasClass(str, Enum):
-    MALE_BIASED = "male_biased"
-    FEMALE_BIASED = "female_biased"
-    EQUAL = "equal"
 
 
 # each enum member's JSON string, as json.dumps writes its value

@@ -20,6 +20,15 @@ its profession category closure are parsed lazily, at most once per
 ``run_all`` frees the snapshot after that stage too, for a run that skips
 it.
 
+A run loads only the code of the stages it runs. This module imports at
+its top only the artifact writers, the config and the ``labels``; each
+function imports the analysis modules it calls, and calls them through the
+module (``matcher.match``), so a wrapper set on a module attribute still
+takes effect. ``Run.snapshot`` also imports, before it loads the snapshot,
+the modules of the stages that run while the snapshot is held: a module
+compiled after the load allocates above it and raises the run's peak
+memory.
+
 A stage's recorded run holds when its manifest records the stage name,
 tool version, seed, constants and input digests this run would record,
 every output it lists exists with the recorded digest, and its code stamp,
@@ -59,14 +68,10 @@ import logging
 from collections import Counter, defaultdict, namedtuple
 from pathlib import Path
 
-from . import (__version__, corpus, images, labor, lexicon, matcher, mentions,
-               redirect_bias, stats, webhits)
+from . import __version__
 from .artifacts import dump_json, sha256, sha256_file, write_csv, write_jsonl
 from .config import AuditConfig
-from .images import ImageCategory
-from .lexicon import ProfessionEntry, Resolution
-from .mentions import BiasClass, Gender
-from .redirect_bias import BiasGroup
+from .labels import BiasClass, BiasGroup, DominatedGroup, MajorityGroup
 
 log = logging.getLogger(__name__)
 
@@ -178,6 +183,10 @@ class Run:
     @property
     def snapshot(self) -> corpus.CorpusSnapshot:
         if self._snapshot is None:
+            # the modules of the stages that run while the snapshot is
+            # held load first: compiled after it, they would allocate
+            # above it and raise the run's peak memory
+            from . import corpus, mentions, redirect_bias, webhits  # noqa
             enabled = gc.isenabled()
             gc.disable()
             try:
@@ -194,6 +203,7 @@ class Run:
     def closure(self) -> set[str]:
         """Categories under the profession roots, to ``closure_depth``."""
         if self._closure is None:
+            from . import corpus
             self._closure = corpus.category_closure(
                 corpus.PROFESSION_ROOTS, self.cfg.closure_depth, self.snapshot)
         return self._closure
@@ -340,11 +350,13 @@ def _read_manifest(path: Path) -> tuple[bytes, dict] | None:
     return raw, manifest
 
 
-def _entries(run: Run) -> list[ProfessionEntry]:
+def _entries(run: Run) -> list[lexicon.ProfessionEntry]:
     """The entries ``stage_lexicon`` wrote to ``entries.jsonl``."""
+    from . import lexicon
     with open(run.inputs["entries"], encoding="utf-8") as fh:
-        return [ProfessionEntry(**dict(
-                    record, resolution=Resolution(record["resolution"])))
+        return [lexicon.ProfessionEntry(**dict(
+                    record,
+                    resolution=lexicon.Resolution(record["resolution"])))
                 for record in map(json.loads, fh)]
 
 
@@ -356,6 +368,7 @@ def _bias_groups(run: Run) -> dict[str, BiasGroup]:
 
 def _write_dist(run: Run, dist: dict) -> None:
     """``dist_<grouping>.csv`` from an ``images.distributions`` result."""
+    from . import images
     categories = [c.value for c in images.RESOLVED_CATEGORIES]
     write_csv(run.out(f"dist_{dist['grouping']}.csv"),
               ["group", "n", "unresolved"] + categories,
@@ -367,6 +380,7 @@ def _write_dist(run: Run, dist: dict) -> None:
 # ---------------------------------------------------------------- lexicon
 
 def stage_lexicon(run: Run) -> None:
+    from . import lexicon
     abbrev = lexicon.load_abbreviations(run.inputs.get("abbreviations"))
     entries = lexicon.parse_file(run.inputs["professions"], abbrev)
     if "manual_assignments" in run.inputs:
@@ -378,13 +392,14 @@ def stage_lexicon(run: Run) -> None:
     # unresolved lines, for the manual assignment round-trip
     write_csv(run.out("review.csv"), ["line_no", "text"],
               [[e.line_no, e.text] for e in entries
-               if e.resolution is Resolution.UNRESOLVED])
+               if e.resolution is lexicon.Resolution.UNRESOLVED])
     dump_json(lexicon.summarize(entries), run.out("summary.json"))
 
 
 # ------------------------------------------------------------------ match
 
 def stage_match(run: Run) -> None:
+    from . import corpus, matcher
     professions = [(e.id, role, title) for e in _entries(run)
                    for role, title in e.titles()]
     # validated profession articles: non-redirect pages inside the closure
@@ -418,6 +433,7 @@ def stage_match(run: Run) -> None:
 # --------------------------------------------------------------- classify
 
 def stage_classify(run: Run) -> None:
+    from . import redirect_bias
     entries = {e.id: e for e in _entries(run)}
     # per profession: original entry titles plus confirmed alternates
     roles: dict[str, dict[str, list[str]]] = {}
@@ -487,6 +503,7 @@ def stage_classify(run: Run) -> None:
 # ---------------------------------------------------------------- webhits
 
 def stage_webhits(run: Run) -> None:
+    from . import webhits
     records = webhits.load_hits(run.inputs["hits"])
     groups = _bias_groups(run)
     diffs, excluded = webhits.compute_differences(records)
@@ -529,6 +546,7 @@ def stage_mentions(run: Run) -> None:
     the overlap of the two extraction routes and the birth filter's
     counts.
     """
+    from . import corpus, mentions
     cfg = run.cfg
     articles = run.rows("article_map")
     records = run.snapshot.records
@@ -571,7 +589,8 @@ def stage_mentions(run: Run) -> None:
             for variant, subset in (("all", merged),
                                     ("born_after_cutoff", filtered)):
                 genders = [m.gender for m in subset]
-                men, women = genders.count(Gender.M), genders.count(Gender.F)
+                men = genders.count(mentions.Gender.M)
+                women = genders.count(mentions.Gender.F)
                 if men + women:
                     ratio, cls = mentions.male_ratio_and_class(
                         men, women, cfg.equality_band)
@@ -597,6 +616,7 @@ def stage_mentions(run: Run) -> None:
 # ----------------------------------------------------------------- images
 
 def stage_images(run: Run) -> None:
+    from . import images
     cfg = run.cfg
     article_map = {title: (pid, role)
                    for title, pid, role in run.rows("article_map")}
@@ -629,7 +649,7 @@ def stage_images(run: Run) -> None:
 
     category_rows = []
     for image in sorted(eligible):
-        category = categories.get(image, ImageCategory.UNRESOLVED)
+        category = categories.get(image, images.ImageCategory.UNRESOLVED)
         for article in eligible[image]:
             prof_id, role = article_map[article]
             category_rows.append([image, article, prof_id, role,
@@ -643,7 +663,7 @@ def stage_images(run: Run) -> None:
     for grouping, key_index in (("overall", None), ("title_gender", 3),
                                 ("redirect_bias", 4)):
         items = [("all" if key_index is None else row[key_index],
-                  ImageCategory(row[5])) for row in category_rows]
+                  images.ImageCategory(row[5])) for row in category_rows]
         dist_report[grouping] = dist = images.distributions(
             items, grouping, cfg.mc_iterations, cfg.seed)
         _write_dist(run, dist)
@@ -653,6 +673,7 @@ def stage_images(run: Run) -> None:
 # ------------------------------------------------------------------ labor
 
 def stage_labor(run: Run) -> None:
+    from . import labor
     labor_stats = labor.load_stats(run.inputs["labor_stats"])
     classifier = labor.load_classifier(run.inputs["labor_classifier"])
     professions = [(e.id, [t for _, t in e.titles()]) for e in _entries(run)
@@ -686,6 +707,7 @@ _BIAS_PAIRS = tuple((a.value, b.value) for a, b in (
 def _ranksum_pairs(samples: dict[str, list[float]], pairs,
                    correction: str) -> dict:
     """Pairwise Wilcoxon tests with a family-wise correction summary."""
+    from . import stats
     tests = []
     for a, b in pairs:
         xa, xb = samples.get(a, []), samples.get(b, [])
@@ -720,6 +742,7 @@ def _samples(rows: list[dict], key: str) -> dict[str, list[float]]:
 def _write_correlations(run: Run, name: str, points: list[dict],
                         pairs) -> None:
     """Spearman correlation of each feature pair over ``points``."""
+    from . import stats
     rows = []
     for feat_a, feat_b in pairs:
         xs, ys = [], []
@@ -777,6 +800,7 @@ MENTION_FILTER_CORRELATION_PAIRS = MENTION_CORRELATION_PAIRS[:5]
 
 
 def stage_report(run: Run) -> None:
+    from . import images, stats
     cfg = run.cfg
     groups = _bias_groups(run)
     # labor-market row per profession, keyed by correlation feature name
@@ -837,7 +861,7 @@ def stage_report(run: Run) -> None:
     except ValueError as exc:  # no or too few rows, one class, singular
         model_out["skipped"] = str(exc)
     else:
-        model_out.update(webhits.model_report(
+        model_out.update(stats.model_report(
             fit, "female_bias", ("intercept", "pct_women")))
     dump_json({"rank_sum": labor_tests, "regression": model_out},
               run.out("labor_tests.json"))
@@ -845,10 +869,10 @@ def stage_report(run: Run) -> None:
     # image distributions grouped by labor market composition
     image_labor_report = {}
     for grouping in ("labor_majority", "labor_dominated"):
-        items = [(row[grouping], ImageCategory(c))
+        items = [(row[grouping], images.ImageCategory(c))
                  for row, cats in labor_images
-                 if row[grouping] not in (labor.MajorityGroup.NONE,
-                                          labor.DominatedGroup.NONE)
+                 if row[grouping] not in (MajorityGroup.NONE,
+                                          DominatedGroup.NONE)
                  for c in cats]
         if not items:
             image_labor_report[grouping] = {"skipped": "no joined images"}
@@ -894,9 +918,9 @@ def stage_report(run: Run) -> None:
     # correlation tables against the labor market
     image_points = []
     for labor_row, cats in labor_images:
-        cats = [c for c in cats if c != ImageCategory.UNRESOLVED.value]
-        n_men = cats.count(ImageCategory.MEN.value)
-        n_women = cats.count(ImageCategory.WOMEN.value)
+        cats = [c for c in cats if c != images.ImageCategory.UNRESOLVED.value]
+        n_men = cats.count(images.ImageCategory.MEN.value)
+        n_women = cats.count(images.ImageCategory.WOMEN.value)
         point = dict(labor_row, n_images_men=n_men, n_images_women=n_women)
         if cats:
             point["pct_images_men"] = n_men / len(cats)

@@ -38,6 +38,7 @@ from collections import Counter, namedtuple
 from enum import Enum
 
 from .corpus import CorpusSnapshot, is_profession_article, resolve
+from .labels import BiasGroup
 from .text import nfc
 
 
@@ -51,13 +52,6 @@ class TargetKind(str, Enum):
     MALE_TITLE = "male_title"
     FEMALE_TITLE = "female_title"
     NEUTRAL_OR_OTHER = "neutral_or_other"
-
-
-class BiasGroup(str, Enum):
-    MALE_BIAS = "male_bias"
-    FEMALE_BIAS = "female_bias"
-    NEUTRAL = "neutral"
-    NO_EVIDENCE = "no_evidence"
 
 
 # the redirect evidence of one title: the cells of its presence.csv row.
@@ -132,42 +126,40 @@ def build_presence(titles_by_role: dict[str, list[str]],
     The result maps each role with a title, in ``ROLES`` order, to its
     state. When a role has several titles, the strongest evidence wins:
     validated article > redirect to opposite title > redirect elsewhere >
-    non-profession article > missing.
+    non-profession article > missing > redirect to another title of the
+    same role. Such an alias ranks last because the title it leads to
+    competes with its own state, so adding an alias changes no state.
     """
-    male_titles = {nfc(t) for t in titles_by_role.get("male", [])}
-    female_titles = {nfc(t) for t in titles_by_role.get("female", [])}
+    own = {role: {nfc(t) for t in titles_by_role.get(role, [])}
+           for role in ROLES}
 
-    def state_for(title: str) -> PageState:
+    def ranked(title: str, role: str) -> tuple[int, str, PageState]:
+        """The state of ``title`` as a title of ``role``, after its rank
+        and title, which order the evidence."""
         title = nfc(title)
         rec = snapshot.records.get(title)
         if rec is None or not rec.exists:
-            return PageState(title, PageKind.MISSING)
-        if rec.is_redirect:
-            # a cycle resolves to None, which is in neither title set
-            final = resolve(title, snapshot)
-            if final in male_titles:
-                kind = TargetKind.MALE_TITLE
-            elif final in female_titles:
-                kind = TargetKind.FEMALE_TITLE
-            else:
-                kind = TargetKind.NEUTRAL_OR_OTHER
-            return PageState(title, PageKind.REDIRECT,
-                             rec.redirect_target if final is None else final,
-                             kind)
-        return PageState(title, PageKind.ARTICLE,
-                         about_profession=is_profession_article(rec, closure))
+            return 0, title, PageState(title, PageKind.MISSING)
+        if not rec.is_redirect:
+            about = is_profession_article(rec, closure)
+            return (4 if about else 1), title, PageState(
+                title, PageKind.ARTICLE, about_profession=about)
+        # a cycle resolves to None, which is in no title set
+        final = resolve(title, snapshot)
+        if final in own["male"]:
+            kind = TargetKind.MALE_TITLE
+        elif final in own["female"]:
+            kind = TargetKind.FEMALE_TITLE
+        else:
+            kind = TargetKind.NEUTRAL_OR_OTHER
+        state = PageState(title, PageKind.REDIRECT,
+                          rec.redirect_target if final is None else final,
+                          kind)
+        if final in own[role]:
+            return -1, title, state
+        return (2 if kind is TargetKind.NEUTRAL_OR_OTHER else 3), title, state
 
-    def strength(state: PageState) -> int:
-        if is_article(state):
-            return 4
-        if state.kind is PageKind.REDIRECT:
-            return 3 if state.target_kind is not TargetKind.NEUTRAL_OR_OTHER else 2
-        if state.kind is PageKind.ARTICLE:
-            return 1
-        return 0
-
-    return {role: max(map(state_for, titles),
-                      key=lambda s: (strength(s), s.title))
+    return {role: max(ranked(t, role) for t in titles)[-1]
             for role in ROLES if (titles := titles_by_role.get(role))}
 
 

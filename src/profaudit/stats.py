@@ -481,6 +481,36 @@ def logistic_fit(X, y) -> dict:
     }
 
 
+def model_report(fit: dict, outcome: str, predictors) -> dict:
+    """Table layout of a ``logistic_fit`` result: one row per
+    coefficient, named by ``predictors``, with an odds-ratio column. A
+    one-unit predictor increase multiplies the odds by exp(coef); the odds
+    ratio is written as null for |coef| >= 500, and for every coefficient
+    of a fit that did not converge (a separated design, whose coefficients
+    drift without bound, so exp(coef) would print digits of arithmetic
+    noise)."""
+    rows = []
+    for i, name in enumerate(predictors):
+        coef = fit["coefficients"][i]
+        rows.append({
+            "predictor": name,
+            "coef": coef,
+            "std_error": fit["std_errors"][i],
+            "p": fit["p_values"][i],
+            "ci95_low": fit["ci95"][i][0],
+            "ci95_high": fit["ci95"][i][1],
+            "odds_ratio": (math.exp(coef)
+                           if fit["converged"] and abs(coef) < 500 else None),
+        })
+    return {
+        "outcome": outcome,
+        "accuracy": fit["accuracy"],
+        "pseudo_r2": fit["mcfadden_r2"],
+        "converged": fit["converged"],
+        "coefficients": rows,
+    }
+
+
 def fleiss_kappa(counts, n_raters: int) -> dict:
     """Fleiss' kappa for fixed-size multi-rater categorical agreement.
 

@@ -11,12 +11,11 @@ normalized difference, the raw male-title hit count, and an intercept.
 from __future__ import annotations
 
 import logging
-import math
 from collections import namedtuple
 
 from . import stats
 from .artifacts import check_unique, read_rows
-from .redirect_bias import BiasGroup
+from .labels import BiasGroup
 
 log = logging.getLogger(__name__)
 
@@ -101,37 +100,8 @@ def fit_bias_models(records: list[HitRecord],
         except ValueError as exc:  # too few rows, one class, or singular
             report[name] = {"skipped": str(exc)}
             continue
-        report[name] = dict(model_report(fit, positive.value,
-                                         PREDICTOR_NAMES),
+        report[name] = dict(stats.model_report(fit, positive.value,
+                                               PREDICTOR_NAMES),
                             iterations=fit["iterations"])
     return report
 
-
-def model_report(fit: dict, outcome: str, predictors) -> dict:
-    """Table layout of a ``stats.logistic_fit`` result: one row per
-    coefficient, named by ``predictors``, with an odds-ratio column. A
-    one-unit predictor increase multiplies the odds by exp(coef); the odds
-    ratio is written as null for |coef| >= 500, and for every coefficient
-    of a fit that did not converge (a separated design, whose coefficients
-    drift without bound, so exp(coef) would print digits of arithmetic
-    noise)."""
-    rows = []
-    for i, name in enumerate(predictors):
-        coef = fit["coefficients"][i]
-        rows.append({
-            "predictor": name,
-            "coef": coef,
-            "std_error": fit["std_errors"][i],
-            "p": fit["p_values"][i],
-            "ci95_low": fit["ci95"][i][0],
-            "ci95_high": fit["ci95"][i][1],
-            "odds_ratio": (math.exp(coef)
-                           if fit["converged"] and abs(coef) < 500 else None),
-        })
-    return {
-        "outcome": outcome,
-        "accuracy": fit["accuracy"],
-        "pseudo_r2": fit["mcfadden_r2"],
-        "converged": fit["converged"],
-        "coefficients": rows,
-    }

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from profaudit import images, pipeline, redirect_bias, stats
+from profaudit import corpus, images, mentions, pipeline, redirect_bias, stats
 from profaudit.artifacts import sha256_file, write_jsonl
 from profaudit.cli import main
 from profaudit.config import AuditConfig
@@ -178,6 +178,16 @@ class TestConfig:
             "category"]
 
 
+def _fresh_process(code: str) -> str:
+    """The last line ``code`` prints, run in a new interpreter that imports
+    the package from this source tree."""
+    env = dict(os.environ, PYTHONPATH=str(
+        Path(pipeline.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    return out.stdout.splitlines()[-1]
+
+
 def test_audit_imports_neither_numpy_nor_fetcher(data_dir, tmp_path):
     # a fresh process, since this one has imported numpy for the oracles,
     # and pytest has imported hashlib; dataclasses, and the inspect it
@@ -192,12 +202,63 @@ def test_audit_imports_neither_numpy_nor_fetcher(data_dir, tmp_path):
             f"{str(data_dir / 'config.json')!r}, '--out-dir', "
             f"{str(tmp_path / 'out')!r}]); "
             f"print(rc, [m for m in {absent!r} if m in sys.modules])")
-    env = dict(os.environ, PYTHONPATH=str(
-        Path(pipeline.__file__).resolve().parents[1]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=120)
-    assert out.stdout.splitlines()[-1] == "0 []"
+    assert _fresh_process(code) == "0 []"
     assert (tmp_path / "out" / "report" / "bundle_manifest.json").exists()
+
+
+class TestImportBoundary:
+    """A process loads the code of the stages it runs and no other, and
+    the stages that run while the snapshot is held load theirs before
+    it. Each check runs in a fresh process, since this one has imported
+    every module."""
+
+    def test_cli_loads_no_analysis_module(self):
+        code = ("import sys, profaudit.cli; print(sorted("
+                "m for m in sys.modules if m.startswith('profaudit')))")
+        assert _fresh_process(code) == str([
+            "profaudit", "profaudit.artifacts", "profaudit.cli",
+            "profaudit.config", "profaudit.labels", "profaudit.pipeline"])
+
+    def test_annotation_rerun_loads_no_extraction_module(self, work):
+        # the rerun runs lexicon, images and report only
+        _edit_annotation(work)
+        unused = ["profaudit." + m for m in ("matcher", "corpus", "mentions",
+                                             "redirect_bias", "labor",
+                                             "webhits")]
+        code = ("import sys; from profaudit.cli import main; "
+                f"rc = main(['report', '--all', '--config', "
+                f"{str(work / 'fixture' / 'config.json')!r}, '--out-dir', "
+                f"{str(work / 'out')!r}]); "
+                f"print(rc, [m for m in {unused!r} if m in sys.modules])")
+        assert _fresh_process(code) == "0 []"
+
+    def test_no_module_first_imported_while_the_snapshot_is_held(
+            self, data_dir, tmp_path):
+        code = f"""
+import sys
+from profaudit import cli, corpus, pipeline
+load, drop = corpus.load_snapshot, pipeline.Run.drop_snapshot
+loaded = []  # the modules at the load, then at the drop
+
+def load_snapshot(path):
+    snapshot = load(path)
+    loaded.append(set(sys.modules))
+    return snapshot
+
+def drop_snapshot(run):
+    if run._snapshot is not None:
+        loaded.append(set(sys.modules))
+    drop(run)
+
+corpus.load_snapshot = load_snapshot
+pipeline.Run.drop_snapshot = drop_snapshot
+rc = cli.main(['report', '--all', '--config',
+               {str(data_dir / 'config.json')!r},
+               '--out-dir', {str(tmp_path / 'out')!r}])
+print(rc, len(loaded), sorted(m for m in loaded[1] - loaded[0]
+                              if m.startswith('profaudit')))
+"""
+        assert _fresh_process(code) == "0 2 []"
 
 
 def test_source_parses_as_python_3_10():
@@ -564,13 +625,13 @@ class TestCollectorPolicy:
         """Whether the collector ran while the snapshot loaded, and the
         freeze count at the end of each stage function."""
         seen = {}
-        load = pipeline.corpus.load_snapshot
+        load = corpus.load_snapshot
 
         def load_snapshot(path):
             seen["enabled_in_load"] = gc.isenabled()
             return load(path)
 
-        monkeypatch.setattr(pipeline.corpus, "load_snapshot", load_snapshot)
+        monkeypatch.setattr(corpus, "load_snapshot", load_snapshot)
         for stage, fn in list(pipeline._STAGE_FUNCS.items()):
             def wrapper(run, _stage=stage, _fn=fn):
                 result = _fn(run)
@@ -608,7 +669,7 @@ class TestCollectorPolicy:
             fh.write("{broken\n")
         cfg = AuditConfig.from_file(work / "config.json")
         cfg.out_dir = str(tmp_path / "out")
-        with pytest.raises(pipeline.corpus.SnapshotError, match="line 26"):
+        with pytest.raises(corpus.SnapshotError, match="line 26"):
             pipeline.run_all(cfg)
         assert gc.get_freeze_count() == 0 and gc.isenabled() is collector
 
@@ -693,14 +754,14 @@ class TestCliErrors:
         work = tmp_path / "fixture"
         shutil.copytree(data_dir, work, ignore=shutil.ignore_patterns(
             "golden", "out"))
-        load = pipeline.corpus.load_snapshot
+        load = corpus.load_snapshot
 
         def load_then_rewrite(path):
             snapshot = load(path)
             path.write_bytes(b"\n" + path.read_bytes())
             return snapshot
 
-        monkeypatch.setattr(pipeline.corpus, "load_snapshot",
+        monkeypatch.setattr(corpus, "load_snapshot",
                             load_then_rewrite)
         rc = run_cli("report", "--all", "--config", work / "config.json",
                      "--out-dir", tmp_path / "out")
@@ -763,7 +824,7 @@ class TestCliErrors:
         def no_snapshot(*args, **kwargs):
             raise AssertionError("stage images parsed the snapshot")
 
-        monkeypatch.setattr(pipeline.corpus, "load_snapshot", no_snapshot)
+        monkeypatch.setattr(corpus, "load_snapshot", no_snapshot)
         rc = run_cli("images", "--config", data_dir / "config.json",
                      "--out-dir", out_dir)
         assert rc == 0
@@ -785,13 +846,13 @@ class TestRun:
                                                 monkeypatch):
         calls = {"load_snapshot": 0, "category_closure": 0}
         for name in calls:
-            original = getattr(pipeline.corpus, name)
+            original = getattr(corpus, name)
 
             def counted(*args, _name=name, _original=original, **kwargs):
                 calls[_name] += 1
                 return _original(*args, **kwargs)
 
-            monkeypatch.setattr(pipeline.corpus, name, counted)
+            monkeypatch.setattr(corpus, name, counted)
         pipeline.run_all(fixture_config)
         assert calls == {"load_snapshot": 1, "category_closure": 1}
 
@@ -853,7 +914,7 @@ class TestMentionsSnapshot:
         # later stage parses the snapshot again
         runs, seen = [], []
         stage = pipeline._STAGE_FUNCS["mentions"]
-        extract = pipeline.mentions.extract_text_mentions
+        extract = mentions.extract_text_mentions
 
         def stage_mentions(run):
             runs.append(run)
@@ -865,7 +926,7 @@ class TestMentionsSnapshot:
             return extract(*args, **kwargs)
 
         monkeypatch.setitem(pipeline._STAGE_FUNCS, "mentions", stage_mentions)
-        monkeypatch.setattr(pipeline.mentions, "extract_text_mentions",
+        monkeypatch.setattr(mentions, "extract_text_mentions",
                             extract_text_mentions)
         pipeline.run_all(fixture_config)
         assert len(runs) == 1 and seen == [(0, None)]
@@ -1140,7 +1201,7 @@ class TestIncremental:
         def no_snapshot(*args, **kwargs):
             raise AssertionError("the rerun parsed the snapshot")
 
-        monkeypatch.setattr(pipeline.corpus, "load_snapshot", no_snapshot)
+        monkeypatch.setattr(corpus, "load_snapshot", no_snapshot)
         _edit_annotation(work)
         cfg = AuditConfig.from_file(work / "fixture" / "config.json")
         cfg.out_dir = str(work / "out")

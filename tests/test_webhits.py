@@ -209,8 +209,8 @@ def fit_with(coefficients):
 class TestReportIdentities:
     def test_paper_odds_ratios(self):
         # the two caption identities of the regression tables
-        table = webhits.model_report(fit_with([2.44, 0.364]), "female_bias",
-                                     ("a", "b"))
+        table = stats.model_report(fit_with([2.44, 0.364]), "female_bias",
+                                   ("a", "b"))
         rows = table["coefficients"]
         assert [r["predictor"] for r in rows] == ["a", "b"]
         assert abs(rows[0]["odds_ratio"] - 11.48) < 0.01
@@ -218,8 +218,8 @@ class TestReportIdentities:
 
     @pytest.mark.parametrize("coef", [500.0, -500.0, 1e4])
     def test_odds_ratio_null_from_500(self, coef):
-        rows = webhits.model_report(fit_with([coef, 499.0]), "x",
-                                    ("a", "b"))["coefficients"]
+        rows = stats.model_report(fit_with([coef, 499.0]), "x",
+                                  ("a", "b"))["coefficients"]
         assert rows[0]["odds_ratio"] is None
         assert rows[1]["odds_ratio"] == math.exp(499.0)
 
@@ -230,7 +230,7 @@ class TestReportIdentities:
                                  [float(v > 0) for v in x])
         assert not fit["converged"] and all(abs(c) < 500
                                             for c in fit["coefficients"])
-        table = webhits.model_report(fit, "x", ("a", "b"))
+        table = stats.model_report(fit, "x", ("a", "b"))
         assert table["converged"] is False
         assert ([r["coef"] for r in table["coefficients"]]
                 == fit["coefficients"])
