@@ -296,9 +296,9 @@ def load_snapshot(path) -> CorpusSnapshot:
     """Parse a JSON-lines snapshot file, validating record invariants.
 
     Lines end at a line feed; whitespace around a line, a carriage return
-    included, is ignored. Malformed lines, and bytes that are not UTF-8,
-    fail with the line number; duplicate titles keep the last record and
-    log a warning.
+    included, is ignored. Malformed lines, bytes that are not UTF-8 and a
+    repeated title fail with the line number; a repeated title names the
+    line of its first record too, found by reading the file again.
 
     Page texts stay in the file: each page with text keeps its line's byte
     offset, and the snapshot keeps the file's path, size, modification
@@ -308,9 +308,7 @@ def load_snapshot(path) -> CorpusSnapshot:
     Page names are shared as each record is read: an outlink or redirect
     target that names a page already read becomes that page's ``title``,
     and any other name goes into a table of pending names (name -> itself),
-    whose string a page read later takes as its ``title``. A repeated title
-    keeps the first record's ``title`` object, which is the key, and only
-    the last record's parent categories enter the subcategory graph.
+    whose string a page read later takes as its ``title``.
 
     Two more tables, kept only for this call, share equal category
     frozensets and category names (see record_from_dict). A set is its own
@@ -330,7 +328,7 @@ def load_snapshot(path) -> CorpusSnapshot:
     get = records.get
     shared: tuple[dict, dict] = ({}, {})
     pending: dict[str, str] = {}
-    category_pages: dict[str, ArticleRecord] = {}
+    category_pages: list[ArticleRecord] = []
     end_at = 0  # byte offset of the end of the lines read so far
     with open(path, "rb") as fh:
         stat = os.fstat(fh.fileno())
@@ -357,20 +355,28 @@ def load_snapshot(path) -> CorpusSnapshot:
                     raise SnapshotError(f"snapshot line {line_no}: invalid "
                                         f"JSON ({exc})") from exc
             rec = record_from_dict(data, line_no, at=at, shared=shared)
-            page = get(rec.title)
-            if page is None:
-                rec.title = pending.pop(rec.title, rec.title)
-            else:
-                log.warning("snapshot line %d: duplicate title %r, last wins",
-                            line_no, rec.title)
-                rec.title = page.title
+            if get(rec.title) is not None:
+                raise SnapshotError(
+                    f"snapshot line {line_no}: duplicate title {rec.title!r} "
+                    f"(first on line {_first_line(path, rec.title)})")
+            rec.title = pending.pop(rec.title, rec.title)
             records[rec.title] = rec
             _share_names(rec, get, pending)
             if rec.title.startswith(CATEGORY_PREFIX):
-                category_pages[rec.title] = rec
-    return CorpusSnapshot(records, _subcategories(category_pages.values()),
+                category_pages.append(rec)
+    return CorpusSnapshot(records, _subcategories(category_pages),
                           _Source(path, stat.st_size, stat.st_mtime_ns,
                                   stat.st_ino))
+
+
+def _first_line(path, title: str) -> int:
+    """The number of the first line of a snapshot file whose record has
+    ``title``; every line up to it is known to decode."""
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            line = raw.decode().strip()
+            if line and nfc(json.loads(line)["title"]) == title:
+                return line_no
 
 
 def build_snapshot(records: dict[str, ArticleRecord]) -> CorpusSnapshot:

@@ -24,10 +24,11 @@ A run loads only the code of the stages it runs. This module imports at
 its top only the artifact writers, the config and the ``labels``; each
 function imports the analysis modules it calls, and calls them through the
 module (``matcher.match``), so a wrapper set on a module attribute still
-takes effect. ``Run.snapshot`` also imports, before it loads the snapshot,
-the modules of the stages that run while the snapshot is held: a module
-compiled after the load allocates above it and raises the run's peak
-memory.
+takes effect. In ``run_all``, ``Run.snapshot`` also imports, before it
+loads the snapshot, the modules of the stages that may run while the
+snapshot is held: a module compiled after the load allocates above it and
+raises the run's peak memory. A single stage imports its modules before it
+reads the snapshot.
 
 A stage's recorded run holds when its manifest records the stage name,
 tool version, seed, constants and input digests this run would record,
@@ -38,6 +39,22 @@ Peyton Jones, ICFP 2018); ``Run.check`` says why it does not. The stamps
 live in ``<out_dir>.stamps.json``, beside the output directory, so a code
 edit changes no artifact. The report declares every other stage's
 manifest as an input, since its bundle records every file of the tree.
+
+The stamps file also holds a digest table: for each file the run digested,
+and no other, its size, modification time, inode-change time, inode,
+device and SHA-256. ``Run.digest`` stats a file first, and takes the
+recorded digest without reading the file when the table that the run read
+at its start records the same five numbers and the file's inode last
+changed before the stamps file was last written. Otherwise it hashes the
+file. This is the stat check of Shake (Mitchell, "Shake before building",
+ICFP 2012) with git's rule for "racily clean" files: a file rewritten in
+the clock tick of the stamps write, after its stat, keeps all five
+numbers, so a file whose inode changed that late is hashed again. The rule
+needs POSIX ``st_ctime``, the inode-change time: every write sets it to
+the current time, and so does every ``utime`` call, so a rewrite that
+restores the old size and modification time still changes it. On other
+systems ``st_ctime`` is the creation time, and no recorded digest is
+trusted. A missing or garbled table or entry counts as empty.
 
 ``run_all`` skips a stage whose recorded run holds. Inputs are hashed after
 the upstream stages ran or were skipped, so a stage reruns only when an
@@ -65,6 +82,7 @@ import csv
 import gc
 import json
 import logging
+import os
 from collections import Counter, defaultdict, namedtuple
 from pathlib import Path
 
@@ -143,8 +161,10 @@ class Run:
     """One ``run_all`` or ``run_stage`` call, passed to every stage
     function: the config, the running stage's declared inputs (label ->
     path) and outputs, the snapshot and category closure, each parsed at
-    most once, the digest of every file hashed so far and the code stamps
-    of the output directory.
+    most once, the digest of every file digested so far and the code
+    stamps and digest table of the output directory. ``preload``, which
+    ``run_all`` sets, loads the modules of every stage that may run while
+    the snapshot is held before the snapshot loads.
 
     The snapshot is the run's largest structure and holds no reference
     cycles, so the cyclic collector can free none of it. It loads with the
@@ -157,7 +177,7 @@ class Run:
     skipped, and ``run_all`` and ``run_stage`` call it however they end, so
     no run leaves objects frozen."""
 
-    def __init__(self, cfg: AuditConfig):
+    def __init__(self, cfg: AuditConfig, preload: bool = False):
         cfg.validate_thresholds()
         self.cfg = cfg
         self.out_dir = cfg.path("out_dir")
@@ -166,11 +186,17 @@ class Run:
         out = self.out_dir.resolve()
         self.stamps_path = out.parent / f"{out.name}.stamps.json"
         try:
+            written = self.stamps_path.stat().st_mtime_ns
             stamps = json.loads(self.stamps_path.read_bytes())
         except (OSError, ValueError):
-            stamps = None
-        # code stamps by stage; a missing or unreadable stamp file has none
+            written, stamps = 0, None
+        # code stamps by stage and the digest table; a missing or
+        # unreadable stamp file has neither
         self._stamps = stamps if isinstance(stamps, dict) else {}
+        recorded = self._stamps.pop("digests", None)
+        self._recorded = recorded if isinstance(recorded, dict) else {}
+        self._trusted_before = written if os.name == "posix" else 0
+        self._preload = preload
         self._fingerprint = source_fingerprint()
         self.stage = ""
         self.inputs: dict[str, Path] = {}
@@ -178,15 +204,18 @@ class Run:
         self._snapshot: corpus.CorpusSnapshot | None = None
         self._frozen = False
         self._closure: set[str] | None = None
-        self._digests: dict[Path, str] = {}
+        # path -> [size, mtime_ns, ctime_ns, inode, device, digest]
+        self._digests: dict[Path, list] = {}
 
     @property
     def snapshot(self) -> corpus.CorpusSnapshot:
         if self._snapshot is None:
-            # the modules of the stages that run while the snapshot is
-            # held load first: compiled after it, they would allocate
-            # above it and raise the run's peak memory
-            from . import corpus, mentions, redirect_bias, webhits  # noqa
+            from . import corpus
+            if self._preload:
+                # the modules of the stages run_all may run while the
+                # snapshot is held load first: compiled after it, they
+                # would allocate above it and raise the run's peak memory
+                from . import mentions, redirect_bias, webhits  # noqa
             enabled = gc.isenabled()
             gc.disable()
             try:
@@ -225,10 +254,20 @@ class Run:
     def digest(self, path: Path) -> str:
         """SHA-256 of a file, hashed at most once per run; sound because a
         stage writes only its own outputs, and the digests cached for its
-        directory are dropped before it runs."""
+        directory are dropped before it runs. A file the digest table
+        records with its current stat, changed before the table was
+        written, is not read at all."""
         if path not in self._digests:
-            self._digests[path] = sha256_file(path)
-        return self._digests[path]
+            st = os.stat(path)
+            key = [st.st_size, st.st_mtime_ns, st.st_ctime_ns, st.st_ino,
+                   st.st_dev]
+            entry = self._recorded.get(str(path))
+            if not (type(entry) is list and entry[:-1] == key
+                    and type(entry[-1]) is str
+                    and st.st_ctime_ns < self._trusted_before):
+                entry = key + [sha256_file(path)]
+            self._digests[path] = entry
+        return self._digests[path][-1]
 
     def rows(self, label: str) -> list[list[str]]:
         """Data rows of the upstream CSV artifact the running stage declares
@@ -291,10 +330,16 @@ class Run:
                   stage_dir / "manifest.json")
         self._stamps[stage] = self._stamp(
             (stage_dir / "manifest.json").read_bytes())
-        self.stamps_path.write_text(json.dumps(self._stamps, indent=2,
-                                               sort_keys=True) + "\n",
-                                    encoding="utf-8")
+        self.save_stamps()
         return sorted(self.outputs)
+
+    def save_stamps(self) -> None:
+        """Write the code stamps and a digest table of every file this run
+        digested; compact, so the C encoder writes it."""
+        digests = {str(p): entry for p, entry in self._digests.items()}
+        self.stamps_path.write_text(json.dumps(
+            dict(self._stamps, digests=digests), sort_keys=True,
+            separators=(",", ":")) + "\n", encoding="utf-8")
 
     def _stale(self, stage: str, head: dict,
                recorded: tuple[bytes, dict] | None) -> str | None:
@@ -1007,7 +1052,7 @@ def run_stage(stage: str, cfg: AuditConfig) -> list[Path]:
 def run_all(cfg: AuditConfig) -> list[Path]:
     """Run every stage in order, skipping those whose recorded run still
     holds; returns every stage's outputs."""
-    run = Run(cfg)
+    run = Run(cfg, preload=True)
     outputs = []
     try:
         for stage in STAGES:
@@ -1016,6 +1061,9 @@ def run_all(cfg: AuditConfig) -> list[Path]:
             outputs += run.execute(stage, force)
             if stage == _LAST_SNAPSHOT_READER:
                 run.drop_snapshot()
+        # the stages skipped after the last one that ran digested files too
+        if run.stage != STAGES[-1]:
+            run.save_stamps()
     finally:
         run.drop_snapshot()
     return outputs

@@ -232,16 +232,25 @@ class TestLoad:
         assert ([type(value) for value in got]
                 == [frozenset, tuple, tuple, str, type(None)])
 
-    def test_duplicate_title_last_wins(self, tmp_path, caplog):
+    @pytest.mark.parametrize("first, repeat", [
+        ({"title": "Ärztin", "plain_text": "first"},
+         {"title": unicodedata.normalize("NFD", "Ärztin"),
+          "plain_text": "second"}),
+        ({"title": "Kategorie:Arzt", "categories": ["Beruf", "Medizin"]},
+         {"title": "Kategorie:Arzt", "categories": ["Beruf", "Person"]}),
+    ], ids=["article", "category_page"])
+    def test_duplicate_title_names_both_lines(self, tmp_path, first, repeat):
+        # titles are compared in NFC; the blank line is counted
         p = tmp_path / "snap.jsonl"
-        write_jsonl(p, [
-            {"title": "A", "plain_text": "first"},
-            {"title": "A", "plain_text": "second"},
-        ])
-        with caplog.at_level("WARNING"):
-            snap = corpus.load_snapshot(p)
-        assert text(snap, "A") == "second"
-        assert any("duplicate" in m for m in caplog.messages)
+        records = [{"title": "A"}, None, first,
+                   {"title": "Kategorie:Medizin", "categories": ["Wissenschaft"]},
+                   repeat]
+        p.write_text("".join(json.dumps(record) + "\n" if record else "\n"
+                             for record in records), encoding="utf-8")
+        with pytest.raises(SnapshotError, match=(
+                rf"^snapshot line 5: duplicate title '{first['title']}' "
+                rf"\(first on line 3\)$")):
+            corpus.load_snapshot(p)
 
     def test_redirect_with_text_rejected(self, tmp_path):
         p = tmp_path / "snap.jsonl"
@@ -415,48 +424,30 @@ class TestSharing:
         assert saved.read_text(encoding="utf-8") == canonical
         assert with_texts(snapshot) == with_texts(load_snapshot_json_loads(p))
 
-    def test_a_repeated_title_is_one_string_with_its_links(self, tmp_path,
-                                                           caplog):
-        # A1 links to Bäcker before it is read, C1 between its two lines,
-        # D1 and E1 after them (titles of one character are cached strings)
+    def test_a_title_is_one_string_with_its_links(self, tmp_path):
+        # A1 links to Bäcker before it is read, Bäcker to itself, C1 and
+        # D1 after it (titles of one character are cached strings)
         p = tmp_path / "snap.jsonl"
         p.write_text("".join([
             self.page("A1", outlinks=["Bäcker"], plain_text="a"),
-            self.page("Bäcker", plain_text="first"),
+            self.page("Bäcker", outlinks=["Bäcker"], plain_text="b"),
             self.page("C1", outlinks=["Bäcker", "C1"], plain_text="c"),
-            self.page("Bäcker", outlinks=["Bäcker"], plain_text="second"),
-            self.page("D1", outlinks=["Bäcker"], plain_text="d"),
-            self.page("E1", redirect_target="Bäcker")]), encoding="utf-8")
-        with caplog.at_level("WARNING"):
-            snapshot = corpus.load_snapshot(p)
-        assert any("duplicate title 'Bäcker'" in m for m in caplog.messages)
+            self.page("D1", redirect_target="Bäcker")]), encoding="utf-8")
+        snapshot = corpus.load_snapshot(p)
         records = snapshot.records
         [key] = [title for title in records if title == "Bäcker"]
         baker = records[key]
-        assert text(snapshot, key) == "second"
+        assert text(snapshot, key) == "b"
         assert baker.title is key and baker.outlinks[0] is key
-        assert all(records[t].outlinks[0] is key for t in ("A1", "C1", "D1"))
-        assert records["E1"].redirect_target is key
-
-    def test_a_repeated_category_page_keeps_its_last_parents(self, tmp_path):
-        p = tmp_path / "snap.jsonl"
-        p.write_text("".join([
-            self.page("Kategorie:Arzt", categories=["Beruf", "Medizin"]),
-            self.page("Kategorie:Medizin", categories=["Wissenschaft"]),
-            self.page("Kategorie:Arzt", categories=["Beruf", "Person"])]),
-            encoding="utf-8")
-        snapshot = corpus.load_snapshot(p)
-        assert snapshot.subcategories == {
-            "Beruf": {"Arzt"}, "Person": {"Arzt"}, "Wissenschaft": {"Medizin"}}
-        assert (snapshot.subcategories
-                == load_snapshot_json_loads(p).subcategories)
+        assert all(records[t].outlinks[0] is key for t in ("A1", "C1"))
+        assert records["D1"].redirect_target is key
 
 
 def synthetic_snapshot_text(seed, n=400):
     """Snapshot lines that stress the decoding: U+2028 and U+2029 in text
     and around lines, non-BMP characters written as escaped surrogate
-    pairs, titles in NFD that meet their NFC form, duplicate titles,
-    CRLF, blank and indented lines."""
+    pairs, titles in NFD that meet their NFC form, CRLF, blank and
+    indented lines. Each page has a title of its own."""
     rng = random.Random(seed)
     names = ["Ärztin", "Straße", "Zoë Brück", "Chef\u2028koch", "Ångström",
              "Kategorie:Übersetzer", "Kategorie:Beruf", "Emoji \U0001F600"]
@@ -467,9 +458,11 @@ def synthetic_snapshot_text(seed, n=400):
         return unicodedata.normalize(rng.choice(["NFC", "NFD"]),
                                      f"{rng.choice(names)} {rng.randrange(40)}")
 
+    own = rng.sample([f"{name} {k}" for name in names for k in range(60)], n)
     lines = []
-    for page_id in range(n):
-        rec = {"title": title()}
+    for page_id, base in enumerate(own):
+        rec = {"title": unicodedata.normalize(rng.choice(["NFC", "NFD"]),
+                                              base)}
         kind = rng.random()
         if kind < 0.2:
             rec["redirect_target"] = title()
@@ -510,7 +503,7 @@ class TestLoadAgainstReference:
         p = tmp_path / "snap.jsonl"
         p.write_text(text, encoding="utf-8")
         records = corpus.load_snapshot(p).records
-        assert len(records) < text.count("{\"title\"")  # duplicates
+        assert len(records) == text.count("{\"title\"")
         assert any("\U0001F600" in t for t in records)
         self.assert_same_as_reference(p)
 

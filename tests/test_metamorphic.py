@@ -7,12 +7,15 @@ Relations that mirror the results, rather than keep them, are in
 """
 
 import json
+import os
 import random
 import shutil
+import time
 from pathlib import Path
 
 import pytest
 
+from profaudit import pipeline
 from profaudit import redirect_bias as rb
 from profaudit.cli import main
 from profaudit.corpus import ArticleRecord, build_snapshot, category_closure
@@ -26,13 +29,19 @@ UNORDERED = ("annotations.csv", "birth_years.csv", "gender_lexicon.csv",
              "match_decisions.csv", "snapshot.jsonl")
 
 
+def copy_fixture(data_dir: Path, root: Path) -> Path:
+    """A copy of the fixture inputs, ``root/fixture``."""
+    work = root / "fixture"
+    shutil.copytree(data_dir, work, ignore=shutil.ignore_patterns(
+        "golden", "out"))
+    return work
+
+
 def run_edited(data_dir: Path, root: Path, edit) -> dict[str, bytes]:
     """The artifacts of ``report --all`` on a copy of the fixture that
     ``edit(copy)`` changed in place, by path, without the manifests: they
     record the digests of the edited inputs."""
-    work = root / "fixture"
-    shutil.copytree(data_dir, work, ignore=shutil.ignore_patterns(
-        "golden", "out"))
+    work = copy_fixture(data_dir, root)
     edit(work)
     out = root / "out"
     assert main(["report", "--all", "--config", str(work / "config.json"),
@@ -70,6 +79,62 @@ def add_unreached_page(work: Path) -> None:
 def test_results_equal_golden(data_dir, tmp_path, edit):
     assert run_edited(data_dir, tmp_path, edit) == artifacts(
         data_dir / "golden")
+
+
+@pytest.mark.parametrize("after", [True, False], ids=["after", "before"])
+def test_a_repeated_title_fails_in_either_order(data_dir, tmp_path, capsys,
+                                                after):
+    """A second page titled ``Biologin``, placed after the fixture's or
+    before it, fails the run with the same message, naming both lines."""
+    work = copy_fixture(data_dir, tmp_path)
+    path = work / "snapshot.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines(True)
+    [at] = [i for i, line in enumerate(lines)
+            if json.loads(line)["title"] == "Biologin"]
+    copy = {"categories": ["Sonstiges"], "exists": True, "images": [],
+            "outlinks": [], "plain_text": "Eine Biologin.",
+            "redirect_target": None, "title": "Biologin"}
+    lines.insert(at + after, json.dumps(copy, ensure_ascii=False) + "\n")
+    path.write_text("".join(lines), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["report", "--all", "--config", str(work / "config.json"),
+                 "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: snapshot line {at + 2}: duplicate title 'Biologin' "
+        f"(first on line {at + 1})\n")
+
+
+def test_touched_files_change_nothing(data_dir, tmp_path, monkeypatch):
+    """Touching every input and output, without changing a byte, leaves
+    the tree, manifests included, equal to ``golden/``, and no stage runs
+    but the first: the new stats make the run hash each file again, and
+    it finds the digests it recorded."""
+    work = copy_fixture(data_dir, tmp_path)
+    out = tmp_path / "out"
+    args = ["report", "--all", "--config", str(work / "config.json"),
+            "--out-dir", str(out)]
+    assert main(args) == 0
+    for path in [*work.iterdir(), *out.rglob("*")]:
+        if path.is_file():
+            st = path.stat()
+            os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
+    # a stamps file written after every touch: only the stats tell
+    ahead = time.time_ns() + 60 * 10**9
+    os.utime(tmp_path / "out.stamps.json", ns=(ahead, ahead))
+    ran = []
+    for stage, fn in list(pipeline._STAGE_FUNCS.items()):
+        def wrapper(run, _stage=stage, _fn=fn):
+            ran.append(_stage)
+            return _fn(run)
+
+        monkeypatch.setitem(pipeline._STAGE_FUNCS, stage, wrapper)
+    assert main(args) == 0
+    assert ran == [pipeline.STAGES[0]]
+    golden = data_dir / "golden"
+    assert ({str(p.relative_to(out)): p.read_bytes()
+             for p in sorted(out.rglob("*")) if p.is_file()}
+            == {str(p.relative_to(golden)): p.read_bytes()
+                for p in sorted(golden.rglob("*")) if p.is_file()})
 
 
 class TestAliasInvariance:

@@ -9,6 +9,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -232,10 +233,23 @@ class TestImportBoundary:
                 f"print(rc, [m for m in {unused!r} if m in sys.modules])")
         assert _fresh_process(code) == "0 []"
 
+    def test_a_single_stage_loads_no_module_of_another(self, work):
+        # match reads the snapshot, but only run_all runs other stages
+        # while it is held
+        unused = ["profaudit." + m for m in ("mentions", "redirect_bias",
+                                             "webhits", "stats")]
+        code = ("import sys; from profaudit.cli import main; "
+                f"rc = main(['match', '--config', "
+                f"{str(work / 'fixture' / 'config.json')!r}, '--out-dir', "
+                f"{str(work / 'out')!r}]); "
+                f"print(rc, [m for m in {unused!r} if m in sys.modules])")
+        assert _fresh_process(code) == "0 []"
+
     def test_no_module_first_imported_while_the_snapshot_is_held(
             self, data_dir, tmp_path):
         code = f"""
 import sys
+import time
 from profaudit import cli, corpus, pipeline
 load, drop = corpus.load_snapshot, pipeline.Run.drop_snapshot
 loaded = []  # the modules at the load, then at the drop
@@ -1235,6 +1249,16 @@ _UPSTREAM = {
 }
 
 
+def _tree_and_code_stamps(root: Path) -> dict:
+    """``_tree(root)`` with the code stamps of ``out.stamps.json`` in place
+    of its bytes: a run rewrites its digest table whenever it runs a
+    stage."""
+    tree = _tree(root)
+    stamps = json.loads(tree.pop("out.stamps.json"))
+    del stamps["digests"]
+    return dict(tree, stamps=stamps)
+
+
 class TestUpstreamCheck:
     """A single stage runs only on upstream stages whose recorded run still
     holds, and otherwise refuses, writing nothing."""
@@ -1271,7 +1295,7 @@ class TestUpstreamCheck:
             fh.write(" ")
         # the tampered stage last: running it mends its output
         for stage in sorted(pipeline.STAGES, key=lambda s: s == tampered):
-            before = _tree(work)
+            before = _tree_and_code_stamps(work)
             del stages_run[:]
             if tampered in _UPSTREAM[stage]:
                 with pytest.raises(PipelineError) as raised:
@@ -1284,7 +1308,7 @@ class TestUpstreamCheck:
                 pipeline.run_stage(stage, cfg)
                 assert stages_run == [stage]
             if stage != tampered:
-                assert _tree(work) == before, stage
+                assert _tree_and_code_stamps(work) == before, stage
 
 
 class TestBenchmarkHooks:
@@ -1401,11 +1425,15 @@ class TestBenchmarkHooks:
     def test_skip_check_hashes_through_pipeline(self, fixture_config,
                                                 monkeypatch):
         pipeline.run_all(fixture_config)
+        out = Path(fixture_config.out_dir)
+        # a new modification time: the digest table no longer holds
+        mentions_jsonl = out / "mentions" / "mentions.jsonl"
+        st = mentions_jsonl.stat()
+        os.utime(mentions_jsonl, ns=(st.st_atime_ns, st.st_mtime_ns + 1))
         events = self._events(monkeypatch)
         pipeline.run_all(fixture_config)
-        out = Path(fixture_config.out_dir)
         assert ("run", "mentions") not in events
-        assert ("hash", str(out / "mentions" / "mentions.jsonl")) in events
+        assert ("hash", str(mentions_jsonl)) in events
 
     @pytest.mark.parametrize("edit", ["none", "annotation", "output"])
     def test_no_file_hashed_twice_unless_rewritten(self, work, monkeypatch,
@@ -1448,3 +1476,157 @@ class TestBenchmarkHooks:
             monkeypatch.setattr(pipeline, name, counted)
         pipeline.run_all(fixture_config)
         assert all(calls.values()), calls
+
+
+def _set_stamps_written(out_dir: Path, ns: int) -> None:
+    """Set the modification time of the stamps file beside ``out_dir``."""
+    os.utime(out_dir.parent / f"{out_dir.name}.stamps.json", ns=(ns, ns))
+
+
+def _digest_table(out_dir: Path) -> dict:
+    return json.loads((out_dir.parent / f"{out_dir.name}.stamps.json")
+                      .read_text(encoding="utf-8"))["digests"]
+
+
+def _ahead() -> int:
+    """An hour from now: a stamps file written then postdates every file."""
+    return time.time_ns() + 3600 * 10**9
+
+
+class TestDigestTable:
+    """A run takes a file's digest from the stamps file's table, without
+    reading the file, when the file's size, modification time, inode-change
+    time, inode and device are as recorded and its inode last changed
+    before the stamps file was written. Each check sets the stamps file's
+    modification time rather than waiting for the clock."""
+
+    @staticmethod
+    def _hashed(cfg: AuditConfig, monkeypatch) -> tuple[list, list]:
+        """The files hashed and the stages run by one ``run_all``."""
+        events = TestBenchmarkHooks._events(monkeypatch)
+        pipeline.run_all(cfg)
+        return ([what for kind, what in events if kind == "hash"],
+                [what for kind, what in events if kind == "run"])
+
+    @staticmethod
+    def _config(work: Path) -> AuditConfig:
+        """The config of ``work``, once the table records its files."""
+        cfg = AuditConfig.from_file(work / "fixture" / "config.json")
+        cfg.out_dir = str(work / "out")
+        pipeline.run_all(cfg)
+        return cfg
+
+    def test_unchanged_files_are_not_read(self, fixture_config, monkeypatch):
+        pipeline.run_all(fixture_config)
+        out = Path(fixture_config.out_dir)
+        table = _digest_table(out)
+        _set_stamps_written(out, _ahead())
+        hashed, ran = self._hashed(fixture_config, monkeypatch)
+        assert ran == ["lexicon"]
+        # the first stage rewrote its outputs and its manifest
+        assert sorted(hashed) == sorted(
+            str(p) for p in (out / "lexicon").iterdir())
+        assert str(fixture_config.path("snapshot")) in table
+        assert str(out / "mentions" / "mentions.jsonl") in table
+        # the table holds the files this run digested, with their digests
+        assert _digest_table(out) == {
+            path: entry[:-1] + [sha256_file(path)]
+            for path, entry in _digest_table(out).items()}
+        assert set(_digest_table(out)) == set(table)
+
+    def test_a_table_written_before_the_files_changed_is_not_trusted(
+            self, fixture_config, monkeypatch):
+        pipeline.run_all(fixture_config)
+        out = Path(fixture_config.out_dir)
+        table = _digest_table(out)
+        _set_stamps_written(out, 0)
+        hashed, ran = self._hashed(fixture_config, monkeypatch)
+        assert ran == ["lexicon"]
+        assert sorted(hashed) == sorted(table)
+
+    def test_same_size_rewrite_with_its_old_mtime_reruns_its_stage(
+            self, work, monkeypatch):
+        cfg = self._config(work)
+        path = work / "fixture" / "annotations.csv"
+        before = path.stat()
+        text = path.read_bytes()
+        # two answers swapped: other bytes, the same size
+        edited = text.replace(b"w1,Lehrer_Klasse.jpg,100,one_person,male\n",
+                              b"w1,Lehrer_Klasse.jpg,100,one_person,female\n"
+                              ).replace(
+            b"w1,Hebamme_Geburt.jpg,103,one_person,female\n",
+            b"w1,Hebamme_Geburt.jpg,103,one_person,male\n")
+        assert edited != text and len(edited) == len(text)
+        path.write_bytes(edited)
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = path.stat()
+        assert (after.st_size, after.st_mtime_ns) == (before.st_size,
+                                                      before.st_mtime_ns)
+        assert after.st_ctime_ns != before.st_ctime_ns
+        _set_stamps_written(work / "out", _ahead())
+        hashed, ran = self._hashed(cfg, monkeypatch)
+        assert str(path) in hashed
+        assert "images" in ran
+
+    def test_a_copy_with_a_new_inode_is_hashed_and_its_stage_skipped(
+            self, work, monkeypatch):
+        cfg = self._config(work)
+        path = work / "fixture" / "annotations.csv"
+        copy = path.with_name("copy.csv")
+        shutil.copy2(path, copy)
+        os.replace(copy, path)
+        _set_stamps_written(work / "out", _ahead())
+        hashed, ran = self._hashed(cfg, monkeypatch)
+        assert hashed.count(str(path)) == 1
+        assert ran == ["lexicon"]
+
+    @pytest.mark.parametrize("field", range(5), ids=[
+        "size", "mtime", "ctime", "inode", "device"])
+    def test_each_stat_field_is_compared(self, fixture_config, monkeypatch,
+                                         field):
+        pipeline.run_all(fixture_config)
+        out = Path(fixture_config.out_dir)
+        stamps_path = out.parent / "out.stamps.json"
+        stamps = json.loads(stamps_path.read_text(encoding="utf-8"))
+        snapshot = str(fixture_config.path("snapshot"))
+        stamps["digests"][snapshot][field] += 1
+        stamps_path.write_text(json.dumps(stamps), encoding="utf-8")
+        _set_stamps_written(out, _ahead())
+        hashed, ran = self._hashed(fixture_config, monkeypatch)
+        assert hashed.count(snapshot) == 1
+        assert ran == ["lexicon"]
+
+    @pytest.mark.parametrize("garble", [
+        lambda entry: "x", lambda entry: entry[:-1],
+        lambda entry: entry[:-1] + [0], lambda entry: {"digest": entry[-1]},
+    ], ids=["string", "short", "digest_not_text", "object"])
+    def test_a_garbled_entry_is_hashed_again(self, fixture_config,
+                                             monkeypatch, garble):
+        pipeline.run_all(fixture_config)
+        out = Path(fixture_config.out_dir)
+        stamps_path = out.parent / "out.stamps.json"
+        stamps = json.loads(stamps_path.read_text(encoding="utf-8"))
+        snapshot = str(fixture_config.path("snapshot"))
+        stamps["digests"][snapshot] = garble(stamps["digests"][snapshot])
+        stamps_path.write_text(json.dumps(stamps), encoding="utf-8")
+        _set_stamps_written(out, _ahead())
+        hashed, ran = self._hashed(fixture_config, monkeypatch)
+        assert hashed.count(snapshot) == 1
+        assert ran == ["lexicon"]
+        assert _digest_table(out)[snapshot][-1] == sha256_file(snapshot)
+
+    @pytest.mark.parametrize("table", ["[]", '"x"', "null"])
+    def test_a_garbled_table_counts_as_empty(self, fixture_config,
+                                             monkeypatch, table):
+        pipeline.run_all(fixture_config)
+        out = Path(fixture_config.out_dir)
+        stamps_path = out.parent / "out.stamps.json"
+        text = stamps_path.read_text(encoding="utf-8")
+        stamps = json.loads(text)
+        recorded = stamps.pop("digests")
+        stamps_path.write_text(json.dumps(stamps)[:-1] + ', "digests": '
+                               + table + "}", encoding="utf-8")
+        _set_stamps_written(out, _ahead())
+        hashed, ran = self._hashed(fixture_config, monkeypatch)
+        assert ran == ["lexicon"]
+        assert sorted(hashed) == sorted(recorded)
