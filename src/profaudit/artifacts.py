@@ -10,33 +10,27 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
 from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
 
-# The interpreter's own SHA-256 and BLAKE2b, which give the digests
-# ``hashlib`` gives. Importing ``hashlib`` loads OpenSSL's libcrypto: a bare
-# interpreter that imports it peaks at 17.2 MB resident, one that imports
-# only ``_sha256`` at 13.6 MB, and the load takes about 4.5 ms. That is a
-# sixth of the peak of an audit whose files are all small. OpenSSL's
-# SHA-256 is faster on a large file: 4.5 against 35.5 ms for 4.96 MB on
-# an x86-64 Xeon with SHA-NI. The built-in path costs about 6.3 ms more
-# per MB, so it breaks even with the load at about 0.7 MB, and
-# ``sha256_file`` loads OpenSSL for a file of at least ``LARGE_FILE``
-# bytes. A build without the built-in modules uses hashlib.
-try:
-    from _sha2 import sha256  # CPython 3.12+
-except ImportError:
-    try:
-        from _sha256 import sha256  # CPython 3.10-3.11
-    except ImportError:
-        from hashlib import sha256
+# The interpreter's own BLAKE2b, which gives the digests ``hashlib`` gives
+# without loading OpenSSL's libcrypto: that adds about 3.5 MB to a run's
+# peak memory. On the 4.96 MB ``corpus`` snapshot (x86-64 Xeon with SHA-NI,
+# CPython 3.11, best of 7) BLAKE2b takes 13.0 ms, the built-in SHA-256
+# 38.1 ms, and OpenSSL's SHA-256 6.0 ms after a 4.9 ms import. So a file
+# hashes about three times faster than with the built-in SHA-256, one this
+# size costs what OpenSSL's would with its import, and a far larger one
+# about twice as long per byte, once per change: the digest table keeps
+# its digest. A build without ``_blake2`` uses hashlib's.
 try:
     from _blake2 import blake2b
 except ImportError:
     from hashlib import blake2b
 
-LARGE_FILE = 1 << 20
+# the digest of every file, code stamp and fingerprint, and its name
+DIGEST = "blake2b-256"
+new_digest = partial(blake2b, digest_size=32)
 
 
 def fmt(value) -> str:
@@ -146,14 +140,11 @@ def check_unique(first_rows: dict, key, row_no: int, what: str,
 
 
 def sha256_file(path) -> str:
-    """Hex SHA-256 of a file's bytes; OpenSSL's from ``LARGE_FILE`` bytes
-    up, the built-in one below."""
+    """Hex BLAKE2b-256 (``DIGEST``) of a file's bytes. The name is older
+    than the digest, which was SHA-256: the benchmark's tracer and its
+    per-layer metrics name the function."""
+    digest = new_digest()
     with open(path, "rb") as fh:
-        if os.fstat(fh.fileno()).st_size >= LARGE_FILE:
-            import hashlib
-            digest = hashlib.sha256()
-        else:
-            digest = sha256()
         for chunk in iter(lambda: fh.read(65536), b""):
             digest.update(chunk)
     return digest.hexdigest()

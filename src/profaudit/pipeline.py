@@ -7,8 +7,9 @@ it reads (label -> ``stage/file``) and the config constants its outputs
 depend on. From that declaration the runner calls ``cfg.require()`` for
 the file keys and, once the stage function returns, writes
 ``<out_dir>/<stage>/manifest.json`` with the seed, the constants and the
-content hashes of every input and output; ``Run.digest`` hashes each file
-at most once per run, for every manifest and the report's bundle.
+BLAKE2b-256 digests (``sha256_file``) of every input and output;
+``Run.digest`` hashes each file at most once per run, for every manifest
+and the report's bundle, which names the digest.
 
 A stage function takes one argument, the ``Run``. It holds the config and
 the current stage's inputs by label; ``Run.rows`` reads the data rows of a
@@ -33,28 +34,30 @@ reads the snapshot.
 A stage's recorded run holds when its manifest records the stage name,
 tool version, seed, constants and input digests this run would record,
 every output it lists exists with the recorded digest, and its code stamp,
-the SHA-256 of the package source and the manifest's bytes, matches (the
+the BLAKE2b-256 of the package source and the manifest's bytes, matches (the
 "verifying traces" of *Build systems à la carte*, Mokhov, Mitchell and
 Peyton Jones, ICFP 2018); ``Run.check`` says why it does not. The stamps
 live in ``<out_dir>.stamps.json``, beside the output directory, so a code
 edit changes no artifact. The report declares every other stage's
 manifest as an input, since its bundle records every file of the tree.
 
-The stamps file also holds a digest table: for each file the run digested,
-and no other, its size, modification time, inode-change time, inode,
-device and SHA-256. ``Run.digest`` stats a file first, and takes the
-recorded digest without reading the file when the table that the run read
-at its start records the same five numbers and the file's inode last
-changed before the stamps file was last written. Otherwise it hashes the
-file. This is the stat check of Shake (Mitchell, "Shake before building",
-ICFP 2012) with git's rule for "racily clean" files: a file rewritten in
-the clock tick of the stamps write, after its stat, keeps all five
-numbers, so a file whose inode changed that late is hashed again. The rule
-needs POSIX ``st_ctime``, the inode-change time: every write sets it to
-the current time, and so does every ``utime`` call, so a rewrite that
-restores the old size and modification time still changes it. On other
-systems ``st_ctime`` is the creation time, and no recorded digest is
-trusted. A missing or garbled table or entry counts as empty.
+The stamps file also holds a digest table, under the digest's name: for
+each file the run digested, and no other, its size, modification time,
+inode-change time, inode, device and digest. ``Run.digest`` stats a file
+first, and takes the recorded digest without reading the file when the
+table that the run read at its start records the same five numbers and
+the file's inode last changed before the stamps file was last written.
+Otherwise it hashes the file. This is the stat check of Shake (Mitchell,
+"Shake before building", ICFP 2012) with git's rule for "racily clean"
+files: a file rewritten in the clock tick of the stamps write, after its
+stat, keeps all five numbers, so a file whose inode changed that late is
+hashed again. The rule needs POSIX ``st_ctime``, the inode-change time:
+every write sets it to the current time, and so does every ``utime``
+call, so a rewrite that restores the old size and modification time still
+changes it. On other systems ``st_ctime`` is the creation time, and no
+recorded digest is trusted. A missing or garbled table or entry counts as
+empty, and so does a table of another digest or of none: a SHA-256 one
+has 64 hex digits too.
 
 ``run_all`` skips a stage whose recorded run holds. Inputs are hashed after
 the upstream stages ran or were skipped, so a stage reruns only when an
@@ -87,7 +90,8 @@ from collections import Counter, defaultdict, namedtuple
 from pathlib import Path
 
 from . import __version__
-from .artifacts import dump_json, sha256, sha256_file, write_csv, write_jsonl
+from .artifacts import (DIGEST, dump_json, new_digest, sha256_file, write_csv,
+                        write_jsonl)
 from .config import AuditConfig
 from .labels import BiasClass, BiasGroup, DominatedGroup, MajorityGroup
 
@@ -150,8 +154,8 @@ _LAST_SNAPSHOT_READER = [stage for stage in STAGES
                          if "snapshot" in DECLARATIONS[stage].files][-1]
 
 def source_fingerprint() -> str:
-    """SHA-256 of the package source, file names included."""
-    digest = sha256()
+    """BLAKE2b-256 of the package source, file names included."""
+    digest = new_digest()
     for path in sorted(Path(__file__).parent.glob("*.py")):
         digest.update(path.name.encode() + b"\0" + path.read_bytes())
     return digest.hexdigest()
@@ -194,7 +198,9 @@ class Run:
         # unreadable stamp file has neither
         self._stamps = stamps if isinstance(stamps, dict) else {}
         recorded = self._stamps.pop("digests", None)
-        self._recorded = recorded if isinstance(recorded, dict) else {}
+        named = self._stamps.pop("digest", None)
+        self._recorded = (recorded if named == DIGEST
+                          and isinstance(recorded, dict) else {})
         self._trusted_before = written if os.name == "posix" else 0
         self._preload = preload
         self._fingerprint = source_fingerprint()
@@ -252,16 +258,17 @@ class Run:
         return path
 
     def digest(self, path: Path) -> str:
-        """SHA-256 of a file, hashed at most once per run; sound because a
-        stage writes only its own outputs, and the digests cached for its
-        directory are dropped before it runs. A file the digest table
-        records with its current stat, changed before the table was
-        written, is not read at all."""
+        """``sha256_file`` of a file, hashed at most once per run; sound
+        because a stage writes only its own outputs, and the digests cached
+        for its directory are dropped before it runs. A file the digest
+        table records with its current stat, changed before the table was
+        written, is not read at all; its entry leaves the table either
+        way."""
         if path not in self._digests:
             st = os.stat(path)
             key = [st.st_size, st.st_mtime_ns, st.st_ctime_ns, st.st_ino,
                    st.st_dev]
-            entry = self._recorded.get(str(path))
+            entry = self._recorded.pop(str(path), None)
             if not (type(entry) is list and entry[:-1] == key
                     and type(entry[-1]) is str
                     and st.st_ctime_ns < self._trusted_before):
@@ -334,12 +341,12 @@ class Run:
         return sorted(self.outputs)
 
     def save_stamps(self) -> None:
-        """Write the code stamps and a digest table of every file this run
-        digested; compact, so the C encoder writes it."""
+        """Write the code stamps and a named table of the digest of every
+        file this run digested; compact, so the C encoder writes it."""
         digests = {str(p): entry for p, entry in self._digests.items()}
         self.stamps_path.write_text(json.dumps(
-            dict(self._stamps, digests=digests), sort_keys=True,
-            separators=(",", ":")) + "\n", encoding="utf-8")
+            dict(self._stamps, digest=DIGEST, digests=digests),
+            sort_keys=True, separators=(",", ":")) + "\n", encoding="utf-8")
 
     def _stale(self, stage: str, head: dict,
                recorded: tuple[bytes, dict] | None) -> str | None:
@@ -369,7 +376,7 @@ class Run:
 
     def _stamp(self, manifest: bytes) -> str:
         """Code stamp of a manifest's bytes."""
-        return sha256(self._fingerprint.encode() + manifest).hexdigest()
+        return new_digest(self._fingerprint.encode() + manifest).hexdigest()
 
 
 def _same(recorded, value) -> bool:
@@ -1004,7 +1011,8 @@ def stage_report(run: Run) -> None:
                 continue
             if p.is_file():
                 bundle[f"{stage}/{p.name}"] = run.digest(p)
-    dump_json({"tool_version": __version__, "seed": cfg.seed,
+    dump_json({"digest": DIGEST, "tool_version": __version__,
+               "seed": cfg.seed,
                "config": {k: v for k, v in cfg.to_dict().items()
                           if k not in AuditConfig._PATH_KEYS},
                "outputs": bundle}, run.out("bundle_manifest.json"))

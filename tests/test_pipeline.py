@@ -1,6 +1,7 @@
 import ast
 import csv
 import gc
+import hashlib
 import importlib.util
 import json
 import logging
@@ -193,8 +194,7 @@ def test_audit_imports_neither_numpy_nor_fetcher(data_dir, tmp_path):
     # a fresh process, since this one has imported numpy for the oracles,
     # and pytest has imported hashlib; dataclasses, and the inspect it
     # imports, cost milliseconds of start-up, and hashlib loads OpenSSL's
-    # libcrypto, about 3.5 MB, which a run whose files are all small does
-    # not need
+    # libcrypto, about 3.5 MB, which the audit's BLAKE2b does not need
     absent = ("numpy", "concurrent.futures", "urllib.request",
               "profaudit.mediawiki", "dataclasses", "inspect", "hashlib",
               "_hashlib")
@@ -205,6 +205,35 @@ def test_audit_imports_neither_numpy_nor_fetcher(data_dir, tmp_path):
             f"print(rc, [m for m in {absent!r} if m in sys.modules])")
     assert _fresh_process(code) == "0 []"
     assert (tmp_path / "out" / "report" / "bundle_manifest.json").exists()
+
+
+def test_a_snapshot_of_megabytes_loads_no_openssl(data_dir, tmp_path):
+    """A snapshot padded past 1 MiB with pages no stage reaches is hashed
+    without ``_hashlib``, OpenSSL's, and every artifact but the manifests,
+    which record the snapshot's digest, equals ``golden/``."""
+    work = tmp_path / "fixture"
+    shutil.copytree(data_dir, work, ignore=shutil.ignore_patterns(
+        "golden", "out"))
+    # outside the closure, linked from no article, the target of no redirect
+    with open(work / "snapshot.jsonl", "a", encoding="utf-8") as fh:
+        for i in range(40):
+            fh.write(json.dumps({
+                "categories": ["Dekoration"], "exists": True, "images": [],
+                "outlinks": [], "redirect_target": None,
+                "plain_text": "Ein Gartenzwerg steht im Garten. " * 1000,
+                "title": f"Gartenzwerg {i}"}, ensure_ascii=False) + "\n")
+    assert (work / "snapshot.jsonl").stat().st_size > 1 << 20
+    out = tmp_path / "out"
+    code = ("import sys; from profaudit.cli import main; "
+            f"rc = main(['report', '--all', '--config', "
+            f"{str(work / 'config.json')!r}, '--out-dir', {str(out)!r}]); "
+            "print(rc, '_hashlib' in sys.modules)")
+    assert _fresh_process(code) == "0 False"
+    golden = data_dir / "golden"
+    assert ({k: v for k, v in _tree(out).items()
+             if not k.endswith("manifest.json")}
+            == {k: v for k, v in _tree(golden).items()
+                if not k.endswith("manifest.json")})
 
 
 class TestImportBoundary:
@@ -403,6 +432,11 @@ class TestGoldenRun:
                    if p.is_file()}
         on_disk -= {"report/manifest.json", "report/bundle_manifest.json"}
         assert listed == on_disk
+        # what `b2sum -l 256` prints for each file
+        assert bundle["digest"] == "blake2b-256"
+        assert all(digest == hashlib.blake2b(
+            (out_dir / name).read_bytes(), digest_size=32).hexdigest()
+            for name, digest in bundle["outputs"].items())
 
     def test_no_data_markers_when_inputs_empty(self, data_dir, tmp_path):
         # strip every annotation: image reports must stay present but empty
@@ -1630,3 +1664,69 @@ class TestDigestTable:
         hashed, ran = self._hashed(fixture_config, monkeypatch)
         assert ran == ["lexicon"]
         assert sorted(hashed) == sorted(recorded)
+
+    def test_a_digested_file_leaves_the_table(self, fixture_config):
+        pipeline.run_all(fixture_config)
+        run = pipeline.Run(fixture_config)
+        snapshot = fixture_config.path("snapshot")
+        assert str(snapshot) in run._recorded
+        run.digest(snapshot)
+        assert str(snapshot) not in run._recorded
+
+    def test_a_cold_run_records_only_its_own_files(self, fixture_config,
+                                                   monkeypatch):
+        pipeline.run_all(fixture_config)
+        out = Path(fixture_config.out_dir)
+        first = _digest_table(out)
+        stamps_path = out.parent / "out.stamps.json"
+        stamps = json.loads(stamps_path.read_text(encoding="utf-8"))
+        gone = str(out / "lexicon" / "gone.csv")
+        stamps["digests"][gone] = stamps["digests"][
+            str(out / "lexicon" / "entries.jsonl")]
+        stamps_path.write_text(json.dumps(stamps), encoding="utf-8")
+        shutil.rmtree(out)
+        _set_stamps_written(out, _ahead())
+        hashed, ran = self._hashed(fixture_config, monkeypatch)
+        assert ran == list(pipeline.STAGES)
+        # the inputs' digests were reused, every output was hashed
+        assert set(hashed) == {str(p) for p in out.rglob("*")
+                               if str(p) in first}
+        table = _digest_table(out)
+        assert set(table) == set(first)
+        assert all(entry[-1] == sha256_file(path)
+                   for path, entry in table.items())
+
+    @pytest.mark.parametrize("name", [None, "sha256"],
+                             ids=["unnamed", "named"])
+    def test_a_sha256_table_is_not_trusted(self, work, monkeypatch, name):
+        """A table of SHA-256 digests, also 64 hex characters, that names
+        no digest, as the versions that digested with SHA-256 wrote it, or
+        names SHA-256. The run hashes every file again, and every manifest
+        records ``sha256_file`` of its files."""
+        cfg = self._config(work)
+        out = work / "out"
+        stamps_path = work / "out.stamps.json"
+        stamps = json.loads(stamps_path.read_text(encoding="utf-8"))
+        if name is None:
+            del stamps["digest"]
+        else:
+            stamps["digest"] = name
+        for path, entry in stamps["digests"].items():
+            entry[-1] = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+        stamps_path.write_text(json.dumps(stamps), encoding="utf-8")
+        _set_stamps_written(out, _ahead())
+        hashed, ran = self._hashed(cfg, monkeypatch)
+        assert sorted(hashed) == sorted(stamps["digests"])
+        assert ran == ["lexicon"]
+        for stage, decl in pipeline.DECLARATIONS.items():
+            manifest = _manifest(cfg, stage)
+            paths = {label: out / artifact
+                     for label, artifact in decl.reads.items()}
+            paths.update((key, cfg.path(key))
+                         for key in decl.files + decl.optional
+                         if cfg.path(key))
+            assert manifest["inputs"] == {
+                label: sha256_file(path) for label, path in paths.items()}
+            assert manifest["outputs"] == {
+                name: sha256_file(out / stage / name)
+                for name in manifest["outputs"]}
