@@ -44,7 +44,7 @@ from itertools import compress, count, filterfalse
 from json.encoder import encode_basestring as _quote
 
 from .artifacts import check_unique, read_rows
-from .corpus import ArticleRecord, CorpusSnapshot
+from .corpus import CorpusSnapshot, Page
 from .labels import BiasClass
 from .text import nfc
 
@@ -137,7 +137,7 @@ def load_gender_lexicon(path) -> dict[str, Gender]:
     return table
 
 
-def extract_link_mentions(record: ArticleRecord, snapshot: CorpusSnapshot
+def extract_link_mentions(record: Page, snapshot: CorpusSnapshot
                           ) -> tuple[list[PersonMention], int]:
     """One mention per outlink whose target carries the Frau/Mann category.
 
@@ -391,7 +391,7 @@ def linked_birth_years(articles, snapshot: CorpusSnapshot,
     page is parsed once however many articles link it.
     """
     years = dict(birth_index)
-    persons: dict[str, ArticleRecord] = {}
+    persons: dict[str, Page] = {}
     for record in articles:
         for title in record.outlinks:
             page = snapshot.records.get(title)

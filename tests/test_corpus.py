@@ -8,7 +8,7 @@ import pytest
 from oracles import load_snapshot_json_loads
 
 from profaudit import corpus
-from profaudit.corpus import (ArticleRecord, ImageRef, SnapshotError,
+from profaudit.corpus import (ArticleRecord, ImageRef, Page, SnapshotError,
                               build_snapshot)
 
 
@@ -138,13 +138,14 @@ class TestLoad:
     @pytest.mark.parametrize("field, value", [
         ("categories", "Frau"), ("outlinks", "Anna Meier"),
         ("plain_text", 5), ("plain_text", ["Text."]),
-        ("categories", {"Frau": 1})])
+        ("categories", {"Frau": 1}), ("images", "a.jpg")])
     def test_wrong_field_type_names_line_and_field(self, tmp_path, field,
                                                    value):
         p = tmp_path / "snap.jsonl"
         write_jsonl(p, [{"title": "A"}, {"title": "B", field: value}])
         with pytest.raises(SnapshotError,
-                           match=f"^snapshot line 2: field '{field}' must be"):
+                           match=f"^snapshot line 2: field '{field}' must be "
+                                 f"a (list|str), got {type(value).__name__}$"):
             corpus.load_snapshot(p)
 
     @pytest.mark.parametrize("record, field", [
@@ -166,7 +167,8 @@ class TestLoad:
         ({"plain_text": "x"}, "field 'title': missing key 'title'"),
         ({"title": "A", "images": [{"filename": "a.jpg", "width": "w",
                                     "media_format": "jpg"}]},
-         "field 'images': invalid literal for int() with base 10: 'w'"),
+         "field 'images': invalid image 'a.jpg': width must be an int, "
+         "got str"),
         ({"title": "A", "images": [{"filename": "a.jpg", "width": -5,
                                     "media_format": "jpg"}]},
          "negative image width for 'a.jpg'"),
@@ -176,7 +178,19 @@ class TestLoad:
         ({"title": "A", "redirect_target": "B", "plain_text": "x"},
          "redirect 'A' carries text"),
         ({"title": "A", "exists": False, "outlinks": ["B"]},
-         "missing page 'A' has content fields")])
+         "missing page 'A' has content fields"),
+        *[({"title": "A", "images": [{"filename": "a.jpg", "width": width,
+                                      "media_format": "jpg"}]},
+           f"field 'images': invalid image 'a.jpg': width must be an int, "
+           f"got {kind}")
+          for width, kind in ((99.9, "float"), (True, "bool"),
+                              ("300", "str"), (None, "NoneType"))],
+        *[({"title": "A", "images": [{"filename": "a.jpg", "width": 5,
+                                      "media_format": media_format}]},
+           f"field 'images': invalid image 'a.jpg': media format must be a "
+           f"str, got {kind}")
+          for media_format, kind in ((None, "NoneType"), (["jpg"], "list"),
+                                     (7, "int"))]])
     def test_bad_record_after_line_one_names_its_line(self, tmp_path, record,
                                                       message):
         p = tmp_path / "snap.jsonl"
@@ -316,7 +330,8 @@ class TestSharing:
         # Traced bytes per loaded record, measured on these 2,000 pages,
         # each line with a page_id as a fetched snapshot's has: 732 with a
         # set, two empty lists and fresh names per record, 243.5 with the
-        # sharing, 211.1 once a record keeps no page_id.
+        # sharing, 211.1 once a record keeps no page_id, 187.1 once a page
+        # without links or images is a Page of four slots.
         p = tmp_path / "snap.jsonl"
         write_jsonl(p, (dict(page, page_id=i)
                         for i, page in enumerate(person_pages(2000))))
@@ -327,7 +342,7 @@ class TestSharing:
         finally:
             tracemalloc.stop()
         assert len(snapshot.records) == 2000
-        assert traced / 2000 < 225
+        assert traced / 2000 < 200
 
     def test_loaded_size_does_not_grow_with_the_texts(self, tmp_path):
         # a loaded page keeps its line's offset, not its text: the longer
@@ -441,6 +456,58 @@ class TestSharing:
         assert baker.title is key and baker.outlinks[0] is key
         assert all(records[t].outlinks[0] is key for t in ("A1", "C1"))
         assert records["D1"].redirect_target is key
+
+
+class TestRecordKinds:
+    """A loaded page that exists and has neither outlinks nor images is a
+    Page, whose class supplies those three fields; any other page is an
+    ArticleRecord with values of its own. Both read and save alike."""
+
+    lines = [
+        TestSharing.page("Anna", categories=["Frau"], plain_text="a"),
+        TestSharing.page("Artikel", outlinks=["Anna", "Fehlt"],
+                         plain_text="x"),
+        TestSharing.page("Bild", images=[{"filename": "b.jpg",
+                                          "media_format": "png",
+                                          "width": 40}]),
+        TestSharing.page("Fehlt", exists=False),
+        TestSharing.page("Umleitung", redirect_target="Anna")]
+
+    @pytest.fixture()
+    def loaded(self, tmp_path):
+        p = tmp_path / "snap.jsonl"
+        p.write_text("".join(self.lines), encoding="utf-8")
+        return p, corpus.load_snapshot(p)
+
+    def test_a_page_without_links_or_images_is_a_page(self, loaded):
+        _, snapshot = loaded
+        empty = tuple()
+        for title in ("Anna", "Umleitung"):
+            page = snapshot.records[title]
+            assert type(page) is Page and not isinstance(page, ArticleRecord)
+            assert page.exists is True
+            assert page.outlinks is empty and page.images is empty
+        assert snapshot.records["Umleitung"].is_redirect
+        assert text(snapshot, "Anna") == "a"
+
+    def test_other_pages_keep_their_own_values(self, loaded):
+        _, snapshot = loaded
+        records = snapshot.records
+        assert all(type(records[title]) is ArticleRecord
+                   for title in ("Artikel", "Bild", "Fehlt"))
+        assert records["Artikel"].outlinks == ("Anna", "Fehlt")
+        assert records["Artikel"].outlinks[0] is records["Anna"].title
+        assert records["Bild"].images == (ImageRef("b.jpg", 40, "png"),)
+        assert records["Fehlt"].exists is False
+        assert [records[title].exists for title in ("Artikel", "Bild")] == [
+            True, True]
+
+    def test_save_writes_back_the_lines_read(self, loaded, tmp_path):
+        p, snapshot = loaded
+        saved = tmp_path / "saved.jsonl"
+        corpus.save_snapshot(snapshot, saved)
+        assert saved.read_bytes() == p.read_bytes()
+        assert with_texts(snapshot) == with_texts(load_snapshot_json_loads(p))
 
 
 def synthetic_snapshot_text(seed, n=400):
