@@ -4,11 +4,16 @@ snapshot populator.
     audit lexicon --config audit.json
     audit report --all --config audit.json --out-dir out/
     audit fetch --titles-file titles.txt --out snapshot.jsonl
+
+Once a command has run, ``main`` registers ``gc.freeze`` as an exit hook,
+so the interpreter's final collections skip the heap it is about to drop.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import logging
 import sys
 from pathlib import Path
@@ -131,6 +136,13 @@ def main(argv=None) -> int:
     except (PipelineError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        # at exit every object is then in the permanent generation, which
+        # the collections of shutdown skip (the collector policy in the
+        # pipeline docstring); unregistered first, so a process that runs
+        # main twice exits with one hook
+        atexit.unregister(gc.freeze)
+        atexit.register(gc.freeze)
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
 import ast
+import atexit
 import csv
 import gc
 import hashlib
@@ -727,6 +728,63 @@ class TestCollectorPolicy:
         frozen = gc.get_freeze_count()
         pipeline.run_all(fixture_config)
         assert seen["match"] == frozen and gc.get_freeze_count() == frozen
+
+
+class TestExitHook:
+    """``cli.main`` registers ``gc.freeze`` as an exit hook once per
+    process, after its command; the library entry points register none."""
+
+    @pytest.fixture()
+    def hooks(self, monkeypatch):
+        """The exit hooks registered while the test runs, in order."""
+        hooks = []
+
+        def register(fn, *args, **kwargs):
+            hooks.append(fn)
+            return fn
+
+        def unregister(fn):
+            hooks[:] = [h for h in hooks if h != fn]
+
+        monkeypatch.setattr(atexit, "register", register)
+        monkeypatch.setattr(atexit, "unregister", unregister)
+        return hooks
+
+    def test_one_hook_however_often_main_runs(self, data_dir, tmp_path,
+                                              hooks):
+        assert run_cli("report", "--all", "--config",
+                       data_dir / "config.json",
+                       "--out-dir", tmp_path / "out") == 0
+        assert run_cli("lexicon", "--config", tmp_path / "nope.json") == 1
+        # nothing stays frozen while the process runs
+        assert gc.get_freeze_count() == 0
+        assert hooks.count(gc.freeze) == 1
+
+    def test_library_runs_register_none(self, fixture_config, hooks):
+        pipeline.run_all(fixture_config)
+        pipeline.run_stage("lexicon", fixture_config)
+        assert hooks == []
+
+    def test_a_dev_mode_process_ends_cleanly(self, data_dir, tmp_path):
+        """With the hook, ``-X dev`` reports nothing at exit (an unclosed
+        file would be a ResourceWarning), and the printed paths are every
+        file the stages wrote."""
+        out = tmp_path / "out"
+        env = dict(os.environ, PYTHONPATH=str(
+            Path(pipeline.__file__).resolve().parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-X", "dev", "-m", "profaudit.cli", "report",
+             "--all", "--config", str(data_dir / "config.json"),
+             "--out-dir", str(out)], env=env, capture_output=True,
+            encoding="utf-8", errors="replace", timeout=120)
+        assert done.returncode == 0
+        # stderr holds the two warnings the fixture's data gives, no more
+        assert [line.split(":")[0] for line in done.stderr.splitlines()] == [
+            "WARNING profaudit.corpus", "WARNING profaudit.webhits"]
+        assert sorted(done.stdout.splitlines()) == sorted(
+            str(p) for p in out.resolve().rglob("*")
+            if p.is_file() and p.name != "manifest.json")
+        assert _tree(out) == _tree(data_dir / "golden")
 
 
 class TestWriteJsonl:
