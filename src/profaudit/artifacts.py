@@ -60,11 +60,11 @@ def round6(obj):
 
 
 def dump_json(obj, path) -> None:
-    path = Path(path)
+    # one write: json.dump calls write once per encoder chunk
+    text = json.dumps(round6(obj), ensure_ascii=False, sort_keys=True,
+                      indent=2)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(round6(obj), fh, ensure_ascii=False, sort_keys=True,
-                  indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def write_csv(path, header, rows) -> None:

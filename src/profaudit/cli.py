@@ -7,6 +7,7 @@ snapshot populator.
 
 Once a command has run, ``main`` registers ``gc.freeze`` as an exit hook,
 so the interpreter's final collections skip the heap it is about to drop.
+``logging`` loads at the first warning, or up front with ``--verbose``.
 """
 
 from __future__ import annotations
@@ -14,11 +15,10 @@ from __future__ import annotations
 import argparse
 import atexit
 import gc
-import logging
 import sys
 from pathlib import Path
 
-from . import pipeline
+from . import LazyLogger, pipeline
 from .artifacts import open_input
 from .config import AuditConfig
 from .pipeline import STAGES, PipelineError
@@ -29,6 +29,8 @@ _STAGE_EPILOG = (
     "inputs, constants, seed, outputs or code changed since it last ran), "
     "nothing is written and the error names the first such stage and why; "
     "run that stage first, or use 'report --all'.")
+
+_LOG_FORMAT = "%(levelname)s %(name)s: %(message)s"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -119,9 +121,14 @@ def _cmd_fetch(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s")
+    if args.verbose:
+        import logging
+
+        logging.basicConfig(level=logging.INFO, format=_LOG_FORMAT)
+    else:
+        # a run that warns nothing never imports logging
+        LazyLogger.deferred_config = {"level": "WARNING",
+                                      "format": _LOG_FORMAT}
     try:
         if args.command == "fetch":
             return _cmd_fetch(args)

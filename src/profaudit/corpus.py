@@ -44,15 +44,15 @@ seven slots a page took 3.55 MB.
 from __future__ import annotations
 
 import json
-import logging
 import os
 from collections import deque, namedtuple
 from operator import attrgetter
 
+from . import LazyLogger
 from .artifacts import write_jsonl
 from .text import nfc
 
-log = logging.getLogger(__name__)
+log = LazyLogger(__name__)
 
 CATEGORY_PREFIX = "Kategorie:"
 

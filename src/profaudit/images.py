@@ -15,15 +15,14 @@ threshold is removed with all responses discarded.
 
 from __future__ import annotations
 
-import logging
 from collections import Counter, defaultdict, namedtuple
 from enum import Enum
 
-from . import stats
+from . import LazyLogger, stats
 from .artifacts import blake2b, check_unique, read_rows
 from .text import nfc
 
-log = logging.getLogger(__name__)
+log = LazyLogger(__name__)
 
 EXCLUDED_FORMATS = frozenset({"svg", "ogg", "ogv"})
 

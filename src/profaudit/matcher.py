@@ -43,13 +43,13 @@ tested against.
 
 from __future__ import annotations
 
-import logging
 from enum import Enum
 
+from . import LazyLogger
 from .artifacts import check_unique, read_rows
 from .text import nfc
 
-log = logging.getLogger(__name__)
+log = LazyLogger(__name__)
 
 
 class MatchStatus(str, Enum):

@@ -12,15 +12,15 @@ command line does for every subcommand) loads no HTTP code.
 from __future__ import annotations
 
 import json
-import logging
 import re
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
+from . import LazyLogger
 from .corpus import CATEGORY_PREFIX, ArticleRecord, ImageRef
 
-log = logging.getLogger(__name__)
+log = LazyLogger(__name__)
 
 DEFAULT_ENDPOINT = "https://de.wikipedia.org/w/api.php"
 DEFAULT_USER_AGENT = "profaudit/0.1 (profession corpus snapshot builder)"

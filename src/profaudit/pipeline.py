@@ -22,10 +22,12 @@ its profession category closure are parsed lazily, at most once per
 it.
 
 A run loads only the code of the stages it runs. This module imports at
-its top only the artifact writers, the config and the ``labels``; each
-function imports the analysis modules it calls, and calls them through the
-module (``matcher.match``), so a wrapper set on a module attribute still
-takes effect. In ``run_all``, ``Run.snapshot`` also imports, before it
+its top only the artifact writers, the config, the ``labels`` and the
+package's ``LazyLogger``, which imports ``logging`` at the first warning,
+so a run that warns nothing never loads it; each function imports the
+analysis modules it calls, and calls them through the module
+(``matcher.match``), so a wrapper set on a module attribute still takes
+effect. In ``run_all``, ``Run.snapshot`` also imports, before it
 loads the snapshot, the modules of the stages that may run while the
 snapshot is held: a module compiled after the load allocates above it and
 raises the run's peak memory. A single stage imports its modules before it
@@ -101,18 +103,17 @@ from __future__ import annotations
 import csv
 import gc
 import json
-import logging
 import os
 from collections import Counter, defaultdict, namedtuple
 from pathlib import Path
 
-from . import __version__
+from . import LazyLogger, __version__
 from .artifacts import (DIGEST, dump_json, new_digest, sha256_file, write_csv,
                         write_jsonl)
 from .config import AuditConfig
 from .labels import BiasClass, BiasGroup, DominatedGroup, MajorityGroup
 
-log = logging.getLogger(__name__)
+log = LazyLogger(__name__)
 
 
 class PipelineError(RuntimeError):

@@ -10,14 +10,13 @@ normalized difference, the raw male-title hit count, and an intercept.
 
 from __future__ import annotations
 
-import logging
 from collections import namedtuple
 
-from . import stats
+from . import LazyLogger, stats
 from .artifacts import check_unique, read_rows
 from .labels import BiasGroup
 
-log = logging.getLogger(__name__)
+log = LazyLogger(__name__)
 
 
 HitRecord = namedtuple("HitRecord", "profession_id hits_male hits_female")

@@ -181,14 +181,20 @@ class TestConfig:
             "category"]
 
 
+def _fresh_run(code: str) -> subprocess.CompletedProcess:
+    """``code`` run in a new interpreter that imports the package from this
+    source tree; raises if it fails."""
+    env = dict(os.environ, PYTHONPATH=str(
+        Path(pipeline.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, encoding="utf-8",
+                          timeout=120)
+
+
 def _fresh_process(code: str) -> str:
     """The last line ``code`` prints, run in a new interpreter that imports
     the package from this source tree."""
-    env = dict(os.environ, PYTHONPATH=str(
-        Path(pipeline.__file__).resolve().parents[1]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=120)
-    return out.stdout.splitlines()[-1]
+    return _fresh_run(code).stdout.splitlines()[-1]
 
 
 def test_audit_imports_neither_numpy_nor_fetcher(data_dir, tmp_path):
@@ -250,6 +256,19 @@ class TestImportBoundary:
             "profaudit", "profaudit.artifacts", "profaudit.cli",
             "profaudit.config", "profaudit.labels", "profaudit.pipeline"])
 
+    def test_cli_and_the_stage_modules_load_no_logging(self):
+        # against the modules loaded before, since a host's site hook may
+        # load some of them; mediawiki is left out: the fetcher's
+        # concurrent.futures loads logging
+        modules = ", ".join(f"profaudit.{m}" for m in (
+            "cli", "corpus", "images", "labor", "lexicon", "matcher",
+            "mentions", "redirect_bias", "stats", "webhits"))
+        code = ("import sys; before = set(sys.modules); "
+                f"import {modules}; "
+                "print(sorted({'logging', 'traceback', 'tokenize', "
+                "'textwrap'} & (set(sys.modules) - before)))")
+        assert _fresh_process(code) == "[]"
+
     def test_annotation_rerun_loads_no_extraction_module(self, work):
         # the rerun runs lexicon, images and report only
         _edit_annotation(work)
@@ -262,6 +281,17 @@ class TestImportBoundary:
                 f"{str(work / 'out')!r}]); "
                 f"print(rc, [m for m in {unused!r} if m in sys.modules])")
         assert _fresh_process(code) == "0 []"
+
+    def test_a_run_that_warns_nothing_loads_no_logging(self, work):
+        # the unchanged rerun logs each stage at INFO and warns nothing
+        # (the annotation rerun warns: the edit leaves images unresolved)
+        code = ("import sys; before = set(sys.modules); "
+                "from profaudit.cli import main; "
+                f"rc = main(['report', '--all', '--config', "
+                f"{str(work / 'fixture' / 'config.json')!r}, '--out-dir', "
+                f"{str(work / 'out')!r}]); "
+                "print(rc, 'logging' in set(sys.modules) - before)")
+        assert _fresh_process(code) == "0 False"
 
     def test_a_single_stage_loads_no_module_of_another(self, work):
         # match reads the snapshot, but only run_all runs other stages
@@ -303,6 +333,63 @@ print(rc, len(loaded), sorted(m for m in loaded[1] - loaded[0]
                               if m.startswith('profaudit')))
 """
         assert _fresh_process(code) == "0 2 []"
+
+
+class TestLazyLogging:
+    """The package imports ``logging`` only for a record that can be seen
+    (``profaudit.LazyLogger``), and stderr reads as it did when every
+    module imported it. Each check runs in a fresh process, since this one
+    has imported ``logging``."""
+
+    def test_a_library_run_writes_bare_warnings(self, data_dir, tmp_path):
+        # nothing configured, so logging's last-resort handler writes them
+        done = _fresh_run(f"""
+from profaudit import pipeline
+from profaudit.config import AuditConfig
+cfg = AuditConfig.from_file({str(data_dir / 'config.json')!r})
+cfg.out_dir = {str(tmp_path / 'out')!r}
+pipeline.run_all(cfg)
+""")
+        assert done.stderr.splitlines() == [
+            "unknown root category 'Person nach Tätigkeit' treated as empty",
+            "excluding L0039: zero total hits"]
+
+    def test_a_caller_that_configured_logging_gets_each_stage(self, work):
+        _edit_annotation(work)
+        done = _fresh_run(f"""
+import logging
+logging.basicConfig(level=logging.INFO, format="%(name)s: %(message)s")
+from profaudit import pipeline
+from profaudit.config import AuditConfig
+cfg = AuditConfig.from_file({str(work / 'fixture' / 'config.json')!r})
+cfg.out_dir = {str(work / 'out')!r}
+pipeline.run_all(cfg)
+""")
+        assert [line.removeprefix("profaudit.pipeline: ")
+                for line in done.stderr.splitlines()
+                if line.startswith("profaudit.pipeline: ")
+                ] == _ANNOTATION_RERUN_LOG
+
+    def test_verbose_after_a_plain_run_logs_each_stage(self, work):
+        # the plain rerun warns nothing, so --verbose finds logging
+        # unconfigured, as a first run would
+        done = _fresh_run(f"""
+import sys
+from profaudit.cli import main
+args = ['report', '--all', '--config',
+        {str(work / 'fixture' / 'config.json')!r},
+        '--out-dir', {str(work / 'out')!r}]
+assert main(args) == 0
+print('first run done', file=sys.stderr)
+assert main(['--verbose'] + args) == 0
+""")
+        first, second = done.stderr.split("first run done\n")
+        assert first == ""
+        assert [line.removeprefix("INFO profaudit.pipeline: ")
+                for line in second.splitlines()
+                if line.startswith("INFO profaudit.pipeline: ")] == [
+            "running stage lexicon: the first stage always runs"] + [
+            f"skipped stage {s} (unchanged)" for s in pipeline.STAGES[1:]]
 
 
 def test_source_parses_as_python_3_10():
@@ -1119,6 +1206,18 @@ def _edit_annotation(root: Path) -> None:
                     encoding="utf-8")
 
 
+# why each stage of the rerun after ``_edit_annotation`` runs, as logged
+_ANNOTATION_RERUN_LOG = [
+    "running stage lexicon: the first stage always runs",
+    "skipped stage match (unchanged)",
+    "skipped stage classify (unchanged)",
+    "skipped stage webhits (unchanged)",
+    "skipped stage mentions (unchanged)",
+    "running stage images: input annotations changed",
+    "skipped stage labor (unchanged)",
+    "running stage report: input image_categories changed"]
+
+
 def _rerun(root: Path, capsys, caplog, stages_run, *args) -> dict:
     """Reruns ``report --all`` into ``root/out``, then runs it into the
     empty ``root/cold`` on the same inputs. Checks that both leave the same
@@ -1279,15 +1378,7 @@ class TestIncremental:
         lines = [line.removeprefix("INFO profaudit.pipeline: ")
                  for line in verbose.stderr.splitlines()
                  if line.startswith("INFO profaudit.pipeline: ")]
-        assert lines == [
-            "running stage lexicon: the first stage always runs",
-            "skipped stage match (unchanged)",
-            "skipped stage classify (unchanged)",
-            "skipped stage webhits (unchanged)",
-            "skipped stage mentions (unchanged)",
-            "running stage images: input annotations changed",
-            "skipped stage labor (unchanged)",
-            "running stage report: input image_categories changed"]
+        assert lines == _ANNOTATION_RERUN_LOG
 
     @pytest.mark.parametrize("recorded, value, same", [
         (0.8, 0.8, True), (1, 1.0, False), (0.123457, 0.1234567, False),
